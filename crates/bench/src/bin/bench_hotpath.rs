@@ -267,8 +267,8 @@ fn naive_lcm_nlml_with_grad(
     Some((nlml, grad))
 }
 
-/// The original serial LCM fit loop: same start, same optimizer, same
-/// iteration cap as [`Lcm::fit`], but the seed's objective.
+/// The original serial LCM fit loop: same start and iteration cap as
+/// [`Lcm::fit`], but the seed's objective and its unbounded L-BFGS.
 fn naive_lcm_fit(tasks: &[TaskData], config: &LcmConfig) {
     let t_count = tasks.len();
     let d = config.dims.len();
@@ -322,7 +322,7 @@ fn naive_lcm_fit(tasks: &[TaskData], config: &LcmConfig) {
         max_iter: config.max_opt_iter,
         ..Default::default()
     };
-    let res = lbfgs(&s0, objective, &opts);
+    let res = lbfgs(&s0, objective, &opts, None);
     std::hint::black_box(res.f);
 }
 

@@ -14,9 +14,21 @@
 use super::{random_proposal, TlaContext, TlaStrategy};
 use crate::acquisition::propose_ei_failure_aware;
 use crowdtune_gp::{Lcm, LcmConfig, TaskData};
+use crowdtune_obs as obs;
 use rand::rngs::StdRng;
 
+/// L-BFGS iteration cap of a cold (default-start) LCM fit.
+const COLD_FIT_ITERS: usize = 35;
+/// L-BFGS iteration cap of a `Multitask(TS)` refit warm-started from the
+/// previous fit's θ: consecutive refits differ by one target sample, so
+/// the optimum moves little.
+const WARM_REFIT_ITERS: usize = 10;
+
 /// `Multitask(TS)`: LCM over true source samples.
+///
+/// Every refit after the first in a run starts L-BFGS from the previous
+/// fit's hyperparameters with a 10-iteration cap (35 for a cold fit) and
+/// is journaled as a `warmstart` event.
 pub struct MultitaskTs {
     /// LCM refit period (1 = every proposal; the paper refits every
     /// evaluation, larger values trade fidelity for speed on big source
@@ -56,6 +68,15 @@ impl TlaStrategy for MultitaskTs {
             None => true,
         };
         if needs_fit {
+            // Warm-start from the previous fit of the same run: a shrunken
+            // target means a new run, which starts cold.
+            let warm = self
+                .cached
+                .as_ref()
+                .filter(|(lcm, n_at_fit)| {
+                    ctx.target.len() >= *n_at_fit && lcm.n_tasks() == target_idx + 1
+                })
+                .map(|(lcm, _)| lcm.pack_theta());
             let mut tasks: Vec<TaskData> = ctx
                 .sources
                 .iter()
@@ -70,9 +91,18 @@ impl TlaStrategy for MultitaskTs {
             });
             let mut config = LcmConfig::new(ctx.dims.to_vec());
             config.restarts = 0;
-            config.max_opt_iter = 35;
-            match Lcm::fit(&tasks, &config, rng) {
-                Ok(lcm) => self.cached = Some((lcm, ctx.target.len())),
+            config.max_opt_iter = if warm.is_some() {
+                WARM_REFIT_ITERS
+            } else {
+                COLD_FIT_ITERS
+            };
+            match Lcm::fit_with_starts(&tasks, &config, rng, warm.as_deref()) {
+                Ok(lcm) => {
+                    if warm.is_some() {
+                        journal_warm_refit(&lcm);
+                    }
+                    self.cached = Some((lcm, ctx.target.len()));
+                }
                 Err(_) => {
                     if self.cached.is_none() {
                         return random_proposal(ctx.dim(), rng);
@@ -96,6 +126,23 @@ impl TlaStrategy for MultitaskTs {
             rng,
         )
     }
+}
+
+/// Journal one warm-started LCM refit: NLL per sample at the warm start
+/// and at the fitted optimum (raw units, both on the refit's data) and
+/// the L-BFGS iterations it took.
+fn journal_warm_refit(lcm: &Lcm) {
+    obs::count(obs::names::CTR_WARMSTART_REDUCED, 1);
+    let n = lcm.n_samples() as f64;
+    let stats = lcm.fit_stats();
+    obs::record_with(|| obs::Event::Warmstart {
+        model: "lcm".to_string(),
+        warm_nll: obs::finite(stats.start_nll / n),
+        best_nll: obs::finite(lcm.nll_raw() / n),
+        restarts: 1,
+        reduced: true,
+        iterations: Some(stats.iterations as u64),
+    });
 }
 
 /// `Multitask(PS)`: LCM over pseudo samples from the source GPs.
@@ -174,7 +221,7 @@ impl TlaStrategy for MultitaskPs {
         });
         let mut config = LcmConfig::new(ctx.dims.to_vec());
         config.restarts = 0;
-        config.max_opt_iter = 35;
+        config.max_opt_iter = COLD_FIT_ITERS;
         let Ok(lcm) = Lcm::fit(&tasks, &config, rng) else {
             return random_proposal(ctx.dim(), rng);
         };

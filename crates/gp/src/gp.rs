@@ -6,7 +6,7 @@
 //! residual models of the Vizier-style stacking algorithm.
 
 use crate::kernel::{DimKind, Kernel, KernelKind, KernelParams, SqDists};
-use crowdtune_linalg::{lbfgs, Cholesky, LbfgsOptions, LbfgsResult, Matrix};
+use crowdtune_linalg::{lbfgs, Bounds, Cholesky, LbfgsOptions, LbfgsResult, Matrix};
 use crowdtune_obs as obs;
 use rand::Rng;
 use rayon::prelude::*;
@@ -268,7 +268,10 @@ impl Gp {
             max_iter: config.max_opt_iter,
             ..Default::default()
         };
-        let Some((nlml, theta)) = run_multistart(&starts, objective, &opts, config.parallel) else {
+        let Some(LbfgsResult {
+            f: nlml, x: theta, ..
+        }) = run_multistart(&starts, objective, &opts, None, config.parallel)
+        else {
             obs::count(obs::names::CTR_FIT_FALLBACKS, 1);
             obs::record_with(|| obs::Event::Fit {
                 model: "gp".to_string(),
@@ -702,17 +705,19 @@ pub(crate) fn build_covariance(kernel: &Kernel, log_noise: f64, x: &[Vec<f64>]) 
 /// sequential loop would: scan results in start order, keeping the
 /// first strictly-better finite objective. Each restart is independent
 /// and internally deterministic, so the parallel and sequential paths
-/// return bitwise-identical winners.
+/// return bitwise-identical winners. `bounds` is forwarded to every
+/// L-BFGS run.
 pub(crate) fn run_multistart<F>(
     starts: &[Vec<f64>],
     objective: F,
     opts: &LbfgsOptions,
+    bounds: Option<&Bounds>,
     parallel: bool,
-) -> Option<(f64, Vec<f64>)>
+) -> Option<LbfgsResult>
 where
     F: Fn(&[f64]) -> (f64, Vec<f64>) + Sync,
 {
-    let run = |s: &Vec<f64>| lbfgs(s, &objective, opts);
+    let run = |s: &Vec<f64>| lbfgs(s, &objective, opts, bounds);
     let results: Vec<LbfgsResult> =
         if parallel && rayon::current_num_threads() > 1 && starts.len() > 1 {
             starts.par_iter().map(run).collect()
@@ -732,12 +737,12 @@ where
             });
         }
     }
-    let mut best: Option<(f64, Vec<f64>)> = None;
+    let mut best: Option<LbfgsResult> = None;
     for res in results {
         if res.f.is_finite() {
             match &best {
-                Some((bf, _)) if *bf <= res.f => {}
-                _ => best = Some((res.f, res.x)),
+                Some(b) if b.f <= res.f => {}
+                _ => best = Some(res),
             }
         }
     }

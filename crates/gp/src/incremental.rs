@@ -157,6 +157,7 @@ impl IncrementalGp {
                 best_nll: obs::finite(best_nll_pp),
                 restarts: (warm.len() + config.restarts + 1) as u64,
                 reduced,
+                iterations: None,
             });
         }
         // Competitive warm start ⇒ the next refit can skip most random

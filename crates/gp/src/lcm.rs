@@ -21,7 +21,7 @@
 
 use crate::gp::{run_multistart, Prediction};
 use crate::kernel::{DimKind, Kernel, KernelKind, KernelParams, SqDists};
-use crowdtune_linalg::{Cholesky, LbfgsOptions, Matrix};
+use crowdtune_linalg::{Bounds, Cholesky, LbfgsOptions, LbfgsResult, Matrix};
 use crowdtune_obs as obs;
 use rand::Rng;
 use rayon::prelude::*;
@@ -118,6 +118,16 @@ pub struct TaskData {
     pub y: Vec<f64>,
 }
 
+/// How the hyperparameter optimization behind a fitted [`Lcm`] went.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LcmFitStats {
+    /// Raw-unit NLL (see [`Lcm::nll_raw`]) at the winning L-BFGS run's
+    /// start, on the data of this fit.
+    pub start_nll: f64,
+    /// L-BFGS iterations of the winning run.
+    pub iterations: usize,
+}
+
 /// A fitted LCM multitask GP.
 #[derive(Debug, Clone)]
 pub struct Lcm {
@@ -145,6 +155,7 @@ pub struct Lcm {
     y_std: Vec<f64>,
     n_tasks: usize,
     lml: f64,
+    fit_stats: LcmFitStats,
 }
 
 struct Packing {
@@ -171,33 +182,31 @@ impl Packing {
     }
 }
 
-impl Lcm {
-    /// Fit the LCM to per-task datasets (tasks may have different — even
-    /// zero — sample counts).
-    pub fn fit<R: Rng>(
-        tasks: &[TaskData],
-        config: &LcmConfig,
-        rng: &mut R,
-    ) -> Result<Self, LcmError> {
-        Self::fit_with_starts(tasks, config, rng, &[])
-    }
+/// The joint marginal likelihood of an LCM on fixed per-task data, as a
+/// function of the packed hyperparameters θ (the layout of
+/// [`Lcm::pack_theta`]). Targets are standardized per task, and the
+/// pairwise squared distances are computed once here and shared by every
+/// evaluation. [`Lcm::fit_with_starts`] minimizes
+/// [`LcmLikelihood::nll_with_grad`] inside [`LcmLikelihood::bounds`].
+pub struct LcmLikelihood {
+    pack: Packing,
+    kernel_proto: Kernel,
+    sq: SqDists,
+    /// All training inputs, flattened across tasks.
+    x_all: Vec<Vec<f64>>,
+    /// Task index of each flattened input.
+    task_of: Vec<usize>,
+    /// Standardized targets, flattened like `x_all`.
+    ys: Vec<f64>,
+    y_mean: Vec<f64>,
+    y_std: Vec<f64>,
+}
 
-    /// [`Lcm::fit`] with extra L-BFGS starts prepended before the default
-    /// start — the warm-start entry point for incremental refits
-    /// (typically [`Lcm::pack_theta`] of the previous fit). Starts whose
-    /// length does not match the current packing (e.g. the task count
-    /// changed) are skipped. The multistart winner is still reduced in
-    /// start order, so determinism at any thread count is unchanged.
-    pub fn fit_with_starts<R: Rng>(
-        tasks: &[TaskData],
-        config: &LcmConfig,
-        rng: &mut R,
-        extra_starts: &[Vec<f64>],
-    ) -> Result<Self, LcmError> {
-        let fit_span = obs::span(obs::names::SPAN_LCM_FIT);
+impl LcmLikelihood {
+    /// Validate and standardize `tasks` for `config`'s model.
+    pub fn new(tasks: &[TaskData], config: &LcmConfig) -> Result<Self, LcmError> {
         let t_count = tasks.len();
         let d = config.dims.len();
-        let q_count = config.q.max(1);
         let n_total: usize = tasks.iter().map(|t| t.x.len()).sum();
         if n_total == 0 {
             return Err(LcmError::NoSamples);
@@ -258,69 +267,158 @@ impl Lcm {
             }
         }
 
-        let pack = Packing {
-            q: q_count,
-            d,
-            t: t_count,
-        };
         let kernel_proto = {
             let mut k = Kernel::new(config.kernel, config.dims.clone());
             k.log_signal_variance = 0.0; // unit variance, fixed
             k
         };
-
         // Pairwise squared distances are θ-independent (all latent
-        // kernels share the dimension kinds): compute them once per fit
-        // and share across every objective evaluation of every restart.
+        // kernels share the dimension kinds).
         let sq = kernel_proto.precompute_sq_dists(&x_all);
+        Ok(LcmLikelihood {
+            pack: Packing {
+                q: config.q.max(1),
+                d,
+                t: t_count,
+            },
+            kernel_proto,
+            sq,
+            x_all,
+            task_of,
+            ys,
+            y_mean,
+            y_std,
+        })
+    }
 
-        let objective = |theta: &[f64]| -> (f64, Vec<f64>) {
-            if lcm_out_of_bounds(theta, &pack) {
-                return (f64::INFINITY, vec![0.0; theta.len()]);
-            }
-            match lcm_nlml_with_grad(theta, &pack, &kernel_proto, &sq, &task_of, &ys) {
-                Some(r) => r,
-                None => (f64::INFINITY, vec![0.0; theta.len()]),
-            }
-        };
-
-        // Starts: warm starts (if any), a deterministic default, then
-        // random restarts.
-        let mut starts = Vec::with_capacity(extra_starts.len() + config.restarts + 1);
-        starts.extend(
-            extra_starts
-                .iter()
-                .filter(|s| s.len() == pack.len())
-                .cloned(),
-        );
+    /// The deterministic default start of a cold fit.
+    pub fn default_start(&self) -> Vec<f64> {
+        let pack = &self.pack;
         let mut s0 = vec![0.0; pack.len()];
-        for q in 0..q_count {
-            for dim in 0..d {
+        for q in 0..pack.q {
+            for dim in 0..pack.d {
                 s0[pack.ls(q, dim)] = (0.3f64).ln();
             }
-            for t in 0..t_count {
+            for t in 0..pack.t {
                 // Positive loadings => tasks start positively correlated,
                 // which is the transfer-learning prior; stagger q's a bit.
                 s0[pack.a(q, t)] = if q == 0 { 1.0 } else { 0.3 };
                 s0[pack.kappa(q, t)] = (0.1f64).ln();
             }
         }
-        for t in 0..t_count {
+        for t in 0..pack.t {
             s0[pack.noise(t)] = (1e-2f64).ln();
         }
-        starts.push(s0.clone());
+        s0
+    }
+
+    /// The hyperparameter box every fit optimizes over.
+    pub fn bounds(&self) -> Bounds {
+        let pack = &self.pack;
+        let mut lower = vec![0.0; pack.len()];
+        let mut upper = vec![0.0; pack.len()];
+        let mut set = |i: usize, lo: f64, hi: f64| {
+            lower[i] = lo;
+            upper[i] = hi;
+        };
+        for q in 0..pack.q {
+            for dim in 0..pack.d {
+                set(pack.ls(q, dim), LOG_LS_MIN, LOG_LS_MAX);
+            }
+            for t in 0..pack.t {
+                set(pack.a(q, t), A_MIN, A_MAX);
+                set(pack.kappa(q, t), LOG_KAPPA_MIN, LOG_KAPPA_MAX);
+            }
+        }
+        for t in 0..pack.t {
+            set(pack.noise(t), LOG_NOISE_MIN, LOG_NOISE_MAX);
+        }
+        Bounds::new(lower, upper)
+    }
+
+    /// Negative joint log marginal likelihood of the standardized targets
+    /// at θ and its gradient; `None` when the covariance cannot be
+    /// factorized.
+    pub fn nll_with_grad(&self, theta: &[f64]) -> Option<(f64, Vec<f64>)> {
+        lcm_nlml_with_grad(
+            theta,
+            &self.pack,
+            &self.kernel_proto,
+            &self.sq,
+            &self.task_of,
+            &self.ys,
+        )
+    }
+
+    /// Convert an NLL of the standardized targets into raw y units (the
+    /// scale of [`Lcm::nll_raw`]).
+    pub fn raw_nll(&self, nll: f64) -> f64 {
+        nll + self
+            .task_of
+            .iter()
+            .map(|&t| self.y_std[t].ln())
+            .sum::<f64>()
+    }
+}
+
+impl Lcm {
+    /// Fit the LCM to per-task datasets (tasks may have different — even
+    /// zero — sample counts).
+    pub fn fit<R: Rng>(
+        tasks: &[TaskData],
+        config: &LcmConfig,
+        rng: &mut R,
+    ) -> Result<Self, LcmError> {
+        Self::fit_with_starts(tasks, config, rng, None)
+    }
+
+    /// [`Lcm::fit`] with an optional warm start — the entry point for
+    /// refits (typically [`Lcm::pack_theta`] of the previous fit). A warm
+    /// start replaces the deterministic default start, so a refit runs
+    /// as many L-BFGS starts as a cold fit; one whose length does not
+    /// match the current packing (e.g. the task count changed) is
+    /// ignored. Every start is optimized inside the hyperparameter box
+    /// with projected L-BFGS, and the multistart winner is reduced in
+    /// start order, so results are identical at any thread count.
+    pub fn fit_with_starts<R: Rng>(
+        tasks: &[TaskData],
+        config: &LcmConfig,
+        rng: &mut R,
+        warm: Option<&[f64]>,
+    ) -> Result<Self, LcmError> {
+        let fit_span = obs::span(obs::names::SPAN_LCM_FIT);
+        let lik = LcmLikelihood::new(tasks, config)?;
+        let pack = &lik.pack;
+        let n_total = lik.x_all.len();
+        // Projected L-BFGS keeps every evaluation inside the box.
+        let bounds = lik.bounds();
+        let objective = |theta: &[f64]| -> (f64, Vec<f64>) {
+            match lik.nll_with_grad(theta) {
+                Some(r) => r,
+                None => (f64::INFINITY, vec![0.0; theta.len()]),
+            }
+        };
+
+        // Starts: the warm start or the deterministic default, then
+        // random restarts.
+        let s0 = lik.default_start();
+        let mut starts = Vec::with_capacity(config.restarts + 1);
+        match warm {
+            Some(w) if w.len() == pack.len() => starts.push(w.to_vec()),
+            _ => starts.push(s0.clone()),
+        }
         for _ in 0..config.restarts {
             let mut s = s0.clone();
-            for q in 0..q_count {
-                for dim in 0..d {
+            for q in 0..pack.q {
+                for dim in 0..pack.d {
                     s[pack.ls(q, dim)] = rng.gen_range(-2.0..1.0);
                 }
-                for t in 0..t_count {
+                for t in 0..pack.t {
                     s[pack.a(q, t)] = rng.gen_range(-1.5..1.5);
                     s[pack.kappa(q, t)] = rng.gen_range(-6.0..0.0);
                 }
             }
-            for t in 0..t_count {
+            for t in 0..pack.t {
                 s[pack.noise(t)] = rng.gen_range(-9.0..-2.0);
             }
             starts.push(s);
@@ -330,7 +428,14 @@ impl Lcm {
             max_iter: config.max_opt_iter,
             ..Default::default()
         };
-        let Some((nlml, theta)) = run_multistart(&starts, objective, &opts, config.parallel) else {
+        let Some(LbfgsResult {
+            f: nlml,
+            f_start,
+            x: theta,
+            iterations,
+            ..
+        }) = run_multistart(&starts, objective, &opts, Some(&bounds), config.parallel)
+        else {
             obs::count(obs::names::CTR_FIT_FALLBACKS, 1);
             obs::record_with(|| obs::Event::Fit {
                 model: "lcm".to_string(),
@@ -352,13 +457,14 @@ impl Lcm {
         });
 
         // Unpack the winner and finalize.
+        let (q_count, t_count) = (pack.q, pack.t);
         let mut kernels = Vec::with_capacity(q_count);
         let mut a = vec![vec![0.0; t_count]; q_count];
         let mut kappa = vec![vec![0.0; t_count]; q_count];
         let mut log_noise = vec![0.0; t_count];
         for q in 0..q_count {
-            let mut k = kernel_proto.clone();
-            for dim in 0..d {
+            let mut k = lik.kernel_proto.clone();
+            for dim in 0..pack.d {
                 k.log_lengthscales[dim] = theta[pack.ls(q, dim)];
             }
             kernels.push(k);
@@ -371,10 +477,20 @@ impl Lcm {
             log_noise[t] = theta[pack.noise(t)];
         }
 
-        let k_full = build_lcm_covariance(&kernels, &a, &kappa, &log_noise, &x_all, &task_of);
+        let k_full =
+            build_lcm_covariance(&kernels, &a, &kappa, &log_noise, &lik.x_all, &lik.task_of);
         let chol = Cholesky::robust(&k_full).map_err(|_| LcmError::NumericalFailure)?;
-        let alpha = chol.solve_vec(&ys);
+        let alpha = chol.solve_vec(&lik.ys);
         let linv = chol.inverse_lower();
+        let start_nll = lik.raw_nll(f_start);
+        let LcmLikelihood {
+            x_all,
+            task_of,
+            ys,
+            y_mean,
+            y_std,
+            ..
+        } = lik;
 
         Ok(Lcm {
             kernels,
@@ -390,6 +506,10 @@ impl Lcm {
             y_std,
             n_tasks: t_count,
             lml: -nlml,
+            fit_stats: LcmFitStats {
+                start_nll,
+                iterations,
+            },
         })
     }
 
@@ -549,10 +669,9 @@ impl Lcm {
             }
             for t in 0..self.n_tasks {
                 theta[pack.a(q, t)] = self.a[q][t];
-                // κ is stored exponentiated; clamp the round trip back
-                // inside the optimizer bounds (exp→ln can cross a
-                // boundary by one ulp).
-                theta[pack.kappa(q, t)] = self.kappa[q][t].ln().clamp(LOG_KAPPA_MIN, LOG_KAPPA_MAX);
+                // κ is stored exponentiated; an exp→ln round trip that
+                // crosses a bound by one ulp is projected back by the fit.
+                theta[pack.kappa(q, t)] = self.kappa[q][t].ln();
             }
         }
         for t in 0..self.n_tasks {
@@ -567,6 +686,12 @@ impl Lcm {
     pub fn nll_raw(&self) -> f64 {
         let scale: f64 = self.task_of.iter().map(|&t| self.y_std[t].ln()).sum();
         -self.lml + scale
+    }
+
+    /// Diagnostics of the fit that produced this model (unchanged by
+    /// [`Lcm::update`]).
+    pub fn fit_stats(&self) -> LcmFitStats {
+        self.fit_stats
     }
 
     /// Posterior prediction for `task` at unit-cube point `xstar`.
@@ -687,34 +812,6 @@ impl Lcm {
             .sum();
         cov / (v1 * v2).sqrt().max(1e-300)
     }
-}
-
-fn lcm_out_of_bounds(theta: &[f64], pack: &Packing) -> bool {
-    for q in 0..pack.q {
-        for dim in 0..pack.d {
-            let v = theta[pack.ls(q, dim)];
-            if !(LOG_LS_MIN..=LOG_LS_MAX).contains(&v) {
-                return true;
-            }
-        }
-        for t in 0..pack.t {
-            let av = theta[pack.a(q, t)];
-            if !(A_MIN..=A_MAX).contains(&av) {
-                return true;
-            }
-            let kv = theta[pack.kappa(q, t)];
-            if !(LOG_KAPPA_MIN..=LOG_KAPPA_MAX).contains(&kv) {
-                return true;
-            }
-        }
-    }
-    for t in 0..pack.t {
-        let nv = theta[pack.noise(t)];
-        if !(LOG_NOISE_MIN..=LOG_NOISE_MAX).contains(&nv) {
-            return true;
-        }
-    }
-    false
 }
 
 fn build_lcm_covariance(
@@ -1115,16 +1212,15 @@ mod tests {
         let config = LcmConfig::continuous(1);
         let cold = Lcm::fit(&tasks, &config, &mut StdRng::seed_from_u64(56)).unwrap();
         let warm_theta = cold.pack_theta();
-        // Zero random restarts: the warm start plus the default must
-        // still reach at least the cold optimum (the warm start IS the
-        // cold optimum).
+        // Zero random restarts: the warm start alone must still reach at
+        // least the cold optimum (the warm start IS the cold optimum).
         let mut reduced = config.clone();
         reduced.restarts = 0;
         let warm = Lcm::fit_with_starts(
             &tasks,
             &reduced,
             &mut StdRng::seed_from_u64(57),
-            &[warm_theta],
+            Some(&warm_theta),
         )
         .unwrap();
         assert!(

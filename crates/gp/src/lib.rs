@@ -38,5 +38,5 @@ pub use experts::{LocalExperts, LocalExpertsConfig};
 pub use gp::{Gp, GpConfig, GpError, NoiseModel, Prediction};
 pub use incremental::{IncrementalGp, RefitSchedule};
 pub use kernel::{DimKind, Kernel, KernelKind};
-pub use lcm::{Lcm, LcmConfig, LcmError, TaskData};
+pub use lcm::{Lcm, LcmConfig, LcmError, LcmFitStats, LcmLikelihood, TaskData};
 pub use sparse::{IncrementalSparseGp, SparseGp, SparseGpConfig};

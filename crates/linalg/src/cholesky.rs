@@ -6,7 +6,7 @@
 //! itself uses — is to add a small multiple of the identity ("jitter") and
 //! retry, growing the jitter geometrically until the factorization succeeds.
 
-use crate::matrix::{row_chunks, Matrix};
+use crate::matrix::{dot, row_chunks, Matrix};
 use crowdtune_obs as obs;
 use rayon::prelude::*;
 
@@ -229,7 +229,7 @@ impl Cholesky {
                 buf.extend(std::iter::repeat_n(0.0, i));
                 let ui = u.row(i);
                 for j in i..n {
-                    buf.push(crate::matrix::dot(&ui[j..], &u.row(j)[j..]));
+                    buf.push(dot(&ui[j..], &u.row(j)[j..]));
                 }
             }
             buf
@@ -256,26 +256,38 @@ impl Cholesky {
     /// Explicit inverse of the lower factor, `L⁻¹` (lower triangular,
     /// row-major).
     ///
-    /// Column `c` is the forward solve of the unit vector `e_c`, which
-    /// is structurally zero above row `c`, so the whole factor costs
-    /// ~`n³/6` flops. Having `L⁻¹` materialized turns each posterior
+    /// Built row by row from `row_i(L⁻¹) = −(1/L_ii) Σ_{k<i} L_ik ·
+    /// row_k(L⁻¹)` (diagonal `1/L_ii`): each step is a contiguous axpy
+    /// whose elements accumulate independently, so the loop is limited
+    /// by throughput rather than by the latency of one running sum. The
+    /// whole factor costs ~`n³/6` flops. Column blocks of `L⁻¹` depend
+    /// only on themselves, so large inverses split into column blocks
+    /// run in parallel; every element still sums its `k` terms in
+    /// ascending order, making the result bitwise identical at any
+    /// thread count. Having `L⁻¹` materialized turns each posterior
     /// variance `‖L⁻¹ k*‖²` into independent contiguous dot products
     /// instead of a loop-carried triangular solve.
     pub fn inverse_lower(&self) -> Matrix {
         let n = self.dim();
-        let solve_col = |c: usize| -> Vec<f64> {
-            let mut y = vec![0.0; n];
-            for i in c..n {
-                let row = self.l.row(i);
-                let mut s = if i == c { 1.0 } else { 0.0 };
-                for k in c..i {
-                    s -= row[k] * y[k];
-                }
-                y[i] = s / row[i];
+        let threads = rayon::current_num_threads();
+        if threads <= 1 || n < 2 || n * n * n / 6 < crate::matrix::PAR_MIN_FLOPS {
+            return Matrix::from_raw(n, n, inverse_lower_block(&self.l, 0..n));
+        }
+        // Earlier column blocks carry more rows: extra pieces balance them.
+        let blocks = row_chunks(n, threads * 4);
+        let bufs: Vec<Vec<f64>> = blocks
+            .clone()
+            .into_par_iter()
+            .map(|cols| inverse_lower_block(&self.l, cols))
+            .collect();
+        let mut out = Matrix::zeros(n, n);
+        for (cols, buf) in blocks.iter().zip(&bufs) {
+            let w = cols.len();
+            for (r, row) in buf.chunks_exact(w).enumerate() {
+                out.row_mut(cols.start + r)[cols.clone()].copy_from_slice(row);
             }
-            y
-        };
-        self.assemble_columns(n, solve_col, n * n * n / 6)
+        }
+        out
     }
 
     /// Extend the factor with one new row/column in O(n²).
@@ -439,6 +451,39 @@ impl Cholesky {
     }
 }
 
+/// Rows `cols.start..n` of the column block `cols` of `L⁻¹`, packed
+/// row-major (`cols.len()` values per row), by the row recurrence of
+/// [`Cholesky::inverse_lower`]. Entry `(i, j)` sums `L_ik · L⁻¹_kj` over
+/// `j ≤ k < i` in ascending `k` whatever the block, so any column split
+/// reproduces the unsplit result bitwise.
+fn inverse_lower_block(l: &Matrix, cols: std::ops::Range<usize>) -> Vec<f64> {
+    let n = l.rows();
+    let (c0, w) = (cols.start, cols.len());
+    let mut buf = vec![0.0; (n - c0) * w];
+    for i in c0..n {
+        let li = l.row(i);
+        let (done, rest) = buf.split_at_mut((i - c0) * w);
+        let out = &mut rest[..w];
+        for k in c0..i {
+            let lik = li[k];
+            // Row k of L⁻¹ is zero right of its diagonal.
+            let len = (k + 1 - c0).min(w);
+            let src = &done[(k - c0) * w..(k - c0) * w + len];
+            for (o, &v) in out.iter_mut().zip(src) {
+                *o += lik * v;
+            }
+        }
+        let inv = 1.0 / li[i];
+        for v in out[..(i - c0).min(w)].iter_mut() {
+            *v = -*v * inv;
+        }
+        if i < cols.end {
+            out[i - c0] = inv;
+        }
+    }
+    buf
+}
+
 fn try_factor(a: &Matrix, jitter: f64) -> Option<Matrix> {
     // Size-only dispatch: see `BLOCKED_MIN_DIM`.
     if a.rows() < BLOCKED_MIN_DIM {
@@ -448,31 +493,23 @@ fn try_factor(a: &Matrix, jitter: f64) -> Option<Matrix> {
     }
 }
 
+/// Row-oriented (Cholesky–Banachiewicz) factorization: row `i` of `L`
+/// is finished before row `i + 1` starts, each entry one contiguous
+/// multi-accumulator [`dot`] against an earlier row.
 fn try_factor_unblocked(a: &Matrix, jitter: f64) -> Option<Matrix> {
     let n = a.rows();
     let mut l = Matrix::zeros(n, n);
-    for j in 0..n {
-        // Diagonal entry.
-        let mut d = a[(j, j)] + jitter;
-        let lrow_j: Vec<f64> = (0..j).map(|k| l[(j, k)]).collect();
-        d -= lrow_j.iter().map(|x| x * x).sum::<f64>();
+    for i in 0..n {
+        for j in 0..i {
+            let s = a[(i, j)] - dot(&l.row(i)[..j], &l.row(j)[..j]);
+            l[(i, j)] = s / l[(j, j)];
+        }
+        let li = &l.row(i)[..i];
+        let d = a[(i, i)] + jitter - dot(li, li);
         if d <= 0.0 || !d.is_finite() {
             return None;
         }
-        let djj = d.sqrt();
-        l[(j, j)] = djj;
-        // Column below the diagonal.
-        for i in (j + 1)..n {
-            let mut s = a[(i, j)];
-            // dot(L[i, 0..j], L[j, 0..j])
-            let li = l.row(i);
-            let mut acc = 0.0;
-            for k in 0..j {
-                acc += li[k] * lrow_j[k];
-            }
-            s -= acc;
-            l[(i, j)] = s / djj;
-        }
+        l[(i, i)] = d.sqrt();
     }
     Some(l)
 }
@@ -801,6 +838,59 @@ mod tests {
         let ch = Cholesky::new(&a).unwrap();
         let prod = ch.l().matmul(&ch.inverse_lower());
         assert!(prod.max_abs_diff(&Matrix::identity(50)) < 1e-12);
+    }
+
+    /// Largest entry of `a - b` relative to the largest entry of `b`.
+    fn rel_diff(a: &Matrix, b: &Matrix) -> f64 {
+        let scale = b.as_slice().iter().fold(0.0f64, |m, v| m.max(v.abs()));
+        a.max_abs_diff(b) / scale
+    }
+
+    #[test]
+    fn unblocked_and_blocked_agree_around_the_dispatch_size() {
+        for n in [super::BLOCKED_MIN_DIM - 1, super::BLOCKED_MIN_DIM] {
+            let a = spd_large(n);
+            let blocked = super::try_factor_blocked(&a, 0.0).unwrap();
+            let unblocked = super::try_factor_unblocked(&a, 0.0).unwrap();
+            let rel = rel_diff(&unblocked, &blocked);
+            assert!(rel < 1e-12, "n = {n}: relative difference {rel}");
+        }
+    }
+
+    #[test]
+    fn inverse_lower_is_an_inverse_at_dispatch_sizes() {
+        for n in [super::BLOCKED_MIN_DIM - 1, super::BLOCKED_MIN_DIM] {
+            let ch = Cholesky::new(&spd_large(n)).unwrap();
+            let prod = ch.l().matmul(&ch.inverse_lower());
+            let err = prod.max_abs_diff(&Matrix::identity(n));
+            assert!(err < 1e-12, "n = {n}: ‖L·L⁻¹ − I‖ = {err}");
+        }
+    }
+
+    #[test]
+    fn inverse_lower_column_blocks_match_unsplit_bitwise() {
+        // The parallel path assembles column blocks; any split must give
+        // exactly the single-block result.
+        let n = 97;
+        let ch = Cholesky::new(&spd_large(n)).unwrap();
+        let whole = super::inverse_lower_block(ch.l(), 0..n);
+        for pieces in [2, 3, 8] {
+            for cols in crate::matrix::row_chunks(n, pieces) {
+                let block = super::inverse_lower_block(ch.l(), cols.clone());
+                for (r, row) in block.chunks_exact(cols.len()).enumerate() {
+                    let i = cols.start + r;
+                    for (c, v) in row.iter().enumerate() {
+                        assert_eq!(
+                            v.to_bits(),
+                            whole[i * n + cols.start + c].to_bits(),
+                            "pieces {pieces}: entry ({i}, {})",
+                            cols.start + c
+                        );
+                    }
+                }
+            }
+        }
+        assert_eq!(ch.inverse_lower().as_slice(), &whole[..]);
     }
 
     #[test]

@@ -10,6 +10,14 @@
 //! Non-finite objective values are treated as "step too long" and handled
 //! by the line search, which lets callers expose hard domain boundaries
 //! (e.g. log-hyperparameters that overflow) simply by returning `f64::INFINITY`.
+//!
+//! Optional box [`Bounds`] turn the method into a projected L-BFGS: a
+//! coordinate sitting on a bound whose gradient points out of the box is
+//! held fixed for the iteration, the search direction is confined to the
+//! remaining free coordinates, and the line search never steps past the
+//! nearest bound along that direction. An optimum on the boundary is then
+//! reached and recognised (projected gradient small) instead of ending in
+//! a line-search failure against an infinite wall just outside the box.
 
 use crowdtune_obs as obs;
 
@@ -37,6 +45,97 @@ impl Default for LbfgsOptions {
             f_tol: 1e-10,
             max_ls_steps: 30,
         }
+    }
+}
+
+/// Box constraints `lower[i] <= x[i] <= upper[i]` for [`lbfgs`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct Bounds {
+    lower: Vec<f64>,
+    upper: Vec<f64>,
+}
+
+impl Bounds {
+    /// A box from per-coordinate lower and upper limits.
+    ///
+    /// Panics when the lengths differ or a lower limit exceeds its upper
+    /// limit.
+    pub fn new(lower: Vec<f64>, upper: Vec<f64>) -> Self {
+        assert_eq!(lower.len(), upper.len(), "bounds length mismatch");
+        assert!(
+            lower.iter().zip(&upper).all(|(lo, hi)| lo <= hi),
+            "lower bound above upper bound"
+        );
+        Bounds { lower, upper }
+    }
+
+    /// Clamp `x` into the box.
+    pub fn project(&self, x: &mut [f64]) {
+        assert_eq!(x.len(), self.lower.len(), "point/bounds length mismatch");
+        for ((xi, &lo), &hi) in x.iter_mut().zip(&self.lower).zip(&self.upper) {
+            *xi = xi.clamp(lo, hi);
+        }
+    }
+
+    /// Whether `x` lies inside the box (bounds included).
+    pub fn contains(&self, x: &[f64]) -> bool {
+        x.len() == self.lower.len()
+            && x.iter()
+                .zip(&self.lower)
+                .zip(&self.upper)
+                .all(|((v, lo), hi)| (lo..=hi).contains(&v))
+    }
+
+    /// Whether coordinate `i` is held at its bound: descending along
+    /// `-g` would leave the box.
+    fn held(&self, i: usize, x: f64, g: f64) -> bool {
+        (x <= self.lower[i] && g > 0.0) || (x >= self.upper[i] && g < 0.0)
+    }
+
+    /// Zero every component of the direction `d` that is held (see
+    /// [`Bounds::held`]) or points out of the box from its bound.
+    fn confine(&self, x: &[f64], g: &[f64], d: &mut [f64]) {
+        for (i, di) in d.iter_mut().enumerate() {
+            let outward =
+                (x[i] <= self.lower[i] && *di < 0.0) || (x[i] >= self.upper[i] && *di > 0.0);
+            if outward || self.held(i, x[i], g[i]) {
+                *di = 0.0;
+            }
+        }
+    }
+
+    /// Per-coordinate step length at which `x + t d` reaches a bound
+    /// (`INFINITY` for coordinates that do not move).
+    fn breakpoints(&self, x: &[f64], d: &[f64]) -> Vec<f64> {
+        (0..x.len())
+            .map(|i| {
+                if d[i] > 0.0 {
+                    (self.upper[i] - x[i]) / d[i]
+                } else if d[i] < 0.0 {
+                    (self.lower[i] - x[i]) / d[i]
+                } else {
+                    f64::INFINITY
+                }
+            })
+            .collect()
+    }
+
+    /// `x + t d`, with every coordinate whose breakpoint is at most `t`
+    /// placed exactly on its bound.
+    fn step(&self, x: &[f64], d: &[f64], brk: &[f64], t: f64) -> Vec<f64> {
+        (0..x.len())
+            .map(|i| {
+                if t >= brk[i] {
+                    if d[i] > 0.0 {
+                        self.upper[i]
+                    } else {
+                        self.lower[i]
+                    }
+                } else {
+                    (x[i] + t * d[i]).clamp(self.lower[i], self.upper[i])
+                }
+            })
+            .collect()
     }
 }
 
@@ -75,6 +174,8 @@ pub struct LbfgsResult {
     pub x: Vec<f64>,
     /// Objective at `x`.
     pub f: f64,
+    /// Objective at the (projected) starting point.
+    pub f_start: f64,
     /// Gradient at `x`.
     pub grad: Vec<f64>,
     /// Iterations performed.
@@ -87,17 +188,27 @@ pub struct LbfgsResult {
 ///
 /// `f` returns the objective value and gradient at a point. Returning a
 /// non-finite value signals an infeasible point.
+///
+/// With `bounds`, `x0` is first projected into the box and every point
+/// `f` is evaluated at lies inside it; the gradient convergence test uses
+/// the projected gradient. `None` runs the unconstrained method.
 pub fn lbfgs(
     x0: &[f64],
     mut f: impl FnMut(&[f64]) -> (f64, Vec<f64>),
     opts: &LbfgsOptions,
+    bounds: Option<&Bounds>,
 ) -> LbfgsResult {
     let mut x = x0.to_vec();
+    if let Some(b) = bounds {
+        b.project(&mut x);
+    }
     let (mut fx, mut gx) = f(&x);
+    let f_start = fx;
     if !fx.is_finite() {
         return LbfgsResult {
             x,
             f: fx,
+            f_start,
             grad: gx,
             iterations: 0,
             stop: StopReason::BadStart,
@@ -118,14 +229,22 @@ pub fn lbfgs(
 
     for iter in 0..opts.max_iter {
         iterations = iter + 1;
-        let gnorm = gx.iter().fold(0.0f64, |a, &g| a.max(g.abs()));
+        // Projected gradient: coordinates held on a bound drop out of
+        // both the convergence test and the search direction.
+        let pg: Vec<f64> = match bounds {
+            Some(b) => (0..gx.len())
+                .map(|i| if b.held(i, x[i], gx[i]) { 0.0 } else { gx[i] })
+                .collect(),
+            None => gx.clone(),
+        };
+        let gnorm = pg.iter().fold(0.0f64, |a, &g| a.max(g.abs()));
         if gnorm < opts.grad_tol {
             stop = StopReason::GradientSmall;
             break;
         }
 
         // Two-loop recursion to get the search direction d = -H g.
-        let mut q = gx.clone();
+        let mut q = pg.clone();
         let k = s_hist.len();
         let mut alpha = vec![0.0; k];
         for i in (0..k).rev() {
@@ -156,13 +275,16 @@ pub fn lbfgs(
             }
         }
         let mut d: Vec<f64> = q.iter().map(|v| -v).collect();
+        if let Some(b) = bounds {
+            b.confine(&x, &gx, &mut d);
+        }
 
         // Guard: if the direction is not a descent direction (can happen
-        // with a stale history), fall back to steepest descent.
+        // with a stale history), fall back to (projected) steepest descent.
         let mut dg = dot(&d, &gx);
         if dg >= 0.0 {
-            d = gx.iter().map(|v| -v).collect();
-            dg = -dot(&gx, &gx);
+            d = pg.iter().map(|v| -v).collect();
+            dg = -dot(&pg, &pg);
             s_hist.clear();
             y_hist.clear();
             rho_hist.clear();
@@ -173,7 +295,8 @@ pub fn lbfgs(
         // new (s, y) pair has s·y > 0 and carries real curvature
         // information — an Armijo-only search freezes the Hessian
         // approximation on valley-shaped objectives.
-        let Some((x_new, f_new, g_new)) = wolfe_search(&x, fx, dg, &d, &mut f, opts.max_ls_steps)
+        let Some((x_new, f_new, g_new)) =
+            wolfe_search(&x, fx, dg, &d, &mut f, opts.max_ls_steps, bounds)
         else {
             // Surface the failure instead of swallowing it: callers treat a
             // line-search abort as a normal (weaker) convergence outcome, but
@@ -219,6 +342,7 @@ pub fn lbfgs(
     LbfgsResult {
         x,
         f: fx,
+        f_start,
         grad: gx,
         iterations,
         stop,
@@ -228,6 +352,9 @@ pub fn lbfgs(
 /// Strong-Wolfe line search along direction `d` from `x` (f0 = f(x),
 /// dg0 = d·∇f(x) < 0). Returns the accepted `(x_new, f_new, g_new)`, or
 /// `None` if no acceptable step exists within the evaluation budget.
+///
+/// With `bounds`, steps are capped at the first bound along `d`; a step
+/// that reaches that cap while still descending is accepted there.
 fn wolfe_search(
     x: &[f64],
     f0: f64,
@@ -235,12 +362,24 @@ fn wolfe_search(
     d: &[f64],
     f: &mut impl FnMut(&[f64]) -> (f64, Vec<f64>),
     max_steps: usize,
+    bounds: Option<&Bounds>,
 ) -> Option<(Vec<f64>, f64, Vec<f64>)> {
     const C1: f64 = 1e-4;
     const C2: f64 = 0.9;
     type ValueGradFn<'a> = dyn FnMut(&[f64]) -> (f64, Vec<f64>) + 'a;
+    let brk = bounds.map(|b| b.breakpoints(x, d));
+    let t_max = brk.as_deref().map_or(f64::INFINITY, |brk| {
+        brk.iter().fold(f64::INFINITY, |a, &t| a.min(t))
+    });
     let probe = |t: f64, f: &mut ValueGradFn<'_>| {
-        let xt: Vec<f64> = x.iter().zip(d).map(|(xi, di)| xi + t * di).collect();
+        let xt: Vec<f64> = match (bounds, &brk) {
+            (Some(b), Some(brk)) => {
+                let xt = b.step(x, d, brk, t);
+                debug_assert!(b.contains(&xt), "projected step left the box");
+                xt
+            }
+            _ => x.iter().zip(d).map(|(xi, di)| xi + t * di).collect(),
+        };
         let (ft, gt) = f(&xt);
         let dgt = dot(&gt, d);
         (xt, ft, gt, dgt)
@@ -248,7 +387,7 @@ fn wolfe_search(
 
     let mut t_prev = 0.0;
     let mut f_prev = f0;
-    let mut t = 1.0;
+    let mut t = t_max.min(1.0);
     let mut bracket: Option<(f64, f64)> = None; // (lo, hi) with lo satisfying Armijo
     let mut f_lo = f0;
     let mut best: Option<(Vec<f64>, f64, Vec<f64>)> = None;
@@ -264,15 +403,19 @@ fn wolfe_search(
         if dgt.abs() <= -C2 * dg0 {
             return Some((xt, ft, gt)); // both Wolfe conditions hold
         }
-        best = Some((xt, ft, gt)); // Armijo holds: usable fallback
         if dgt >= 0.0 {
+            best = Some((xt, ft, gt)); // Armijo holds: usable fallback
             bracket = Some((t, t_prev));
             f_lo = ft;
             break;
         }
+        if t >= t_max {
+            return Some((xt, ft, gt)); // still descending at the box edge
+        }
+        best = Some((xt, ft, gt)); // Armijo holds: usable fallback
         t_prev = t;
         f_prev = ft;
-        t *= 2.0;
+        t = t_max.min(t * 2.0);
     }
 
     let (mut lo, mut hi) = bracket?;
@@ -328,7 +471,7 @@ mod tests {
             }
             (v, g)
         };
-        let res = lbfgs(&[5.0; 4], f, &LbfgsOptions::default());
+        let res = lbfgs(&[5.0; 4], f, &LbfgsOptions::default(), None);
         for (i, xi) in res.x.iter().enumerate() {
             assert!((xi - i as f64).abs() < 1e-5, "x[{i}] = {xi}");
         }
@@ -350,7 +493,7 @@ mod tests {
             max_iter: 500,
             ..Default::default()
         };
-        let res = lbfgs(&[-1.2, 1.0], f, &opts);
+        let res = lbfgs(&[-1.2, 1.0], f, &opts, None);
         assert!((res.x[0] - 1.0).abs() < 1e-3, "x = {:?}", res.x);
         assert!((res.x[1] - 1.0).abs() < 1e-3);
     }
@@ -365,7 +508,7 @@ mod tests {
                 (x[0] * x[0], vec![2.0 * x[0]])
             }
         };
-        let res = lbfgs(&[2.0], f, &LbfgsOptions::default());
+        let res = lbfgs(&[2.0], f, &LbfgsOptions::default(), None);
         assert!(res.x[0] >= 0.5);
         assert!(
             res.x[0] < 0.75,
@@ -377,14 +520,14 @@ mod tests {
     #[test]
     fn bad_start_reported() {
         let f = |_: &[f64]| (f64::NAN, vec![0.0]);
-        let res = lbfgs(&[0.0], f, &LbfgsOptions::default());
+        let res = lbfgs(&[0.0], f, &LbfgsOptions::default(), None);
         assert_eq!(res.stop, StopReason::BadStart);
     }
 
     #[test]
     fn already_at_minimum_stops_fast() {
         let f = |x: &[f64]| (x[0] * x[0], vec![2.0 * x[0]]);
-        let res = lbfgs(&[0.0], f, &LbfgsOptions::default());
+        let res = lbfgs(&[0.0], f, &LbfgsOptions::default(), None);
         assert_eq!(res.stop, StopReason::GradientSmall);
         assert!(res.iterations <= 1);
     }
@@ -399,10 +542,124 @@ mod tests {
             let g = vec![2.0 * (x[0] - 3.0), 2.0 * (x[1] + 1.0).powi(3)];
             (v, g)
         };
-        let res = lbfgs(&[10.0, 10.0], f, &LbfgsOptions::default());
+        let res = lbfgs(&[10.0, 10.0], f, &LbfgsOptions::default(), None);
         let mut b = best.borrow_mut();
         *b = res.f;
         assert!(res.f < 1e-4);
         assert!((res.x[0] - 3.0).abs() < 1e-2);
+    }
+
+    /// `sum (x_i - c_i)^2` with an infinite wall outside `[lo, hi]^n`,
+    /// counting every evaluation that lands outside the box.
+    fn walled_bowl<'a>(
+        c: &'a [f64],
+        lo: f64,
+        hi: f64,
+        outside: &'a std::cell::Cell<usize>,
+    ) -> impl FnMut(&[f64]) -> (f64, Vec<f64>) + 'a {
+        move |x: &[f64]| {
+            if x.iter().any(|v| !(lo..=hi).contains(v)) {
+                outside.set(outside.get() + 1);
+                return (f64::INFINITY, vec![0.0; x.len()]);
+            }
+            let v = x.iter().zip(c).map(|(a, b)| (a - b) * (a - b)).sum();
+            let g = x.iter().zip(c).map(|(a, b)| 2.0 * (a - b)).collect();
+            (v, g)
+        }
+    }
+
+    #[test]
+    fn bounded_minimum_on_bound_converges_there() {
+        let c = [-1.0, 2.0, 7.0];
+        let bounds = Bounds::new(vec![0.0; 3], vec![5.0; 3]);
+        let outside = std::cell::Cell::new(0);
+        let res = lbfgs(
+            &[3.0, 3.0, 3.0],
+            walled_bowl(&c, 0.0, 5.0, &outside),
+            &LbfgsOptions::default(),
+            Some(&bounds),
+        );
+        assert!(
+            matches!(
+                res.stop,
+                StopReason::GradientSmall | StopReason::ObjectiveStalled
+            ),
+            "stopped with {:?}",
+            res.stop
+        );
+        assert_eq!(res.x[0], 0.0, "lower bound not reached: {:?}", res.x);
+        assert!((res.x[1] - 2.0).abs() < 1e-6, "{:?}", res.x);
+        assert_eq!(res.x[2], 5.0, "upper bound not reached: {:?}", res.x);
+        assert_eq!(outside.get(), 0, "probed outside the box");
+
+        // The same problem without bounds runs into the wall.
+        let res = lbfgs(
+            &[3.0, 3.0, 3.0],
+            walled_bowl(&c, 0.0, 5.0, &outside),
+            &LbfgsOptions::default(),
+            None,
+        );
+        assert_eq!(res.stop, StopReason::LineSearchFailed);
+    }
+
+    #[test]
+    fn bounded_start_on_active_bound_makes_progress() {
+        // x0 sits exactly on the bound its gradient pushes against: that
+        // coordinate is held, the others still descend.
+        let c = [-1.0, 2.0];
+        let bounds = Bounds::new(vec![0.0; 2], vec![5.0; 2]);
+        let outside = std::cell::Cell::new(0);
+        let opts = LbfgsOptions {
+            max_iter: 10,
+            ..Default::default()
+        };
+        let res = lbfgs(
+            &[0.0, 4.5],
+            walled_bowl(&c, 0.0, 5.0, &outside),
+            &opts,
+            Some(&bounds),
+        );
+        assert!(
+            res.f < res.f_start,
+            "no progress: {} vs {}",
+            res.f,
+            res.f_start
+        );
+        assert_eq!(res.x[0], 0.0);
+        assert!((res.x[1] - 2.0).abs() < 1e-6, "{:?}", res.x);
+        assert_ne!(res.stop, StopReason::LineSearchFailed);
+        assert_eq!(outside.get(), 0, "probed outside the box");
+    }
+
+    #[test]
+    fn bounded_start_outside_box_is_projected() {
+        let bounds = Bounds::new(vec![0.0], vec![1.0]);
+        let outside = std::cell::Cell::new(0);
+        let res = lbfgs(
+            &[3.0],
+            walled_bowl(&[0.25], 0.0, 1.0, &outside),
+            &LbfgsOptions::default(),
+            Some(&bounds),
+        );
+        assert!(res.f_start.is_finite());
+        assert!((res.x[0] - 0.25).abs() < 1e-6);
+        assert_eq!(outside.get(), 0);
+    }
+
+    #[test]
+    fn interior_minimum_ignores_bounds_bitwise() {
+        // A box that never binds along the path gives the unconstrained
+        // iterates exactly.
+        let f = |x: &[f64]| {
+            let v = (x[0] - 3.0).powi(2) + 0.5 * (x[1] + 1.0).powi(4);
+            let g = vec![2.0 * (x[0] - 3.0), 2.0 * (x[1] + 1.0).powi(3)];
+            (v, g)
+        };
+        let bounds = Bounds::new(vec![-1e6; 2], vec![1e6; 2]);
+        let free = lbfgs(&[10.0, 10.0], f, &LbfgsOptions::default(), None);
+        let boxed = lbfgs(&[10.0, 10.0], f, &LbfgsOptions::default(), Some(&bounds));
+        assert_eq!(free.x, boxed.x);
+        assert_eq!(free.f.to_bits(), boxed.f.to_bits());
+        assert_eq!(free.iterations, boxed.iterations);
     }
 }

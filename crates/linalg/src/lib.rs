@@ -30,7 +30,7 @@ pub mod qr;
 pub mod stats;
 
 pub use cholesky::{Cholesky, NotPositiveDefinite};
-pub use lbfgs::{lbfgs, LbfgsOptions, LbfgsResult, StopReason};
+pub use lbfgs::{lbfgs, Bounds, LbfgsOptions, LbfgsResult, StopReason};
 pub use matrix::{axpy, dot, norm2, norm2_sq, Matrix};
 pub use neldermead::{nelder_mead, NelderMeadOptions, NelderMeadResult};
 pub use nnls::{nnls, nnls_with, NnlsOptions};

@@ -550,21 +550,21 @@ impl Mul<f64> for &Matrix {
 pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     debug_assert_eq!(a.len(), b.len());
     // Four-way unrolled accumulation: helps the optimizer vectorize and
-    // reduces the sequential dependency chain of the additions.
-    let chunks = a.len() / 4 * 4;
+    // reduces the sequential dependency chain of the additions. Exact
+    // chunks let the compiler drop the per-element bounds checks.
+    let b = &b[..a.len()];
     let (mut s0, mut s1, mut s2, mut s3) = (0.0, 0.0, 0.0, 0.0);
-    let mut i = 0;
-    while i < chunks {
-        s0 += a[i] * b[i];
-        s1 += a[i + 1] * b[i + 1];
-        s2 += a[i + 2] * b[i + 2];
-        s3 += a[i + 3] * b[i + 3];
-        i += 4;
+    let (ca, cb) = (a.chunks_exact(4), b.chunks_exact(4));
+    let (ra, rb) = (ca.remainder(), cb.remainder());
+    for (x, y) in ca.zip(cb) {
+        s0 += x[0] * y[0];
+        s1 += x[1] * y[1];
+        s2 += x[2] * y[2];
+        s3 += x[3] * y[3];
     }
     let mut tail = 0.0;
-    while i < a.len() {
-        tail += a[i] * b[i];
-        i += 1;
+    for (x, y) in ra.iter().zip(rb) {
+        tail += x * y;
     }
     (s0 + s1) + (s2 + s3) + tail
 }

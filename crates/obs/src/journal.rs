@@ -246,8 +246,13 @@ pub enum Event {
         /// Restarts actually run (reduced when the warm start was
         /// competitive on the previous fit).
         restarts: u64,
-        /// `true` when the restart count was reduced.
+        /// `true` when the fit ran with a reduced restart count (GP) or
+        /// iteration cap (LCM).
         reduced: bool,
+        /// L-BFGS iterations of the winning run, `null` when not
+        /// reported (GP refits journal theirs in `restart` events).
+        #[serde(default)]
+        iterations: Option<u64>,
     },
     /// A transient evaluation failure was retried by the tuner's retry
     /// policy instead of being recorded as permanent.

@@ -362,9 +362,21 @@ pub fn reset_metrics() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, MutexGuard};
+
+    /// Serializes the tests that flip the process-global enable flag:
+    /// the test harness runs them on parallel threads, and one test
+    /// disabling metrics mid-way through another's counting loses counts.
+    fn toggle_guard() -> MutexGuard<'static, ()> {
+        static TOGGLE: Mutex<()> = Mutex::new(());
+        // A panicking test poisons the lock; the guarded data is `()`,
+        // so the next test can proceed.
+        TOGGLE.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     #[test]
     fn disabled_counters_do_not_count() {
+        let _guard = toggle_guard();
         set_metrics_enabled(false);
         let c = counter("test.disabled");
         c.reset();
@@ -375,6 +387,7 @@ mod tests {
 
     #[test]
     fn enabled_counters_sum_across_shards() {
+        let _guard = toggle_guard();
         set_metrics_enabled(true);
         let c = counter("test.enabled");
         c.reset();
@@ -393,6 +406,7 @@ mod tests {
 
     #[test]
     fn histogram_summary_tracks_count_sum_max() {
+        let _guard = toggle_guard();
         set_metrics_enabled(true);
         let h = histogram("test.hist");
         h.reset();
@@ -409,6 +423,7 @@ mod tests {
 
     #[test]
     fn quantiles_interpolate_within_bucket() {
+        let _guard = toggle_guard();
         set_metrics_enabled(true);
 
         // A single sample must not be reported as its bucket's upper bound:

@@ -45,8 +45,9 @@ pub const CTR_INCREMENTAL_UPDATES: &str = "gp.incremental_updates";
 /// Counter: full surrogate refits driven by the refit schedule
 /// (scheduled, NLL-triggered, or append-failure fallback).
 pub const CTR_FULL_REFITS: &str = "gp.full_refits";
-/// Counter: hyperparameter fits that ran with a reduced restart count
-/// because the warm start was competitive.
+/// Counter: warm-started hyperparameter fits that ran with a reduced
+/// budget — fewer GP restarts because the warm start was competitive, or
+/// the shorter iteration cap of an LCM refit.
 pub const CTR_WARMSTART_REDUCED: &str = "gp.warmstart_reduced";
 /// Counter: candidates scored by acquisition batches.
 pub const CTR_ACQ_CANDIDATES: &str = "acq.candidates_scored";

@@ -110,10 +110,10 @@ pub struct JournalReport {
     /// Rank-1 incremental surrogate updates journaled.
     #[serde(default)]
     pub incremental_updates: u64,
-    /// Hyperparameter fits that ran with a reduced restart count because
-    /// the warm start was competitive.
+    /// Warm-started hyperparameter refits per surrogate model (`gp`,
+    /// `lcm`).
     #[serde(default)]
-    pub warmstarts_reduced: u64,
+    pub warmstarts: BTreeMap<String, WarmstartSummary>,
     /// Transient evaluation failures retried by the tuner's retry policy.
     #[serde(default)]
     pub retries: u64,
@@ -176,6 +176,24 @@ pub struct JournalReport {
     /// Inducing points of the sparse tier at the last switch.
     #[serde(default)]
     pub tier_inducing: u64,
+}
+
+/// Warm-started refits of one surrogate model.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+pub struct WarmstartSummary {
+    /// Warm-started refits journaled.
+    pub refits: u64,
+    /// Refits that ran with a reduced restart count or iteration cap.
+    pub reduced: u64,
+    /// Refits whose warm and fitted NLL were both finite.
+    pub scored: u64,
+    /// Sum over scored refits of warm NLL minus fitted NLL (what the
+    /// optimizer gained from the warm start).
+    pub nll_gain: f64,
+    /// Refits that reported their L-BFGS iterations.
+    pub iter_reports: u64,
+    /// L-BFGS iterations summed over those refits.
+    pub iterations: u64,
 }
 
 /// Per-contributor slice of the data-quality rollup.
@@ -343,9 +361,24 @@ pub fn summarize(journal: &str, events: &[Event]) -> JournalReport {
                     r.incremental_updates += 1;
                 }
             }
-            Event::Warmstart { reduced, .. } => {
-                if *reduced {
-                    r.warmstarts_reduced += 1;
+            Event::Warmstart {
+                model,
+                warm_nll,
+                best_nll,
+                reduced,
+                iterations,
+                ..
+            } => {
+                let w = r.warmstarts.entry(model.clone()).or_default();
+                w.refits += 1;
+                w.reduced += u64::from(*reduced);
+                if let (Some(warm), Some(best)) = (warm_nll, best_nll) {
+                    w.scored += 1;
+                    w.nll_gain += warm - best;
+                }
+                if let Some(it) = iterations {
+                    w.iter_reports += 1;
+                    w.iterations += it;
                 }
             }
             Event::Retry { .. } => r.retries += 1,
@@ -514,6 +547,30 @@ pub fn render_report(r: &JournalReport) -> String {
     } else {
         out.push_str("  surrogate tier         exact\n");
     }
+    if !r.warmstarts.is_empty() {
+        out.push_str("\nwarm-started refits\n");
+        out.push_str(&format!(
+            "  {:<12} {:>8} {:>8} {:>12} {:>12}\n",
+            "model", "refits", "reduced", "mean_gain", "mean_iters"
+        ));
+        for (model, w) in &r.warmstarts {
+            let mean = |sum: f64, n: u64| {
+                if n == 0 {
+                    "-".to_string()
+                } else {
+                    format!("{:.3}", sum / n as f64)
+                }
+            };
+            out.push_str(&format!(
+                "  {:<12} {:>8} {:>8} {:>12} {:>12}\n",
+                model,
+                w.refits,
+                w.reduced,
+                mean(w.nll_gain, w.scored),
+                mean(w.iterations as f64, w.iter_reports)
+            ));
+        }
+    }
     out.push_str("\nnumerical recoveries\n");
     out.push_str(&format!(
         "  jitter escalations  {:>8}\n",
@@ -664,6 +721,46 @@ pub fn worst_contributor(r: &JournalReport) -> Option<(&str, &ContributorQuality
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn warmstarts_are_summarized_per_model() {
+        let warm = |model: &str, warm_nll, reduced, iterations| Event::Warmstart {
+            model: model.into(),
+            warm_nll,
+            best_nll: Some(1.0),
+            restarts: 1,
+            reduced,
+            iterations,
+        };
+        let events = vec![
+            warm("gp", Some(1.5), false, None),
+            warm("lcm", Some(3.0), true, Some(4)),
+            warm("lcm", Some(2.0), true, Some(10)),
+            warm("lcm", None, false, Some(7)),
+        ];
+        let r = summarize("j", &events);
+        let gp = &r.warmstarts["gp"];
+        assert_eq!(
+            (gp.refits, gp.reduced, gp.scored, gp.iter_reports),
+            (1, 0, 1, 0)
+        );
+        let lcm = &r.warmstarts["lcm"];
+        assert_eq!((lcm.refits, lcm.reduced, lcm.scored), (3, 2, 2));
+        assert_eq!((lcm.iter_reports, lcm.iterations), (3, 21));
+        assert_eq!(lcm.nll_gain, 3.0);
+        let text = render_report(&r);
+        assert!(text.contains("warm-started refits"), "{text}");
+        let row = text
+            .lines()
+            .find(|l| l.trim_start().starts_with("lcm"))
+            .unwrap();
+        assert!(row.contains("1.500") && row.contains("7.000"), "{row}");
+        let row = text
+            .lines()
+            .find(|l| l.trim_start().starts_with("gp "))
+            .unwrap();
+        assert!(row.trim_end().ends_with('-'), "{row}");
+    }
 
     #[test]
     fn summarize_counts_stages_and_recoveries() {

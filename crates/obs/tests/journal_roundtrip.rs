@@ -138,6 +138,7 @@ fn all_variants() -> Vec<Event> {
             best_nll: Some(-12.625),
             restarts: 1,
             reduced: true,
+            iterations: Some(7),
         },
         Event::Retry {
             iter: 6,

@@ -257,6 +257,15 @@ pub fn scrape(addr: SocketAddr) -> std::io::Result<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, MutexGuard};
+
+    /// Serializes the tests that flip the process-global metrics flag:
+    /// one test disabling metrics while another counts loses its counts.
+    fn metrics_guard() -> MutexGuard<'static, ()> {
+        static METRICS: Mutex<()> = Mutex::new(());
+        // The guarded data is `()`, so a poisoned lock is still usable.
+        METRICS.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     #[test]
     fn sanitize_maps_to_prometheus_charset() {
@@ -269,6 +278,7 @@ mod tests {
 
     #[test]
     fn render_emits_counter_and_summary_families() {
+        let _guard = metrics_guard();
         crowdtune_obs::set_metrics_enabled(true);
         crowdtune_obs::count("expo.test_counter", 3);
         crowdtune_obs::observe("expo.test_hist", 1500);
@@ -337,6 +347,7 @@ mod tests {
 
     #[test]
     fn server_serves_fresh_snapshots() {
+        let _guard = metrics_guard();
         crowdtune_obs::set_metrics_enabled(true);
         let server = ExpositionServer::start("127.0.0.1:0").expect("bind");
         crowdtune_obs::count("expo.live_counter", 1);
