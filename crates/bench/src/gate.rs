@@ -321,6 +321,7 @@ mod tests {
                 nll: Some(1.0),
                 duration_us: fit_us,
                 fallback: false,
+                evaluations: None,
             },
             Event::Fit {
                 model: "gp".into(),
@@ -329,6 +330,7 @@ mod tests {
                 nll: Some(1.0),
                 duration_us: fit_us,
                 fallback: false,
+                evaluations: None,
             },
         ]
     }

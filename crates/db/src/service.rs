@@ -25,7 +25,9 @@
 //!   stamped with the shard's write epoch. Any write bumps the epoch,
 //!   so a stale entry can never be served; entries are stamped with the
 //!   epoch observed *before* their scan, so a write racing a scan
-//!   invalidates conservatively.
+//!   invalidates conservatively. The epoch is odd while a write is
+//!   being applied, and a scan that starts at an odd epoch is not
+//!   cached.
 //!
 //! Global id/logical-time counters are atomics, so ids stay unique and
 //! monotone across shards; a single-threaded client sees exactly the
@@ -109,9 +111,12 @@ struct Shard {
     /// store's interior `RwLock`). Held across memory-apply + WAL
     /// enqueue so the per-shard log order matches apply order.
     write: Mutex<()>,
-    /// Bumped (Release) on every write; read (Acquire) before every
-    /// cached scan. A cache entry is valid only for the exact epoch it
-    /// was scanned under.
+    /// Bumped twice by every write: to an odd value before the write
+    /// touches the store and back to even after it ([`Shard::write_epoch`]).
+    /// Read (Acquire) before every cached scan; a scan that starts at an
+    /// odd epoch may see a half-applied write and is never cached. A
+    /// cache entry is valid only for the exact (even) epoch it was
+    /// scanned under.
     epoch: AtomicU64,
     cache: Mutex<QueryCache>,
     hits: AtomicU64,
@@ -119,6 +124,21 @@ struct Shard {
 }
 
 impl Shard {
+    /// Run `apply` (a write, under the shard's write lock) between two
+    /// epoch bumps. With a single bump after the apply, a scan that
+    /// started before the write could overwrite, under the same epoch,
+    /// the entry of a scan that saw the write, and a later query would
+    /// hit the older entry. With the first bump before the apply, an
+    /// entry stamped with an even epoch `e` only matches while no write
+    /// has begun since `e`, so it cannot miss one; scans that start
+    /// while the epoch is odd are not cached at all.
+    fn write_epoch<T>(&self, apply: impl FnOnce() -> T) -> T {
+        self.epoch.fetch_add(1, Ordering::AcqRel);
+        let out = apply();
+        self.epoch.fetch_add(1, Ordering::Release);
+        out
+    }
+
     fn new() -> Self {
         Shard {
             store: DocumentStore::new(),
@@ -379,8 +399,7 @@ impl CrowdService {
                 None => None,
             };
             let apply_start = ctx.begin();
-            shard.store.insert_assigned(doc);
-            shard.epoch.fetch_add(1, Ordering::Release);
+            shard.write_epoch(|| shard.store.insert_assigned(doc));
             ctx.record(TraceStage::MemApply, sidx as u16, apply_start);
             let enqueue_start = ctx.begin();
             let ticket = match (&self.durable, framed) {
@@ -422,12 +441,13 @@ impl CrowdService {
         for (sidx, shard) in self.shards.iter().enumerate() {
             let _w = self.lock_shard_timed(shard, sidx, &ctx);
             let apply_start = ctx.begin();
-            let ids = shard.store.delete_owned_ids(owner, filter);
-            if ids.is_empty() {
+            // Resolve first: a delete that matches nothing on this shard
+            // leaves its epoch, and so its cached scans, untouched.
+            if shard.store.owned_ids(owner, filter).is_empty() {
                 continue;
             }
+            let ids = shard.write_epoch(|| shard.store.delete_owned_ids(owner, filter));
             removed += ids.len();
-            shard.epoch.fetch_add(1, Ordering::Release);
             ctx.record(TraceStage::MemApply, sidx as u16, apply_start);
             if let Some(d) = &self.durable {
                 let enqueue_start = ctx.begin();
@@ -591,7 +611,9 @@ impl CrowdService {
         let check_start = if timed { obs::now_ns() } else { 0 };
         // The epoch must be read BEFORE the scan: if a write lands during
         // the scan it bumps the epoch past this value, so the entry we
-        // store below can never be mistaken for current.
+        // store below can never be mistaken for current. An odd epoch
+        // means a write is mid-apply: no entry matches it, and the scan
+        // below is not cached.
         let epoch = shard.epoch.load(Ordering::Acquire);
         let key = cache_key(filter, user, problem);
         {
@@ -667,6 +689,9 @@ impl CrowdService {
         let results = Arc::new(results);
         stats.cache_misses = 1;
         shard.misses.fetch_add(1, Ordering::Relaxed);
+        if epoch % 2 == 1 {
+            return (results, stats);
+        }
         let mut cache = shard.cache.lock();
         if !cache.map.contains_key(&key) {
             if cache.map.len() >= self.cache_capacity {
@@ -980,6 +1005,34 @@ mod tests {
         assert_eq!(s3.cache_misses, 1);
         assert_eq!(third.len(), first.len() + 1);
         assert_eq!(svc.cache_counts().0, 1);
+    }
+
+    #[test]
+    fn empty_delete_keeps_cache_hits() {
+        let svc = CrowdService::new(ServiceConfig {
+            shards: 2,
+            ..ServiceConfig::default()
+        });
+        for i in 0..10 {
+            svc.insert(eval("P", "alice", i)).unwrap();
+            svc.insert(eval("Q", "alice", i)).unwrap();
+        }
+        let filter = parse_query("task.m >= 3").unwrap();
+        let (p_first, _) = svc.query_problem_counted("P", &filter, None);
+        let (q_first, _) = svc.query_problem_counted("Q", &filter, None);
+        // Nobody named bob owns anything: no shard changes.
+        assert_eq!(svc.delete_owned("bob", &Filter::True).unwrap(), 0);
+        for (problem, first) in [("P", &p_first), ("Q", &q_first)] {
+            let (again, s) = svc.query_problem_counted(problem, &filter, None);
+            assert_eq!((s.cache_hits, s.scanned), (1, 0), "problem {problem}");
+            assert_eq!(&again, first);
+        }
+        // A delete that does match still invalidates.
+        let one = parse_query("task.m = 5").unwrap();
+        assert_eq!(svc.delete_owned("alice", &one).unwrap(), 2);
+        let (after, s) = svc.query_problem_counted("P", &filter, None);
+        assert_eq!(s.cache_misses, 1);
+        assert_eq!(after.len(), p_first.len() - 1);
     }
 
     #[test]

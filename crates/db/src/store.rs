@@ -306,6 +306,18 @@ impl DocumentStore {
         removed
     }
 
+    /// Ids of the documents owned by `owner` that match `filter`: what
+    /// [`DocumentStore::delete_owned_ids`] would remove now.
+    pub fn owned_ids(&self, owner: &str, filter: &Filter) -> Vec<u64> {
+        self.inner
+            .read()
+            .docs
+            .iter()
+            .filter(|d| d.owner == owner && filter.matches(d))
+            .map(|d| d.id)
+            .collect()
+    }
+
     /// Like [`DocumentStore::delete_owned`], but returns the ids of the
     /// removed documents so a write-ahead log can record the exact
     /// effect.

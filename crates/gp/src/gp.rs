@@ -280,6 +280,7 @@ impl Gp {
                 nll: None,
                 duration_us: fit_span.elapsed_ns() / 1_000,
                 fallback: true,
+                evaluations: None,
             });
             return Err(GpError::NumericalFailure);
         };
@@ -290,6 +291,7 @@ impl Gp {
             nll: obs::finite(nlml),
             duration_us: fit_span.elapsed_ns() / 1_000,
             fallback: false,
+            evaluations: None,
         });
 
         let mut kernel = kernel0;

@@ -223,15 +223,29 @@ impl Kernel {
     }
 
     /// Evaluate `k` for a pair from its precomputed raw squared
-    /// distances. Allocation-free and `exp`-free except for the base
-    /// correlation itself.
+    /// distances together with its lengthscale-gradient factor:
+    /// `dk/d log ls_d = factor * u_d^2` with `u_d^2 = sq_d / ls_d^2`.
+    /// One `sqrt` (Matérn only) and one `exp` per call, no allocation.
     #[inline]
-    pub fn eval_precomputed(&self, sq: &[f64], p: &KernelParams) -> f64 {
+    pub fn eval_with_factor(&self, sq: &[f64], p: &KernelParams) -> (f64, f64) {
         let mut r2 = 0.0;
         for (s, inv) in sq.iter().zip(p.inv_ls2.iter()) {
             r2 += s * inv;
         }
-        p.sf2 * self.base(r2)
+        match self.kind {
+            KernelKind::SquaredExponential => {
+                // dk/d log ls_d = k * u_d^2
+                let k = p.sf2 * (-0.5 * r2).exp();
+                (k, k)
+            }
+            KernelKind::Matern52 => {
+                // dk/d log ls_d = (5/3) sf2 (1 + sqrt5 r) e^{-sqrt5 r} u_d^2
+                let s5r = 5.0f64.sqrt() * r2.sqrt();
+                let e = (-s5r).exp();
+                let k = p.sf2 * (1.0 + s5r + 5.0 * r2 / 3.0) * e;
+                (k, (5.0 / 3.0) * p.sf2 * (1.0 + s5r) * e)
+            }
+        }
     }
 
     /// Evaluate `k(x, y)` from hoisted `params` without touching the
@@ -259,24 +273,6 @@ impl Kernel {
         p.sf2 * self.base(r2)
     }
 
-    /// The lengthscale-gradient prefactor recovered from an
-    /// already-computed kernel value: `dk/d log ls_d = factor * u_d^2`.
-    /// Exp-free — the exponential inside `k` is reused instead of
-    /// recomputed, so a gradient sweep over cached kernel values never
-    /// calls `exp` at all.
-    #[inline]
-    pub fn grad_factor_from_value(&self, r2: f64, k: f64) -> f64 {
-        match self.kind {
-            KernelKind::SquaredExponential => k,
-            KernelKind::Matern52 => {
-                // k = sf2 (1 + s5r + 5 r2/3) e^{-s5r};
-                // factor = (5/3) sf2 (1 + s5r) e^{-s5r}.
-                let s5r = (5.0 * r2).sqrt();
-                (5.0 / 3.0) * (1.0 + s5r) * k / (1.0 + s5r + 5.0 * r2 / 3.0)
-            }
-        }
-    }
-
     /// Precomputed-distance twin of [`Kernel::eval_with_grad`]:
     /// evaluates `k` and the gradient with respect to every
     /// log-hyperparameter for one pair, with no allocation and no
@@ -290,30 +286,9 @@ impl Kernel {
     ) -> f64 {
         let d = self.dims.len();
         debug_assert_eq!(grad_out.len(), d + 1);
-        let mut r2 = 0.0;
-        // First pass: stash u_d^2 in the gradient slots, accumulate r^2.
-        for dd in 0..d {
-            let u2 = sq[dd] * p.inv_ls2[dd];
-            grad_out[dd] = u2;
-            r2 += u2;
-        }
-        let (k, factor) = match self.kind {
-            KernelKind::SquaredExponential => {
-                let k = p.sf2 * (-0.5 * r2).exp();
-                // dk/d log ls_d = k * u_d^2
-                (k, k)
-            }
-            KernelKind::Matern52 => {
-                let r = r2.sqrt();
-                let s5r = 5.0f64.sqrt() * r;
-                let e = (-s5r).exp();
-                let k = p.sf2 * (1.0 + s5r + 5.0 * r2 / 3.0) * e;
-                // dk/d log ls_d = (5/3) sf2 (1 + sqrt5 r) e^{-sqrt5 r} u_d^2
-                (k, (5.0 / 3.0) * p.sf2 * (1.0 + s5r) * e)
-            }
-        };
-        for g in grad_out[..d].iter_mut() {
-            *g *= factor;
+        let (k, factor) = self.eval_with_factor(sq, p);
+        for ((g, s), inv) in grad_out[..d].iter_mut().zip(sq).zip(&p.inv_ls2) {
+            *g = s * inv * factor;
         }
         // dk/d log sf2 = k
         grad_out[d] = k;
@@ -533,7 +508,7 @@ mod tests {
             for i in 0..pts.len() {
                 for j in i..pts.len() {
                     let k_ref = k.eval(&pts[i], &pts[j]);
-                    let k_pre = k.eval_precomputed(sq.pair(i, j), &p);
+                    let (k_pre, factor) = k.eval_with_factor(sq.pair(i, j), &p);
                     let k_par = k.eval_params(&pts[i], &pts[j], &p);
                     assert!((k_pre - k_ref).abs() < 1e-14, "{kind:?} eval ({i},{j})");
                     assert!((k_par - k_ref).abs() < 1e-14, "{kind:?} params ({i},{j})");
@@ -543,18 +518,13 @@ mod tests {
                     for (a, b) in grad_pre.iter().zip(grad_ref.iter()) {
                         assert!((a - b).abs() < 1e-14, "{kind:?} grad ({i},{j})");
                     }
-                    // The value-derived prefactor must reproduce the
-                    // lengthscale gradients without recomputing the exp.
+                    // The fused factor reproduces the lengthscale
+                    // gradients of the direct path.
                     let pair = sq.pair(i, j);
-                    let mut r2 = 0.0;
-                    for (dd, s) in pair.iter().enumerate() {
-                        r2 += s * p.inv_ls2[dd];
-                    }
-                    let factor = k.grad_factor_from_value(r2, k_pre);
                     for dd in 0..3 {
                         let u2 = pair[dd] * p.inv_ls2[dd];
                         assert!(
-                            (factor * u2 - grad_ref[dd]).abs() < 1e-12,
+                            (factor * u2 - grad_ref[dd]).abs() < 1e-14,
                             "{kind:?} factor ({i},{j}) dim {dd}"
                         );
                     }

@@ -25,6 +25,7 @@ use crowdtune_linalg::{Bounds, Cholesky, LbfgsOptions, LbfgsResult, Matrix};
 use crowdtune_obs as obs;
 use rand::Rng;
 use rayon::prelude::*;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 const LOG_LS_MIN: f64 = -4.6;
 const LOG_LS_MAX: f64 = 2.31;
@@ -126,6 +127,8 @@ pub struct LcmFitStats {
     pub start_nll: f64,
     /// L-BFGS iterations of the winning run.
     pub iterations: usize,
+    /// Likelihood-plus-gradient evaluations summed over every start.
+    pub evaluations: usize,
 }
 
 /// A fitted LCM multitask GP.
@@ -392,7 +395,9 @@ impl Lcm {
         let n_total = lik.x_all.len();
         // Projected L-BFGS keeps every evaluation inside the box.
         let bounds = lik.bounds();
+        let evaluations = AtomicUsize::new(0);
         let objective = |theta: &[f64]| -> (f64, Vec<f64>) {
+            evaluations.fetch_add(1, Ordering::Relaxed);
             match lik.nll_with_grad(theta) {
                 Some(r) => r,
                 None => (f64::INFINITY, vec![0.0; theta.len()]),
@@ -444,9 +449,11 @@ impl Lcm {
                 nll: None,
                 duration_us: fit_span.elapsed_ns() / 1_000,
                 fallback: true,
+                evaluations: Some(evaluations.load(Ordering::Relaxed) as u64),
             });
             return Err(LcmError::NumericalFailure);
         };
+        let evaluations = evaluations.into_inner();
         obs::record_with(|| obs::Event::Fit {
             model: "lcm".to_string(),
             points: n_total as u64,
@@ -454,6 +461,7 @@ impl Lcm {
             nll: obs::finite(nlml),
             duration_us: fit_span.elapsed_ns() / 1_000,
             fallback: false,
+            evaluations: Some(evaluations as u64),
         });
 
         // Unpack the winner and finalize.
@@ -509,6 +517,7 @@ impl Lcm {
             fit_stats: LcmFitStats {
                 start_nll,
                 iterations,
+                evaluations,
             },
         })
     }
@@ -823,6 +832,7 @@ fn build_lcm_covariance(
     task_of: &[usize],
 ) -> Matrix {
     let n = x_all.len();
+    let params: Vec<KernelParams> = kernels.iter().map(|k| k.params()).collect();
     let mut k = Matrix::zeros(n, n);
     for i in 0..n {
         for j in i..n {
@@ -830,7 +840,7 @@ fn build_lcm_covariance(
             let mut v = 0.0;
             for (q, kq) in kernels.iter().enumerate() {
                 let b = a[q][ti] * a[q][tj] + if ti == tj { kappa[q][ti] } else { 0.0 };
-                v += b * kq.eval(&x_all[i], &x_all[j]);
+                v += b * kq.eval_params(&x_all[i], &x_all[j], &params[q]);
             }
             k[(i, j)] = v;
             k[(j, i)] = v;
@@ -873,13 +883,25 @@ fn lcm_nlml_with_grad(
 
     // θ-dependent kernel constants, exponentiated once per evaluation.
     let params: Vec<KernelParams> = kernels.iter().map(|k| k.params()).collect();
+    // Coregionalization entries B_q[t_i, t_j], row-major per q.
+    let t_count = pack.t;
+    let b: Vec<Vec<f64>> = (0..q_count)
+        .map(|q| {
+            (0..t_count * t_count)
+                .map(|ij| {
+                    let (ti, tj) = (ij / t_count, ij % t_count);
+                    a[q][ti] * a[q][tj] + if ti == tj { kappa[q][ti] } else { 0.0 }
+                })
+                .collect()
+        })
+        .collect();
 
-    // Pass 1: base (unit-variance) kernel values per (pair, q), computed
-    // once and reused by the covariance assembly here and by every
-    // a/κ/lengthscale gradient component below. One exp per (pair, q),
-    // no allocation inside the loop.
+    // Pass 1: per (pair, q), the unit kernel value and its
+    // lengthscale-gradient factor from one fused evaluation (one sqrt,
+    // one exp), kept for the gradient pass; no allocation in the loop.
     let n_pairs = n * (n + 1) / 2;
-    let mut kq_vals = vec![0.0; n_pairs * q_count];
+    let stride = 2 * q_count;
+    let mut kf = vec![0.0; n_pairs * stride];
     let mut k_full = Matrix::zeros(n, n);
     let mut pair = 0;
     for i in 0..n {
@@ -887,13 +909,13 @@ fn lcm_nlml_with_grad(
         for j in i..n {
             let tj = task_of[j];
             let sqp = sq.pair(i, j);
-            let kvs = &mut kq_vals[pair * q_count..(pair + 1) * q_count];
+            let out = &mut kf[pair * stride..(pair + 1) * stride];
             let mut v = 0.0;
             for (q, kq) in kernels.iter().enumerate() {
-                let kv = kq.eval_precomputed(sqp, &params[q]);
-                kvs[q] = kv;
-                let b = a[q][ti] * a[q][tj] + if ti == tj { kappa[q][ti] } else { 0.0 };
-                v += b * kv;
+                let (kv, factor) = kq.eval_with_factor(sqp, &params[q]);
+                out[2 * q] = kv;
+                out[2 * q + 1] = factor;
+                v += b[q][ti * t_count + tj] * kv;
             }
             k_full[(i, j)] = v;
             k_full[(j, i)] = v;
@@ -907,53 +929,94 @@ fn lcm_nlml_with_grad(
     let nlml = 0.5 * crowdtune_linalg::dot(ys, &alpha)
         + 0.5 * chol.log_det()
         + 0.5 * n as f64 * (2.0 * std::f64::consts::PI).ln();
-
-    // K^{-1} via column-parallel identity solves (Cholesky::inverse
-    // skips the structural zeros of each identity column).
     let kinv = chol.inverse();
-    let mut grad = vec![0.0; pack.len()];
 
-    // Pass 2: gradient sweep over pairs, reusing the cached kernel
-    // values. The lengthscale prefactor is recovered from the value
-    // (`grad_factor_from_value`), so this pass never calls exp.
-    // dNLML/dtheta = -0.5 * sum_ij W_ij dK_ij/dtheta, W = aa^T - K^{-1}.
+    // Pass 2: dNLML/dθ = -0.5 Σ_ij W_ij dK_ij/dθ with W = αα^T - K^{-1}.
+    // The inputs are flattened task by task, so the pairs (i, j ≥ i)
+    // with t_i = s, t_j = t form contiguous runs of j inside which
+    // B_q[s, t] is constant. Each run sums Σ w·k_q and Σ w·factor_q·sq_d
+    // into local accumulators; the per-block totals then give the
+    // loading, κ and lengthscale gradients in O(Q·T²·d).
+    debug_assert!(task_of.windows(2).all(|w| w[0] <= w[1]));
+    let mut task_end = vec![0usize; t_count];
+    for &t in task_of {
+        task_end[t] += 1;
+    }
+    for t in 1..t_count {
+        task_end[t] += task_end[t - 1];
+    }
+    // Block totals, indexed by (s·T + t)·Q + q (times d for lengthscales).
+    let mut wk_blk = vec![0.0; t_count * t_count * q_count];
+    let mut wg_blk = vec![0.0; t_count * t_count * q_count * d];
+    let mut wk = vec![0.0; q_count];
+    let mut wg = vec![0.0; q_count * d];
+    let mut grad = vec![0.0; pack.len()];
     let mut pair = 0;
     for i in 0..n {
         let ti = task_of[i];
-        for j in i..n {
-            let tj = task_of[j];
-            let w = alpha[i] * alpha[j] - kinv[(i, j)];
-            // Off-diagonal pairs appear twice in the full sum.
-            let sym = if i == j { 1.0 } else { 2.0 };
-            let ws = w * sym;
-            let sqp = sq.pair(i, j);
-            let kvs = &kq_vals[pair * q_count..(pair + 1) * q_count];
-            for (q, kq) in kernels.iter().enumerate() {
-                let kv = kvs[q];
-                let inv_ls2 = &params[q].inv_ls2;
-                let b = a[q][ti] * a[q][tj] + if ti == tj { kappa[q][ti] } else { 0.0 };
-                // Lengthscales: dk/d log ls_dim = factor * u_dim^2.
-                let mut r2 = 0.0;
-                for dim in 0..d {
-                    r2 += sqp[dim] * inv_ls2[dim];
-                }
-                let c = 0.5 * ws * b * kq.grad_factor_from_value(r2, kv);
-                for dim in 0..d {
-                    grad[pack.ls(q, dim)] -= c * sqp[dim] * inv_ls2[dim];
-                }
-                // Loadings: dK/da_q[ti] and dK/da_q[tj].
-                grad[pack.a(q, ti)] -= 0.5 * ws * a[q][tj] * kv;
-                grad[pack.a(q, tj)] -= 0.5 * ws * a[q][ti] * kv;
-                // Task-specific variance (same-task pairs only).
-                if ti == tj {
-                    grad[pack.kappa(q, ti)] -= 0.5 * ws * kappa[q][ti] * kv;
-                }
+        let kinv_i = kinv.row(i);
+        let ai = alpha[i];
+        let mut j = i;
+        for (tj, &end) in task_end.iter().enumerate().skip(ti) {
+            if j >= end {
+                continue;
             }
-            pair += 1;
+            wk.fill(0.0);
+            wg.fill(0.0);
+            for jj in j..end {
+                // Off-diagonal pairs appear twice in the full sum.
+                let w = ai * alpha[jj] - kinv_i[jj];
+                let ws = if jj == i { w } else { 2.0 * w };
+                let sqp = sq.pair(i, jj);
+                let kfp = &kf[pair * stride..(pair + 1) * stride];
+                for (q, (wk_q, wg_q)) in wk.iter_mut().zip(wg.chunks_exact_mut(d)).enumerate() {
+                    *wk_q += ws * kfp[2 * q];
+                    let c = ws * kfp[2 * q + 1];
+                    for (g, &s) in wg_q.iter_mut().zip(sqp) {
+                        *g += c * s;
+                    }
+                }
+                pair += 1;
+            }
+            j = end;
+            let blk = ti * t_count + tj;
+            for (acc, &v) in wk_blk[blk * q_count..(blk + 1) * q_count]
+                .iter_mut()
+                .zip(&wk)
+            {
+                *acc += v;
+            }
+            for (acc, &v) in wg_blk[blk * q_count * d..(blk + 1) * q_count * d]
+                .iter_mut()
+                .zip(&wg)
+            {
+                *acc += v;
+            }
         }
         // Noise: diagonal only.
-        let w_ii = alpha[i] * alpha[i] - kinv[(i, i)];
+        let w_ii = ai * ai - kinv_i[i];
         grad[pack.noise(ti)] -= 0.5 * w_ii * noise_var[ti];
+    }
+    for ti in 0..t_count {
+        for tj in ti..t_count {
+            let blk = ti * t_count + tj;
+            for q in 0..q_count {
+                let s = wk_blk[blk * q_count + q];
+                // Loadings: dB_q[s,t]/da_q[s] = a_q[t] and vice versa.
+                grad[pack.a(q, ti)] -= 0.5 * a[q][tj] * s;
+                grad[pack.a(q, tj)] -= 0.5 * a[q][ti] * s;
+                // Task-specific variance (same-task blocks only).
+                if ti == tj {
+                    grad[pack.kappa(q, ti)] -= 0.5 * kappa[q][ti] * s;
+                }
+                // Lengthscales: dk/d log ls_d = factor · sq_d / ls_d².
+                let c = 0.5 * b[q][blk];
+                let g = &wg_blk[(blk * q_count + q) * d..(blk * q_count + q + 1) * d];
+                for dim in 0..d {
+                    grad[pack.ls(q, dim)] -= c * params[q].inv_ls2[dim] * g[dim];
+                }
+            }
+        }
     }
 
     Some((nlml, grad))
@@ -1134,6 +1197,176 @@ mod tests {
             tm[p] -= h;
             let (fm, _) = lcm_nlml_with_grad(&tm, &pack, &proto, &sq, &task_of, &ys).unwrap();
             let fd = (fp - fm) / (2.0 * h);
+            assert!(
+                (fd - grad[p]).abs() < 1e-4 * (1.0 + fd.abs()),
+                "param {p}: fd {fd} vs analytic {}",
+                grad[p]
+            );
+        }
+    }
+
+    /// Reference for the block-summed sweep: every (pair, q) scatters
+    /// its contributions into `grad` directly, with `K⁻¹` from dense
+    /// identity solves.
+    fn lcm_nlml_with_grad_reference(
+        theta: &[f64],
+        pack: &Packing,
+        kernel_proto: &Kernel,
+        sq: &SqDists,
+        task_of: &[usize],
+        ys: &[f64],
+    ) -> (f64, Vec<f64>) {
+        let n = sq.n();
+        let (q_count, d) = (pack.q, pack.d);
+        let kernels: Vec<Kernel> = (0..q_count)
+            .map(|q| {
+                let mut k = kernel_proto.clone();
+                for dim in 0..d {
+                    k.log_lengthscales[dim] = theta[pack.ls(q, dim)];
+                }
+                k
+            })
+            .collect();
+        let params: Vec<KernelParams> = kernels.iter().map(|k| k.params()).collect();
+        let a = |q: usize, t: usize| theta[pack.a(q, t)];
+        let kappa = |q: usize, t: usize| theta[pack.kappa(q, t)].exp();
+        let bq = |q: usize, s: usize, t: usize| {
+            a(q, s) * a(q, t) + if s == t { kappa(q, s) } else { 0.0 }
+        };
+        let noise_var = |t: usize| theta[pack.noise(t)].exp();
+        let mut k_full = Matrix::zeros(n, n);
+        let mut dk = vec![0.0; d + 1];
+        for i in 0..n {
+            for j in i..n {
+                let mut v = 0.0;
+                for (q, kq) in kernels.iter().enumerate() {
+                    let kv = kq.eval_with_grad_precomputed(sq.pair(i, j), &params[q], &mut dk);
+                    v += bq(q, task_of[i], task_of[j]) * kv;
+                }
+                k_full[(i, j)] = v;
+                k_full[(j, i)] = v;
+            }
+            k_full[(i, i)] += noise_var(task_of[i]);
+        }
+        let chol = Cholesky::robust(&k_full).unwrap();
+        let alpha = chol.solve_vec(ys);
+        let nlml = 0.5 * crowdtune_linalg::dot(ys, &alpha)
+            + 0.5 * chol.log_det()
+            + 0.5 * n as f64 * (2.0 * std::f64::consts::PI).ln();
+        let kinv = chol.solve_matrix(&Matrix::identity(n));
+        let mut grad = vec![0.0; pack.len()];
+        for i in 0..n {
+            let ti = task_of[i];
+            for j in i..n {
+                let tj = task_of[j];
+                let w = alpha[i] * alpha[j] - kinv[(i, j)];
+                let ws = if i == j { w } else { 2.0 * w };
+                for (q, kq) in kernels.iter().enumerate() {
+                    let kv = kq.eval_with_grad_precomputed(sq.pair(i, j), &params[q], &mut dk);
+                    for dim in 0..d {
+                        grad[pack.ls(q, dim)] -= 0.5 * ws * bq(q, ti, tj) * dk[dim];
+                    }
+                    grad[pack.a(q, ti)] -= 0.5 * ws * a(q, tj) * kv;
+                    grad[pack.a(q, tj)] -= 0.5 * ws * a(q, ti) * kv;
+                    if ti == tj {
+                        grad[pack.kappa(q, ti)] -= 0.5 * ws * kappa(q, ti) * kv;
+                    }
+                }
+            }
+            let w_ii = alpha[i] * alpha[i] - kinv[(i, i)];
+            grad[pack.noise(ti)] -= 0.5 * w_ii * noise_var(ti);
+        }
+        (nlml, grad)
+    }
+
+    /// Four tasks of 50, 0, 45 and 40 points (n = 135) over a
+    /// continuous, a categorical and a continuous dimension, an interior
+    /// θ, and the likelihood's inputs.
+    fn four_task_fixture(
+        kind: KernelKind,
+    ) -> (Packing, Kernel, SqDists, Vec<usize>, Vec<f64>, Vec<f64>) {
+        let mut rng = StdRng::seed_from_u64(71);
+        let dims = vec![
+            DimKind::Continuous,
+            DimKind::Categorical,
+            DimKind::Continuous,
+        ];
+        let mut x_all = Vec::new();
+        let mut task_of = Vec::new();
+        let mut ys = Vec::new();
+        for (t, count) in [50usize, 0, 45, 40].into_iter().enumerate() {
+            for _ in 0..count {
+                let x = vec![
+                    rng.gen::<f64>(),
+                    rng.gen_range(0..3) as f64 / 2.0,
+                    rng.gen(),
+                ];
+                let y = (3.0 * x[0]).sin() + 0.5 * x[1] - x[2] * x[2] + 0.2 * t as f64;
+                x_all.push(x);
+                task_of.push(t);
+                ys.push(y);
+            }
+        }
+        let pack = Packing { q: 2, d: 3, t: 4 };
+        let mut proto = Kernel::new(kind, dims);
+        proto.log_signal_variance = 0.0;
+        let sq = proto.precompute_sq_dists(&x_all);
+        let mut theta = vec![0.0; pack.len()];
+        for q in 0..2 {
+            for dim in 0..3 {
+                theta[pack.ls(q, dim)] = -1.0 + 0.3 * (q + dim) as f64;
+            }
+            for t in 0..4 {
+                theta[pack.a(q, t)] = 0.9 - 0.25 * (q + t) as f64;
+                theta[pack.kappa(q, t)] = -2.0 + 0.4 * t as f64;
+            }
+        }
+        for t in 0..4 {
+            theta[pack.noise(t)] = -3.0 + 0.2 * t as f64;
+        }
+        (pack, proto, sq, task_of, ys, theta)
+    }
+
+    #[test]
+    fn block_gradient_matches_per_pair_sweep() {
+        for kind in [KernelKind::Matern52, KernelKind::SquaredExponential] {
+            let (pack, proto, sq, task_of, ys, theta) = four_task_fixture(kind);
+            assert!(sq.n() >= 128);
+            let (nll, grad) =
+                lcm_nlml_with_grad(&theta, &pack, &proto, &sq, &task_of, &ys).unwrap();
+            let (nll_ref, grad_ref) =
+                lcm_nlml_with_grad_reference(&theta, &pack, &proto, &sq, &task_of, &ys);
+            assert!(
+                (nll - nll_ref).abs() <= 1e-10 * nll_ref.abs(),
+                "{kind:?}: nll {nll} vs {nll_ref}"
+            );
+            let scale = grad_ref.iter().fold(0.0f64, |m, g| m.max(g.abs()));
+            for (p, (g, r)) in grad.iter().zip(&grad_ref).enumerate() {
+                assert!(
+                    (g - r).abs() <= 1e-10 * scale,
+                    "{kind:?} param {p}: {g} vs {r} (scale {scale})"
+                );
+            }
+            // The empty task's loadings and κ carry no data.
+            for q in 0..2 {
+                assert_eq!(grad[pack.a(q, 1)], 0.0);
+                assert_eq!(grad[pack.kappa(q, 1)], 0.0);
+            }
+        }
+    }
+
+    #[test]
+    fn block_gradient_matches_finite_difference_on_four_tasks() {
+        let (pack, proto, sq, task_of, ys, theta) = four_task_fixture(KernelKind::Matern52);
+        let f = |t: &[f64]| lcm_nlml_with_grad(t, &pack, &proto, &sq, &task_of, &ys).unwrap();
+        let (_, grad) = f(&theta);
+        let h = 1e-5;
+        for p in 0..pack.len() {
+            let mut tp = theta.clone();
+            tp[p] += h;
+            let mut tm = theta.clone();
+            tm[p] -= h;
+            let fd = (f(&tp).0 - f(&tm).0) / (2.0 * h);
             assert!(
                 (fd - grad[p]).abs() < 1e-4 * (1.0 + fd.abs()),
                 "param {p}: fd {fd} vs analytic {}",

@@ -6,21 +6,9 @@
 //! itself uses — is to add a small multiple of the identity ("jitter") and
 //! retry, growing the jitter geometrically until the factorization succeeds.
 
-use crate::matrix::{dot, row_chunks, Matrix};
+use crate::matrix::{dot, dot2, row_chunks, Matrix};
 use crowdtune_obs as obs;
 use rayon::prelude::*;
-
-/// Matrices at least this large are factored with the blocked
-/// right-looking algorithm. The dispatch depends on the matrix size
-/// ONLY — never on the thread count — because the blocked and unblocked
-/// factorizations accumulate in different orders and therefore round
-/// differently; tying the choice to size keeps results reproducible
-/// across machines with different core counts.
-const BLOCKED_MIN_DIM: usize = 128;
-
-/// Panel width of the blocked factorization. 64 columns keeps the
-/// panel plus a stripe of the trailing matrix resident in L2 cache.
-const CHOL_BLOCK: usize = 64;
 
 /// Error raised when a matrix cannot be factorized even with the maximum
 /// permitted jitter.
@@ -202,48 +190,66 @@ impl Cholesky {
         (0..self.dim()).map(|i| self.l[(i, i)].ln()).sum::<f64>() * 2.0
     }
 
-    /// The inverse of `A`, assembled by solving against identity
-    /// columns; used for gradient computations where `A^{-1}` itself is
-    /// required (trace terms of the marginal-likelihood gradient).
+    /// The inverse of `A`, `L⁻ᵀ L⁻¹`; used for gradient computations
+    /// where `A⁻¹` itself is required (trace terms of the
+    /// marginal-likelihood gradient).
     ///
-    /// Exploits the structure of `e_c`: the forward substitution
-    /// `L y = e_c` yields `y[0..c] = 0`, so it starts at row `c`,
-    /// halving the forward phase on average versus a dense solve.
-    /// Columns run in parallel and each is computed with the same
-    /// operation order at any thread count.
+    /// Entry `(i, j)` is the dot of columns `i` and `j` of `L⁻¹` over the
+    /// rows `k ≥ max(i, j)` where both can be nonzero. The upper triangle
+    /// is formed in `TILE_R × PANEL` tiles, each an outer-product
+    /// accumulation over rows of two column panels of `L⁻¹` held in
+    /// registers ([`gram_tile`]), and mirrored, so the result is exactly
+    /// symmetric. Every entry sums its `k` terms in ascending order from
+    /// a start that depends only on `n` and the tile, and tile rows are
+    /// independent, so the parallel split by tile rows is bitwise
+    /// identical at any thread count.
     pub fn inverse(&self) -> Matrix {
-        // `A⁻¹ = L⁻ᵀ L⁻¹`, assembled as a symmetric product of the
-        // explicit inverse factor: entry `(i, j)` with `i ≤ j` is the
-        // dot of columns `i` and `j` of `L⁻¹` over rows `k ≥ j` (both
-        // columns are structurally zero above their index). Costs
-        // ~`n³/6` for the factor plus ~`n³/6` for the product —
-        // roughly 3× cheaper than solving against a dense identity,
-        // and every dot is an independent contiguous reduction.
         let n = self.dim();
-        let u = self.inverse_lower().transpose();
-        let threads = rayon::current_num_threads();
-        let flops = n * n * n / 3;
-        let fill_rows = |range: std::ops::Range<usize>| -> Vec<f64> {
-            let mut buf = Vec::with_capacity(range.len() * n);
-            for i in range {
-                buf.extend(std::iter::repeat_n(0.0, i));
-                let ui = u.row(i);
-                for j in i..n {
-                    buf.push(dot(&ui[j..], &u.row(j)[j..]));
+        let (buf, offsets) = self.inverse_lower_panels();
+        let panel = |p: usize| &buf[offsets[p]..offsets[p + 1]];
+        let fill_rows = |tiles: std::ops::Range<usize>| -> Vec<f64> {
+            let i_start = tiles.start * TILE_R;
+            let i_end = (tiles.end * TILE_R).min(n);
+            let mut out = vec![0.0; (i_end - i_start) * n];
+            for i0 in (i_start..i_end).step_by(TILE_R) {
+                let rows = TILE_R.min(n - i0);
+                let pi = i0 / PANEL;
+                for pj in pi..offsets.len() - 1 {
+                    let j0 = pj * PANEL;
+                    let k0 = i0.max(j0);
+                    let acc = gram_tile(
+                        &panel(pi)[(k0 - pi * PANEL) * PANEL..],
+                        i0 % PANEL,
+                        &panel(pj)[(k0 - j0) * PANEL..],
+                    );
+                    for (r, acc_r) in acc.iter().enumerate().take(rows) {
+                        let i = i0 + r;
+                        let row = &mut out[(i - i_start) * n..(i - i_start + 1) * n];
+                        for (c, &v) in acc_r.iter().enumerate() {
+                            let j = j0 + c;
+                            if j >= i && j < n {
+                                row[j] = v;
+                            }
+                        }
+                    }
                 }
             }
-            buf
+            out
         };
-        let chunks = if threads > 1 && n >= 2 && flops >= crate::matrix::PAR_MIN_FLOPS {
+        let tile_rows = n.div_ceil(TILE_R);
+        let threads = rayon::current_num_threads();
+        let parallel =
+            threads > 1 && tile_rows >= 2 && n * n * n / 3 >= crate::matrix::PAR_MIN_FLOPS;
+        let data = if parallel {
             // Extra pieces balance the triangular row costs.
-            row_chunks(n, threads * 4)
+            row_chunks(tile_rows, threads * 4)
                 .into_par_iter()
                 .map(fill_rows)
                 .collect::<Vec<_>>()
+                .concat()
         } else {
-            vec![fill_rows(0..n)]
+            fill_rows(0..tile_rows)
         };
-        let data: Vec<f64> = chunks.into_iter().flatten().collect();
         let mut out = Matrix::from_raw(n, n, data);
         for i in 0..n {
             for j in 0..i {
@@ -257,37 +263,64 @@ impl Cholesky {
     /// row-major).
     ///
     /// Built row by row from `row_i(L⁻¹) = −(1/L_ii) Σ_{k<i} L_ik ·
-    /// row_k(L⁻¹)` (diagonal `1/L_ii`): each step is a contiguous axpy
-    /// whose elements accumulate independently, so the loop is limited
-    /// by throughput rather than by the latency of one running sum. The
-    /// whole factor costs ~`n³/6` flops. Column blocks of `L⁻¹` depend
-    /// only on themselves, so large inverses split into column blocks
-    /// run in parallel; every element still sums its `k` terms in
-    /// ascending order, making the result bitwise identical at any
-    /// thread count. Having `L⁻¹` materialized turns each posterior
-    /// variance `‖L⁻¹ k*‖²` into independent contiguous dot products
-    /// instead of a loop-carried triangular solve.
+    /// row_k(L⁻¹)` (diagonal `1/L_ii`), one `PANEL`-wide column panel at
+    /// a time ([`inverse_lower_panel`]): a panel's running sums stay in
+    /// registers for the whole `k` loop and its finished rows are one
+    /// contiguous stream. The whole factor costs ~`n³/6` flops. Panels
+    /// depend only on `L`, so large inverses compute them in parallel;
+    /// every element sums its `k` terms in ascending order whatever the
+    /// split, making the result bitwise identical at any thread count.
+    /// Having `L⁻¹` materialized turns each posterior variance
+    /// `‖L⁻¹ k*‖²` into independent contiguous dot products instead of a
+    /// loop-carried triangular solve.
     pub fn inverse_lower(&self) -> Matrix {
         let n = self.dim();
-        let threads = rayon::current_num_threads();
-        if threads <= 1 || n < 2 || n * n * n / 6 < crate::matrix::PAR_MIN_FLOPS {
-            return Matrix::from_raw(n, n, inverse_lower_block(&self.l, 0..n));
-        }
-        // Earlier column blocks carry more rows: extra pieces balance them.
-        let blocks = row_chunks(n, threads * 4);
-        let bufs: Vec<Vec<f64>> = blocks
-            .clone()
-            .into_par_iter()
-            .map(|cols| inverse_lower_block(&self.l, cols))
-            .collect();
+        let (buf, offsets) = self.inverse_lower_panels();
         let mut out = Matrix::zeros(n, n);
-        for (cols, buf) in blocks.iter().zip(&bufs) {
-            let w = cols.len();
-            for (r, row) in buf.chunks_exact(w).enumerate() {
-                out.row_mut(cols.start + r)[cols.clone()].copy_from_slice(row);
+        for (p, w) in offsets.windows(2).enumerate() {
+            let c0 = p * PANEL;
+            let width = PANEL.min(n - c0);
+            for (r, row) in buf[w[0]..w[1]].chunks_exact(PANEL).enumerate() {
+                out.row_mut(c0 + r)[c0..c0 + width].copy_from_slice(&row[..width]);
             }
         }
         out
+    }
+
+    /// Every column panel of `L⁻¹` ([`inverse_lower_panel`]) back to
+    /// back in one buffer, panel `p` at `offsets[p]..offsets[p + 1]`; in
+    /// parallel above the flop cutoff.
+    fn inverse_lower_panels(&self) -> (Vec<f64>, Vec<usize>) {
+        let n = self.dim();
+        let count = n.div_ceil(PANEL);
+        let offsets: Vec<usize> = (0..=count)
+            .scan(0, |off, p| {
+                let start = *off;
+                *off += n.saturating_sub(p * PANEL) * PANEL;
+                Some(start)
+            })
+            .collect();
+        let fill = |ps: std::ops::Range<usize>| -> Vec<f64> {
+            let base = offsets[ps.start];
+            let mut buf = vec![0.0; offsets[ps.end] - base];
+            for p in ps {
+                let out = &mut buf[offsets[p] - base..offsets[p + 1] - base];
+                inverse_lower_panel(&self.l, p, out);
+            }
+            buf
+        };
+        let threads = rayon::current_num_threads();
+        let buf = if threads <= 1 || count < 2 || n * n * n / 6 < crate::matrix::PAR_MIN_FLOPS {
+            fill(0..count)
+        } else {
+            // Earlier panels carry more rows: extra pieces balance them.
+            row_chunks(count, threads * 4)
+                .into_par_iter()
+                .map(fill)
+                .collect::<Vec<_>>()
+                .concat()
+        };
+        (buf, offsets)
     }
 
     /// Extend the factor with one new row/column in O(n²).
@@ -451,179 +484,113 @@ impl Cholesky {
     }
 }
 
-/// Rows `cols.start..n` of the column block `cols` of `L⁻¹`, packed
-/// row-major (`cols.len()` values per row), by the row recurrence of
-/// [`Cholesky::inverse_lower`]. Entry `(i, j)` sums `L_ik · L⁻¹_kj` over
-/// `j ≤ k < i` in ascending `k` whatever the block, so any column split
-/// reproduces the unsplit result bitwise.
-fn inverse_lower_block(l: &Matrix, cols: std::ops::Range<usize>) -> Vec<f64> {
+/// Width of the column panels the tile kernels stream through, and the
+/// column count of a [`gram_tile`].
+const PANEL: usize = 8;
+
+/// Row count of a [`gram_tile`].
+const TILE_R: usize = 4;
+
+/// Column panel `p` of `L⁻¹` (columns `p·PANEL..(p+1)·PANEL`) into the
+/// zeroed `out`: its rows `p·PANEL..n`, `PANEL` values each, zero right
+/// of the diagonal and past column `n`. Built by the row recurrence of
+/// [`Cholesky::inverse_lower`]: entry `(i, j)` sums `L_ik · L⁻¹_kj` in
+/// ascending `k` from the panel's first column; the terms with `k < j`
+/// multiply structural zeros and leave the `+0.0` running sum unchanged,
+/// so the bits equal those of the plain per-element recurrence.
+fn inverse_lower_panel(l: &Matrix, p: usize, out: &mut [f64]) {
     let n = l.rows();
-    let (c0, w) = (cols.start, cols.len());
-    let mut buf = vec![0.0; (n - c0) * w];
+    let c0 = p * PANEL;
+    let w = PANEL.min(n - c0);
     for i in c0..n {
         let li = l.row(i);
-        let (done, rest) = buf.split_at_mut((i - c0) * w);
-        let out = &mut rest[..w];
-        for k in c0..i {
-            let lik = li[k];
-            // Row k of L⁻¹ is zero right of its diagonal.
-            let len = (k + 1 - c0).min(w);
-            let src = &done[(k - c0) * w..(k - c0) * w + len];
-            for (o, &v) in out.iter_mut().zip(src) {
-                *o += lik * v;
+        let (done, rest) = out.split_at_mut((i - c0) * PANEL);
+        let mut acc = [0.0f64; PANEL];
+        for (row, &lik) in done.chunks_exact(PANEL).zip(&li[c0..i]) {
+            let row: &[f64; PANEL] = row.try_into().unwrap();
+            for (a, &v) in acc.iter_mut().zip(row) {
+                *a += lik * v;
             }
         }
         let inv = 1.0 / li[i];
-        for v in out[..(i - c0).min(w)].iter_mut() {
-            *v = -*v * inv;
-        }
-        if i < cols.end {
-            out[i - c0] = inv;
+        for (t, (o, &a)) in rest.iter_mut().zip(&acc).enumerate().take(w) {
+            let c = c0 + t;
+            if c < i {
+                *o = -a * inv;
+            } else if c == i {
+                *o = inv;
+            }
         }
     }
-    buf
 }
 
-fn try_factor(a: &Matrix, jitter: f64) -> Option<Matrix> {
-    // Size-only dispatch: see `BLOCKED_MIN_DIM`.
-    if a.rows() < BLOCKED_MIN_DIM {
-        try_factor_unblocked(a, jitter)
-    } else {
-        try_factor_blocked(a, jitter)
+/// One `TILE_R × PANEL` tile of a Gram product over the rows of two
+/// column panels (row-major, `PANEL` values per row, positioned at the
+/// first row to sum): `acc[r][c] = Σ_k a[k][a_off + r] · b[k][c]` over
+/// every row of `b`, summed in ascending `k` into one register
+/// accumulator per entry. `a` holds at least as many rows as `b`.
+#[inline]
+fn gram_tile(a: &[f64], a_off: usize, b: &[f64]) -> [[f64; PANEL]; TILE_R] {
+    let mut acc = [[0.0f64; PANEL]; TILE_R];
+    for (ra, rb) in a.chunks_exact(PANEL).zip(b.chunks_exact(PANEL)) {
+        let x: &[f64; TILE_R] = ra[a_off..a_off + TILE_R].try_into().unwrap();
+        let y: &[f64; PANEL] = rb.try_into().unwrap();
+        for (acc_r, &xr) in acc.iter_mut().zip(x) {
+            for (v, &yc) in acc_r.iter_mut().zip(y) {
+                *v += xr * yc;
+            }
+        }
     }
+    acc
 }
 
 /// Row-oriented (Cholesky–Banachiewicz) factorization: row `i` of `L`
-/// is finished before row `i + 1` starts, each entry one contiguous
-/// multi-accumulator [`dot`] against an earlier row.
-fn try_factor_unblocked(a: &Matrix, jitter: f64) -> Option<Matrix> {
+/// is finished before row `i + 2` starts, each entry one contiguous
+/// multi-accumulator [`dot`] against an earlier row. Rows are taken in
+/// pairs: left of column `i`, rows `i` and `i + 1` depend only on
+/// earlier rows, so one pass over row `j` ([`dot2`]) serves both and
+/// their two chains overlap. Every entry keeps the accumulation of a
+/// lone `dot`, so the pairing changes the speed, never the bits.
+///
+/// This is the only factorization. A blocked right-looking variant with
+/// a 64-column panel and row-parallel panel solve and trailing update
+/// was slower at every size measured on dense kernel matrices (2-vCPU
+/// Xeon, one thread: n = 200 0.88 vs 0.59 ms, n = 1000 149 vs 104 ms;
+/// two threads: n = 1000 139 vs 102 ms), so it was removed; one path
+/// also means one rounding at every size.
+fn try_factor(a: &Matrix, jitter: f64) -> Option<Matrix> {
     let n = a.rows();
     let mut l = Matrix::zeros(n, n);
-    for i in 0..n {
-        for j in 0..i {
-            let s = a[(i, j)] - dot(&l.row(i)[..j], &l.row(j)[..j]);
-            l[(i, j)] = s / l[(j, j)];
-        }
+    let diag = |l: &mut Matrix, i: usize| -> Option<()> {
         let li = &l.row(i)[..i];
         let d = a[(i, i)] + jitter - dot(li, li);
         if d <= 0.0 || !d.is_finite() {
             return None;
         }
         l[(i, i)] = d.sqrt();
-    }
-    Some(l)
-}
-
-/// Blocked right-looking Cholesky: factor a `CHOL_BLOCK`-wide panel,
-/// triangular-solve the rows below it, then downdate the trailing
-/// submatrix with the panel's outer product. The panel solve and the
-/// trailing update are row-parallel; every row is produced by the same
-/// instruction sequence no matter how rows are split across threads,
-/// so the factor is bitwise identical at any thread count.
-fn try_factor_blocked(a: &Matrix, jitter: f64) -> Option<Matrix> {
-    let n = a.rows();
-    let threads = rayon::current_num_threads();
-    // Copy the lower triangle (plus jitter on the diagonal) and factor
-    // it in place, block column by block column.
-    let mut l = Matrix::zeros(n, n);
-    for i in 0..n {
-        let src = &a.row(i)[..=i];
-        let dst = &mut l.row_mut(i)[..=i];
-        dst.copy_from_slice(src);
-        dst[i] += jitter;
-    }
-    let mut j0 = 0;
-    while j0 < n {
-        let j1 = (j0 + CHOL_BLOCK).min(n);
-        let nb = j1 - j0;
-        // 1. Factor the diagonal block in place (unblocked). It has
-        //    already absorbed every previous panel's trailing update,
-        //    so only within-block corrections remain.
-        for j in j0..j1 {
-            let mut d = l[(j, j)];
-            for k in j0..j {
-                let v = l[(j, k)];
-                d -= v * v;
-            }
-            if d <= 0.0 || !d.is_finite() {
-                return None;
-            }
-            let djj = d.sqrt();
-            l[(j, j)] = djj;
-            for i in (j + 1)..j1 {
-                let mut s = l[(i, j)];
-                for k in j0..j {
-                    s -= l[(i, k)] * l[(j, k)];
-                }
-                l[(i, j)] = s / djj;
+        Some(())
+    };
+    let mut i = 0;
+    while i < n {
+        let paired = i + 1 < n;
+        for j in 0..i {
+            let ljj = l[(j, j)];
+            if paired {
+                let (s0, s1) = dot2(&l.row(i)[..j], &l.row(i + 1)[..j], &l.row(j)[..j]);
+                l[(i, j)] = (a[(i, j)] - s0) / ljj;
+                l[(i + 1, j)] = (a[(i + 1, j)] - s1) / ljj;
+            } else {
+                let s = a[(i, j)] - dot(&l.row(i)[..j], &l.row(j)[..j]);
+                l[(i, j)] = s / ljj;
             }
         }
-        if j1 == n {
-            break;
+        diag(&mut l, i)?;
+        if paired {
+            let s = a[(i + 1, i)] - dot(&l.row(i + 1)[..i], &l.row(i)[..i]);
+            l[(i + 1, i)] = s / l[(i, i)];
+            diag(&mut l, i + 1)?;
         }
-        // 2. Panel solve: L21 satisfies L21 * L11^T = A21. One
-        //    independent forward substitution per row below the block.
-        let panel_rows = n - j1;
-        let chunks = row_chunks(panel_rows, threads);
-        let panel: Vec<Vec<f64>> = chunks
-            .clone()
-            .into_par_iter()
-            .map(|range| {
-                let mut buf = vec![0.0; range.len() * nb];
-                for (bi, r) in range.enumerate() {
-                    let i = j1 + r;
-                    let li = l.row(i);
-                    let out = &mut buf[bi * nb..(bi + 1) * nb];
-                    for (jj, j) in (j0..j1).enumerate() {
-                        let lj = &l.row(j)[j0..j];
-                        let mut s = li[j];
-                        for (k, &ljk) in lj.iter().enumerate() {
-                            s -= out[k] * ljk;
-                        }
-                        out[jj] = s / l[(j, j)];
-                    }
-                }
-                buf
-            })
-            .collect();
-        for (chunk, buf) in chunks.iter().zip(panel.iter()) {
-            for (bi, r) in chunk.clone().enumerate() {
-                l.row_mut(j1 + r)[j0..j1].copy_from_slice(&buf[bi * nb..(bi + 1) * nb]);
-            }
-        }
-        // 3. Trailing update: A22 -= L21 * L21^T (lower triangle only),
-        //    row-parallel. Extra chunks smooth out the triangular load.
-        let chunks = row_chunks(panel_rows, threads * 4);
-        let updates: Vec<Vec<f64>> = chunks
-            .clone()
-            .into_par_iter()
-            .map(|range| {
-                let mut buf = Vec::with_capacity(range.clone().map(|r| r + 1).sum());
-                for r in range {
-                    let i = j1 + r;
-                    let pi = &l.row(i)[j0..j1];
-                    for j in j1..=i {
-                        let pj = &l.row(j)[j0..j1];
-                        let mut acc = 0.0;
-                        for (x, y) in pi.iter().zip(pj.iter()) {
-                            acc += x * y;
-                        }
-                        buf.push(l[(i, j)] - acc);
-                    }
-                }
-                buf
-            })
-            .collect();
-        for (chunk, buf) in chunks.iter().zip(updates.iter()) {
-            let mut pos = 0;
-            for r in chunk.clone() {
-                let i = j1 + r;
-                let len = i - j1 + 1;
-                l.row_mut(i)[j1..=i].copy_from_slice(&buf[pos..pos + len]);
-                pos += len;
-            }
-        }
-        j0 = j1;
+        i += if paired { 2 } else { 1 };
     }
     Some(l)
 }
@@ -750,7 +717,7 @@ mod tests {
         assert!((b[1] - 3.0).abs() < 1e-14);
     }
 
-    /// Well-conditioned SPD matrix large enough to cross `BLOCKED_MIN_DIM`.
+    /// Well-conditioned banded SPD matrix of any size.
     fn spd_large(n: usize) -> Matrix {
         let mut a = Matrix::from_fn(n, n, |i, j| {
             let d = i.abs_diff(j) as f64;
@@ -763,8 +730,8 @@ mod tests {
     }
 
     #[test]
-    fn blocked_factor_reconstructs() {
-        let n = super::BLOCKED_MIN_DIM + 33; // odd tail block
+    fn large_factor_reconstructs() {
+        let n = 233;
         let a = spd_large(n);
         let ch = Cholesky::new(&a).unwrap();
         let recon = ch.l().matmul(&ch.l().transpose());
@@ -782,28 +749,44 @@ mod tests {
     }
 
     #[test]
-    fn blocked_matches_unblocked_within_tolerance() {
-        let n = super::BLOCKED_MIN_DIM;
-        let a = spd_large(n);
-        let blocked = super::try_factor_blocked(&a, 0.0).unwrap();
-        let unblocked = super::try_factor_unblocked(&a, 0.0).unwrap();
-        assert!(blocked.max_abs_diff(&unblocked) < 1e-11);
+    fn paired_rows_match_single_row_factor_bitwise() {
+        // One row at a time, each entry a lone `dot`: the order the
+        // paired factor must reproduce bit for bit.
+        let single = |a: &Matrix| {
+            let n = a.rows();
+            let mut l = Matrix::zeros(n, n);
+            for i in 0..n {
+                for j in 0..i {
+                    let s = a[(i, j)] - dot(&l.row(i)[..j], &l.row(j)[..j]);
+                    l[(i, j)] = s / l[(j, j)];
+                }
+                let li = &l.row(i)[..i];
+                l[(i, i)] = (a[(i, i)] - dot(li, li)).sqrt();
+            }
+            l
+        };
+        for n in [1, 2, 3, 10, 33, 200] {
+            let a = spd_large(n);
+            let got = super::try_factor(&a, 0.0).unwrap();
+            assert_eq!(got.as_slice(), single(&a).as_slice(), "n = {n}");
+        }
     }
 
     #[test]
-    fn blocked_detects_indefiniteness() {
-        let n = super::BLOCKED_MIN_DIM + 5;
-        let mut a = spd_large(n);
-        // Poison a late diagonal entry so failure surfaces in a
-        // trailing block, after several successful panels.
-        a[(n - 2, n - 2)] = -50.0;
-        a.symmetrize_mut();
-        assert!(super::try_factor_blocked(&a, 0.0).is_none());
+    fn factor_detects_late_indefiniteness() {
+        // Poison a late diagonal entry so failure surfaces after many
+        // rows have been factored, in both rows of a pair.
+        for n in [205, 206] {
+            let mut a = spd_large(n);
+            a[(n - 2, n - 2)] = -50.0;
+            a.symmetrize_mut();
+            assert!(super::try_factor(&a, 0.0).is_none(), "n = {n}");
+        }
     }
 
     #[test]
     fn large_solve_and_inverse_consistent() {
-        let n = super::BLOCKED_MIN_DIM + 1;
+        let n = 201;
         let a = spd_large(n);
         let ch = Cholesky::new(&a).unwrap();
         let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
@@ -847,19 +830,8 @@ mod tests {
     }
 
     #[test]
-    fn unblocked_and_blocked_agree_around_the_dispatch_size() {
-        for n in [super::BLOCKED_MIN_DIM - 1, super::BLOCKED_MIN_DIM] {
-            let a = spd_large(n);
-            let blocked = super::try_factor_blocked(&a, 0.0).unwrap();
-            let unblocked = super::try_factor_unblocked(&a, 0.0).unwrap();
-            let rel = rel_diff(&unblocked, &blocked);
-            assert!(rel < 1e-12, "n = {n}: relative difference {rel}");
-        }
-    }
-
-    #[test]
-    fn inverse_lower_is_an_inverse_at_dispatch_sizes() {
-        for n in [super::BLOCKED_MIN_DIM - 1, super::BLOCKED_MIN_DIM] {
+    fn inverse_lower_is_an_inverse_at_large_sizes() {
+        for n in [127, 200] {
             let ch = Cholesky::new(&spd_large(n)).unwrap();
             let prod = ch.l().matmul(&ch.inverse_lower());
             let err = prod.max_abs_diff(&Matrix::identity(n));
@@ -867,30 +839,75 @@ mod tests {
         }
     }
 
+    /// The plain row recurrence `row_i(L⁻¹) = −(1/L_ii) Σ_{k<i} L_ik ·
+    /// row_k(L⁻¹)`, one running sum per element in ascending `k` from
+    /// `k = j`: the reference the panel kernel must match bit for bit.
+    fn inverse_lower_reference(l: &Matrix) -> Matrix {
+        let n = l.rows();
+        let mut out = Matrix::zeros(n, n);
+        for i in 0..n {
+            let inv = 1.0 / l[(i, i)];
+            for j in 0..i {
+                let mut s = 0.0;
+                for k in j..i {
+                    s += l[(i, k)] * out[(k, j)];
+                }
+                out[(i, j)] = -s * inv;
+            }
+            out[(i, i)] = inv;
+        }
+        out
+    }
+
     #[test]
-    fn inverse_lower_column_blocks_match_unsplit_bitwise() {
-        // The parallel path assembles column blocks; any split must give
-        // exactly the single-block result.
-        let n = 97;
-        let ch = Cholesky::new(&spd_large(n)).unwrap();
-        let whole = super::inverse_lower_block(ch.l(), 0..n);
-        for pieces in [2, 3, 8] {
-            for cols in crate::matrix::row_chunks(n, pieces) {
-                let block = super::inverse_lower_block(ch.l(), cols.clone());
-                for (r, row) in block.chunks_exact(cols.len()).enumerate() {
-                    let i = cols.start + r;
-                    for (c, v) in row.iter().enumerate() {
-                        assert_eq!(
-                            v.to_bits(),
-                            whole[i * n + cols.start + c].to_bits(),
-                            "pieces {pieces}: entry ({i}, {})",
-                            cols.start + c
-                        );
+    fn inverse_lower_matches_row_recurrence_bitwise() {
+        for n in [1, 7, 8, 9, 127, 133, 200] {
+            let ch = Cholesky::new(&spd_large(n)).unwrap();
+            let want = inverse_lower_reference(ch.l());
+            assert_eq!(ch.inverse_lower().as_slice(), want.as_slice(), "n = {n}");
+            // Force the parallel panel split whatever the size.
+            let count = n.div_ceil(super::PANEL);
+            for pieces in [2, 3, 8] {
+                let panels: Vec<Vec<f64>> = crate::matrix::row_chunks(count, pieces)
+                    .into_par_iter()
+                    .map(|ps| {
+                        ps.map(|p| {
+                            let mut out = vec![0.0; (n - p * super::PANEL) * super::PANEL];
+                            super::inverse_lower_panel(ch.l(), p, &mut out);
+                            out
+                        })
+                        .collect::<Vec<_>>()
+                    })
+                    .collect::<Vec<_>>()
+                    .concat();
+                for (p, panel) in panels.iter().enumerate() {
+                    for (r, row) in panel.chunks_exact(super::PANEL).enumerate() {
+                        let i = p * super::PANEL + r;
+                        for (c, v) in row.iter().enumerate() {
+                            let j = p * super::PANEL + c;
+                            let w = if j < n { want[(i, j)] } else { 0.0 };
+                            assert_eq!(v.to_bits(), w.to_bits(), "n = {n}: ({i}, {j})");
+                        }
                     }
                 }
             }
         }
-        assert_eq!(ch.inverse_lower().as_slice(), &whole[..]);
+    }
+
+    #[test]
+    fn inverse_matches_identity_solves_and_is_symmetric() {
+        for n in [1, 5, 8, 9, 64, 127, 133, 200] {
+            let ch = Cholesky::new(&spd_large(n)).unwrap();
+            let inv = ch.inverse();
+            let dense = ch.solve_matrix(&Matrix::identity(n));
+            let rel = rel_diff(&inv, &dense);
+            assert!(rel < 1e-12, "n = {n}: relative difference {rel}");
+            for i in 0..n {
+                for j in 0..i {
+                    assert_eq!(inv[(i, j)].to_bits(), inv[(j, i)].to_bits());
+                }
+            }
+        }
     }
 
     #[test]
@@ -934,22 +951,6 @@ mod tests {
         let full = Cholesky::new(&a).unwrap();
         assert!(ch.l().max_abs_diff(full.l()) < 1e-11);
         assert_eq!(ch.jitter, 0.0);
-    }
-
-    #[test]
-    fn append_row_crosses_blocked_boundary() {
-        // Grow an unblocked-size factor past BLOCKED_MIN_DIM; appended
-        // rows must stay consistent with the blocked from-scratch path.
-        let n = super::BLOCKED_MIN_DIM + 3;
-        let a = spd_large(n);
-        let start = super::BLOCKED_MIN_DIM - 2;
-        let mut ch = Cholesky::new(&leading(&a, start)).unwrap();
-        for m in start..n {
-            let k_new: Vec<f64> = (0..m).map(|i| a[(i, m)]).collect();
-            ch.append_row(&k_new, a[(m, m)], 1e-4).unwrap();
-        }
-        let full = Cholesky::new(&a).unwrap();
-        assert!(ch.l().max_abs_diff(full.l()) < 1e-10);
     }
 
     #[test]

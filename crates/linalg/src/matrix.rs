@@ -569,6 +569,38 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     (s0 + s1) + (s2 + s3) + tail
 }
 
+/// `(dot(a, c), dot(b, c))` in one pass over `c`: each result runs
+/// exactly the accumulation of [`dot`] (same bits), and the two
+/// independent chains overlap.
+#[inline]
+pub(crate) fn dot2(a: &[f64], b: &[f64], c: &[f64]) -> (f64, f64) {
+    let b = &b[..a.len()];
+    let c = &c[..a.len()];
+    let (mut s0, mut s1, mut s2, mut s3) = (0.0, 0.0, 0.0, 0.0);
+    let (mut t0, mut t1, mut t2, mut t3) = (0.0, 0.0, 0.0, 0.0);
+    let (ca, cb, cc) = (a.chunks_exact(4), b.chunks_exact(4), c.chunks_exact(4));
+    let (ra, rb, rc) = (ca.remainder(), cb.remainder(), cc.remainder());
+    for ((x, y), z) in ca.zip(cb).zip(cc) {
+        s0 += x[0] * z[0];
+        s1 += x[1] * z[1];
+        s2 += x[2] * z[2];
+        s3 += x[3] * z[3];
+        t0 += y[0] * z[0];
+        t1 += y[1] * z[1];
+        t2 += y[2] * z[2];
+        t3 += y[3] * z[3];
+    }
+    let (mut tail_a, mut tail_b) = (0.0, 0.0);
+    for ((x, y), z) in ra.iter().zip(rb).zip(rc) {
+        tail_a += x * z;
+        tail_b += y * z;
+    }
+    (
+        (s0 + s1) + (s2 + s3) + tail_a,
+        (t0 + t1) + (t2 + t3) + tail_b,
+    )
+}
+
 /// Squared Euclidean norm.
 #[inline]
 pub fn norm2_sq(a: &[f64]) -> f64 {
@@ -675,6 +707,19 @@ mod tests {
         let b: Vec<f64> = (0..13).map(|i| (i as f64).sin()).collect();
         let naive: f64 = a.iter().zip(&b).map(|(x, y)| x * y).sum();
         assert!((dot(&a, &b) - naive).abs() < 1e-12);
+    }
+
+    #[test]
+    fn dot2_is_two_dots_bitwise() {
+        for n in 0..=40 {
+            let v = |i: usize, k: f64| (i as f64 * 1.3 + k).sin() / (k + 0.1);
+            let a: Vec<f64> = (0..n).map(|i| v(i, 1.0)).collect();
+            let b: Vec<f64> = (0..n).map(|i| v(i, 2.0)).collect();
+            let c: Vec<f64> = (0..n).map(|i| v(i, 3.0)).collect();
+            let (x, y) = dot2(&a, &b, &c);
+            assert_eq!(x.to_bits(), dot(&a, &c).to_bits(), "n = {n}");
+            assert_eq!(y.to_bits(), dot(&b, &c).to_bits(), "n = {n}");
+        }
     }
 
     #[test]

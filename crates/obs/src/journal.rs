@@ -75,6 +75,10 @@ pub enum Event {
         /// Whether the fit failed (no start converged), forcing the caller
         /// onto its fallback path.
         fallback: bool,
+        /// Likelihood evaluations summed over every start, `null` when
+        /// not reported (GP fits).
+        #[serde(default)]
+        evaluations: Option<u64>,
     },
     /// One multistart restart of the hyperparameter optimizer.
     Restart {

@@ -45,7 +45,7 @@ pub use metrics::{
 };
 pub use report::{
     profile_depth, render_profile, render_quality, render_report, summarize, worst_contributor,
-    ContributorQuality, JournalReport, StageSummary, WarmstartSummary,
+    ContributorQuality, FitEvalSummary, JournalReport, StageSummary, WarmstartSummary,
 };
 pub use scope::{scope_active, scope_begin, scope_count, scope_end, ScopeStats};
 pub use slo::{

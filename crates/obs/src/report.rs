@@ -114,6 +114,10 @@ pub struct JournalReport {
     /// `lcm`).
     #[serde(default)]
     pub warmstarts: BTreeMap<String, WarmstartSummary>,
+    /// Likelihood evaluations of the fits that report them, per
+    /// surrogate model (today `lcm`).
+    #[serde(default)]
+    pub fit_evaluations: BTreeMap<String, FitEvalSummary>,
     /// Transient evaluation failures retried by the tuner's retry policy.
     #[serde(default)]
     pub retries: u64,
@@ -196,6 +200,26 @@ pub struct WarmstartSummary {
     pub iterations: u64,
 }
 
+/// Fits of one surrogate model that reported their likelihood
+/// evaluations.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+pub struct FitEvalSummary {
+    /// Fits counted.
+    pub fits: u64,
+    /// Likelihood evaluations summed over those fits.
+    pub evaluations: u64,
+    /// Wall-clock microseconds summed over those fits.
+    pub duration_us: u64,
+}
+
+impl FitEvalSummary {
+    /// Mean wall-clock microseconds per likelihood evaluation (fit time
+    /// divided by evaluations, so it includes the per-fit setup).
+    pub fn us_per_evaluation(&self) -> Option<f64> {
+        (self.evaluations > 0).then(|| self.duration_us as f64 / self.evaluations as f64)
+    }
+}
+
 /// Per-contributor slice of the data-quality rollup.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ContributorQuality {
@@ -256,13 +280,21 @@ pub fn summarize(journal: &str, events: &[Event]) -> JournalReport {
                     .add(*duration_us);
             }
             Event::Fit {
+                model,
                 duration_us,
                 fallback,
+                evaluations,
                 ..
             } => {
                 r.fits += 1;
                 if *fallback {
                     r.fit_fallbacks += 1;
+                }
+                if let Some(evals) = evaluations {
+                    let f = r.fit_evaluations.entry(model.clone()).or_default();
+                    f.fits += 1;
+                    f.evaluations += evals;
+                    f.duration_us += duration_us;
                 }
                 r.stages
                     .entry("fit".to_string())
@@ -571,6 +603,24 @@ pub fn render_report(r: &JournalReport) -> String {
             ));
         }
     }
+    if !r.fit_evaluations.is_empty() {
+        out.push_str("\nlikelihood evaluations\n");
+        out.push_str(&format!(
+            "  {:<12} {:>8} {:>12} {:>12} {:>12}\n",
+            "model", "fits", "evaluations", "mean_evals", "us_per_eval"
+        ));
+        for (model, f) in &r.fit_evaluations {
+            out.push_str(&format!(
+                "  {:<12} {:>8} {:>12} {:>12.1} {:>12}\n",
+                model,
+                f.fits,
+                f.evaluations,
+                f.evaluations as f64 / f.fits.max(1) as f64,
+                f.us_per_evaluation()
+                    .map_or("-".to_string(), |us| format!("{us:.1}"))
+            ));
+        }
+    }
     out.push_str("\nnumerical recoveries\n");
     out.push_str(&format!(
         "  jitter escalations  {:>8}\n",
@@ -760,6 +810,43 @@ mod tests {
             .find(|l| l.trim_start().starts_with("gp "))
             .unwrap();
         assert!(row.trim_end().ends_with('-'), "{row}");
+    }
+
+    #[test]
+    fn lcm_fit_evaluations_are_summarized() {
+        let fit = |model: &str, duration_us, evaluations| Event::Fit {
+            model: model.into(),
+            points: 132,
+            restarts: 1,
+            nll: Some(1.0),
+            duration_us,
+            fallback: false,
+            evaluations,
+        };
+        let events = vec![
+            fit("gp", 500, None),
+            fit("lcm", 30_000, Some(20)),
+            fit("lcm", 66_000, Some(44)),
+        ];
+        let r = summarize("j", &events);
+        assert_eq!(r.fits, 3);
+        assert!(!r.fit_evaluations.contains_key("gp"));
+        let lcm = &r.fit_evaluations["lcm"];
+        assert_eq!(
+            (lcm.fits, lcm.evaluations, lcm.duration_us),
+            (2, 64, 96_000)
+        );
+        assert_eq!(lcm.us_per_evaluation(), Some(1500.0));
+        let text = render_report(&r);
+        let row = text
+            .lines()
+            .skip_while(|l| !l.starts_with("likelihood evaluations"))
+            .find(|l| l.trim_start().starts_with("lcm"))
+            .unwrap();
+        assert!(
+            row.contains("32.0") && row.trim_end().ends_with("1500.0"),
+            "{row}"
+        );
     }
 
     #[test]

@@ -41,6 +41,7 @@ fn all_variants() -> Vec<Event> {
             nll: Some(-3.75),
             duration_us: 12_000,
             fallback: false,
+            evaluations: Some(21),
         },
         Event::Restart {
             index: 2,

@@ -225,6 +225,7 @@ mod tests {
                 nll: Some(1.0),
                 duration_us: us,
                 fallback: false,
+                evaluations: None,
             });
             ev.push(Event::Iteration {
                 iter: i as u64,

@@ -175,6 +175,7 @@ fn synthetic_run(tuner: &str, run: &str) -> Vec<obs::Event> {
             nll: Some(0.5),
             duration_us: 120,
             fallback: false,
+            evaluations: None,
         },
         obs::Event::RunEnd {
             iterations: 4,
