@@ -5,8 +5,9 @@
 //!
 //! - `--record`: appends a `TrajectoryEntry` to the trajectory file, or
 //! - `--check`: compares against the per-stat median of the recorded
-//!   trajectory and exits non-zero with a readable diff when any stat
-//!   exceeds `baseline * (1 + band)`.
+//!   trajectory at the run's thread count and exits non-zero with a
+//!   readable diff when any stat exceeds `baseline * (1 + band)` or has
+//!   no recorded baseline at that thread count.
 //!
 //! ```text
 //! bench_gate --record [--label ci-2026-08-06]
@@ -20,8 +21,7 @@ use std::process::ExitCode;
 
 use crowdtune_bench::arg_value;
 use crowdtune_bench::gate::{
-    check, collect_stats, load_trajectory, render_regressions, save_trajectory, TrajectoryEntry,
-    DEFAULT_BAND,
+    check, collect_stats, load_trajectory, save_trajectory, TrajectoryEntry, DEFAULT_BAND,
 };
 
 fn run() -> Result<ExitCode, String> {
@@ -73,17 +73,17 @@ fn run() -> Result<ExitCode, String> {
             "no trajectory at {trajectory_path}; run bench_gate --record first"
         ));
     }
-    let regressions = check(&history, threads, &stats, band);
-    if regressions.is_empty() {
+    let verdict = check(&history, threads, &stats, band);
+    if verdict.passed() {
         println!(
-            "bench gate: {} stat(s) within baseline * {:.2} ({} trajectory entr(ies))",
+            "bench gate: {} stat(s) within baseline * {:.2} at threads={threads} ({} trajectory entr(ies))",
             stats.len(),
             1.0 + band,
             history.len()
         );
         Ok(ExitCode::SUCCESS)
     } else {
-        eprint!("{}", render_regressions(&regressions, band));
+        eprint!("{}", verdict.render(band, threads));
         Ok(ExitCode::FAILURE)
     }
 }

@@ -17,6 +17,8 @@
 //! stat's history (the median is robust to one noisy entry) and flags
 //! any stat that exceeds `baseline * (1 + band)`. The default band of
 //! 0.75 tolerates CI jitter while a genuine 2x regression still fails.
+//! A stat with no history at the run's thread count fails too: only
+//! `bench_gate --record` may give it a baseline.
 
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -106,6 +108,43 @@ impl Regression {
     /// `current / baseline` — 2.0 means twice as slow as the baseline.
     pub fn ratio(&self) -> f64 {
         self.current / self.baseline
+    }
+}
+
+/// What [`check`] found: the stats past the noise band, and the stats
+/// the trajectory holds no baseline for. Either kind fails the gate.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct Verdict {
+    /// Stats exceeding `baseline * (1 + band)`.
+    pub regressions: Vec<Regression>,
+    /// Stats the run measured that no trajectory entry at its thread
+    /// count holds, in name order.
+    pub unbaselined: Vec<String>,
+}
+
+impl Verdict {
+    /// True when no stat regressed and every stat had a baseline.
+    pub fn passed(&self) -> bool {
+        self.regressions.is_empty() && self.unbaselined.is_empty()
+    }
+
+    /// Readable failure report: the regressions worst first (see
+    /// [`render_regressions`]), then every unbaselined stat by name.
+    pub fn render(&self, band: f64, threads: usize) -> String {
+        let mut out = String::new();
+        if !self.regressions.is_empty() {
+            out.push_str(&render_regressions(&self.regressions, band));
+        }
+        if !self.unbaselined.is_empty() {
+            out.push_str(&format!(
+                "no baseline at threads={threads} for {} stat(s); record one with bench_gate --record:\n",
+                self.unbaselined.len()
+            ));
+            for stat in &self.unbaselined {
+                out.push_str(&format!("  {stat}\n"));
+            }
+        }
+        out
     }
 }
 
@@ -219,18 +258,18 @@ fn median(mut v: Vec<f64>) -> f64 {
 
 /// Checks `current` against the per-stat median of `history`.
 ///
-/// Stats absent from the history pass (there is nothing to regress
-/// against); stats absent from `current` are ignored — the gate only
-/// judges what the run under test actually measured. Only entries with
-/// the same thread count participate in the baseline, since parallel
-/// speedups are thread-dependent.
+/// Only entries with the same thread count participate in the
+/// baseline, since parallel speedups are thread-dependent. A stat with
+/// no such entry is reported as unbaselined rather than passed; stats
+/// absent from `current` are ignored — the gate only judges what the
+/// run under test actually measured.
 pub fn check(
     history: &[TrajectoryEntry],
     threads: usize,
     current: &BTreeMap<String, f64>,
     band: f64,
-) -> Vec<Regression> {
-    let mut regressions = Vec::new();
+) -> Verdict {
+    let mut verdict = Verdict::default();
     for (stat, &value) in current {
         let past: Vec<f64> = history
             .iter()
@@ -238,18 +277,19 @@ pub fn check(
             .filter_map(|e| e.stats.get(stat).copied())
             .collect();
         if past.is_empty() {
+            verdict.unbaselined.push(stat.clone());
             continue;
         }
         let baseline = median(past);
         if baseline > 0.0 && value > baseline * (1.0 + band) {
-            regressions.push(Regression {
+            verdict.regressions.push(Regression {
                 stat: stat.clone(),
                 baseline,
                 current: value,
             });
         }
     }
-    regressions
+    verdict
 }
 
 /// Renders a readable diff of the regressions, worst first.
@@ -465,7 +505,7 @@ mod tests {
         ];
         // 2x the median fit time: outside the 0.75 band.
         let (_, current) = collect_stats(HOTPATH, &journal_with_fit(10_000)).unwrap();
-        let regressions = check(&history, 1, &current, DEFAULT_BAND);
+        let regressions = check(&history, 1, &current, DEFAULT_BAND).regressions;
         assert_eq!(regressions.len(), 1);
         assert_eq!(regressions[0].stat, "norm.fit");
         assert!((regressions[0].baseline - 1.0).abs() < 1e-12);
@@ -477,10 +517,16 @@ mod tests {
 
     #[test]
     fn stats_within_the_band_pass() {
-        let history = vec![entry(&[("norm.fit", 2.0)]), entry(&[("norm.fit", 1.8)])];
+        let costs = [("cost.lcm_fit_n260", 0.4), ("cost.matmul_256", 0.95)];
+        let history = vec![
+            entry(&[("norm.fit", 2.0), costs[0], costs[1]]),
+            entry(&[("norm.fit", 1.8), costs[0], costs[1]]),
+        ];
         // current norm.fit = 2.0: equal to the median, well inside the band.
         let (_, current) = collect_stats(HOTPATH, &journal_with_fit(10_000)).unwrap();
-        assert!(check(&history, 1, &current, DEFAULT_BAND).is_empty());
+        let verdict = check(&history, 1, &current, DEFAULT_BAND);
+        assert!(verdict.passed(), "{verdict:?}");
+        assert_eq!(verdict.render(DEFAULT_BAND, 1), "");
     }
 
     #[test]
@@ -489,9 +535,44 @@ mod tests {
         fast.threads = 8;
         let history = vec![fast];
         let (_, current) = collect_stats(HOTPATH, &journal_with_fit(10_000)).unwrap();
-        // Only an 8-thread baseline exists; a 1-thread run has no baseline.
-        assert!(check(&history, 1, &current, DEFAULT_BAND).is_empty());
-        assert_eq!(check(&history, 8, &current, DEFAULT_BAND).len(), 1);
+        // Only an 8-thread baseline exists: a 1-thread run has no
+        // baseline for any stat, and fails on every one of them.
+        let at_one = check(&history, 1, &current, DEFAULT_BAND);
+        assert!(at_one.regressions.is_empty());
+        assert_eq!(
+            at_one.unbaselined,
+            ["cost.lcm_fit_n260", "cost.matmul_256", "norm.fit"]
+        );
+        let at_eight = check(&history, 8, &current, DEFAULT_BAND);
+        assert_eq!(at_eight.regressions.len(), 1);
+        assert_eq!(
+            at_eight.unbaselined,
+            ["cost.lcm_fit_n260", "cost.matmul_256"]
+        );
+    }
+
+    #[test]
+    fn unbaselined_stat_fails_the_gate_and_is_named() {
+        // Every stat is inside the band except one the trajectory has
+        // never recorded: the gate fails on that one alone.
+        let mut two = entry(&[("norm.fit", 2.0), ("cost.lcm_fit_n260", 0.4)]);
+        two.threads = 2;
+        let (_, current) = collect_stats(HOTPATH, &journal_with_fit(10_000)).unwrap();
+        let verdict = check(&[two.clone()], 2, &current, DEFAULT_BAND);
+        assert!(!verdict.passed());
+        assert!(verdict.regressions.is_empty());
+        assert_eq!(verdict.unbaselined, ["cost.matmul_256"]);
+        let report = verdict.render(DEFAULT_BAND, 2);
+        assert!(report.contains("no baseline at threads=2"), "{report}");
+        assert!(report.contains("cost.matmul_256"), "{report}");
+        assert!(!report.contains("norm.fit"), "{report}");
+        // Recording the run gives it a baseline; the same run then passes.
+        let recorded = TrajectoryEntry {
+            label: "recorded".into(),
+            threads: 2,
+            stats: current.clone(),
+        };
+        assert!(check(&[two, recorded], 2, &current, DEFAULT_BAND).passed());
     }
 
     #[test]

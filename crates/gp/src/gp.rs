@@ -10,6 +10,7 @@ use crowdtune_linalg::{lbfgs, Bounds, Cholesky, LbfgsOptions, LbfgsResult, Matri
 use crowdtune_obs as obs;
 use rand::Rng;
 use rayon::prelude::*;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Hyperparameter bounds in log space (sane for y standardized to unit
 /// variance over the unit cube).
@@ -113,6 +114,9 @@ impl std::error::Error for GpError {}
 #[derive(Debug, Clone)]
 pub struct Gp {
     kernel: Kernel,
+    /// The kernel's exponentiated hyperparameters, hoisted once per fit
+    /// so every prediction and append reuses them.
+    params: KernelParams,
     log_noise: f64,
     x: Vec<Vec<f64>>,
     alpha: Vec<f64>,
@@ -208,7 +212,9 @@ impl Gp {
         // every restart.
         let sq = kernel0.precompute_sq_dists(x);
 
+        let evaluations = AtomicUsize::new(0);
         let objective = |theta: &[f64]| -> (f64, Vec<f64>) {
+            evaluations.fetch_add(1, Ordering::Relaxed);
             let mut kern = kernel0.clone();
             kern.unpack(&theta[..n_kernel]);
             let log_noise = if fixed_noise {
@@ -280,10 +286,11 @@ impl Gp {
                 nll: None,
                 duration_us: fit_span.elapsed_ns() / 1_000,
                 fallback: true,
-                evaluations: None,
+                evaluations: Some(evaluations.load(Ordering::Relaxed) as u64),
             });
             return Err(GpError::NumericalFailure);
         };
+        let evaluations = evaluations.into_inner();
         obs::record_with(|| obs::Event::Fit {
             model: "gp".to_string(),
             points: n as u64,
@@ -291,7 +298,7 @@ impl Gp {
             nll: obs::finite(nlml),
             duration_us: fit_span.elapsed_ns() / 1_000,
             fallback: false,
-            evaluations: None,
+            evaluations: Some(evaluations as u64),
         });
 
         let mut kernel = kernel0;
@@ -301,13 +308,17 @@ impl Gp {
         } else {
             theta[n_kernel]
         };
-        let k = build_covariance(&kernel, log_noise, x);
+        // The objective's kernel pass over the same distance cache: K is
+        // bitwise the matrix whose likelihood won.
+        let params = kernel.params();
+        let (k, _) = covariance_pass(&kernel, &params, log_noise.exp(), &sq);
         let chol = Cholesky::robust(&k).map_err(|_| GpError::NumericalFailure)?;
         let alpha = chol.solve_vec(&ys);
         let linv = chol.inverse_lower();
 
         Ok(Gp {
             kernel,
+            params,
             log_noise,
             x: x.to_vec(),
             alpha,
@@ -340,7 +351,8 @@ impl Gp {
             y_std = 1.0;
         }
         let ys: Vec<f64> = y.iter().map(|v| (v - y_mean) / y_std).collect();
-        let k = build_covariance(&kernel, log_noise, x);
+        let params = kernel.params();
+        let k = build_covariance(&kernel, &params, log_noise, x);
         let chol = Cholesky::robust(&k).map_err(|_| GpError::NumericalFailure)?;
         let alpha = chol.solve_vec(&ys);
         let linv = chol.inverse_lower();
@@ -350,6 +362,7 @@ impl Gp {
             - 0.5 * n * (2.0 * std::f64::consts::PI).ln();
         Ok(Gp {
             kernel,
+            params,
             log_noise,
             x: x.to_vec(),
             alpha,
@@ -385,13 +398,10 @@ impl Gp {
                 got: xnew.len(),
             });
         }
-        let params = self.kernel.params();
         let sn2 = self.log_noise.exp();
         let mut k_new = vec![0.0; self.x.len()];
-        for (k, xi) in k_new.iter_mut().zip(self.x.iter()) {
-            *k = self.kernel.eval_params(xnew, xi, &params);
-        }
-        let k_diag = self.kernel.eval_params(xnew, xnew, &params) + sn2;
+        self.fill_kstar(xnew, &mut k_new);
+        let k_diag = self.kernel.eval_params(xnew, xnew, &self.params) + sn2;
         // Same jitter ceiling policy as `Cholesky::robust`, scaled by the
         // appended diagonal.
         let max_jitter = 1e-4 * k_diag.abs().max(1e-12);
@@ -415,7 +425,7 @@ impl Gp {
     /// standardization. This is the reference the incremental append
     /// path is equivalent to, and the fallback when an append fails.
     pub fn refit_at_current_hypers(&mut self) -> Result<(), GpError> {
-        let k = build_covariance(&self.kernel, self.log_noise, &self.x);
+        let k = build_covariance(&self.kernel, &self.params, self.log_noise, &self.x);
         let chol = Cholesky::robust(&k).map_err(|_| GpError::NumericalFailure)?;
         self.alpha = chol.solve_vec(&self.ys);
         self.linv = chol.inverse_lower();
@@ -449,25 +459,22 @@ impl Gp {
 
     /// Posterior prediction at a unit-cube point.
     pub fn predict(&self, xstar: &[f64]) -> Prediction {
-        let params = self.kernel.params();
         let mut kstar = vec![0.0; self.x.len()];
-        self.fill_kstar(xstar, &params, &mut kstar);
-        self.posterior_from_kstar(&kstar, &params)
+        self.fill_kstar(xstar, &mut kstar);
+        self.posterior_from_kstar(&kstar)
     }
 
-    /// Batch prediction: hoists the θ-dependent kernel constants once,
-    /// assembles the cross-covariance block-wise, and computes all
-    /// variances with one triangular axpy sweep per block (`V = L⁻¹K*`
-    /// vectorized across candidates). Entry `j` is bitwise identical to
-    /// `self.predict(&xs[j])`: every scalar result accumulates in the
-    /// same order as the per-point path.
+    /// Batch prediction: assembles the cross-covariance block-wise and
+    /// computes all variances with one triangular axpy sweep per block
+    /// (`V = L⁻¹K*` vectorized across candidates). Entry `j` is bitwise
+    /// identical to `self.predict(&xs[j])`: every scalar result
+    /// accumulates in the same order as the per-point path.
     pub fn predict_batch(&self, xs: &[Vec<f64>]) -> Vec<Prediction> {
         let m = xs.len();
         if m == 0 {
             return Vec::new();
         }
         let n = self.x.len();
-        let params = self.kernel.params();
         let threads = rayon::current_num_threads();
         let process_block = |block: &[Vec<f64>]| -> Vec<Prediction> {
             let b = block.len();
@@ -475,7 +482,7 @@ impl Gp {
             let mut means = vec![0.0; b];
             let mut kstar = vec![0.0; n];
             for (j, x) in block.iter().enumerate() {
-                self.fill_kstar(x, &params, &mut kstar);
+                self.fill_kstar(x, &mut kstar);
                 means[j] = crowdtune_linalg::dot(&kstar, &self.alpha);
                 for (k, &ks) in kstar.iter().enumerate() {
                     kt[(k, j)] = ks;
@@ -504,7 +511,7 @@ impl Gp {
                 .iter()
                 .zip(&qf)
                 .map(|(&mean_s, &q)| {
-                    let var_s = (params.sf2 - q).max(0.0);
+                    let var_s = (self.params.sf2 - q).max(0.0);
                     Prediction {
                         mean: self.y_mean + self.y_std * mean_s,
                         std: self.y_std * var_s.sqrt(),
@@ -526,9 +533,9 @@ impl Gp {
 
     /// Cross-covariance vector `k* = K(xstar, X)` with hoisted params.
     #[inline]
-    fn fill_kstar(&self, xstar: &[f64], params: &KernelParams, kstar: &mut [f64]) {
+    fn fill_kstar(&self, xstar: &[f64], kstar: &mut [f64]) {
         for (k, xi) in kstar.iter_mut().zip(self.x.iter()) {
-            *k = self.kernel.eval_params(xstar, xi, params);
+            *k = self.kernel.eval_params(xstar, xi, &self.params);
         }
     }
 
@@ -536,103 +543,58 @@ impl Gp {
     /// `sf2 - ||L^{-1} k*||^2` computed against the precomputed inverse
     /// factor: independent per-row reductions instead of a loop-carried
     /// triangular solve, at half the flops of a `K^{-1}` quadratic
-    /// form. Each `v_i` uses a single accumulator over ascending `k` so
-    /// the result is bitwise identical to the blocked axpy sweep in
-    /// [`Gp::predict_batch`].
+    /// form. Rows go four at a time so four independent dependency
+    /// chains are in flight, but each `v_i` still uses a single
+    /// accumulator over ascending `k` and `qf` adds `v_i²` in ascending
+    /// `i`, so the result is bitwise identical to one row at a time and
+    /// to the blocked axpy sweep in [`Gp::predict_batch`].
     #[inline]
-    fn posterior_from_kstar(&self, kstar: &[f64], params: &KernelParams) -> Prediction {
+    fn posterior_from_kstar(&self, kstar: &[f64]) -> Prediction {
         let mean_s = crowdtune_linalg::dot(kstar, &self.alpha);
+        let n = kstar.len();
         let mut qf = 0.0;
-        for i in 0..kstar.len() {
-            let li = &self.linv.row(i)[..=i];
+        let mut i = 0;
+        while i + 4 <= n {
+            // Rows i..i+4 share the columns 0..=i; each row's remaining
+            // triangle columns follow, still in ascending k.
+            let ks = &kstar[..=i];
+            let r0 = &self.linv.row(i)[..=i];
+            let r1 = &self.linv.row(i + 1)[..=i + 1];
+            let r2 = &self.linv.row(i + 2)[..=i + 2];
+            let r3 = &self.linv.row(i + 3)[..=i + 3];
+            let (mut v0, mut v1, mut v2, mut v3) = (0.0, 0.0, 0.0, 0.0);
+            for (k, &s) in ks.iter().enumerate() {
+                v0 += r0[k] * s;
+                v1 += r1[k] * s;
+                v2 += r2[k] * s;
+                v3 += r3[k] * s;
+            }
+            let s1 = kstar[i + 1];
+            v1 += r1[i + 1] * s1;
+            v2 += r2[i + 1] * s1;
+            v3 += r3[i + 1] * s1;
+            let s2 = kstar[i + 2];
+            v2 += r2[i + 2] * s2;
+            v3 += r3[i + 2] * s2;
+            v3 += r3[i + 3] * kstar[i + 3];
+            qf += v0 * v0;
+            qf += v1 * v1;
+            qf += v2 * v2;
+            qf += v3 * v3;
+            i += 4;
+        }
+        for i in i..n {
             let mut vi = 0.0;
-            for (a, b) in li.iter().zip(&kstar[..=i]) {
+            for (a, b) in self.linv.row(i)[..=i].iter().zip(&kstar[..=i]) {
                 vi += a * b;
             }
             qf += vi * vi;
         }
-        let var_s = (params.sf2 - qf).max(0.0);
+        let var_s = (self.params.sf2 - qf).max(0.0);
         Prediction {
             mean: self.y_mean + self.y_std * mean_s,
             std: self.y_std * var_s.sqrt(),
         }
-    }
-
-    /// Draw one joint sample of the latent function at the query points
-    /// (the "samples drawn from the trained surrogate model" of the
-    /// paper's Sobol description; also the primitive behind Thompson
-    /// sampling). Returns one value per query point, in original y units.
-    pub fn sample_joint<R: Rng>(&self, xs: &[Vec<f64>], rng: &mut R) -> Vec<f64> {
-        let m = xs.len();
-        if m == 0 {
-            return Vec::new();
-        }
-        // Posterior mean and covariance at the query points.
-        let n = self.x.len();
-        let mut kstar = Matrix::zeros(n, m);
-        for (j, xq) in xs.iter().enumerate() {
-            for (i, xi) in self.x.iter().enumerate() {
-                kstar[(i, j)] = self.kernel.eval(xq, xi);
-            }
-        }
-        let mut mean = vec![0.0; m];
-        for (j, mj) in mean.iter_mut().enumerate() {
-            let col = kstar.col(j);
-            *mj = crowdtune_linalg::dot(&col, &self.alpha);
-        }
-        // Cov = K(X*,X*) - V^T V with V = L^{-1} K(X, X*).
-        let mut v = Matrix::zeros(n, m);
-        let mut colbuf = vec![0.0; n];
-        for j in 0..m {
-            for i in 0..n {
-                colbuf[i] = kstar[(i, j)];
-            }
-            let solved = self.chol.solve_lower_vec(&colbuf);
-            for i in 0..n {
-                v[(i, j)] = solved[i];
-            }
-        }
-        let mut cov = Matrix::zeros(m, m);
-        for a in 0..m {
-            for b in a..m {
-                let mut kab = self.kernel.eval(&xs[a], &xs[b]);
-                for i in 0..n {
-                    kab -= v[(i, a)] * v[(i, b)];
-                }
-                cov[(a, b)] = kab;
-                cov[(b, a)] = kab;
-            }
-        }
-        // Sample z ~ N(0, I), return mean + L_cov z (jitter-robust).
-        let z: Vec<f64> = (0..m)
-            .map(|_| {
-                let u1: f64 = rng.gen::<f64>().max(1e-12);
-                let u2: f64 = rng.gen();
-                (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
-            })
-            .collect();
-        let sample_s = match Cholesky::robust(&cov) {
-            Ok(ch) => {
-                let l = ch.l();
-                (0..m)
-                    .map(|a| {
-                        let mut s = mean[a];
-                        for b in 0..=a {
-                            s += l[(a, b)] * z[b];
-                        }
-                        s
-                    })
-                    .collect::<Vec<f64>>()
-            }
-            // Degenerate covariance: fall back to independent marginals.
-            Err(_) => (0..m)
-                .map(|a| mean[a] + cov[(a, a)].max(0.0).sqrt() * z[a])
-                .collect(),
-        };
-        sample_s
-            .into_iter()
-            .map(|s| self.y_mean + self.y_std * s)
-            .collect()
     }
 
     /// The log marginal likelihood of the fitted model (standardized y).
@@ -686,20 +648,54 @@ fn out_of_bounds(theta: &[f64], n_kernel: usize, fixed_noise: bool) -> bool {
     false
 }
 
-/// Build `K = K_f + sn2 I`.
-pub(crate) fn build_covariance(kernel: &Kernel, log_noise: f64, x: &[Vec<f64>]) -> Matrix {
+/// Build `K = K_f + sn2 I` from hoisted kernel params.
+fn build_covariance(
+    kernel: &Kernel,
+    params: &KernelParams,
+    log_noise: f64,
+    x: &[Vec<f64>],
+) -> Matrix {
     let n = x.len();
     let sn2 = log_noise.exp();
     let mut k = Matrix::zeros(n, n);
     for i in 0..n {
         for j in i..n {
-            let v = kernel.eval(&x[i], &x[j]);
+            let v = kernel.eval_params(&x[i], &x[j], params);
             k[(i, j)] = v;
             k[(j, i)] = v;
         }
         k[(i, i)] += sn2;
     }
     k
+}
+
+/// The likelihood's kernel pass over the fit-lifetime distance cache:
+/// `K = K_f + sn2 I` plus, per upper-triangle pair in [`SqDists`] order,
+/// the kernel value and its lengthscale-gradient factor (`kf[2p]`,
+/// `kf[2p + 1]`), both from one fused evaluation (one `sqrt`, one
+/// `exp`).
+fn covariance_pass(
+    kernel: &Kernel,
+    params: &KernelParams,
+    sn2: f64,
+    sq: &SqDists,
+) -> (Matrix, Vec<f64>) {
+    let n = sq.n();
+    let mut k = Matrix::zeros(n, n);
+    let mut kf = vec![0.0; n * (n + 1)];
+    let mut pair = 0;
+    for i in 0..n {
+        for j in i..n {
+            let (v, factor) = kernel.eval_with_factor(sq.pair(i, j), params);
+            kf[2 * pair] = v;
+            kf[2 * pair + 1] = factor;
+            k[(i, j)] = v;
+            k[(j, i)] = v;
+            pair += 1;
+        }
+        k[(i, i)] += sn2;
+    }
+    (k, kf)
 }
 
 /// Run L-BFGS from every start — in parallel when requested and more
@@ -762,55 +758,54 @@ fn nlml_with_grad(
     ys: &[f64],
 ) -> Option<(f64, Vec<f64>)> {
     let n = sq.n();
-    let p_kernel = kernel.n_hyper();
     let sn2 = log_noise.exp();
     let params = kernel.params();
-
-    // Covariance and per-pair hyperparameter gradients, from cached
-    // distances: no per-pair allocation, no per-pair hyperparameter exp.
-    let mut k = Matrix::zeros(n, n);
-    let mut dk: Vec<Matrix> = (0..p_kernel).map(|_| Matrix::zeros(n, n)).collect();
-    let mut grad_buf = vec![0.0; p_kernel];
-    for i in 0..n {
-        for j in i..n {
-            let v = kernel.eval_with_grad_precomputed(sq.pair(i, j), &params, &mut grad_buf);
-            k[(i, j)] = v;
-            k[(j, i)] = v;
-            for (p, &g) in grad_buf.iter().enumerate() {
-                dk[p][(i, j)] = g;
-                dk[p][(j, i)] = g;
-            }
-        }
-        k[(i, i)] += sn2;
-    }
+    let (k, kf) = covariance_pass(kernel, &params, sn2, sq);
 
     let chol = Cholesky::robust(&k).ok()?;
     let alpha = chol.solve_vec(ys);
     let nlml = 0.5 * crowdtune_linalg::dot(ys, &alpha)
         + 0.5 * chol.log_det()
         + 0.5 * n as f64 * (2.0 * std::f64::consts::PI).ln();
+    let kinv = chol.inverse();
 
-    // W = alpha alpha^T - K^{-1}; dNLML/dtheta_p = -0.5 tr(W dK/dtheta_p).
-    // Materializing W once turns every trace into a single fused dot over
-    // contiguous buffers instead of an O(n^2) recomputation per parameter.
-    let mut w = chol.inverse();
+    // dNLML/dθ = -0.5 Σ_ij W_ij dK_ij/dθ with W = αα^T - K^{-1}, formed
+    // pair by pair over the upper triangle (off-diagonal pairs count
+    // twice) and never stored. One sweep sums Σ w·k (signal variance),
+    // Σ w·factor·sq_d (lengthscales, scaled by 1/ls_d² at the end) and
+    // the diagonal trace (noise).
+    let mut wk = 0.0;
+    let mut wg = vec![0.0; kernel.dim()];
+    let mut tr = 0.0;
+    let mut pair = 0;
     for i in 0..n {
+        let kinv_i = kinv.row(i);
         let ai = alpha[i];
-        let row = w.row_mut(i);
-        for (wj, &aj) in row.iter_mut().zip(alpha.iter()) {
-            *wj = ai * aj - *wj;
+        for j in i..n {
+            let w = ai * alpha[j] - kinv_i[j];
+            let ws = if j == i {
+                tr += w;
+                w
+            } else {
+                2.0 * w
+            };
+            wk += ws * kf[2 * pair];
+            let c = ws * kf[2 * pair + 1];
+            for (g, &s) in wg.iter_mut().zip(sq.pair(i, j)) {
+                *g += c * s;
+            }
+            pair += 1;
         }
     }
-    let mut grad = vec![0.0; p_kernel + 1];
-    for (p, dkp) in dk.iter().enumerate() {
-        grad[p] = -0.5 * crowdtune_linalg::dot(w.as_slice(), dkp.as_slice());
-    }
+    let mut grad: Vec<f64> = wg
+        .iter()
+        .zip(&params.inv_ls2)
+        .map(|(g, inv)| -0.5 * inv * g)
+        .collect();
+    // dK/d log sf2 = K_f.
+    grad.push(-0.5 * wk);
     // Noise gradient: dK/d log sn2 = sn2 I.
-    let mut tr = 0.0;
-    for i in 0..n {
-        tr += w[(i, i)];
-    }
-    grad[p_kernel] = -0.5 * sn2 * tr;
+    grad.push(-0.5 * sn2 * tr);
 
     Some((nlml, grad))
 }
@@ -984,49 +979,266 @@ mod tests {
         for (q, b) in qs.iter().zip(&batch) {
             assert_eq!(*b, gp.predict(q));
         }
-    }
-
-    #[test]
-    fn joint_samples_track_posterior() {
-        let (x, y) = toy_data(25, 31);
-        let mut config = GpConfig::continuous(1);
-        config.noise = NoiseModel::Fixed(1e-6);
-        let mut rng = StdRng::seed_from_u64(32);
-        let gp = Gp::fit(&x, &y, &config, &mut rng).unwrap();
-        let qs: Vec<Vec<f64>> = vec![vec![0.2], vec![0.5], vec![0.05]];
-        // Mean of many joint samples approaches the posterior mean, and
-        // samples at training-adjacent points have low spread.
-        let mut sums = [0.0; 3];
-        let k = 200;
-        for _ in 0..k {
-            let s = gp.sample_joint(&qs, &mut rng);
-            for (acc, v) in sums.iter_mut().zip(&s) {
-                *acc += v;
+        // 12-D Hypre-kind inputs at sizes that are not multiples of the
+        // posterior's four-row groups, with enough candidates for two
+        // batch blocks.
+        for n in [1, 3, 4, 5, 131, 200] {
+            let gp = hypre_like_gp(n, 40 + n as u64);
+            let qs = hypre_like_points(300, 7 * n as u64);
+            let batch = gp.predict_batch(&qs);
+            for (q, b) in qs.iter().zip(&batch) {
+                assert_eq!(*b, gp.predict(q), "n = {n}");
             }
         }
-        for (j, q) in qs.iter().enumerate() {
-            let p = gp.predict(q);
-            let emp_mean = sums[j] / k as f64;
-            assert!(
-                (emp_mean - p.mean).abs() < 0.2 + 3.0 * p.std / (k as f64).sqrt() * 3.0,
-                "q{j}: emp {emp_mean} vs post {}",
-                p.mean
-            );
+    }
+
+    /// The one-row-at-a-time posterior: each `v_i = L⁻¹[i,:]·k*` in
+    /// turn, `qf` summed in ascending `i`.
+    fn posterior_single_row_reference(gp: &Gp, xstar: &[f64]) -> Prediction {
+        let mut kstar = vec![0.0; gp.len()];
+        gp.fill_kstar(xstar, &mut kstar);
+        let mean_s = crowdtune_linalg::dot(&kstar, &gp.alpha);
+        let mut qf = 0.0;
+        for i in 0..kstar.len() {
+            let li = &gp.linv.row(i)[..=i];
+            let mut vi = 0.0;
+            for (a, b) in li.iter().zip(&kstar[..=i]) {
+                vi += a * b;
+            }
+            qf += vi * vi;
         }
-        // Empty query: empty sample.
-        assert!(gp.sample_joint(&[], &mut rng).is_empty());
+        let var_s = (gp.params.sf2 - qf).max(0.0);
+        Prediction {
+            mean: gp.y_mean + gp.y_std * mean_s,
+            std: gp.y_std * var_s.sqrt(),
+        }
     }
 
     #[test]
-    fn joint_samples_are_correlated_nearby() {
-        let (x, y) = toy_data(15, 33);
-        let mut rng = StdRng::seed_from_u64(34);
-        let gp = Gp::fit(&x, &y, &GpConfig::continuous(1), &mut rng).unwrap();
-        // Two nearly identical query points must get nearly identical
-        // sampled values within each draw.
-        for _ in 0..20 {
-            let s = gp.sample_joint(&[vec![0.31], vec![0.3101]], &mut rng);
-            assert!((s[0] - s[1]).abs() < 0.2, "joint draw not smooth: {s:?}");
+    fn row_grouped_posterior_matches_single_row_reference_bitwise() {
+        for n in [1, 2, 3, 4, 5, 6, 7, 8, 9, 131, 200] {
+            let gp = hypre_like_gp(n, 90 + n as u64);
+            for q in hypre_like_points(64, 3 * n as u64) {
+                assert_eq!(
+                    gp.predict(&q),
+                    posterior_single_row_reference(&gp, &q),
+                    "n = {n}"
+                );
+            }
+        }
+    }
+
+    /// The Hypre space's dimension kinds: integers and reals are
+    /// continuous, four parameters are categorical.
+    fn hypre_dims() -> Vec<DimKind> {
+        use DimKind::{Categorical as Cat, Continuous as Con};
+        vec![Con, Con, Con, Con, Con, Con, Cat, Cat, Cat, Con, Cat, Con]
+    }
+
+    /// Points in the Hypre space's unit cube; categorical coordinates
+    /// take one of 5 cell centres.
+    fn hypre_like_points(n: usize, seed: u64) -> Vec<Vec<f64>> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let dims = hypre_dims();
+        (0..n)
+            .map(|_| {
+                dims.iter()
+                    .map(|kind| match kind {
+                        DimKind::Continuous => rng.gen::<f64>(),
+                        DimKind::Categorical => (rng.gen_range(0..5) as f64 + 0.5) / 5.0,
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    fn hypre_like_targets(x: &[Vec<f64>]) -> Vec<f64> {
+        x.iter()
+            .map(|p| {
+                (3.0 * p[0]).sin() + p[1] * p[2] + 0.5 * p[6] - (p[9] - 0.3).powi(2) + 0.1 * p[11]
+            })
+            .collect()
+    }
+
+    fn hypre_like_kernel(kind: KernelKind) -> Kernel {
+        let mut kernel = Kernel::new(kind, hypre_dims());
+        let theta: Vec<f64> = (0..12)
+            .map(|i| -0.9 + 0.12 * i as f64)
+            .chain([0.3])
+            .collect();
+        kernel.unpack(&theta);
+        kernel
+    }
+
+    fn hypre_like_gp(n: usize, seed: u64) -> Gp {
+        let x = hypre_like_points(n, seed);
+        let y = hypre_like_targets(&x);
+        Gp::with_hypers(
+            hypre_like_kernel(KernelKind::Matern52),
+            (1e-3f64).ln(),
+            &x,
+            &y,
+        )
+        .unwrap()
+    }
+
+    /// The dense-`dK` likelihood the fused pass replaced: one `n × n`
+    /// derivative matrix per kernel hyperparameter, each traced against
+    /// a materialized `W = αα^T - K^{-1}`.
+    fn nlml_with_grad_dense_reference(
+        kernel: &Kernel,
+        log_noise: f64,
+        sq: &SqDists,
+        ys: &[f64],
+    ) -> (f64, Vec<f64>) {
+        let n = sq.n();
+        let d = kernel.dim();
+        let sn2 = log_noise.exp();
+        let params = kernel.params();
+        let mut k = Matrix::zeros(n, n);
+        let mut dk: Vec<Matrix> = (0..=d).map(|_| Matrix::zeros(n, n)).collect();
+        for i in 0..n {
+            for j in i..n {
+                let sqp = sq.pair(i, j);
+                let (v, factor) = kernel.eval_with_factor(sqp, &params);
+                k[(i, j)] = v;
+                k[(j, i)] = v;
+                for dim in 0..d {
+                    let g = sqp[dim] * params.inv_ls2[dim] * factor;
+                    dk[dim][(i, j)] = g;
+                    dk[dim][(j, i)] = g;
+                }
+                dk[d][(i, j)] = v;
+                dk[d][(j, i)] = v;
+            }
+            k[(i, i)] += sn2;
+        }
+        let chol = Cholesky::robust(&k).unwrap();
+        let alpha = chol.solve_vec(ys);
+        let nlml = 0.5 * crowdtune_linalg::dot(ys, &alpha)
+            + 0.5 * chol.log_det()
+            + 0.5 * n as f64 * (2.0 * std::f64::consts::PI).ln();
+        let mut w = chol.inverse();
+        for i in 0..n {
+            let ai = alpha[i];
+            for (wj, &aj) in w.row_mut(i).iter_mut().zip(&alpha) {
+                *wj = ai * aj - *wj;
+            }
+        }
+        let mut grad: Vec<f64> = dk
+            .iter()
+            .map(|dkp| -0.5 * crowdtune_linalg::dot(w.as_slice(), dkp.as_slice()))
+            .collect();
+        let tr: f64 = (0..n).map(|i| w[(i, i)]).sum();
+        grad.push(-0.5 * sn2 * tr);
+        (nlml, grad)
+    }
+
+    #[test]
+    fn fused_gradient_matches_dense_dk_reference() {
+        let x = hypre_like_points(200, 5);
+        let y = hypre_like_targets(&x);
+        let (m, sd) = (
+            crowdtune_linalg::stats::mean(&y),
+            crowdtune_linalg::stats::std_dev(&y),
+        );
+        let ys: Vec<f64> = y.iter().map(|v| (v - m) / sd).collect();
+        for kind in [KernelKind::Matern52, KernelKind::SquaredExponential] {
+            let kernel = hypre_like_kernel(kind);
+            let sq = kernel.precompute_sq_dists(&x);
+            let log_noise = (1e-2f64).ln();
+            let (nll, grad) = nlml_with_grad(&kernel, log_noise, &sq, &ys).unwrap();
+            let (nll_ref, grad_ref) = nlml_with_grad_dense_reference(&kernel, log_noise, &sq, &ys);
+            // Same K, same factor: the likelihood itself is unchanged.
+            assert_eq!(nll.to_bits(), nll_ref.to_bits(), "{kind:?}");
+            let scale = grad_ref.iter().fold(0.0f64, |m, g| m.max(g.abs()));
+            assert!(scale > 1.0, "{kind:?}: degenerate gradient {grad_ref:?}");
+            for (p, (g, r)) in grad.iter().zip(&grad_ref).enumerate() {
+                assert!(
+                    (g - r).abs() <= 1e-10 * scale,
+                    "{kind:?} param {p}: {g} vs {r} (scale {scale})"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn nlml_gradient_matches_finite_difference() {
+        let mut rng = StdRng::seed_from_u64(61);
+        let dims = vec![
+            DimKind::Continuous,
+            DimKind::Categorical,
+            DimKind::Continuous,
+        ];
+        let x: Vec<Vec<f64>> = (0..30)
+            .map(|_| {
+                vec![
+                    rng.gen::<f64>(),
+                    (rng.gen_range(0..3) as f64 + 0.5) / 3.0,
+                    rng.gen::<f64>(),
+                ]
+            })
+            .collect();
+        let y: Vec<f64> = x
+            .iter()
+            .map(|p| (4.0 * p[0]).sin() + p[1] - p[2] * p[2])
+            .collect();
+        let (m, sd) = (
+            crowdtune_linalg::stats::mean(&y),
+            crowdtune_linalg::stats::std_dev(&y),
+        );
+        let ys: Vec<f64> = y.iter().map(|v| (v - m) / sd).collect();
+        for kind in [KernelKind::SquaredExponential, KernelKind::Matern52] {
+            let proto = Kernel::new(kind, dims.clone());
+            let sq = proto.precompute_sq_dists(&x);
+            // Fixed noise differentiates the kernel coordinates only;
+            // estimated noise adds the log-noise coordinate.
+            for (log_noise, fixed) in [((1e-3f64).ln(), true), ((5e-2f64).ln(), false)] {
+                let theta = vec![-1.0, -0.3, -0.6, 0.2, log_noise];
+                let n_theta = if fixed { 4 } else { 5 };
+                let f = |t: &[f64]| {
+                    let mut kern = proto.clone();
+                    kern.unpack(&t[..4]);
+                    nlml_with_grad(&kern, t[4], &sq, &ys).unwrap()
+                };
+                let (_, grad) = f(&theta);
+                let h = 1e-5;
+                for p in 0..n_theta {
+                    let mut tp = theta.clone();
+                    tp[p] += h;
+                    let mut tm = theta.clone();
+                    tm[p] -= h;
+                    let fd = (f(&tp).0 - f(&tm).0) / (2.0 * h);
+                    assert!(
+                        (fd - grad[p]).abs() < 1e-5 * (1.0 + fd.abs()),
+                        "{kind:?} fixed={fixed} param {p}: fd {fd} vs analytic {}",
+                        grad[p]
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fitted_factor_is_the_winning_evaluations() {
+        // The returned model's K comes from the objective's own kernel
+        // pass, so its log marginal likelihood recomputed from its own
+        // factor and alpha is bitwise the optimizer's winning value.
+        let x = hypre_like_points(40, 12);
+        let y = hypre_like_targets(&x);
+        let mut config = GpConfig::new(hypre_dims());
+        config.max_opt_iter = 15;
+        for noise in [NoiseModel::Estimated(1e-2), NoiseModel::Fixed(1e-4)] {
+            config.noise = noise;
+            let gp = Gp::fit(&x, &y, &config, &mut StdRng::seed_from_u64(13)).unwrap();
+            let sq = gp.kernel.precompute_sq_dists(&x);
+            let (nll, _) = nlml_with_grad(&gp.kernel, gp.log_noise, &sq, &gp.ys).unwrap();
+            let n = x.len() as f64;
+            let own = -(0.5 * crowdtune_linalg::dot(&gp.ys, &gp.alpha)
+                + 0.5 * gp.chol.log_det()
+                + 0.5 * n * (2.0 * std::f64::consts::PI).ln());
+            assert_eq!(gp.log_marginal_likelihood().to_bits(), (-nll).to_bits());
+            assert_eq!(gp.log_marginal_likelihood().to_bits(), own.to_bits());
         }
     }
 

@@ -272,28 +272,6 @@ impl Kernel {
         }
         p.sf2 * self.base(r2)
     }
-
-    /// Precomputed-distance twin of [`Kernel::eval_with_grad`]:
-    /// evaluates `k` and the gradient with respect to every
-    /// log-hyperparameter for one pair, with no allocation and no
-    /// per-pair `exp` of the hyperparameters.
-    #[inline]
-    pub fn eval_with_grad_precomputed(
-        &self,
-        sq: &[f64],
-        p: &KernelParams,
-        grad_out: &mut [f64],
-    ) -> f64 {
-        let d = self.dims.len();
-        debug_assert_eq!(grad_out.len(), d + 1);
-        let (k, factor) = self.eval_with_factor(sq, p);
-        for ((g, s), inv) in grad_out[..d].iter_mut().zip(sq).zip(&p.inv_ls2) {
-            *g = s * inv * factor;
-        }
-        // dk/d log sf2 = k
-        grad_out[d] = k;
-        k
-    }
 }
 
 /// θ-dependent constants hoisted out of per-pair kernel evaluation:
@@ -503,7 +481,6 @@ mod tests {
             ];
             let sq = k.precompute_sq_dists(&pts);
             let p = k.params();
-            let mut grad_pre = vec![0.0; k.n_hyper()];
             let mut grad_ref = vec![0.0; k.n_hyper()];
             for i in 0..pts.len() {
                 for j in i..pts.len() {
@@ -513,13 +490,10 @@ mod tests {
                     assert!((k_pre - k_ref).abs() < 1e-14, "{kind:?} eval ({i},{j})");
                     assert!((k_par - k_ref).abs() < 1e-14, "{kind:?} params ({i},{j})");
                     let kg_ref = k.eval_with_grad(&pts[i], &pts[j], &mut grad_ref);
-                    let kg_pre = k.eval_with_grad_precomputed(sq.pair(i, j), &p, &mut grad_pre);
-                    assert!((kg_pre - kg_ref).abs() < 1e-14);
-                    for (a, b) in grad_pre.iter().zip(grad_ref.iter()) {
-                        assert!((a - b).abs() < 1e-14, "{kind:?} grad ({i},{j})");
-                    }
+                    assert!((k_pre - kg_ref).abs() < 1e-14);
                     // The fused factor reproduces the lengthscale
-                    // gradients of the direct path.
+                    // gradients of the direct path, and the value its
+                    // signal-variance gradient.
                     let pair = sq.pair(i, j);
                     for dd in 0..3 {
                         let u2 = pair[dd] * p.inv_ls2[dd];
@@ -528,6 +502,10 @@ mod tests {
                             "{kind:?} factor ({i},{j}) dim {dd}"
                         );
                     }
+                    assert!(
+                        (k_pre - grad_ref[3]).abs() < 1e-14,
+                        "{kind:?} sf2 ({i},{j})"
+                    );
                 }
             }
         }

@@ -1235,12 +1235,11 @@ mod tests {
         };
         let noise_var = |t: usize| theta[pack.noise(t)].exp();
         let mut k_full = Matrix::zeros(n, n);
-        let mut dk = vec![0.0; d + 1];
         for i in 0..n {
             for j in i..n {
                 let mut v = 0.0;
                 for (q, kq) in kernels.iter().enumerate() {
-                    let kv = kq.eval_with_grad_precomputed(sq.pair(i, j), &params[q], &mut dk);
+                    let (kv, _) = kq.eval_with_factor(sq.pair(i, j), &params[q]);
                     v += bq(q, task_of[i], task_of[j]) * kv;
                 }
                 k_full[(i, j)] = v;
@@ -1261,10 +1260,12 @@ mod tests {
                 let tj = task_of[j];
                 let w = alpha[i] * alpha[j] - kinv[(i, j)];
                 let ws = if i == j { w } else { 2.0 * w };
+                let sqp = sq.pair(i, j);
                 for (q, kq) in kernels.iter().enumerate() {
-                    let kv = kq.eval_with_grad_precomputed(sq.pair(i, j), &params[q], &mut dk);
+                    let (kv, factor) = kq.eval_with_factor(sqp, &params[q]);
                     for dim in 0..d {
-                        grad[pack.ls(q, dim)] -= 0.5 * ws * bq(q, ti, tj) * dk[dim];
+                        let dk = factor * sqp[dim] * params[q].inv_ls2[dim];
+                        grad[pack.ls(q, dim)] -= 0.5 * ws * bq(q, ti, tj) * dk;
                     }
                     grad[pack.a(q, ti)] -= 0.5 * ws * a(q, tj) * kv;
                     grad[pack.a(q, tj)] -= 0.5 * ws * a(q, ti) * kv;
