@@ -322,7 +322,12 @@ fn naive_lcm_fit(tasks: &[TaskData], config: &LcmConfig) {
         max_iter: config.max_opt_iter,
         ..Default::default()
     };
-    let res = lbfgs(&s0, objective, &opts, None);
+    // The seed computed every gradient eagerly.
+    let eager = |theta: &[f64]| {
+        let (nll, grad) = objective(theta);
+        (nll, move || grad)
+    };
+    let res = lbfgs(&s0, eager, &opts, None);
     std::hint::black_box(res.f);
 }
 

@@ -362,6 +362,7 @@ mod tests {
                 duration_us: fit_us,
                 fallback: false,
                 evaluations: None,
+                gradients: None,
             },
             Event::Fit {
                 model: "gp".into(),
@@ -371,6 +372,7 @@ mod tests {
                 duration_us: fit_us,
                 fallback: false,
                 evaluations: None,
+                gradients: None,
             },
         ]
     }

@@ -15,7 +15,11 @@
 //! 3. `Multitask(TS)` and `Ensemble(proposed)` histories are bitwise
 //!    identical between twin runs, and between `RAYON_NUM_THREADS=1`
 //!    and `2` (the test re-runs this binary as a child process at each
-//!    thread count, since the pool size is fixed per process).
+//!    thread count, since the pool size is fixed per process);
+//! 4. every fit of the refit chain — cold first fit and warm refits —
+//!    returns bitwise the θ, NLL, iterations and likelihood evaluations
+//!    of projected L-BFGS with the gradient computed at every
+//!    evaluation, while computing fewer gradients than evaluations.
 
 use crowdtune_apps::{Application, MachineModel, Pdgeqrf};
 use crowdtune_core::tuner::{dims_of, tune_tla_constrained, TuneConfig, TuneResult};
@@ -131,11 +135,15 @@ fn cold_unprojected_nll(tasks: &[TaskData], config: &LcmConfig) -> f64 {
     let lik = LcmLikelihood::new(tasks, config).expect("valid tasks");
     let bounds = lik.bounds();
     let objective = |theta: &[f64]| {
-        let wall = (f64::INFINITY, vec![0.0; theta.len()]);
-        if !bounds.contains(theta) {
-            return wall;
-        }
-        lik.nll_with_grad(theta).unwrap_or(wall)
+        let value = bounds
+            .contains(theta)
+            .then(|| lik.nll_with_grad(theta))
+            .flatten();
+        let nll = value.as_ref().map_or(f64::INFINITY, |(nll, _)| *nll);
+        let len = theta.len();
+        (nll, move || {
+            value.map_or_else(|| vec![0.0; len], |(_, grad)| grad())
+        })
     };
     let opts = LbfgsOptions {
         max_iter: COLD_ITERS,
@@ -191,6 +199,93 @@ fn warm_refits_match_cold_unprojected_fits() {
     sorted.sort_by(f64::total_cmp);
     let median = sorted[sorted.len() / 2];
     assert!(median <= 0.0, "median warm - cold NLL {median}: {diffs:?}");
+}
+
+/// One fit of the refit chain redone with an eager gradient: projected
+/// L-BFGS from `start`, the likelihood's gradient computed at every
+/// evaluation. Returns the result and the evaluation count.
+fn eager_fit(
+    tasks: &[TaskData],
+    config: &LcmConfig,
+    start: &[f64],
+) -> (crowdtune_linalg::LbfgsResult, usize) {
+    let lik = LcmLikelihood::new(tasks, config).expect("valid tasks");
+    let evaluations = std::cell::Cell::new(0);
+    let objective = |theta: &[f64]| {
+        evaluations.set(evaluations.get() + 1);
+        let (nll, grad) = match lik.nll_with_grad(theta) {
+            Some((nll, grad)) => (nll, grad()),
+            None => (f64::INFINITY, vec![0.0; theta.len()]),
+        };
+        (nll, move || grad)
+    };
+    let opts = LbfgsOptions {
+        max_iter: config.max_opt_iter,
+        ..Default::default()
+    };
+    let res = lbfgs(start, objective, &opts, Some(&lik.bounds()));
+    (res, evaluations.get())
+}
+
+#[test]
+fn refit_chain_matches_eager_gradient_fits_bitwise() {
+    let _serial = serial();
+    let (space, sources) = fixture();
+    let run = tune(&space, &sources, &mut MultitaskTs::new(), 3);
+    let target: Vec<(Vec<f64>, f64)> = run
+        .history
+        .iter()
+        .filter_map(|r| r.result.as_ref().ok().map(|&y| (r.unit.clone(), y)))
+        .collect();
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let (mut evaluations, mut gradients) = (0, 0);
+    let mut prev: Option<Lcm> = None;
+    for k in 1..=target.len() {
+        let tasks = lcm_tasks(&sources, &target[..k]);
+        let (config, warm) = match &prev {
+            None => (lcm_config(&space, COLD_ITERS), None),
+            Some(last) => (lcm_config(&space, WARM_ITERS), Some(last.pack_theta())),
+        };
+        let mut rng = StdRng::seed_from_u64(0);
+        let fit = Lcm::fit_with_starts(&tasks, &config, &mut rng, warm.as_deref()).expect("fit");
+        let start = match warm {
+            Some(w) => w,
+            None => LcmLikelihood::new(&tasks, &config)
+                .expect("valid tasks")
+                .default_start(),
+        };
+        let (eager, eager_evals) = eager_fit(&tasks, &config, &start);
+
+        // The model keeps κ exponentiated: compare θ through the same
+        // exp → ln round trip `pack_theta` applies (κ is the second
+        // `q · T` block after the `q · d` lengthscales).
+        let (q, d, t) = (config.q, config.dims.len(), tasks.len());
+        let mut theta = eager.x.clone();
+        for kappa in &mut theta[q * d + q * t..q * d + 2 * q * t] {
+            *kappa = kappa.exp().ln();
+        }
+        assert_eq!(bits(&fit.pack_theta()), bits(&theta), "fit {k}: θ");
+        assert_eq!(
+            fit.log_marginal_likelihood().to_bits(),
+            (-eager.f).to_bits(),
+            "fit {k}: NLL"
+        );
+        let stats = fit.fit_stats();
+        assert_eq!(stats.iterations, eager.iterations, "fit {k}: iterations");
+        assert_eq!(stats.evaluations, eager_evals, "fit {k}: evaluations");
+        assert!(stats.gradients <= stats.evaluations, "fit {k}: {stats:?}");
+        evaluations += stats.evaluations;
+        gradients += stats.gradients;
+        prev = Some(fit);
+    }
+    println!(
+        "refit chain: {} fits, {evaluations} likelihood evaluations, {gradients} gradients",
+        target.len()
+    );
+    assert!(
+        gradients < evaluations,
+        "{gradients} gradients for {evaluations} evaluations"
+    );
 }
 
 #[test]

@@ -884,7 +884,10 @@ mod tests {
         let d1 = j.delay_ms(3);
         let d2 = j.delay_ms(3);
         assert_eq!(d1, d2, "seeded jitter is deterministic");
-        assert!(d1 <= 40 && d1 >= 20, "jitter subtracts at most half: {d1}");
+        assert!(
+            (20..=40).contains(&d1),
+            "jitter subtracts at most half: {d1}"
+        );
     }
 
     #[test]

@@ -172,103 +172,11 @@ impl Gp {
         extra_starts: &[Vec<f64>],
     ) -> Result<Self, GpError> {
         let fit_span = obs::span(obs::names::SPAN_GP_FIT);
+        let lik = GpLikelihood::new(x, y, config)?;
         let n = x.len();
-        if n == 0 {
-            return Err(GpError::EmptyTrainingSet);
-        }
-        if y.iter().any(|v| !v.is_finite()) {
-            return Err(GpError::NonFiniteTarget);
-        }
-        let d = config.dims.len();
-        for xi in x {
-            if xi.len() != d {
-                return Err(GpError::DimensionMismatch {
-                    expected: d,
-                    got: xi.len(),
-                });
-            }
-        }
-
-        // Standardize the targets.
-        let y_mean = crowdtune_linalg::stats::mean(y);
-        let mut y_std = crowdtune_linalg::stats::std_dev(y);
-        if y_std.is_nan() || y_std <= 1e-12 {
-            y_std = 1.0;
-        }
-        let ys: Vec<f64> = y.iter().map(|v| (v - y_mean) / y_std).collect();
-
-        let kernel0 = Kernel::new(config.kernel, config.dims.clone());
-        let (fixed_noise, init_log_noise) = match config.noise {
-            NoiseModel::Fixed(v) => (true, v.max(1e-12).ln()),
-            NoiseModel::Estimated(v) => (false, v.max(1e-12).ln()),
-        };
-
-        // theta layout: [kernel hypers..., log_noise?]
-        let n_kernel = kernel0.n_hyper();
-        let theta_len = n_kernel + usize::from(!fixed_noise);
-
-        // Pairwise squared distances are θ-independent: compute them once
-        // per fit and share them across every objective evaluation of
-        // every restart.
-        let sq = kernel0.precompute_sq_dists(x);
-
-        let evaluations = AtomicUsize::new(0);
-        let objective = |theta: &[f64]| -> (f64, Vec<f64>) {
-            evaluations.fetch_add(1, Ordering::Relaxed);
-            let mut kern = kernel0.clone();
-            kern.unpack(&theta[..n_kernel]);
-            let log_noise = if fixed_noise {
-                init_log_noise
-            } else {
-                theta[n_kernel]
-            };
-            if out_of_bounds(theta, n_kernel, fixed_noise) {
-                return (f64::INFINITY, vec![0.0; theta.len()]);
-            }
-            match nlml_with_grad(&kern, log_noise, &sq, &ys) {
-                Some((nlml, mut grad)) => {
-                    if fixed_noise {
-                        grad.truncate(n_kernel);
-                    }
-                    (nlml, grad)
-                }
-                None => (f64::INFINITY, vec![0.0; theta.len()]),
-            }
-        };
-
-        // Multi-start: warm starts (if any), the default start, then
-        // `restarts` random starts.
-        let mut starts: Vec<Vec<f64>> =
-            Vec::with_capacity(extra_starts.len() + config.restarts + 1);
-        starts.extend(
-            extra_starts
-                .iter()
-                .filter(|s| s.len() == theta_len)
-                .cloned(),
-        );
-        let mut default_start = vec![0.0; theta_len];
-        // Default lengthscale ~ 0.3 of the cube, sf2 = 1.
-        for ls in default_start.iter_mut().take(d) {
-            *ls = (0.3f64).ln();
-        }
-        default_start[d] = 0.0;
-        if !fixed_noise {
-            default_start[n_kernel] = init_log_noise;
-        }
-        starts.push(default_start);
-        for _ in 0..config.restarts {
-            let mut s = vec![0.0; theta_len];
-            for (i, si) in s.iter_mut().enumerate() {
-                *si = if i < d {
-                    rng.gen_range(LOG_LS_MIN * 0.5..LOG_LS_MAX * 0.5)
-                } else if i == d {
-                    rng.gen_range(-2.0..2.0)
-                } else {
-                    rng.gen_range(LOG_NOISE_MIN * 0.5..LOG_NOISE_MAX)
-                };
-            }
-            starts.push(s);
-        }
+        let starts = lik.starts(extra_starts, config.restarts, rng);
+        let counts = FitCounts::default();
+        let objective = |theta: &[f64]| counts.count(lik.nll(theta));
 
         let opts = LbfgsOptions {
             max_iter: config.max_opt_iter,
@@ -286,11 +194,11 @@ impl Gp {
                 nll: None,
                 duration_us: fit_span.elapsed_ns() / 1_000,
                 fallback: true,
-                evaluations: Some(evaluations.load(Ordering::Relaxed) as u64),
+                evaluations: Some(counts.evaluations()),
+                gradients: Some(counts.gradients()),
             });
             return Err(GpError::NumericalFailure);
         };
-        let evaluations = evaluations.into_inner();
         obs::record_with(|| obs::Event::Fit {
             model: "gp".to_string(),
             points: n as u64,
@@ -298,22 +206,19 @@ impl Gp {
             nll: obs::finite(nlml),
             duration_us: fit_span.elapsed_ns() / 1_000,
             fallback: false,
-            evaluations: Some(evaluations as u64),
+            evaluations: Some(counts.evaluations()),
+            gradients: Some(counts.gradients()),
         });
 
-        let mut kernel = kernel0;
-        kernel.unpack(&theta[..n_kernel]);
-        let log_noise = if fixed_noise {
-            init_log_noise
-        } else {
-            theta[n_kernel]
-        };
+        let log_noise = lik.log_noise(&theta);
+        let mut kernel = lik.kernel0;
+        kernel.unpack(&theta[..lik.n_kernel]);
         // The objective's kernel pass over the same distance cache: K is
         // bitwise the matrix whose likelihood won.
         let params = kernel.params();
-        let (k, _) = covariance_pass(&kernel, &params, log_noise.exp(), &sq);
+        let (k, _) = covariance_pass(&kernel, &params, log_noise.exp(), &lik.sq);
         let chol = Cholesky::robust(&k).map_err(|_| GpError::NumericalFailure)?;
-        let alpha = chol.solve_vec(&ys);
+        let alpha = chol.solve_vec(&lik.ys);
         let linv = chol.inverse_lower();
 
         Ok(Gp {
@@ -324,9 +229,9 @@ impl Gp {
             alpha,
             chol,
             linv,
-            ys,
-            y_mean,
-            y_std,
+            ys: lik.ys,
+            y_mean: lik.y_mean,
+            y_std: lik.y_std,
             lml: -nlml,
         })
     }
@@ -629,6 +534,161 @@ impl Gp {
     }
 }
 
+/// The marginal likelihood of a single-task GP on fixed data, as a
+/// function of θ = `[kernel hypers..., log_noise?]` (the noise
+/// coordinate only when the noise is estimated). Targets are
+/// standardized, and the pairwise squared distances are computed once
+/// here and shared by every evaluation of every restart.
+struct GpLikelihood {
+    kernel0: Kernel,
+    n_kernel: usize,
+    fixed_noise: bool,
+    init_log_noise: f64,
+    sq: SqDists,
+    ys: Vec<f64>,
+    y_mean: f64,
+    y_std: f64,
+}
+
+impl GpLikelihood {
+    /// Validate and standardize `(x, y)` for `config`'s model.
+    fn new(x: &[Vec<f64>], y: &[f64], config: &GpConfig) -> Result<Self, GpError> {
+        if x.is_empty() {
+            return Err(GpError::EmptyTrainingSet);
+        }
+        if y.iter().any(|v| !v.is_finite()) {
+            return Err(GpError::NonFiniteTarget);
+        }
+        let d = config.dims.len();
+        for xi in x {
+            if xi.len() != d {
+                return Err(GpError::DimensionMismatch {
+                    expected: d,
+                    got: xi.len(),
+                });
+            }
+        }
+        let y_mean = crowdtune_linalg::stats::mean(y);
+        let mut y_std = crowdtune_linalg::stats::std_dev(y);
+        if y_std.is_nan() || y_std <= 1e-12 {
+            y_std = 1.0;
+        }
+        let ys = y.iter().map(|v| (v - y_mean) / y_std).collect();
+        let kernel0 = Kernel::new(config.kernel, config.dims.clone());
+        let (fixed_noise, init_log_noise) = match config.noise {
+            NoiseModel::Fixed(v) => (true, v.max(1e-12).ln()),
+            NoiseModel::Estimated(v) => (false, v.max(1e-12).ln()),
+        };
+        Ok(GpLikelihood {
+            n_kernel: kernel0.n_hyper(),
+            sq: kernel0.precompute_sq_dists(x),
+            kernel0,
+            fixed_noise,
+            init_log_noise,
+            ys,
+            y_mean,
+            y_std,
+        })
+    }
+
+    /// The multistart starts: the warm starts whose length matches θ,
+    /// the default start, then `restarts` random starts drawn from `rng`.
+    fn starts<R: Rng>(&self, extra: &[Vec<f64>], restarts: usize, rng: &mut R) -> Vec<Vec<f64>> {
+        let d = self.n_kernel - 1;
+        let theta_len = self.n_kernel + usize::from(!self.fixed_noise);
+        let mut starts: Vec<Vec<f64>> = Vec::with_capacity(extra.len() + restarts + 1);
+        starts.extend(extra.iter().filter(|s| s.len() == theta_len).cloned());
+        let mut default_start = vec![0.0; theta_len];
+        // Default lengthscale ~ 0.3 of the cube, sf2 = 1.
+        for ls in default_start.iter_mut().take(d) {
+            *ls = (0.3f64).ln();
+        }
+        default_start[d] = 0.0;
+        if !self.fixed_noise {
+            default_start[self.n_kernel] = self.init_log_noise;
+        }
+        starts.push(default_start);
+        for _ in 0..restarts {
+            let mut s = vec![0.0; theta_len];
+            for (i, si) in s.iter_mut().enumerate() {
+                *si = if i < d {
+                    rng.gen_range(LOG_LS_MIN * 0.5..LOG_LS_MAX * 0.5)
+                } else if i == d {
+                    rng.gen_range(-2.0..2.0)
+                } else {
+                    rng.gen_range(LOG_NOISE_MIN * 0.5..LOG_NOISE_MAX)
+                };
+            }
+            starts.push(s);
+        }
+        starts
+    }
+
+    fn log_noise(&self, theta: &[f64]) -> f64 {
+        if self.fixed_noise {
+            self.init_log_noise
+        } else {
+            theta[self.n_kernel]
+        }
+    }
+
+    /// The NLL at θ and its deferred gradient; +∞ (with a zero gradient)
+    /// outside the hyperparameter box or when `K` cannot be factorized.
+    fn nll(&self, theta: &[f64]) -> (f64, impl FnOnce() -> Vec<f64> + '_) {
+        let value = (!out_of_bounds(theta, self.n_kernel, self.fixed_noise))
+            .then(|| {
+                let mut kern = self.kernel0.clone();
+                kern.unpack(&theta[..self.n_kernel]);
+                let log_noise = self.log_noise(theta);
+                nlml_with_grad(&kern, log_noise, !self.fixed_noise, &self.sq, &self.ys)
+            })
+            .flatten();
+        or_infeasible(value, theta.len())
+    }
+}
+
+/// An objective value with its deferred gradient, or +∞ with a zero
+/// gradient of length `len` for an infeasible point (`None`).
+pub(crate) fn or_infeasible<G: FnOnce() -> Vec<f64>>(
+    value: Option<(f64, G)>,
+    len: usize,
+) -> (f64, impl FnOnce() -> Vec<f64>) {
+    let nll = value.as_ref().map_or(f64::INFINITY, |(nll, _)| *nll);
+    (nll, move || {
+        value.map_or_else(|| vec![0.0; len], |(_, grad)| grad())
+    })
+}
+
+/// Likelihood evaluations of one fit and the gradients the optimizer
+/// computed, summed over every start.
+#[derive(Default)]
+pub(crate) struct FitCounts {
+    evaluations: AtomicUsize,
+    gradients: AtomicUsize,
+}
+
+impl FitCounts {
+    /// Count one objective evaluation, and its gradient if it runs.
+    pub(crate) fn count<'a, G: FnOnce() -> Vec<f64> + 'a>(
+        &'a self,
+        (nll, grad): (f64, G),
+    ) -> (f64, impl FnOnce() -> Vec<f64> + 'a) {
+        self.evaluations.fetch_add(1, Ordering::Relaxed);
+        (nll, move || {
+            self.gradients.fetch_add(1, Ordering::Relaxed);
+            grad()
+        })
+    }
+
+    pub(crate) fn evaluations(&self) -> u64 {
+        self.evaluations.load(Ordering::Relaxed) as u64
+    }
+
+    pub(crate) fn gradients(&self) -> u64 {
+        self.gradients.load(Ordering::Relaxed) as u64
+    }
+}
+
 fn out_of_bounds(theta: &[f64], n_kernel: usize, fixed_noise: bool) -> bool {
     let d = n_kernel - 1;
     for (i, &t) in theta.iter().enumerate() {
@@ -705,7 +765,7 @@ fn covariance_pass(
 /// and internally deterministic, so the parallel and sequential paths
 /// return bitwise-identical winners. `bounds` is forwarded to every
 /// L-BFGS run.
-pub(crate) fn run_multistart<F>(
+pub(crate) fn run_multistart<F, G>(
     starts: &[Vec<f64>],
     objective: F,
     opts: &LbfgsOptions,
@@ -713,7 +773,8 @@ pub(crate) fn run_multistart<F>(
     parallel: bool,
 ) -> Option<LbfgsResult>
 where
-    F: Fn(&[f64]) -> (f64, Vec<f64>) + Sync,
+    F: Fn(&[f64]) -> (f64, G) + Sync,
+    G: FnOnce() -> Vec<f64>,
 {
     let run = |s: &Vec<f64>| lbfgs(s, &objective, opts, bounds);
     let results: Vec<LbfgsResult> =
@@ -747,16 +808,22 @@ where
     best
 }
 
-/// Negative log marginal likelihood and its gradient with respect to
-/// `[kernel log-hypers..., log noise]`, evaluated from the fit-lifetime
-/// distance cache. Returns `None` on factorization failure (treated as
-/// an infeasible hyperparameter point).
-fn nlml_with_grad(
+/// Negative log marginal likelihood and its deferred gradient with
+/// respect to `[kernel log-hypers..., log noise?]` (the noise entry when
+/// `with_noise`), evaluated from the fit-lifetime distance cache.
+/// Returns `None` on factorization failure (treated as an infeasible
+/// hyperparameter point).
+///
+/// The value costs the kernel pass, the Cholesky factor and `α`. The
+/// returned closure owns the factor and the pass's kernel values and
+/// computes `K⁻¹` and the gradient sweep only when it runs.
+fn nlml_with_grad<'a>(
     kernel: &Kernel,
     log_noise: f64,
-    sq: &SqDists,
-    ys: &[f64],
-) -> Option<(f64, Vec<f64>)> {
+    with_noise: bool,
+    sq: &'a SqDists,
+    ys: &'a [f64],
+) -> Option<(f64, impl FnOnce() -> Vec<f64> + 'a)> {
     let n = sq.n();
     let sn2 = log_noise.exp();
     let params = kernel.params();
@@ -767,46 +834,50 @@ fn nlml_with_grad(
     let nlml = 0.5 * crowdtune_linalg::dot(ys, &alpha)
         + 0.5 * chol.log_det()
         + 0.5 * n as f64 * (2.0 * std::f64::consts::PI).ln();
-    let kinv = chol.inverse();
+    let grad = move || {
+        let kinv = chol.inverse();
 
-    // dNLML/dθ = -0.5 Σ_ij W_ij dK_ij/dθ with W = αα^T - K^{-1}, formed
-    // pair by pair over the upper triangle (off-diagonal pairs count
-    // twice) and never stored. One sweep sums Σ w·k (signal variance),
-    // Σ w·factor·sq_d (lengthscales, scaled by 1/ls_d² at the end) and
-    // the diagonal trace (noise).
-    let mut wk = 0.0;
-    let mut wg = vec![0.0; kernel.dim()];
-    let mut tr = 0.0;
-    let mut pair = 0;
-    for i in 0..n {
-        let kinv_i = kinv.row(i);
-        let ai = alpha[i];
-        for j in i..n {
-            let w = ai * alpha[j] - kinv_i[j];
-            let ws = if j == i {
-                tr += w;
-                w
-            } else {
-                2.0 * w
-            };
-            wk += ws * kf[2 * pair];
-            let c = ws * kf[2 * pair + 1];
-            for (g, &s) in wg.iter_mut().zip(sq.pair(i, j)) {
-                *g += c * s;
+        // dNLML/dθ = -0.5 Σ_ij W_ij dK_ij/dθ with W = αα^T - K^{-1}, formed
+        // pair by pair over the upper triangle (off-diagonal pairs count
+        // twice) and never stored. One sweep sums Σ w·k (signal variance),
+        // Σ w·factor·sq_d (lengthscales, scaled by 1/ls_d² at the end) and
+        // the diagonal trace (noise).
+        let mut wk = 0.0;
+        let mut wg = vec![0.0; params.inv_ls2.len()];
+        let mut tr = 0.0;
+        let mut pair = 0;
+        for i in 0..n {
+            let kinv_i = kinv.row(i);
+            let ai = alpha[i];
+            for j in i..n {
+                let w = ai * alpha[j] - kinv_i[j];
+                let ws = if j == i {
+                    tr += w;
+                    w
+                } else {
+                    2.0 * w
+                };
+                wk += ws * kf[2 * pair];
+                let c = ws * kf[2 * pair + 1];
+                for (g, &s) in wg.iter_mut().zip(sq.pair(i, j)) {
+                    *g += c * s;
+                }
+                pair += 1;
             }
-            pair += 1;
         }
-    }
-    let mut grad: Vec<f64> = wg
-        .iter()
-        .zip(&params.inv_ls2)
-        .map(|(g, inv)| -0.5 * inv * g)
-        .collect();
-    // dK/d log sf2 = K_f.
-    grad.push(-0.5 * wk);
-    // Noise gradient: dK/d log sn2 = sn2 I.
-    grad.push(-0.5 * sn2 * tr);
-
+        let mut grad: Vec<f64> = wg
+            .iter()
+            .zip(&params.inv_ls2)
+            .map(|(g, inv)| -0.5 * inv * g)
+            .collect();
+        // dK/d log sf2 = K_f.
+        grad.push(-0.5 * wk);
+        if with_noise {
+            // Noise gradient: dK/d log sn2 = sn2 I.
+            grad.push(-0.5 * sn2 * tr);
+        }
+        grad
+    };
     Some((nlml, grad))
 }
 
@@ -1082,6 +1153,12 @@ mod tests {
         .unwrap()
     }
 
+    /// [`nlml_with_grad`] with the noise gradient, run to completion.
+    fn nlml_eager(kernel: &Kernel, log_noise: f64, sq: &SqDists, ys: &[f64]) -> (f64, Vec<f64>) {
+        let (nll, grad) = nlml_with_grad(kernel, log_noise, true, sq, ys).unwrap();
+        (nll, grad())
+    }
+
     /// The dense-`dK` likelihood the fused pass replaced: one `n × n`
     /// derivative matrix per kernel hyperparameter, each traced against
     /// a materialized `W = αα^T - K^{-1}`.
@@ -1147,7 +1224,7 @@ mod tests {
             let kernel = hypre_like_kernel(kind);
             let sq = kernel.precompute_sq_dists(&x);
             let log_noise = (1e-2f64).ln();
-            let (nll, grad) = nlml_with_grad(&kernel, log_noise, &sq, &ys).unwrap();
+            let (nll, grad) = nlml_eager(&kernel, log_noise, &sq, &ys);
             let (nll_ref, grad_ref) = nlml_with_grad_dense_reference(&kernel, log_noise, &sq, &ys);
             // Same K, same factor: the likelihood itself is unchanged.
             assert_eq!(nll.to_bits(), nll_ref.to_bits(), "{kind:?}");
@@ -1199,7 +1276,7 @@ mod tests {
                 let f = |t: &[f64]| {
                     let mut kern = proto.clone();
                     kern.unpack(&t[..4]);
-                    nlml_with_grad(&kern, t[4], &sq, &ys).unwrap()
+                    nlml_eager(&kern, t[4], &sq, &ys)
                 };
                 let (_, grad) = f(&theta);
                 let h = 1e-5;
@@ -1232,13 +1309,62 @@ mod tests {
             config.noise = noise;
             let gp = Gp::fit(&x, &y, &config, &mut StdRng::seed_from_u64(13)).unwrap();
             let sq = gp.kernel.precompute_sq_dists(&x);
-            let (nll, _) = nlml_with_grad(&gp.kernel, gp.log_noise, &sq, &gp.ys).unwrap();
+            let (nll, _) = nlml_with_grad(&gp.kernel, gp.log_noise, true, &sq, &gp.ys).unwrap();
             let n = x.len() as f64;
             let own = -(0.5 * crowdtune_linalg::dot(&gp.ys, &gp.alpha)
                 + 0.5 * gp.chol.log_det()
                 + 0.5 * n * (2.0 * std::f64::consts::PI).ln());
             assert_eq!(gp.log_marginal_likelihood().to_bits(), (-nll).to_bits());
             assert_eq!(gp.log_marginal_likelihood().to_bits(), own.to_bits());
+        }
+    }
+
+    #[test]
+    fn fit_matches_the_eager_gradient_reference_bitwise() {
+        // The fit's multistart (a warm start, the default start and two
+        // random starts) redone with the gradient computed at every
+        // evaluation gives bitwise the same θ and NLL, while the fit
+        // computes fewer gradients than it evaluates likelihoods.
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let x = hypre_like_points(60, 21);
+        let y = hypre_like_targets(&x);
+        for noise in [NoiseModel::Estimated(1e-2), NoiseModel::Fixed(1e-4)] {
+            let fixed = matches!(noise, NoiseModel::Fixed(_));
+            let mut config = GpConfig::new(hypre_dims());
+            config.noise = noise;
+            let warm = hypre_like_gp(40, 3).pack_theta(fixed);
+            let mut rng = StdRng::seed_from_u64(9);
+            let fit = Gp::fit_with_starts(&x, &y, &config, &mut rng, std::slice::from_ref(&warm))
+                .unwrap();
+
+            let lik = GpLikelihood::new(&x, &y, &config).unwrap();
+            let starts = lik.starts(&[warm], config.restarts, &mut StdRng::seed_from_u64(9));
+            assert_eq!(starts.len(), 4);
+            let opts = LbfgsOptions {
+                max_iter: config.max_opt_iter,
+                ..Default::default()
+            };
+            let eager = |theta: &[f64]| {
+                let (nll, grad) = lik.nll(theta);
+                let grad = grad();
+                (nll, move || grad)
+            };
+            let reference = run_multistart(&starts, eager, &opts, None, false).unwrap();
+            assert_eq!(
+                bits(&fit.pack_theta(fixed)),
+                bits(&reference.x),
+                "{noise:?}"
+            );
+            assert_eq!(fit.lml.to_bits(), (-reference.f).to_bits(), "{noise:?}");
+
+            let counts = FitCounts::default();
+            let deferred = |theta: &[f64]| counts.count(lik.nll(theta));
+            run_multistart(&starts, deferred, &opts, None, false).unwrap();
+            let (evals, grads) = (counts.evaluations(), counts.gradients());
+            assert!(
+                starts.len() as u64 <= grads && grads < evals,
+                "{noise:?}: {grads} gradients for {evals} evaluations"
+            );
         }
     }
 

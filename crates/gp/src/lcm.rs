@@ -19,13 +19,12 @@
 //! noise) are fitted by maximizing the exact joint marginal likelihood
 //! with analytic gradients.
 
-use crate::gp::{run_multistart, Prediction};
+use crate::gp::{or_infeasible, run_multistart, FitCounts, Prediction};
 use crate::kernel::{DimKind, Kernel, KernelKind, KernelParams, SqDists};
 use crowdtune_linalg::{Bounds, Cholesky, LbfgsOptions, LbfgsResult, Matrix};
 use crowdtune_obs as obs;
 use rand::Rng;
 use rayon::prelude::*;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 const LOG_LS_MIN: f64 = -4.6;
 const LOG_LS_MAX: f64 = 2.31;
@@ -127,8 +126,12 @@ pub struct LcmFitStats {
     pub start_nll: f64,
     /// L-BFGS iterations of the winning run.
     pub iterations: usize,
-    /// Likelihood-plus-gradient evaluations summed over every start.
+    /// Likelihood evaluations summed over every start.
     pub evaluations: usize,
+    /// Likelihood gradients computed, summed over every start: the
+    /// start points and the line-search probes that passed the Armijo
+    /// test.
+    pub gradients: usize,
 }
 
 /// A fitted LCM multitask GP.
@@ -340,9 +343,11 @@ impl LcmLikelihood {
     }
 
     /// Negative joint log marginal likelihood of the standardized targets
-    /// at θ and its gradient; `None` when the covariance cannot be
-    /// factorized.
-    pub fn nll_with_grad(&self, theta: &[f64]) -> Option<(f64, Vec<f64>)> {
+    /// at θ and a closure that computes its gradient; `None` when the
+    /// covariance cannot be factorized. The value costs the kernel pass,
+    /// the Cholesky factor and `α`; `K⁻¹` and the gradient sweep run only
+    /// when the closure does.
+    pub fn nll_with_grad(&self, theta: &[f64]) -> Option<(f64, impl FnOnce() -> Vec<f64> + '_)> {
         lcm_nlml_with_grad(
             theta,
             &self.pack,
@@ -395,14 +400,9 @@ impl Lcm {
         let n_total = lik.x_all.len();
         // Projected L-BFGS keeps every evaluation inside the box.
         let bounds = lik.bounds();
-        let evaluations = AtomicUsize::new(0);
-        let objective = |theta: &[f64]| -> (f64, Vec<f64>) {
-            evaluations.fetch_add(1, Ordering::Relaxed);
-            match lik.nll_with_grad(theta) {
-                Some(r) => r,
-                None => (f64::INFINITY, vec![0.0; theta.len()]),
-            }
-        };
+        let counts = FitCounts::default();
+        let objective =
+            |theta: &[f64]| counts.count(or_infeasible(lik.nll_with_grad(theta), theta.len()));
 
         // Starts: the warm start or the deterministic default, then
         // random restarts.
@@ -449,11 +449,11 @@ impl Lcm {
                 nll: None,
                 duration_us: fit_span.elapsed_ns() / 1_000,
                 fallback: true,
-                evaluations: Some(evaluations.load(Ordering::Relaxed) as u64),
+                evaluations: Some(counts.evaluations()),
+                gradients: Some(counts.gradients()),
             });
             return Err(LcmError::NumericalFailure);
         };
-        let evaluations = evaluations.into_inner();
         obs::record_with(|| obs::Event::Fit {
             model: "lcm".to_string(),
             points: n_total as u64,
@@ -461,7 +461,8 @@ impl Lcm {
             nll: obs::finite(nlml),
             duration_us: fit_span.elapsed_ns() / 1_000,
             fallback: false,
-            evaluations: Some(evaluations as u64),
+            evaluations: Some(counts.evaluations()),
+            gradients: Some(counts.gradients()),
         });
 
         // Unpack the winner and finalize.
@@ -517,7 +518,8 @@ impl Lcm {
             fit_stats: LcmFitStats {
                 start_nll,
                 iterations,
-                evaluations,
+                evaluations: counts.evaluations() as usize,
+                gradients: counts.gradients() as usize,
             },
         })
     }
@@ -850,16 +852,17 @@ fn build_lcm_covariance(
     k
 }
 
-/// Negative joint LML and gradient for the packed LCM hyperparameters,
-/// evaluated from the fit-lifetime distance cache.
-fn lcm_nlml_with_grad(
+/// Negative joint LML and its deferred gradient for the packed LCM
+/// hyperparameters, evaluated from the fit-lifetime distance cache. The
+/// returned closure owns the factor and the kernel pass's buffers.
+fn lcm_nlml_with_grad<'a>(
     theta: &[f64],
-    pack: &Packing,
+    pack: &'a Packing,
     kernel_proto: &Kernel,
-    sq: &SqDists,
-    task_of: &[usize],
-    ys: &[f64],
-) -> Option<(f64, Vec<f64>)> {
+    sq: &'a SqDists,
+    task_of: &'a [usize],
+    ys: &'a [f64],
+) -> Option<(f64, impl FnOnce() -> Vec<f64> + 'a)> {
     let n = sq.n();
     let (q_count, d) = (pack.q, pack.d);
 
@@ -929,96 +932,98 @@ fn lcm_nlml_with_grad(
     let nlml = 0.5 * crowdtune_linalg::dot(ys, &alpha)
         + 0.5 * chol.log_det()
         + 0.5 * n as f64 * (2.0 * std::f64::consts::PI).ln();
-    let kinv = chol.inverse();
+    let grad = move || {
+        let kinv = chol.inverse();
 
-    // Pass 2: dNLML/dθ = -0.5 Σ_ij W_ij dK_ij/dθ with W = αα^T - K^{-1}.
-    // The inputs are flattened task by task, so the pairs (i, j ≥ i)
-    // with t_i = s, t_j = t form contiguous runs of j inside which
-    // B_q[s, t] is constant. Each run sums Σ w·k_q and Σ w·factor_q·sq_d
-    // into local accumulators; the per-block totals then give the
-    // loading, κ and lengthscale gradients in O(Q·T²·d).
-    debug_assert!(task_of.windows(2).all(|w| w[0] <= w[1]));
-    let mut task_end = vec![0usize; t_count];
-    for &t in task_of {
-        task_end[t] += 1;
-    }
-    for t in 1..t_count {
-        task_end[t] += task_end[t - 1];
-    }
-    // Block totals, indexed by (s·T + t)·Q + q (times d for lengthscales).
-    let mut wk_blk = vec![0.0; t_count * t_count * q_count];
-    let mut wg_blk = vec![0.0; t_count * t_count * q_count * d];
-    let mut wk = vec![0.0; q_count];
-    let mut wg = vec![0.0; q_count * d];
-    let mut grad = vec![0.0; pack.len()];
-    let mut pair = 0;
-    for i in 0..n {
-        let ti = task_of[i];
-        let kinv_i = kinv.row(i);
-        let ai = alpha[i];
-        let mut j = i;
-        for (tj, &end) in task_end.iter().enumerate().skip(ti) {
-            if j >= end {
-                continue;
+        // Pass 2: dNLML/dθ = -0.5 Σ_ij W_ij dK_ij/dθ with W = αα^T - K^{-1}.
+        // The inputs are flattened task by task, so the pairs (i, j ≥ i)
+        // with t_i = s, t_j = t form contiguous runs of j inside which
+        // B_q[s, t] is constant. Each run sums Σ w·k_q and Σ w·factor_q·sq_d
+        // into local accumulators; the per-block totals then give the
+        // loading, κ and lengthscale gradients in O(Q·T²·d).
+        debug_assert!(task_of.windows(2).all(|w| w[0] <= w[1]));
+        let mut task_end = vec![0usize; t_count];
+        for &t in task_of {
+            task_end[t] += 1;
+        }
+        for t in 1..t_count {
+            task_end[t] += task_end[t - 1];
+        }
+        // Block totals, indexed by (s·T + t)·Q + q (times d for lengthscales).
+        let mut wk_blk = vec![0.0; t_count * t_count * q_count];
+        let mut wg_blk = vec![0.0; t_count * t_count * q_count * d];
+        let mut wk = vec![0.0; q_count];
+        let mut wg = vec![0.0; q_count * d];
+        let mut grad = vec![0.0; pack.len()];
+        let mut pair = 0;
+        for i in 0..n {
+            let ti = task_of[i];
+            let kinv_i = kinv.row(i);
+            let ai = alpha[i];
+            let mut j = i;
+            for (tj, &end) in task_end.iter().enumerate().skip(ti) {
+                if j >= end {
+                    continue;
+                }
+                wk.fill(0.0);
+                wg.fill(0.0);
+                for jj in j..end {
+                    // Off-diagonal pairs appear twice in the full sum.
+                    let w = ai * alpha[jj] - kinv_i[jj];
+                    let ws = if jj == i { w } else { 2.0 * w };
+                    let sqp = sq.pair(i, jj);
+                    let kfp = &kf[pair * stride..(pair + 1) * stride];
+                    for (q, (wk_q, wg_q)) in wk.iter_mut().zip(wg.chunks_exact_mut(d)).enumerate() {
+                        *wk_q += ws * kfp[2 * q];
+                        let c = ws * kfp[2 * q + 1];
+                        for (g, &s) in wg_q.iter_mut().zip(sqp) {
+                            *g += c * s;
+                        }
+                    }
+                    pair += 1;
+                }
+                j = end;
+                let blk = ti * t_count + tj;
+                for (acc, &v) in wk_blk[blk * q_count..(blk + 1) * q_count]
+                    .iter_mut()
+                    .zip(&wk)
+                {
+                    *acc += v;
+                }
+                for (acc, &v) in wg_blk[blk * q_count * d..(blk + 1) * q_count * d]
+                    .iter_mut()
+                    .zip(&wg)
+                {
+                    *acc += v;
+                }
             }
-            wk.fill(0.0);
-            wg.fill(0.0);
-            for jj in j..end {
-                // Off-diagonal pairs appear twice in the full sum.
-                let w = ai * alpha[jj] - kinv_i[jj];
-                let ws = if jj == i { w } else { 2.0 * w };
-                let sqp = sq.pair(i, jj);
-                let kfp = &kf[pair * stride..(pair + 1) * stride];
-                for (q, (wk_q, wg_q)) in wk.iter_mut().zip(wg.chunks_exact_mut(d)).enumerate() {
-                    *wk_q += ws * kfp[2 * q];
-                    let c = ws * kfp[2 * q + 1];
-                    for (g, &s) in wg_q.iter_mut().zip(sqp) {
-                        *g += c * s;
+            // Noise: diagonal only.
+            let w_ii = ai * ai - kinv_i[i];
+            grad[pack.noise(ti)] -= 0.5 * w_ii * noise_var[ti];
+        }
+        for ti in 0..t_count {
+            for tj in ti..t_count {
+                let blk = ti * t_count + tj;
+                for q in 0..q_count {
+                    let s = wk_blk[blk * q_count + q];
+                    // Loadings: dB_q[s,t]/da_q[s] = a_q[t] and vice versa.
+                    grad[pack.a(q, ti)] -= 0.5 * a[q][tj] * s;
+                    grad[pack.a(q, tj)] -= 0.5 * a[q][ti] * s;
+                    // Task-specific variance (same-task blocks only).
+                    if ti == tj {
+                        grad[pack.kappa(q, ti)] -= 0.5 * kappa[q][ti] * s;
+                    }
+                    // Lengthscales: dk/d log ls_d = factor · sq_d / ls_d².
+                    let c = 0.5 * b[q][blk];
+                    let g = &wg_blk[(blk * q_count + q) * d..(blk * q_count + q + 1) * d];
+                    for dim in 0..d {
+                        grad[pack.ls(q, dim)] -= c * params[q].inv_ls2[dim] * g[dim];
                     }
                 }
-                pair += 1;
-            }
-            j = end;
-            let blk = ti * t_count + tj;
-            for (acc, &v) in wk_blk[blk * q_count..(blk + 1) * q_count]
-                .iter_mut()
-                .zip(&wk)
-            {
-                *acc += v;
-            }
-            for (acc, &v) in wg_blk[blk * q_count * d..(blk + 1) * q_count * d]
-                .iter_mut()
-                .zip(&wg)
-            {
-                *acc += v;
             }
         }
-        // Noise: diagonal only.
-        let w_ii = ai * ai - kinv_i[i];
-        grad[pack.noise(ti)] -= 0.5 * w_ii * noise_var[ti];
-    }
-    for ti in 0..t_count {
-        for tj in ti..t_count {
-            let blk = ti * t_count + tj;
-            for q in 0..q_count {
-                let s = wk_blk[blk * q_count + q];
-                // Loadings: dB_q[s,t]/da_q[s] = a_q[t] and vice versa.
-                grad[pack.a(q, ti)] -= 0.5 * a[q][tj] * s;
-                grad[pack.a(q, tj)] -= 0.5 * a[q][ti] * s;
-                // Task-specific variance (same-task blocks only).
-                if ti == tj {
-                    grad[pack.kappa(q, ti)] -= 0.5 * kappa[q][ti] * s;
-                }
-                // Lengthscales: dk/d log ls_d = factor · sq_d / ls_d².
-                let c = 0.5 * b[q][blk];
-                let g = &wg_blk[(blk * q_count + q) * d..(blk * q_count + q + 1) * d];
-                for dim in 0..d {
-                    grad[pack.ls(q, dim)] -= c * params[q].inv_ls2[dim] * g[dim];
-                }
-            }
-        }
-    }
-
+        grad
+    };
     Some((nlml, grad))
 }
 
@@ -1187,15 +1192,15 @@ mod tests {
             theta[pack.noise(t)] = -4.0 + t as f64;
         }
         let sq = proto.precompute_sq_dists(&x_all);
-        let (_, grad) = lcm_nlml_with_grad(&theta, &pack, &proto, &sq, &task_of, &ys).unwrap();
+        let (_, grad) = lcm_eager(&theta, &pack, &proto, &sq, &task_of, &ys);
         let h = 1e-5;
         for p in 0..pack.len() {
             let mut tp = theta.clone();
             tp[p] += h;
-            let (fp, _) = lcm_nlml_with_grad(&tp, &pack, &proto, &sq, &task_of, &ys).unwrap();
+            let (fp, _) = lcm_eager(&tp, &pack, &proto, &sq, &task_of, &ys);
             let mut tm = theta.clone();
             tm[p] -= h;
-            let (fm, _) = lcm_nlml_with_grad(&tm, &pack, &proto, &sq, &task_of, &ys).unwrap();
+            let (fm, _) = lcm_eager(&tm, &pack, &proto, &sq, &task_of, &ys);
             let fd = (fp - fm) / (2.0 * h);
             assert!(
                 (fd - grad[p]).abs() < 1e-4 * (1.0 + fd.abs()),
@@ -1203,6 +1208,19 @@ mod tests {
                 grad[p]
             );
         }
+    }
+
+    /// [`lcm_nlml_with_grad`] run to completion.
+    fn lcm_eager(
+        theta: &[f64],
+        pack: &Packing,
+        proto: &Kernel,
+        sq: &SqDists,
+        task_of: &[usize],
+        ys: &[f64],
+    ) -> (f64, Vec<f64>) {
+        let (nll, grad) = lcm_nlml_with_grad(theta, pack, proto, sq, task_of, ys).unwrap();
+        (nll, grad())
     }
 
     /// Reference for the block-summed sweep: every (pair, q) scatters
@@ -1333,8 +1351,7 @@ mod tests {
         for kind in [KernelKind::Matern52, KernelKind::SquaredExponential] {
             let (pack, proto, sq, task_of, ys, theta) = four_task_fixture(kind);
             assert!(sq.n() >= 128);
-            let (nll, grad) =
-                lcm_nlml_with_grad(&theta, &pack, &proto, &sq, &task_of, &ys).unwrap();
+            let (nll, grad) = lcm_eager(&theta, &pack, &proto, &sq, &task_of, &ys);
             let (nll_ref, grad_ref) =
                 lcm_nlml_with_grad_reference(&theta, &pack, &proto, &sq, &task_of, &ys);
             assert!(
@@ -1359,7 +1376,7 @@ mod tests {
     #[test]
     fn block_gradient_matches_finite_difference_on_four_tasks() {
         let (pack, proto, sq, task_of, ys, theta) = four_task_fixture(KernelKind::Matern52);
-        let f = |t: &[f64]| lcm_nlml_with_grad(t, &pack, &proto, &sq, &task_of, &ys).unwrap();
+        let f = |t: &[f64]| lcm_eager(t, &pack, &proto, &sq, &task_of, &ys);
         let (_, grad) = f(&theta);
         let h = 1e-5;
         for p in 0..pack.len() {

@@ -1,4 +1,5 @@
-//! A journaled `Gp` fit reports how many likelihood evaluations it made.
+//! A journaled `Gp` fit reports how many likelihood evaluations it made
+//! and how many of them had their gradient computed.
 //!
 //! The journal is process-global, so this file holds a single test.
 
@@ -42,13 +43,17 @@ fn gp_fit_journals_its_likelihood_evaluations() {
                 model,
                 restarts,
                 evaluations,
+                gradients,
                 fallback,
                 ..
             } => {
                 assert_eq!(model, "gp");
                 assert!(!fallback);
                 assert_eq!(*restarts, 3);
-                fits.push(evaluations.expect("gp fits count their evaluations"));
+                fits.push((
+                    evaluations.expect("gp fits count their evaluations"),
+                    gradients.expect("gp fits count their gradients"),
+                ));
             }
             _ => {}
         }
@@ -57,9 +62,15 @@ fn gp_fit_journals_its_likelihood_evaluations() {
     // Every start evaluates its initial point, and every L-BFGS
     // iteration evaluates at least once more.
     assert_eq!(fits.len(), 1);
+    let (evaluations, gradients) = fits[0];
     assert!(
-        fits[0] >= starts + iterations,
-        "{} evaluations for {starts} starts and {iterations} iterations",
-        fits[0]
+        evaluations >= starts + iterations,
+        "{evaluations} evaluations for {starts} starts and {iterations} iterations"
+    );
+    // Every start computes its gradient; a line-search probe computes
+    // one only when it passes the Armijo test, and some do not.
+    assert!(
+        starts <= gradients && gradients < evaluations,
+        "{gradients} gradients for {evaluations} evaluations"
     );
 }

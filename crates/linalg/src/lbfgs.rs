@@ -6,7 +6,15 @@
 //! history of `m` curvature pairs and a line search that enforces the
 //! Armijo sufficient-decrease condition plus a weak curvature check.
 //!
-//! The objective is supplied as a closure returning `(value, gradient)`.
+//! The objective is supplied as a closure returning `(value, gradient)`,
+//! where the gradient is deferred: a closure the optimizer calls only
+//! where it reads the gradient — at the start point and on line-search
+//! probes that pass the Armijo test. A probe that fails Armijo is
+//! discarded before its gradient would be read, so its gradient is never
+//! computed; objectives whose gradient costs more than their value (a GP
+//! likelihood's `K⁻¹` and gradient sweep) save that work, and every
+//! iterate is the one an eager gradient would give.
+//!
 //! Non-finite objective values are treated as "step too long" and handled
 //! by the line search, which lets callers expose hard domain boundaries
 //! (e.g. log-hyperparameters that overflow) simply by returning `f64::INFINITY`.
@@ -186,15 +194,18 @@ pub struct LbfgsResult {
 
 /// Minimize `f` starting from `x0`.
 ///
-/// `f` returns the objective value and gradient at a point. Returning a
-/// non-finite value signals an infeasible point.
+/// `f` returns the objective value at a point and a closure that
+/// computes the gradient there; the closure runs only for the start
+/// point and for line-search probes that pass the Armijo test (see the
+/// module docs). Returning a non-finite value signals an infeasible
+/// point.
 ///
 /// With `bounds`, `x0` is first projected into the box and every point
 /// `f` is evaluated at lies inside it; the gradient convergence test uses
 /// the projected gradient. `None` runs the unconstrained method.
-pub fn lbfgs(
+pub fn lbfgs<G: FnOnce() -> Vec<f64>>(
     x0: &[f64],
-    mut f: impl FnMut(&[f64]) -> (f64, Vec<f64>),
+    mut f: impl FnMut(&[f64]) -> (f64, G),
     opts: &LbfgsOptions,
     bounds: Option<&Bounds>,
 ) -> LbfgsResult {
@@ -202,7 +213,8 @@ pub fn lbfgs(
     if let Some(b) = bounds {
         b.project(&mut x);
     }
-    let (mut fx, mut gx) = f(&x);
+    let (mut fx, grad) = f(&x);
+    let mut gx = grad();
     let f_start = fx;
     if !fx.is_finite() {
         return LbfgsResult {
@@ -353,25 +365,27 @@ pub fn lbfgs(
 /// dg0 = d·∇f(x) < 0). Returns the accepted `(x_new, f_new, g_new)`, or
 /// `None` if no acceptable step exists within the evaluation budget.
 ///
+/// A probe's gradient is computed only once the probe passes the Armijo
+/// test; a failing probe only shrinks the step.
+///
 /// With `bounds`, steps are capped at the first bound along `d`; a step
 /// that reaches that cap while still descending is accepted there.
-fn wolfe_search(
+fn wolfe_search<G: FnOnce() -> Vec<f64>>(
     x: &[f64],
     f0: f64,
     dg0: f64,
     d: &[f64],
-    f: &mut impl FnMut(&[f64]) -> (f64, Vec<f64>),
+    f: &mut impl FnMut(&[f64]) -> (f64, G),
     max_steps: usize,
     bounds: Option<&Bounds>,
 ) -> Option<(Vec<f64>, f64, Vec<f64>)> {
     const C1: f64 = 1e-4;
     const C2: f64 = 0.9;
-    type ValueGradFn<'a> = dyn FnMut(&[f64]) -> (f64, Vec<f64>) + 'a;
     let brk = bounds.map(|b| b.breakpoints(x, d));
     let t_max = brk.as_deref().map_or(f64::INFINITY, |brk| {
         brk.iter().fold(f64::INFINITY, |a, &t| a.min(t))
     });
-    let probe = |t: f64, f: &mut ValueGradFn<'_>| {
+    let mut probe = |t: f64| {
         let xt: Vec<f64> = match (bounds, &brk) {
             (Some(b), Some(brk)) => {
                 let xt = b.step(x, d, brk, t);
@@ -380,9 +394,14 @@ fn wolfe_search(
             }
             _ => x.iter().zip(d).map(|(xi, di)| xi + t * di).collect(),
         };
-        let (ft, gt) = f(&xt);
+        let (ft, grad) = f(&xt);
+        (xt, ft, grad)
+    };
+    // The gradient of a probe that passed Armijo, and its slope along `d`.
+    let slope = |grad: G| {
+        let gt = grad();
         let dgt = dot(&gt, d);
-        (xt, ft, gt, dgt)
+        (gt, dgt)
     };
 
     let mut t_prev = 0.0;
@@ -393,13 +412,14 @@ fn wolfe_search(
     let mut best: Option<(Vec<f64>, f64, Vec<f64>)> = None;
 
     for i in 0..max_steps {
-        let (xt, ft, gt, dgt) = probe(t, f);
+        let (xt, ft, grad) = probe(t);
         let armijo_fail = !ft.is_finite() || ft > f0 + C1 * t * dg0 || (i > 0 && ft >= f_prev);
         if armijo_fail {
             bracket = Some((t_prev, t));
             f_lo = f_prev;
             break;
         }
+        let (gt, dgt) = slope(grad);
         if dgt.abs() <= -C2 * dg0 {
             return Some((xt, ft, gt)); // both Wolfe conditions hold
         }
@@ -422,10 +442,11 @@ fn wolfe_search(
     // Zoom by bisection.
     for _ in 0..max_steps {
         let tm = 0.5 * (lo + hi);
-        let (xt, ft, gt, dgt) = probe(tm, f);
+        let (xt, ft, grad) = probe(tm);
         if !ft.is_finite() || ft > f0 + C1 * tm * dg0 || ft >= f_lo {
             hi = tm;
         } else {
+            let (gt, dgt) = slope(grad);
             if dgt.abs() <= -C2 * dg0 {
                 return Some((xt, ft, gt));
             }
@@ -457,21 +478,277 @@ fn norm(a: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::RefCell;
+
+    /// [`lbfgs`] on an eager `(value, gradient)` objective. The returned
+    /// log holds one entry per evaluation, in call order: whether the
+    /// optimizer ran that evaluation's deferred gradient.
+    fn run_logged(
+        mut f: impl FnMut(&[f64]) -> (f64, Vec<f64>),
+        x0: &[f64],
+        opts: &LbfgsOptions,
+        bounds: Option<&Bounds>,
+    ) -> (LbfgsResult, Vec<bool>) {
+        let log = RefCell::new(Vec::new());
+        let res = lbfgs(
+            x0,
+            |x: &[f64]| {
+                let (v, g) = f(x);
+                let probe = {
+                    let mut log = log.borrow_mut();
+                    log.push(false);
+                    log.len() - 1
+                };
+                let log = &log;
+                (v, move || {
+                    log.borrow_mut()[probe] = true;
+                    g
+                })
+            },
+            opts,
+            bounds,
+        );
+        (res, log.into_inner())
+    }
+
+    /// The optimizer with an eager gradient, as it was before gradients
+    /// were deferred: the same iteration with the objective's gradient
+    /// taken at every evaluation. The returned log holds, per evaluation
+    /// in call order, whether it is the start point or a probe that
+    /// passed the Armijo test — the evaluations whose gradient is read.
+    fn lbfgs_eager_reference(
+        mut f: impl FnMut(&[f64]) -> (f64, Vec<f64>),
+        x0: &[f64],
+        opts: &LbfgsOptions,
+        bounds: Option<&Bounds>,
+    ) -> (LbfgsResult, Vec<bool>) {
+        let mut read = vec![true];
+        let mut x = x0.to_vec();
+        if let Some(b) = bounds {
+            b.project(&mut x);
+        }
+        let (mut fx, mut gx) = f(&x);
+        let f_start = fx;
+        let done = |x, f, grad, iterations, stop, read| {
+            let res = LbfgsResult {
+                x,
+                f,
+                f_start,
+                grad,
+                iterations,
+                stop,
+            };
+            (res, read)
+        };
+        if !fx.is_finite() {
+            return done(x, fx, gx, 0, StopReason::BadStart, read);
+        }
+        let mut s_hist: Vec<Vec<f64>> = Vec::new();
+        let mut y_hist: Vec<Vec<f64>> = Vec::new();
+        let mut rho_hist: Vec<f64> = Vec::new();
+        let (mut iterations, mut stop, mut stall_count) = (0, StopReason::MaxIterations, 0);
+        for iter in 0..opts.max_iter {
+            iterations = iter + 1;
+            let pg: Vec<f64> = (0..gx.len())
+                .map(|i| match bounds {
+                    Some(b) if b.held(i, x[i], gx[i]) => 0.0,
+                    _ => gx[i],
+                })
+                .collect();
+            if pg.iter().fold(0.0f64, |a, &g| a.max(g.abs())) < opts.grad_tol {
+                stop = StopReason::GradientSmall;
+                break;
+            }
+            let mut q = pg.clone();
+            let k = s_hist.len();
+            let mut alpha = vec![0.0; k];
+            for i in (0..k).rev() {
+                alpha[i] = rho_hist[i] * dot(&s_hist[i], &q);
+                for (qj, yj) in q.iter_mut().zip(&y_hist[i]) {
+                    *qj -= alpha[i] * yj;
+                }
+            }
+            let gamma = match k {
+                0 => 1.0,
+                _ => {
+                    let yy = dot(&y_hist[k - 1], &y_hist[k - 1]);
+                    if yy > 0.0 {
+                        dot(&s_hist[k - 1], &y_hist[k - 1]) / yy
+                    } else {
+                        1.0
+                    }
+                }
+            };
+            for qj in q.iter_mut() {
+                *qj *= gamma;
+            }
+            for i in 0..k {
+                let beta = rho_hist[i] * dot(&y_hist[i], &q);
+                for (qj, sj) in q.iter_mut().zip(&s_hist[i]) {
+                    *qj += (alpha[i] - beta) * sj;
+                }
+            }
+            let mut d: Vec<f64> = q.iter().map(|v| -v).collect();
+            if let Some(b) = bounds {
+                b.confine(&x, &gx, &mut d);
+            }
+            let mut dg0 = dot(&d, &gx);
+            if dg0 >= 0.0 {
+                d = pg.iter().map(|v| -v).collect();
+                dg0 = -dot(&pg, &pg);
+                s_hist.clear();
+                y_hist.clear();
+                rho_hist.clear();
+            }
+
+            let search = wolfe_eager_reference(&x, fx, dg0, &d, &mut f, opts, bounds, &mut read);
+            let Some((x_new, f_new, g_new)) = search else {
+                stop = StopReason::LineSearchFailed;
+                break;
+            };
+
+            let s: Vec<f64> = x_new.iter().zip(&x).map(|(a, b)| a - b).collect();
+            let y: Vec<f64> = g_new.iter().zip(&gx).map(|(a, b)| a - b).collect();
+            let sy = dot(&s, &y);
+            if sy > 1e-12 * norm(&s) * norm(&y) {
+                if s_hist.len() == opts.history {
+                    s_hist.remove(0);
+                    y_hist.remove(0);
+                    rho_hist.remove(0);
+                }
+                rho_hist.push(1.0 / sy);
+                s_hist.push(s);
+                y_hist.push(y);
+            }
+            let rel_dec = (fx - f_new) / fx.abs().max(1.0);
+            (x, fx, gx) = (x_new, f_new, g_new);
+            if rel_dec >= 0.0 && rel_dec < opts.f_tol {
+                stall_count += 1;
+                if stall_count >= 5 {
+                    stop = StopReason::ObjectiveStalled;
+                    break;
+                }
+            } else {
+                stall_count = 0;
+            }
+        }
+        done(x, fx, gx, iterations, stop, read)
+    }
+
+    /// The strong-Wolfe search of [`lbfgs_eager_reference`], every probe
+    /// with its gradient; marks in `read` each probe that passes Armijo.
+    #[allow(clippy::too_many_arguments)]
+    fn wolfe_eager_reference(
+        x: &[f64],
+        f0: f64,
+        dg0: f64,
+        d: &[f64],
+        f: &mut impl FnMut(&[f64]) -> (f64, Vec<f64>),
+        opts: &LbfgsOptions,
+        bounds: Option<&Bounds>,
+        read: &mut Vec<bool>,
+    ) -> Option<(Vec<f64>, f64, Vec<f64>)> {
+        const C1: f64 = 1e-4;
+        const C2: f64 = 0.9;
+        let brk = bounds.map(|b| b.breakpoints(x, d));
+        let t_max = brk.as_deref().map_or(f64::INFINITY, |brk| {
+            brk.iter().fold(f64::INFINITY, |a, &t| a.min(t))
+        });
+        let mut probe = |t: f64, read: &mut Vec<bool>| {
+            let xt = match (bounds, &brk) {
+                (Some(b), Some(brk)) => b.step(x, d, brk, t),
+                _ => x.iter().zip(d).map(|(xi, di)| xi + t * di).collect(),
+            };
+            let (ft, gt) = f(&xt);
+            let dgt = dot(&gt, d);
+            read.push(false);
+            (xt, ft, gt, dgt)
+        };
+        let (mut t_prev, mut f_prev, mut t) = (0.0, f0, t_max.min(1.0));
+        let (mut bracket, mut f_lo, mut best) = (None, f0, None);
+        for i in 0..opts.max_ls_steps {
+            let (xt, ft, gt, dgt) = probe(t, read);
+            if !ft.is_finite() || ft > f0 + C1 * t * dg0 || (i > 0 && ft >= f_prev) {
+                bracket = Some((t_prev, t));
+                f_lo = f_prev;
+                break;
+            }
+            *read.last_mut().unwrap() = true;
+            if dgt.abs() <= -C2 * dg0 {
+                return Some((xt, ft, gt));
+            }
+            if dgt >= 0.0 {
+                best = Some((xt, ft, gt));
+                bracket = Some((t, t_prev));
+                f_lo = ft;
+                break;
+            }
+            if t >= t_max {
+                return Some((xt, ft, gt));
+            }
+            best = Some((xt, ft, gt));
+            t_prev = t;
+            f_prev = ft;
+            t = t_max.min(t * 2.0);
+        }
+        let (mut lo, mut hi) = bracket?;
+        for _ in 0..opts.max_ls_steps {
+            let tm = 0.5 * (lo + hi);
+            let (xt, ft, gt, dgt) = probe(tm, read);
+            if !ft.is_finite() || ft > f0 + C1 * tm * dg0 || ft >= f_lo {
+                hi = tm;
+            } else {
+                *read.last_mut().unwrap() = true;
+                if dgt.abs() <= -C2 * dg0 {
+                    return Some((xt, ft, gt));
+                }
+                best = Some((xt, ft, gt));
+                if dgt * (hi - lo) >= 0.0 {
+                    hi = lo;
+                }
+                lo = tm;
+                f_lo = ft;
+            }
+            if (hi - lo).abs() < 1e-16 {
+                break;
+            }
+        }
+        best
+    }
+
+    /// `sum (x_i - i)^2`, minimum at `x_i = i`.
+    fn bowl(x: &[f64]) -> (f64, Vec<f64>) {
+        let mut v = 0.0;
+        let mut g = vec![0.0; x.len()];
+        for (i, &xi) in x.iter().enumerate() {
+            let d = xi - i as f64;
+            v += d * d;
+            g[i] = 2.0 * d;
+        }
+        (v, g)
+    }
+
+    /// The 2-D Rosenbrock valley, minimum at `(1, 1)`.
+    fn rosenbrock(x: &[f64]) -> (f64, Vec<f64>) {
+        let (a, b) = (1.0, 100.0);
+        let v = (a - x[0]).powi(2) + b * (x[1] - x[0] * x[0]).powi(2);
+        let g = vec![
+            -2.0 * (a - x[0]) - 4.0 * b * x[0] * (x[1] - x[0] * x[0]),
+            2.0 * b * (x[1] - x[0] * x[0]),
+        ];
+        (v, g)
+    }
+
+    fn rosenbrock_opts() -> LbfgsOptions {
+        LbfgsOptions {
+            max_iter: 500,
+            ..Default::default()
+        }
+    }
 
     #[test]
     fn quadratic_bowl() {
-        // f(x) = sum (x_i - i)^2 has minimum at x_i = i.
-        let f = |x: &[f64]| {
-            let mut v = 0.0;
-            let mut g = vec![0.0; x.len()];
-            for (i, &xi) in x.iter().enumerate() {
-                let d = xi - i as f64;
-                v += d * d;
-                g[i] = 2.0 * d;
-            }
-            (v, g)
-        };
-        let res = lbfgs(&[5.0; 4], f, &LbfgsOptions::default(), None);
+        let res = run_logged(bowl, &[5.0; 4], &LbfgsOptions::default(), None).0;
         for (i, xi) in res.x.iter().enumerate() {
             assert!((xi - i as f64).abs() < 1e-5, "x[{i}] = {xi}");
         }
@@ -480,20 +757,7 @@ mod tests {
 
     #[test]
     fn rosenbrock_2d() {
-        let f = |x: &[f64]| {
-            let (a, b) = (1.0, 100.0);
-            let v = (a - x[0]).powi(2) + b * (x[1] - x[0] * x[0]).powi(2);
-            let g = vec![
-                -2.0 * (a - x[0]) - 4.0 * b * x[0] * (x[1] - x[0] * x[0]),
-                2.0 * b * (x[1] - x[0] * x[0]),
-            ];
-            (v, g)
-        };
-        let opts = LbfgsOptions {
-            max_iter: 500,
-            ..Default::default()
-        };
-        let res = lbfgs(&[-1.2, 1.0], f, &opts, None);
+        let res = run_logged(rosenbrock, &[-1.2, 1.0], &rosenbrock_opts(), None).0;
         assert!((res.x[0] - 1.0).abs() < 1e-3, "x = {:?}", res.x);
         assert!((res.x[1] - 1.0).abs() < 1e-3);
     }
@@ -508,7 +772,7 @@ mod tests {
                 (x[0] * x[0], vec![2.0 * x[0]])
             }
         };
-        let res = lbfgs(&[2.0], f, &LbfgsOptions::default(), None);
+        let res = run_logged(f, &[2.0], &LbfgsOptions::default(), None).0;
         assert!(res.x[0] >= 0.5);
         assert!(
             res.x[0] < 0.75,
@@ -519,14 +783,17 @@ mod tests {
 
     #[test]
     fn bad_start_reported() {
-        let f = |_: &[f64]| (f64::NAN, vec![0.0]);
+        let f = |_: &[f64]| (f64::NAN, move || vec![0.0]);
         let res = lbfgs(&[0.0], f, &LbfgsOptions::default(), None);
         assert_eq!(res.stop, StopReason::BadStart);
     }
 
     #[test]
     fn already_at_minimum_stops_fast() {
-        let f = |x: &[f64]| (x[0] * x[0], vec![2.0 * x[0]]);
+        let f = |x: &[f64]| {
+            let x0 = x[0];
+            (x0 * x0, move || vec![2.0 * x0])
+        };
         let res = lbfgs(&[0.0], f, &LbfgsOptions::default(), None);
         assert_eq!(res.stop, StopReason::GradientSmall);
         assert!(res.iterations <= 1);
@@ -542,7 +809,7 @@ mod tests {
             let g = vec![2.0 * (x[0] - 3.0), 2.0 * (x[1] + 1.0).powi(3)];
             (v, g)
         };
-        let res = lbfgs(&[10.0, 10.0], f, &LbfgsOptions::default(), None);
+        let res = run_logged(f, &[10.0, 10.0], &LbfgsOptions::default(), None).0;
         let mut b = best.borrow_mut();
         *b = res.f;
         assert!(res.f < 1e-4);
@@ -573,12 +840,13 @@ mod tests {
         let c = [-1.0, 2.0, 7.0];
         let bounds = Bounds::new(vec![0.0; 3], vec![5.0; 3]);
         let outside = std::cell::Cell::new(0);
-        let res = lbfgs(
-            &[3.0, 3.0, 3.0],
+        let res = run_logged(
             walled_bowl(&c, 0.0, 5.0, &outside),
+            &[3.0, 3.0, 3.0],
             &LbfgsOptions::default(),
             Some(&bounds),
-        );
+        )
+        .0;
         assert!(
             matches!(
                 res.stop,
@@ -593,12 +861,13 @@ mod tests {
         assert_eq!(outside.get(), 0, "probed outside the box");
 
         // The same problem without bounds runs into the wall.
-        let res = lbfgs(
-            &[3.0, 3.0, 3.0],
+        let res = run_logged(
             walled_bowl(&c, 0.0, 5.0, &outside),
+            &[3.0, 3.0, 3.0],
             &LbfgsOptions::default(),
             None,
-        );
+        )
+        .0;
         assert_eq!(res.stop, StopReason::LineSearchFailed);
     }
 
@@ -613,12 +882,13 @@ mod tests {
             max_iter: 10,
             ..Default::default()
         };
-        let res = lbfgs(
-            &[0.0, 4.5],
+        let res = run_logged(
             walled_bowl(&c, 0.0, 5.0, &outside),
+            &[0.0, 4.5],
             &opts,
             Some(&bounds),
-        );
+        )
+        .0;
         assert!(
             res.f < res.f_start,
             "no progress: {} vs {}",
@@ -635,12 +905,13 @@ mod tests {
     fn bounded_start_outside_box_is_projected() {
         let bounds = Bounds::new(vec![0.0], vec![1.0]);
         let outside = std::cell::Cell::new(0);
-        let res = lbfgs(
-            &[3.0],
+        let res = run_logged(
             walled_bowl(&[0.25], 0.0, 1.0, &outside),
+            &[3.0],
             &LbfgsOptions::default(),
             Some(&bounds),
-        );
+        )
+        .0;
         assert!(res.f_start.is_finite());
         assert!((res.x[0] - 0.25).abs() < 1e-6);
         assert_eq!(outside.get(), 0);
@@ -656,10 +927,81 @@ mod tests {
             (v, g)
         };
         let bounds = Bounds::new(vec![-1e6; 2], vec![1e6; 2]);
-        let free = lbfgs(&[10.0, 10.0], f, &LbfgsOptions::default(), None);
-        let boxed = lbfgs(&[10.0, 10.0], f, &LbfgsOptions::default(), Some(&bounds));
+        let free = run_logged(f, &[10.0, 10.0], &LbfgsOptions::default(), None).0;
+        let boxed = run_logged(f, &[10.0, 10.0], &LbfgsOptions::default(), Some(&bounds)).0;
         assert_eq!(free.x, boxed.x);
         assert_eq!(free.f.to_bits(), boxed.f.to_bits());
         assert_eq!(free.iterations, boxed.iterations);
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Run `make()`'s objective through [`lbfgs`] and through the eager
+    /// reference, check that they agree bitwise and that exactly the
+    /// start point and the Armijo-passing probes had their gradient
+    /// computed, and return how many probes failed Armijo.
+    fn check_against_eager<F: FnMut(&[f64]) -> (f64, Vec<f64>)>(
+        case: &str,
+        make: impl Fn() -> F,
+        x0: &[f64],
+        opts: &LbfgsOptions,
+        bounds: Option<&Bounds>,
+    ) -> usize {
+        let (res, computed) = run_logged(make(), x0, opts, bounds);
+        let (eager, read) = lbfgs_eager_reference(make(), x0, opts, bounds);
+        assert_eq!(bits(&res.x), bits(&eager.x), "{case}: x");
+        assert_eq!(res.f.to_bits(), eager.f.to_bits(), "{case}: f");
+        assert_eq!(res.f_start.to_bits(), eager.f_start.to_bits(), "{case}");
+        assert_eq!(bits(&res.grad), bits(&eager.grad), "{case}: grad");
+        assert_eq!(res.iterations, eager.iterations, "{case}: iterations");
+        assert_eq!(res.stop, eager.stop, "{case}: stop");
+        assert_eq!(computed, read, "{case}: gradients computed vs read");
+        read.iter().filter(|&&r| !r).count()
+    }
+
+    #[test]
+    fn deferred_gradients_match_the_eager_reference_bitwise() {
+        let outside = std::cell::Cell::new(0);
+        let default = LbfgsOptions::default();
+        let box3 = Bounds::new(vec![0.0; 3], vec![5.0; 3]);
+        let box2 = Bounds::new(vec![0.0; 2], vec![5.0; 2]);
+        let box1 = Bounds::new(vec![0.0], vec![1.0]);
+        let ten = LbfgsOptions {
+            max_iter: 10,
+            ..Default::default()
+        };
+        let c3 = [-1.0, 2.0, 7.0];
+        let walled3 = || walled_bowl(&c3, 0.0, 5.0, &outside);
+        let failed = [
+            check_against_eager("bowl", || bowl, &[5.0; 4], &default, None),
+            check_against_eager(
+                "rosenbrock",
+                || rosenbrock,
+                &[-1.2, 1.0],
+                &rosenbrock_opts(),
+                None,
+            ),
+            check_against_eager("walled", walled3, &[3.0; 3], &default, None),
+            check_against_eager("walled, box", walled3, &[3.0; 3], &default, Some(&box3)),
+            check_against_eager(
+                "start on a bound",
+                || walled_bowl(&[-1.0, 2.0], 0.0, 5.0, &outside),
+                &[0.0, 4.5],
+                &ten,
+                Some(&box2),
+            ),
+            check_against_eager(
+                "start outside the box",
+                || walled_bowl(&[0.25], 0.0, 1.0, &outside),
+                &[3.0],
+                &default,
+                Some(&box1),
+            ),
+        ];
+        // The unbounded walled bowl probes the wall, and Rosenbrock's
+        // valley overshoots: both have probes whose gradient is skipped.
+        assert!(failed[1] > 0 && failed[2] > 0, "failed probes: {failed:?}");
     }
 }

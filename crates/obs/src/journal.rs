@@ -76,9 +76,15 @@ pub enum Event {
         /// onto its fallback path.
         fallback: bool,
         /// Likelihood evaluations summed over every start, `null` when
-        /// not reported (GP fits).
+        /// not reported.
         #[serde(default)]
         evaluations: Option<u64>,
+        /// Likelihood gradients computed, summed over every start: one
+        /// per start point and per line-search probe that passed the
+        /// Armijo test, so at most `evaluations`. `null` when not
+        /// reported.
+        #[serde(default)]
+        gradients: Option<u64>,
     },
     /// One multistart restart of the hyperparameter optimizer.
     Restart {

@@ -208,6 +208,10 @@ pub struct FitEvalSummary {
     pub fits: u64,
     /// Likelihood evaluations summed over those fits.
     pub evaluations: u64,
+    /// Likelihood gradients summed over those fits (fits that do not
+    /// report gradients add none).
+    #[serde(default)]
+    pub gradients: u64,
     /// Wall-clock microseconds summed over those fits.
     pub duration_us: u64,
 }
@@ -284,6 +288,7 @@ pub fn summarize(journal: &str, events: &[Event]) -> JournalReport {
                 duration_us,
                 fallback,
                 evaluations,
+                gradients,
                 ..
             } => {
                 r.fits += 1;
@@ -294,6 +299,7 @@ pub fn summarize(journal: &str, events: &[Event]) -> JournalReport {
                     let f = r.fit_evaluations.entry(model.clone()).or_default();
                     f.fits += 1;
                     f.evaluations += evals;
+                    f.gradients += gradients.unwrap_or(0);
                     f.duration_us += duration_us;
                 }
                 r.stages
@@ -606,15 +612,16 @@ pub fn render_report(r: &JournalReport) -> String {
     if !r.fit_evaluations.is_empty() {
         out.push_str("\nlikelihood evaluations\n");
         out.push_str(&format!(
-            "  {:<12} {:>8} {:>12} {:>12} {:>12}\n",
-            "model", "fits", "evaluations", "mean_evals", "us_per_eval"
+            "  {:<12} {:>8} {:>12} {:>12} {:>12} {:>12}\n",
+            "model", "fits", "evaluations", "gradients", "mean_evals", "us_per_eval"
         ));
         for (model, f) in &r.fit_evaluations {
             out.push_str(&format!(
-                "  {:<12} {:>8} {:>12} {:>12.1} {:>12}\n",
+                "  {:<12} {:>8} {:>12} {:>12} {:>12.1} {:>12}\n",
                 model,
                 f.fits,
                 f.evaluations,
+                f.gradients,
                 f.evaluations as f64 / f.fits.max(1) as f64,
                 f.us_per_evaluation()
                     .map_or("-".to_string(), |us| format!("{us:.1}"))
@@ -814,7 +821,7 @@ mod tests {
 
     #[test]
     fn lcm_fit_evaluations_are_summarized() {
-        let fit = |model: &str, duration_us, evaluations| Event::Fit {
+        let fit = |model: &str, duration_us, evaluations, gradients| Event::Fit {
             model: model.into(),
             points: 132,
             restarts: 1,
@@ -822,19 +829,20 @@ mod tests {
             duration_us,
             fallback: false,
             evaluations,
+            gradients,
         };
         let events = vec![
-            fit("gp", 500, None),
-            fit("lcm", 30_000, Some(20)),
-            fit("lcm", 66_000, Some(44)),
+            fit("gp", 500, None, None),
+            fit("lcm", 30_000, Some(20), Some(15)),
+            fit("lcm", 66_000, Some(44), None),
         ];
         let r = summarize("j", &events);
         assert_eq!(r.fits, 3);
         assert!(!r.fit_evaluations.contains_key("gp"));
         let lcm = &r.fit_evaluations["lcm"];
         assert_eq!(
-            (lcm.fits, lcm.evaluations, lcm.duration_us),
-            (2, 64, 96_000)
+            (lcm.fits, lcm.evaluations, lcm.gradients, lcm.duration_us),
+            (2, 64, 15, 96_000)
         );
         assert_eq!(lcm.us_per_evaluation(), Some(1500.0));
         let text = render_report(&r);
@@ -843,10 +851,8 @@ mod tests {
             .skip_while(|l| !l.starts_with("likelihood evaluations"))
             .find(|l| l.trim_start().starts_with("lcm"))
             .unwrap();
-        assert!(
-            row.contains("32.0") && row.trim_end().ends_with("1500.0"),
-            "{row}"
-        );
+        let cells: Vec<&str> = row.split_whitespace().collect();
+        assert_eq!(cells, ["lcm", "2", "64", "15", "32.0", "1500.0"], "{row}");
     }
 
     #[test]

@@ -42,6 +42,7 @@ fn all_variants() -> Vec<Event> {
             duration_us: 12_000,
             fallback: false,
             evaluations: Some(21),
+            gradients: Some(15),
         },
         Event::Restart {
             index: 2,

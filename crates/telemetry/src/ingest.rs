@@ -226,6 +226,7 @@ mod tests {
                 duration_us: us,
                 fallback: false,
                 evaluations: None,
+                gradients: None,
             });
             ev.push(Event::Iteration {
                 iter: i as u64,

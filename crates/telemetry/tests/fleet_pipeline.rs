@@ -176,6 +176,7 @@ fn synthetic_run(tuner: &str, run: &str) -> Vec<obs::Event> {
             duration_us: 120,
             fallback: false,
             evaluations: None,
+            gradients: None,
         },
         obs::Event::RunEnd {
             iterations: 4,
