@@ -10,7 +10,7 @@
 use crowdtune_apps::{Application, BraninFunction, DemoFunction};
 use crowdtune_bench::{quick_mode, source_task_from_app};
 use crowdtune_core::acquisition::SearchOptions;
-use crowdtune_core::tuner::{tune_tla, TuneConfig};
+use crowdtune_core::tuner::{tune_tla_constrained, TuneConfig};
 use crowdtune_core::{
     Dataset, Ensemble, EnsemblePolicy, MultitaskTs, Stacking, TlaStrategy, WeightedSum,
 };
@@ -49,7 +49,8 @@ fn main() {
             config_mod(&mut config);
             let mut strategy = strategy_factory();
             let space = tgt_task.tuning_space();
-            let r = tune_tla(&space, &mut obj, &sources, strategy.as_mut(), &config);
+            let r =
+                tune_tla_constrained(&space, &mut obj, &sources, strategy.as_mut(), &config, None);
             bests.push(r.best().unwrap().1);
         }
         (stats::mean(&bests), stats::std_dev(&bests))

@@ -56,10 +56,7 @@
 //! compares smoke-scale stats against full-scale baselines) — that is
 //! what CI runs.
 
-use crowdtune_core::acquisition::{
-    propose_ei_failure_aware, propose_ei_pooled, propose_ei_pooled_scratch, CandidatePool,
-    ProposalScratch,
-};
+use crowdtune_core::acquisition::{propose, CandidatePool, ProposalRequest, ProposalScratch};
 use crowdtune_core::SearchOptions;
 use crowdtune_gp::{
     DimKind, Gp, GpConfig, IncrementalGp, Kernel, KernelKind, Lcm, LcmConfig, RefitSchedule,
@@ -397,12 +394,13 @@ enum LoopMode {
     /// Pre-amortization tuner: from-scratch `Gp::fit` and a fresh
     /// candidate sweep every iteration.
     NaiveRefit,
-    /// `IncrementalGp` + `CandidatePool`, allocating a fresh candidate
-    /// `Vec<Vec<f64>>` per proposal (the pre-scratch shape).
+    /// `IncrementalGp` + `CandidatePool`, with a fresh
+    /// [`ProposalScratch`] per proposal (the pre-scratch allocation
+    /// shape).
     Pooled,
-    /// Same, but through `propose_ei_pooled_scratch` with a persistent
-    /// [`ProposalScratch`]: candidate buffers are recycled across
-    /// iterations, so steady-state proposals allocate nothing.
+    /// Same, but with one persistent [`ProposalScratch`]: candidate
+    /// buffers are recycled across iterations, so steady-state proposals
+    /// allocate nothing.
     PooledScratch,
 }
 
@@ -439,48 +437,23 @@ fn tune_loop(budget: usize, mode: LoopMode) -> f64 {
                 .min_by(|a, b| a.1.partial_cmp(b.1).unwrap())
                 .map(|(i, &v)| (i, v))
                 .expect("non-empty");
-            match mode {
-                LoopMode::NaiveRefit => {
-                    let gp = Gp::fit(&x, &y, &gp_config, &mut rng).expect("fit");
-                    propose_ei_failure_aware(
-                        &gp,
-                        D,
-                        Some((&x[bi], by)),
-                        &x,
-                        &[],
-                        &opts,
-                        None,
-                        &mut rng,
-                    )
-                }
-                LoopMode::Pooled => {
-                    let gp = surrogate.gp().expect("fitted");
-                    propose_ei_pooled(
-                        gp,
-                        &pool,
-                        Some((&x[bi], by)),
-                        &x,
-                        &[],
-                        &opts,
-                        None,
-                        &mut rng,
-                    )
-                }
-                LoopMode::PooledScratch => {
-                    let gp = surrogate.gp().expect("fitted");
-                    propose_ei_pooled_scratch(
-                        gp,
-                        &pool,
-                        Some((&x[bi], by)),
-                        &x,
-                        &[],
-                        &opts,
-                        None,
-                        &mut rng,
-                        &mut scratch,
-                    )
-                }
+            let refit;
+            let gp = if mode == LoopMode::NaiveRefit {
+                refit = Gp::fit(&x, &y, &gp_config, &mut rng).expect("fit");
+                &refit
+            } else {
+                surrogate.gp().expect("fitted")
+            };
+            let req = ProposalRequest {
+                incumbent: Some((&x[bi], by)),
+                evaluated: &x,
+                pool: (mode != LoopMode::NaiveRefit).then_some(&pool),
+                ..ProposalRequest::new(D)
+            };
+            if mode != LoopMode::PooledScratch {
+                scratch = ProposalScratch::new();
             }
+            propose(gp, &req, &opts, &mut rng, &mut scratch)
         };
         let value = objective(&cand);
         if mode != LoopMode::NaiveRefit {

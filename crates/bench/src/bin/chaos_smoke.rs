@@ -27,8 +27,7 @@
 use crowdtune_apps::{Application, DemoFunction, FaultInjector, FaultPlan};
 use crowdtune_bench::arg_value;
 use crowdtune_core::{
-    resume_notla_from_checkpoint, tune_notla, Checkpointing, TuneConfig, TuneResult,
-    TunerCheckpoint,
+    tune, tune_notla, Checkpointing, NoTla, TuneConfig, TuneResult, TunerCheckpoint,
 };
 use crowdtune_db::DurableStore;
 use crowdtune_obs as obs;
@@ -161,8 +160,16 @@ fn main() {
         let raw = app.evaluate(p, &mut call_rng).map_err(|e| e.to_string());
         inj.apply(raw)
     };
-    let resumed = resume_notla_from_checkpoint(&space, &mut objective, &config, &ckpt)
-        .expect("resume accepts the checkpoint");
+    let resumed = tune(
+        &space,
+        &mut objective,
+        &[],
+        &mut NoTla::new(),
+        &config,
+        None,
+        Some(&ckpt),
+    )
+    .expect("resume accepts the checkpoint");
     assert_identical(&reference, &resumed, "resumed run");
     eprintln!(
         "resumed from iteration {}: bitwise identical to the uninterrupted run",

@@ -32,8 +32,8 @@ use std::sync::Arc;
 
 use crowdtune_apps::{Application, DemoFunction, FaultInjector, FaultPlan, InjectedFault};
 use crowdtune_bench::arg_value;
-use crowdtune_core::tuner::{tune_notla_with_quality, TuneConfig, TuneResult};
-use crowdtune_core::{QualityConfig, QualityScorer};
+use crowdtune_core::tuner::{tune, TuneConfig, TuneResult};
+use crowdtune_core::{NoTla, QualityConfig, QualityScorer};
 use crowdtune_db::{EvalOutcome, FunctionEvaluation, HistoryDb, Provenance};
 use crowdtune_obs as obs;
 use crowdtune_space::Point;
@@ -111,7 +111,9 @@ fn main() {
     let clean = {
         let mut rng = StdRng::seed_from_u64(9);
         let mut objective = |p: &Point| app.evaluate(p, &mut rng).map_err(|e| e.to_string());
-        tune_notla_with_quality(&space, &mut objective, &config(), &mut alice)
+        let notla = &mut NoTla::with_quality(&mut alice);
+        tune(&space, &mut objective, &[], notla, &config(), None, None)
+            .expect("a fresh run has no replay to diverge from")
     };
     let clean_report = alice.report().expect("finalized clean report").clone();
     assert!(
@@ -146,7 +148,9 @@ fn main() {
             // iteration and the scorer's doc ordinal (1-based) == calls.
             injector.apply_to(y, calls)
         };
-        tune_notla_with_quality(&space, &mut objective, &config(), &mut mallory)
+        let notla = &mut NoTla::with_quality(&mut mallory);
+        tune(&space, &mut objective, &[], notla, &config(), None, None)
+            .expect("a fresh run has no replay to diverge from")
     };
     let report = mallory
         .report()

@@ -3,9 +3,9 @@
 //! paper's figure shape (mean ± std per evaluation count).
 
 use crowdtune_apps::Application;
-use crowdtune_core::tuner::{tune_notla_constrained, tune_tla_constrained, TuneConfig};
+use crowdtune_core::tuner::{tune, TuneConfig};
 use crowdtune_core::{
-    Ensemble, EnsemblePolicy, MultitaskPs, MultitaskTs, SourceTask, Stacking, TlaStrategy,
+    Ensemble, EnsemblePolicy, MultitaskPs, MultitaskTs, NoTla, SourceTask, Stacking, TlaStrategy,
     WeightedSum,
 };
 use crowdtune_linalg::stats;
@@ -84,9 +84,9 @@ impl TunerSpec {
         ]
     }
 
-    fn build_strategy(&self) -> Option<Box<dyn TlaStrategy>> {
-        Some(match self {
-            TunerSpec::NoTla => return None,
+    fn build_strategy(&self) -> Box<dyn TlaStrategy> {
+        match self {
+            TunerSpec::NoTla => Box::new(NoTla::new()),
             TunerSpec::MultitaskPs => Box::new(MultitaskPs::new()),
             TunerSpec::MultitaskTs => Box::new(MultitaskTs::new()),
             TunerSpec::WeightedEqual => Box::new(WeightedSum::equal()),
@@ -109,7 +109,7 @@ impl TunerSpec {
                 ],
                 EnsemblePolicy::ProbOnly,
             )),
-        })
+        }
     }
 }
 
@@ -195,24 +195,23 @@ fn run_once(scenario: &Scenario<'_>, spec: TunerSpec, seed: u64) -> Vec<Option<f
     }
     // GPTune's documented default spends NS1 = NS/2 evaluations on random
     // initialization before Bayesian optimization starts; the paper's
-    // NoTLA baseline inherits that. (The TLA loop ignores n_init — its
-    // prior comes from the sources.)
+    // NoTLA baseline inherits that. (Transfer strategies ignore n_init —
+    // their prior comes from the sources.)
     config.n_init = (scenario.budget / 2).max(2);
     // Structural constraints are known without running the app; OOM-style
     // failures still reach the tuner through the objective.
     let constraint = |p: &crowdtune_space::Point| scenario.target.validate_config(p);
-    let result = match spec.build_strategy() {
-        None => tune_notla_constrained(&space, &mut objective, &config, Some(&constraint)),
-        Some(mut strategy) => tune_tla_constrained(
-            &space,
-            &mut objective,
-            &scenario.sources,
-            strategy.as_mut(),
-            &config,
-            Some(&constraint),
-        ),
-    };
-    result.best_so_far()
+    tune(
+        &space,
+        &mut objective,
+        &scenario.sources,
+        spec.build_strategy().as_mut(),
+        &config,
+        Some(&constraint),
+        None,
+    )
+    .expect("a fresh run has no replay to diverge from")
+    .best_so_far()
 }
 
 fn aggregate(tuner: &'static str, budget: usize, runs: &[Vec<Option<f64>>]) -> Curve {

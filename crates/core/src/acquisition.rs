@@ -98,23 +98,6 @@ impl Surrogate for crowdtune_gp::SparseGp {
     }
 }
 
-/// The partitioned local-expert ensemble is a surrogate directly; its
-/// native batch path runs every expert's own batched prediction (each
-/// hoisting its factorizations once) before the per-point gPoE merge.
-impl Surrogate for crowdtune_gp::LocalExperts {
-    fn predict(&self, x: &[f64]) -> (f64, f64) {
-        let p = crowdtune_gp::LocalExperts::predict(self, x);
-        (p.mean, p.std)
-    }
-
-    fn predict_batch(&self, xs: &[Vec<f64>]) -> Vec<(f64, f64)> {
-        crowdtune_gp::LocalExperts::predict_batch(self, xs)
-            .into_iter()
-            .map(|p| (p.mean, p.std))
-            .collect()
-    }
-}
-
 /// One task slice of a fitted [`crowdtune_gp::Lcm`], viewed as a
 /// surrogate. Batched predictions hoist all per-kernel hyperparameters
 /// once per batch.
@@ -228,125 +211,34 @@ fn snap(c: &mut [f64], cells: &[Option<usize>]) {
     }
 }
 
+/// One snapped uniform draw from the unit cube.
+fn uniform_point<R: Rng>(dim: usize, opts: &SearchOptions, rng: &mut R) -> Vec<f64> {
+    let mut c: Vec<f64> = (0..dim).map(|_| rng.gen::<f64>()).collect();
+    snap(&mut c, &opts.cells);
+    c
+}
+
+/// Infinity-norm distance between two unit points, inlined into the
+/// dedup and failure scans of callers in other crates too.
+#[inline]
+fn linf(a: &[f64], b: &[f64]) -> f64 {
+    a.iter()
+        .zip(b)
+        .map(|(x, y)| (x - y).abs())
+        .fold(0.0f64, f64::max)
+}
+
 /// A validity predicate over unit-cube candidates (problem constraints:
 /// e.g. "the process grid must fit the allocation"). Candidates failing
 /// it are never proposed, the GPTune-style `constraints` mechanism.
 pub type ValidityFn<'a> = dyn Fn(&[f64]) -> bool + Sync + 'a;
-
-/// Propose the unit-cube point maximizing Expected Improvement.
-///
-/// `incumbent` is the best evaluated `(x, y)` so far; `evaluated` lists
-/// every already-evaluated unit point (for dedup).
-pub fn propose_ei<S: Surrogate, R: Rng>(
-    surrogate: &S,
-    dim: usize,
-    incumbent: Option<(&[f64], f64)>,
-    evaluated: &[Vec<f64>],
-    opts: &SearchOptions,
-    rng: &mut R,
-) -> Vec<f64> {
-    propose_ei_constrained(surrogate, dim, incumbent, evaluated, opts, None, rng)
-}
-
-/// Filter away candidates near failed evaluations; never empties the
-/// pool entirely (a fully-failed neighborhood falls back to the raw
-/// pool, since some proposal must still be made).
-fn apply_failure_exclusion(candidates: &mut Vec<Vec<f64>>, failed: &[Vec<f64>], radius: f64) {
-    if failed.is_empty() || radius <= 0.0 {
-        return;
-    }
-    let far = |c: &[f64]| {
-        failed.iter().all(|f| {
-            f.iter()
-                .zip(c)
-                .map(|(a, b)| (a - b).abs())
-                .fold(0.0f64, f64::max)
-                > radius
-        })
-    };
-    // Retain in place only when at least one candidate survives; a
-    // fully-failed neighborhood keeps the raw pool untouched.
-    if candidates.iter().any(|c| far(c)) {
-        let before = candidates.len();
-        candidates.retain(|c| far(c));
-        let removed = before - candidates.len();
-        if removed > 0 {
-            obs::count(obs::names::CTR_ACQ_EXCLUDED, removed as u64);
-            obs::record_with(|| obs::Event::Exclusion {
-                failed: failed.len() as u64,
-                removed: removed as u64,
-                pool: candidates.len() as u64,
-            });
-        }
-    }
-}
-
-/// [`propose_ei_constrained`] that additionally avoids the neighborhood
-/// of failed evaluations.
-#[allow(clippy::too_many_arguments)]
-pub fn propose_ei_failure_aware<S: Surrogate, R: Rng>(
-    surrogate: &S,
-    dim: usize,
-    incumbent: Option<(&[f64], f64)>,
-    evaluated: &[Vec<f64>],
-    failed: &[Vec<f64>],
-    opts: &SearchOptions,
-    valid: Option<&ValidityFn<'_>>,
-    rng: &mut R,
-) -> Vec<f64> {
-    let mut candidates = generate_candidates(dim, incumbent.map(|(x, _)| x), evaluated, opts, rng);
-    apply_failure_exclusion(&mut candidates, failed, opts.failure_radius);
-    if let Some(valid) = valid {
-        candidates.retain(|c| valid(c));
-    }
-    if candidates.is_empty() {
-        return propose_ei_constrained(surrogate, dim, incumbent, evaluated, opts, valid, rng);
-    }
-    score_candidates(surrogate, candidates, incumbent, opts)
-}
-
-/// [`propose_ei`] with an optional constraint predicate.
-pub fn propose_ei_constrained<S: Surrogate, R: Rng>(
-    surrogate: &S,
-    dim: usize,
-    incumbent: Option<(&[f64], f64)>,
-    evaluated: &[Vec<f64>],
-    opts: &SearchOptions,
-    valid: Option<&ValidityFn<'_>>,
-    rng: &mut R,
-) -> Vec<f64> {
-    let mut candidates = generate_candidates(dim, incumbent.map(|(x, _)| x), evaluated, opts, rng);
-    if let Some(valid) = valid {
-        let before = candidates.len();
-        candidates.retain(|c| valid(c));
-        if candidates.is_empty() {
-            // Rejection-sample a feasible point; give up after a bounded
-            // number of tries (the objective will report the failure).
-            for _ in 0..512.max(before) {
-                let mut c: Vec<f64> = (0..dim).map(|_| rng.gen::<f64>()).collect();
-                snap(&mut c, &opts.cells);
-                if valid(&c) {
-                    candidates.push(c);
-                    break;
-                }
-            }
-            if candidates.is_empty() {
-                let mut c: Vec<f64> = (0..dim).map(|_| rng.gen::<f64>()).collect();
-                snap(&mut c, &opts.cells);
-                candidates.push(c);
-            }
-        }
-    }
-    score_candidates(surrogate, candidates, incumbent, opts)
-}
 
 /// Reusable per-proposal buffers: the candidate set, its scores, and a
 /// build row. A tuning loop allocates one of these and threads it
 /// through every proposal; candidate `Vec`s, the score vector, and the
 /// perturbation row are then recycled instead of being rebuilt (several
 /// hundred allocations) on every iteration. Purely an allocation cache —
-/// proposals through a scratch are bitwise-identical to the scratchless
-/// path.
+/// a proposal's result does not depend on the scratch it ran in.
 #[derive(Debug, Default)]
 pub struct ProposalScratch {
     /// Candidate buffer freelist; the first `n` entries are live.
@@ -355,7 +247,7 @@ pub struct ProposalScratch {
     n: usize,
     /// Score buffer, reused across proposals.
     scores: Vec<f64>,
-    /// Build row for perturbation/fallback candidates.
+    /// Build row for perturbation candidates.
     tmp: Vec<f64>,
 }
 
@@ -402,24 +294,197 @@ impl ProposalScratch {
         }
         self.n = w;
     }
+
+    /// Drop candidates near failed evaluations; never empties the set (a
+    /// fully-failed neighborhood keeps every candidate, since some
+    /// proposal must still be made). Journals what it removed.
+    fn exclude_failed(&mut self, failed: &[Vec<f64>], radius: f64) {
+        if failed.is_empty() || radius <= 0.0 {
+            return;
+        }
+        let far = |c: &[f64]| failed.iter().all(|f| linf(f, c) > radius);
+        if !self.active().iter().any(|c| far(c)) {
+            return;
+        }
+        let before = self.n;
+        self.retain_active(far);
+        let removed = before - self.n;
+        if removed > 0 {
+            obs::count(obs::names::CTR_ACQ_EXCLUDED, removed as u64);
+            obs::record_with(|| obs::Event::Exclusion {
+                failed: failed.len() as u64,
+                removed: removed as u64,
+                pool: self.n as u64,
+            });
+        }
+    }
 }
 
-fn score_candidates<S: Surrogate>(
+/// The θ-independent uniform sweep of the acquisition search.
+///
+/// The sweep depends only on the dimension, the cell grid, and the RNG —
+/// not on the surrogate's hyperparameters or the observed data — so a
+/// tuning loop can draw and snap it once and reuse it every iteration.
+/// Per-iteration state (dedup against newly evaluated points, failure
+/// exclusion, fresh local candidates around the moving incumbent) is
+/// re-applied on each proposal. A proposal with no pool draws a one-shot
+/// pool from its own RNG.
+pub struct CandidatePool {
+    /// Snapped uniform sweep, drawn once.
+    uniform: Vec<Vec<f64>>,
+}
+
+impl CandidatePool {
+    /// Draw and snap the uniform sweep (`opts.n_uniform` points).
+    pub fn new<R: Rng>(dim: usize, opts: &SearchOptions, rng: &mut R) -> Self {
+        CandidatePool {
+            uniform: (0..opts.n_uniform)
+                .map(|_| uniform_point(dim, opts, rng))
+                .collect(),
+        }
+    }
+
+    /// Per-proposal candidate set written into a [`ProposalScratch`]: the
+    /// cached uniforms (minus any that are now too close to an evaluated
+    /// point) plus fresh Gaussian perturbations around the incumbent, one
+    /// batch per scale, snapped and deduped. Everything a duplicate (tiny
+    /// discrete spaces) falls back to one fresh uniform point.
+    fn fill_candidates<R: Rng>(
+        &self,
+        scratch: &mut ProposalScratch,
+        dim: usize,
+        incumbent: Option<&[f64]>,
+        evaluated: &[Vec<f64>],
+        opts: &SearchOptions,
+        rng: &mut R,
+    ) {
+        scratch.begin();
+        let too_close = |c: &[f64]| evaluated.iter().any(|e| linf(e, c) <= opts.dedup_radius);
+        for c in &self.uniform {
+            if !too_close(c) {
+                scratch.push_from(c);
+            }
+        }
+        let mut tmp = std::mem::take(&mut scratch.tmp);
+        if let Some(inc) = incumbent {
+            for &scale in &opts.local_scales {
+                for _ in 0..opts.n_local {
+                    tmp.clear();
+                    for &v in inc {
+                        // Box-Muller normal perturbation, clamped to the
+                        // cube.
+                        let u1: f64 = rng.gen::<f64>().max(1e-12);
+                        let u2: f64 = rng.gen();
+                        let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
+                        tmp.push((v + scale * z).clamp(0.0, 1.0 - 1e-12));
+                    }
+                    snap(&mut tmp, &opts.cells);
+                    if !too_close(&tmp) {
+                        scratch.push_from(&tmp);
+                    }
+                }
+            }
+        }
+        scratch.tmp = tmp;
+        if scratch.n == 0 {
+            scratch.push_from(&uniform_point(dim, opts, rng));
+        }
+    }
+}
+
+/// What one proposal searches: the incumbent to improve on and perturb
+/// around, the points to avoid, the constraint, and where the uniform
+/// sweep comes from.
+#[derive(Clone, Copy)]
+pub struct ProposalRequest<'a> {
+    /// Unit-cube dimension.
+    pub dim: usize,
+    /// Best evaluated `(x, y)` so far. `None` scores by LCB and adds no
+    /// local candidates.
+    pub incumbent: Option<(&'a [f64], f64)>,
+    /// Every already-evaluated unit point (dedup).
+    pub evaluated: &'a [Vec<f64>],
+    /// Failed evaluations: candidates within `failure_radius` are
+    /// dropped (failed runs are excluded from surrogate fitting, per the
+    /// paper, so without this the search would re-propose a failure
+    /// region indefinitely).
+    pub failed: &'a [Vec<f64>],
+    /// Constraint over candidates; infeasible ones are never proposed.
+    pub valid: Option<&'a ValidityFn<'a>>,
+    /// A uniform sweep reused across proposals; `None` draws a one-shot
+    /// [`CandidatePool`] from the proposal's RNG.
+    pub pool: Option<&'a CandidatePool>,
+}
+
+impl ProposalRequest<'_> {
+    /// A request with no incumbent, history, constraint or pool.
+    pub fn new(dim: usize) -> Self {
+        ProposalRequest {
+            dim,
+            incumbent: None,
+            evaluated: &[],
+            failed: &[],
+            valid: None,
+            pool: None,
+        }
+    }
+}
+
+/// Propose the unit-cube point maximizing the acquisition
+/// (`opts.acquisition`) over the request's candidate set.
+///
+/// The candidates are the uniform sweep plus local perturbations around
+/// the incumbent, deduped against `evaluated`, kept away from `failed`,
+/// and filtered by `valid`. When the constraint empties that set, a
+/// fresh sweep (without failure exclusion) is drawn, and if it holds no
+/// feasible point either, up to `max(512, sweep size)` uniform points are
+/// rejection-sampled; after that the proposal is an unconstrained
+/// uniform point and the objective reports the failure.
+pub fn propose<S: Surrogate + ?Sized, R: Rng>(
     surrogate: &S,
-    candidates: Vec<Vec<f64>>,
-    incumbent: Option<(&[f64], f64)>,
+    req: &ProposalRequest<'_>,
     opts: &SearchOptions,
+    rng: &mut R,
+    scratch: &mut ProposalScratch,
 ) -> Vec<f64> {
-    let n = candidates.len();
-    let mut scratch = ProposalScratch {
-        bufs: candidates,
-        n,
-        ..ProposalScratch::default()
+    let inc_x = req.incumbent.map(|(x, _)| x);
+    let one_shot;
+    let pool = match req.pool {
+        Some(pool) => pool,
+        None => {
+            one_shot = CandidatePool::new(req.dim, opts, rng);
+            &one_shot
+        }
     };
-    score_candidates_scratch(surrogate, &mut scratch, incumbent, opts)
+    pool.fill_candidates(scratch, req.dim, inc_x, req.evaluated, opts, rng);
+    scratch.exclude_failed(req.failed, opts.failure_radius);
+    if let Some(valid) = req.valid {
+        scratch.retain_active(valid);
+        if scratch.n == 0 {
+            CandidatePool::new(req.dim, opts, rng).fill_candidates(
+                scratch,
+                req.dim,
+                inc_x,
+                req.evaluated,
+                opts,
+                rng,
+            );
+            let sweep = scratch.n;
+            scratch.retain_active(valid);
+            if scratch.n == 0 {
+                let feasible = (0..512.max(sweep))
+                    .map(|_| uniform_point(req.dim, opts, rng))
+                    .find(|c| valid(c));
+                let c = feasible.unwrap_or_else(|| uniform_point(req.dim, opts, rng));
+                scratch.push_from(&c);
+            }
+        }
+    }
+    score(surrogate, scratch, req.incumbent, opts)
 }
 
-fn score_candidates_scratch<S: Surrogate>(
+/// Score the scratch's live candidates and return the winner.
+fn score<S: Surrogate + ?Sized>(
     surrogate: &S,
     scratch: &mut ProposalScratch,
     incumbent: Option<(&[f64], f64)>,
@@ -474,264 +539,21 @@ fn score_candidates_scratch<S: Surrogate>(
     scratch.bufs[best_idx].clone()
 }
 
-fn generate_candidates<R: Rng>(
-    dim: usize,
-    incumbent: Option<&[f64]>,
-    evaluated: &[Vec<f64>],
-    opts: &SearchOptions,
-    rng: &mut R,
-) -> Vec<Vec<f64>> {
-    let mut out = Vec::with_capacity(opts.n_uniform + opts.n_local * opts.local_scales.len());
-    let too_close = |c: &[f64]| {
-        evaluated.iter().any(|e| {
-            e.iter()
-                .zip(c)
-                .map(|(a, b)| (a - b).abs())
-                .fold(0.0f64, f64::max)
-                <= opts.dedup_radius
-        })
-    };
-    for _ in 0..opts.n_uniform {
-        let mut c: Vec<f64> = (0..dim).map(|_| rng.gen::<f64>()).collect();
-        snap(&mut c, &opts.cells);
-        if !too_close(&c) {
-            out.push(c);
-        }
-    }
-    if let Some(inc) = incumbent {
-        push_local_candidates(&mut out, inc, opts, &too_close, rng);
-    }
-    if out.is_empty() {
-        // Everything was a duplicate (tiny discrete spaces): fall back to
-        // a fresh uniform point regardless.
-        let mut c: Vec<f64> = (0..dim).map(|_| rng.gen::<f64>()).collect();
-        snap(&mut c, &opts.cells);
-        out.push(c);
-    }
-    out
-}
-
-/// Gaussian perturbation candidates around the incumbent, one batch per
-/// scale, snapped and deduped. Shared by the fresh and pooled candidate
-/// generators.
-fn push_local_candidates<R: Rng>(
-    out: &mut Vec<Vec<f64>>,
-    incumbent: &[f64],
-    opts: &SearchOptions,
-    too_close: &dyn Fn(&[f64]) -> bool,
-    rng: &mut R,
-) {
-    for &scale in &opts.local_scales {
-        for _ in 0..opts.n_local {
-            let mut c: Vec<f64> = incumbent
-                .iter()
-                .map(|&v| {
-                    // Box-Muller normal perturbation, clamped to the cube.
-                    let u1: f64 = rng.gen::<f64>().max(1e-12);
-                    let u2: f64 = rng.gen();
-                    let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
-                    (v + scale * z).clamp(0.0, 1.0 - 1e-12)
-                })
-                .collect();
-            snap(&mut c, &opts.cells);
-            if !too_close(&c) {
-                out.push(c);
-            }
-        }
-    }
-}
-
-/// The θ-independent precomputation of the acquisition search, reusable
-/// across tuner iterations.
-///
-/// The uniform candidate sweep depends only on the dimension, the cell
-/// grid, and the RNG — not on the surrogate's hyperparameters or the
-/// observed data — so a tuning loop can draw and snap it once and reuse
-/// it every iteration. Per-iteration state (dedup against newly
-/// evaluated points, failure exclusion, fresh local candidates around
-/// the moving incumbent) is re-applied on each proposal.
-pub struct CandidatePool {
-    dim: usize,
-    /// Snapped uniform sweep, drawn once.
-    uniform: Vec<Vec<f64>>,
-}
-
-impl CandidatePool {
-    /// Draw and snap the uniform sweep (`opts.n_uniform` points).
-    pub fn new<R: Rng>(dim: usize, opts: &SearchOptions, rng: &mut R) -> Self {
-        let mut uniform = Vec::with_capacity(opts.n_uniform);
-        for _ in 0..opts.n_uniform {
-            let mut c: Vec<f64> = (0..dim).map(|_| rng.gen::<f64>()).collect();
-            snap(&mut c, &opts.cells);
-            uniform.push(c);
-        }
-        CandidatePool { dim, uniform }
-    }
-
-    /// Number of cached uniform candidates.
-    pub fn len(&self) -> usize {
-        self.uniform.len()
-    }
-
-    /// True when the pool holds no cached candidates.
-    pub fn is_empty(&self) -> bool {
-        self.uniform.is_empty()
-    }
-
-    /// Per-iteration candidate set written into a [`ProposalScratch`]:
-    /// the cached uniforms (minus any that are now too close to an
-    /// evaluated point) plus fresh local perturbations around the
-    /// incumbent, all built in recycled buffers.
-    fn fill_candidates<R: Rng>(
-        &self,
-        scratch: &mut ProposalScratch,
-        incumbent: Option<&[f64]>,
-        evaluated: &[Vec<f64>],
-        opts: &SearchOptions,
-        rng: &mut R,
-    ) {
-        scratch.begin();
-        let too_close = |c: &[f64]| {
-            evaluated.iter().any(|e| {
-                e.iter()
-                    .zip(c)
-                    .map(|(a, b)| (a - b).abs())
-                    .fold(0.0f64, f64::max)
-                    <= opts.dedup_radius
-            })
-        };
-        for c in &self.uniform {
-            if !too_close(c) {
-                scratch.push_from(c);
-            }
-        }
-        let mut tmp = std::mem::take(&mut scratch.tmp);
-        if let Some(inc) = incumbent {
-            for &scale in &opts.local_scales {
-                for _ in 0..opts.n_local {
-                    tmp.clear();
-                    for &v in inc {
-                        // Box-Muller normal perturbation, clamped to the
-                        // cube — same draws as `push_local_candidates`.
-                        let u1: f64 = rng.gen::<f64>().max(1e-12);
-                        let u2: f64 = rng.gen();
-                        let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
-                        tmp.push((v + scale * z).clamp(0.0, 1.0 - 1e-12));
-                    }
-                    snap(&mut tmp, &opts.cells);
-                    if !too_close(&tmp) {
-                        scratch.push_from(&tmp);
-                    }
-                }
-            }
-        }
-        if scratch.n == 0 {
-            tmp.clear();
-            tmp.extend((0..self.dim).map(|_| rng.gen::<f64>()));
-            snap(&mut tmp, &opts.cells);
-            scratch.push_from(&tmp);
-        }
-        scratch.tmp = tmp;
-    }
-}
-
-/// [`apply_failure_exclusion`] over a scratch's live candidates: same
-/// semantics (never empties the pool; journals what it removed), no
-/// buffer churn.
-fn apply_failure_exclusion_scratch(
-    scratch: &mut ProposalScratch,
-    failed: &[Vec<f64>],
-    radius: f64,
-) {
-    if failed.is_empty() || radius <= 0.0 {
-        return;
-    }
-    let far = |c: &[f64]| {
-        failed.iter().all(|f| {
-            f.iter()
-                .zip(c)
-                .map(|(a, b)| (a - b).abs())
-                .fold(0.0f64, f64::max)
-                > radius
-        })
-    };
-    if scratch.active().iter().any(|c| far(c)) {
-        let before = scratch.n;
-        scratch.retain_active(far);
-        let removed = before - scratch.n;
-        if removed > 0 {
-            obs::count(obs::names::CTR_ACQ_EXCLUDED, removed as u64);
-            obs::record_with(|| obs::Event::Exclusion {
-                failed: failed.len() as u64,
-                removed: removed as u64,
-                pool: scratch.n as u64,
-            });
-        }
-    }
-}
-
-/// [`propose_ei_failure_aware`] drawing its uniform sweep from a
-/// [`CandidatePool`] instead of regenerating it, amortizing the
-/// θ-independent candidate work across a tuning run.
-#[allow(clippy::too_many_arguments)]
-pub fn propose_ei_pooled<S: Surrogate, R: Rng>(
-    surrogate: &S,
-    pool: &CandidatePool,
-    incumbent: Option<(&[f64], f64)>,
-    evaluated: &[Vec<f64>],
-    failed: &[Vec<f64>],
-    opts: &SearchOptions,
-    valid: Option<&ValidityFn<'_>>,
-    rng: &mut R,
-) -> Vec<f64> {
-    let mut scratch = ProposalScratch::new();
-    propose_ei_pooled_scratch(
-        surrogate,
-        pool,
-        incumbent,
-        evaluated,
-        failed,
-        opts,
-        valid,
-        rng,
-        &mut scratch,
-    )
-}
-
-/// [`propose_ei_pooled`] threading a caller-owned [`ProposalScratch`]
-/// so candidate, score, and perturbation buffers are recycled across a
-/// run's proposals instead of reallocated each iteration. Proposals are
-/// bitwise-identical to [`propose_ei_pooled`].
-#[allow(clippy::too_many_arguments)]
-pub fn propose_ei_pooled_scratch<S: Surrogate, R: Rng>(
-    surrogate: &S,
-    pool: &CandidatePool,
-    incumbent: Option<(&[f64], f64)>,
-    evaluated: &[Vec<f64>],
-    failed: &[Vec<f64>],
-    opts: &SearchOptions,
-    valid: Option<&ValidityFn<'_>>,
-    rng: &mut R,
-    scratch: &mut ProposalScratch,
-) -> Vec<f64> {
-    pool.fill_candidates(scratch, incumbent.map(|(x, _)| x), evaluated, opts, rng);
-    apply_failure_exclusion_scratch(scratch, failed, opts.failure_radius);
-    if let Some(valid) = valid {
-        scratch.retain_active(|c| valid(c));
-    }
-    if scratch.n == 0 {
-        // The cached sweep was entirely excluded: fall back to the fresh
-        // generator, which rejection-samples feasible points.
-        return propose_ei_constrained(surrogate, pool.dim, incumbent, evaluated, opts, valid, rng);
-    }
-    score_candidates_scratch(surrogate, scratch, incumbent, opts)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// One proposal through a fresh scratch.
+    fn propose_once<S: Surrogate>(
+        surrogate: &S,
+        req: ProposalRequest<'_>,
+        opts: &SearchOptions,
+        rng: &mut StdRng,
+    ) -> Vec<f64> {
+        propose(surrogate, &req, opts, rng, &mut ProposalScratch::new())
+    }
 
     #[test]
     fn ei_zero_when_no_improvement_possible() {
@@ -761,14 +583,12 @@ mod tests {
         let surrogate = |x: &[f64]| ((x[0] - 0.25).powi(2), 0.05);
         let mut rng = StdRng::seed_from_u64(1);
         let inc = vec![0.9];
-        let x = propose_ei(
-            &surrogate,
-            1,
-            Some((inc.as_slice(), 0.42)),
-            std::slice::from_ref(&inc),
-            &SearchOptions::default(),
-            &mut rng,
-        );
+        let req = ProposalRequest {
+            incumbent: Some((inc.as_slice(), 0.42)),
+            evaluated: std::slice::from_ref(&inc),
+            ..ProposalRequest::new(1)
+        };
+        let x = propose_once(&surrogate, req, &SearchOptions::default(), &mut rng);
         assert!((x[0] - 0.25).abs() < 0.15, "proposed {x:?}");
     }
 
@@ -776,11 +596,9 @@ mod tests {
     fn propose_without_incumbent_uses_lcb() {
         let surrogate = |x: &[f64]| ((x[0] - 0.7).powi(2), 0.01);
         let mut rng = StdRng::seed_from_u64(2);
-        let x = propose_ei(
+        let x = propose_once(
             &surrogate,
-            1,
-            None,
-            &[],
+            ProposalRequest::new(1),
             &SearchOptions::default(),
             &mut rng,
         );
@@ -793,32 +611,26 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let opts = SearchOptions::default();
         let pool = CandidatePool::new(1, &opts, &mut rng);
-        assert_eq!(pool.len(), opts.n_uniform);
+        assert_eq!(pool.uniform.len(), opts.n_uniform);
         let inc = vec![0.9];
-        let x = propose_ei_pooled(
-            &surrogate,
-            &pool,
-            Some((inc.as_slice(), 0.42)),
-            std::slice::from_ref(&inc),
-            &[],
-            &opts,
-            None,
-            &mut rng,
-        );
+        let req = ProposalRequest {
+            incumbent: Some((inc.as_slice(), 0.42)),
+            evaluated: std::slice::from_ref(&inc),
+            pool: Some(&pool),
+            ..ProposalRequest::new(1)
+        };
+        let x = propose_once(&surrogate, req, &opts, &mut rng);
         assert!((x[0] - 0.25).abs() < 0.15, "proposed {x:?}");
         // The winner came from the cached sweep; once evaluated it must
         // not be proposed again even though the pool still contains it.
         let evaluated = vec![x.clone()];
-        let x2 = propose_ei_pooled(
-            &surrogate,
-            &pool,
-            Some((x.as_slice(), 0.0)),
-            &evaluated,
-            &[],
-            &opts,
-            None,
-            &mut rng,
-        );
+        let req = ProposalRequest {
+            incumbent: Some((x.as_slice(), 0.0)),
+            evaluated: &evaluated,
+            pool: Some(&pool),
+            ..ProposalRequest::new(1)
+        };
+        let x2 = propose_once(&surrogate, req, &opts, &mut rng);
         assert_ne!(x2, x, "evaluated point re-proposed from the pool");
     }
 
@@ -832,7 +644,11 @@ mod tests {
             acquisition: AcquisitionKind::LowerConfidenceBound { kappa: 3.0 },
             ..Default::default()
         };
-        let x = propose_ei(&surrogate, 1, Some((&[0.2], 1.0)), &[], &opts, &mut rng);
+        let req = ProposalRequest {
+            incumbent: Some((&[0.2], 1.0)),
+            ..ProposalRequest::new(1)
+        };
+        let x = propose_once(&surrogate, req, &opts, &mut rng);
         assert!(x[0] > 0.5, "LCB should chase uncertainty: {x:?}");
     }
 
@@ -846,14 +662,12 @@ mod tests {
             ..Default::default()
         };
         for _ in 0..10 {
-            let x = propose_ei(
-                &surrogate,
-                1,
-                Some((&[0.5], 1.0)),
-                &evaluated,
-                &opts,
-                &mut rng,
-            );
+            let req = ProposalRequest {
+                incumbent: Some((&[0.5], 1.0)),
+                evaluated: &evaluated,
+                ..ProposalRequest::new(1)
+            };
+            let x = propose_once(&surrogate, req, &opts, &mut rng);
             // Either far from 0.5, or the all-duplicates fallback fired
             // (possible but rare with 256 uniform candidates over [0,1]).
             assert!((x[0] - 0.5).abs() > 0.4 || x[0].is_finite());
@@ -865,14 +679,11 @@ mod tests {
         let surrogate = |x: &[f64]| (x.iter().sum::<f64>(), 0.1);
         let mut rng = StdRng::seed_from_u64(4);
         for _ in 0..20 {
-            let x = propose_ei(
-                &surrogate,
-                3,
-                Some((&[0.01, 0.99, 0.5], 0.3)),
-                &[],
-                &SearchOptions::default(),
-                &mut rng,
-            );
+            let req = ProposalRequest {
+                incumbent: Some((&[0.01, 0.99, 0.5], 0.3)),
+                ..ProposalRequest::new(3)
+            };
+            let x = propose_once(&surrogate, req, &SearchOptions::default(), &mut rng);
             assert!(x.iter().all(|&v| (0.0..1.0).contains(&v)), "{x:?}");
         }
     }
@@ -909,30 +720,52 @@ mod tests {
         let failed = vec![vec![0.6]];
         let mut evaluated = vec![inc.clone()];
         for i in 0..5 {
-            let a = propose_ei_pooled(
+            let req = ProposalRequest {
+                incumbent: Some((inc.as_slice(), 0.42)),
+                evaluated: &evaluated,
+                failed: &failed,
+                ..ProposalRequest::new(1)
+            };
+            let a = propose_once(
                 &surrogate,
-                &pool_a,
-                Some((inc.as_slice(), 0.42)),
-                &evaluated,
-                &failed,
+                ProposalRequest {
+                    pool: Some(&pool_a),
+                    ..req
+                },
                 &opts,
-                None,
                 &mut rng_a,
             );
-            let b = propose_ei_pooled_scratch(
+            let b = propose(
                 &surrogate,
-                &pool_b,
-                Some((inc.as_slice(), 0.42)),
-                &evaluated,
-                &failed,
+                &ProposalRequest {
+                    pool: Some(&pool_b),
+                    ..req
+                },
                 &opts,
-                None,
                 &mut rng_b,
                 &mut scratch,
             );
             assert_eq!(a, b, "iteration {i}");
             evaluated.push(a);
         }
+    }
+
+    #[test]
+    fn constraint_that_empties_the_sweep_falls_back_to_rejection_sampling() {
+        let surrogate = |x: &[f64]| (x[0], 0.1);
+        let opts = SearchOptions {
+            n_uniform: 8,
+            n_local: 0,
+            ..Default::default()
+        };
+        let valid = |c: &[f64]| c[0] > 0.99;
+        let mut rng = StdRng::seed_from_u64(6);
+        let req = ProposalRequest {
+            valid: Some(&valid),
+            ..ProposalRequest::new(1)
+        };
+        let x = propose_once(&surrogate, req, &opts, &mut rng);
+        assert!(valid(&x), "proposed {x:?}");
     }
 
     #[test]
@@ -945,14 +778,11 @@ mod tests {
             }
         };
         let mut rng = StdRng::seed_from_u64(5);
-        let x = propose_ei(
-            &surrogate,
-            1,
-            Some((&[0.9], 0.95)),
-            &[],
-            &SearchOptions::default(),
-            &mut rng,
-        );
+        let req = ProposalRequest {
+            incumbent: Some((&[0.9], 0.95)),
+            ..ProposalRequest::new(1)
+        };
+        let x = propose_once(&surrogate, req, &SearchOptions::default(), &mut rng);
         assert!(x[0].is_finite());
     }
 }

@@ -2,11 +2,12 @@
 //!
 //! The crowd-tuning autotuner — the paper's primary contribution:
 //!
-//! - [`tuner`] — the Bayesian-optimization drivers: the `NoTLA` baseline
-//!   and the transfer-learning loop hosting any pool algorithm.
+//! - [`tuner`] — the Bayesian-optimization driver: one loop hosting any
+//!   strategy, the `NoTLA` baseline included.
 //! - [`tla`] — the TLA algorithm pool (paper Table I): `Multitask(PS)`,
 //!   `Multitask(TS)`, `WeightedSum(static/equal/dynamic)`, `Stacking`,
-//!   and the `Ensemble(proposed/toggling/prob)` selector.
+//!   and the `Ensemble(proposed/toggling/prob)` selector, plus `NoTLA`
+//!   as the zero-source strategy.
 //! - [`acquisition`] — Expected Improvement / LCB and the candidate
 //!   search all strategies share.
 //! - [`meta`] — the meta-description interface (paper §IV-A): one JSON
@@ -42,8 +43,8 @@ pub mod tuner;
 pub mod utilities;
 
 pub use acquisition::{
-    expected_improvement, lower_confidence_bound, propose_ei_pooled_scratch, AcquisitionKind,
-    CandidatePool, LcmTaskSurrogate, ProposalScratch, SearchOptions, Surrogate,
+    expected_improvement, lower_confidence_bound, propose, AcquisitionKind, CandidatePool,
+    LcmTaskSurrogate, ProposalRequest, ProposalScratch, SearchOptions, Surrogate,
 };
 pub use agreement::{ei_ranking_agreement, AgreementReport};
 pub use analytics::{
@@ -58,13 +59,13 @@ pub use meta::{CrowdSession, MetaDescription, MetaError};
 pub use quality::{ContributorTrust, FlaggedRecord, QualityConfig, QualityReport, QualityScorer};
 pub use tla::ensemble::{Ensemble, EnsemblePolicy};
 pub use tla::multitask::{MultitaskPs, MultitaskTs};
+pub use tla::notla::NoTla;
 pub use tla::stacking::Stacking;
 pub use tla::weighted::WeightedSum;
 pub use tla::{SourceTask, TlaContext, TlaStrategy};
 pub use tuner::{
-    dims_of, resume_notla_from_checkpoint, resume_tla_from_checkpoint, tune_notla,
-    tune_notla_constrained, tune_notla_with_quality, tune_tla, tune_tla_constrained, Constraint,
-    EvalRecord, RunStats, SurrogateTier, TuneConfig, TuneResult,
+    dims_of, tune, tune_notla, tune_tla_constrained, Constraint, EvalRecord, RunStats,
+    SurrogateTier, TuneConfig, TuneResult,
 };
 pub use utilities::{
     query_predict_output, query_sensitivity_analysis, query_surrogate_model,

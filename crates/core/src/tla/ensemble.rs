@@ -220,7 +220,7 @@ mod tests {
     use crate::acquisition::SearchOptions;
     use crate::data::Dataset;
     use crate::tla::random_proposal;
-    use crowdtune_gp::DimKind;
+    use crate::tla::testutil::ctx;
     use rand::SeedableRng;
 
     /// A stub member that proposes a fixed coordinate (identifiable).
@@ -255,18 +255,6 @@ mod tests {
         ]
     }
 
-    fn ctx<'a>(target: &'a Dataset, search: &'a SearchOptions) -> TlaContext<'a> {
-        TlaContext {
-            dims: &[DimKind::Continuous],
-            sources: &[],
-            target,
-            search,
-            max_lcm_samples: 50,
-            valid: None,
-            failed: &[],
-        }
-    }
-
     #[test]
     fn exploration_rate_decays_with_samples() {
         let e1 = Ensemble::exploration_rate(3, 4, 1);
@@ -289,7 +277,7 @@ mod tests {
         let mut e = Ensemble::new(stub_pool(), EnsemblePolicy::Toggling);
         let target = Dataset::default();
         let search = SearchOptions::default();
-        let c = ctx(&target, &search);
+        let c = ctx(&[], &target, &search);
         let mut rng = StdRng::seed_from_u64(1);
         let coords: Vec<f64> = (0..6).map(|_| e.propose(&c, &mut rng)[0]).collect();
         assert_eq!(coords, vec![0.1, 0.5, 0.9, 0.1, 0.5, 0.9]);
@@ -337,7 +325,7 @@ mod tests {
         for i in 0..200 {
             target.push(vec![i as f64 / 200.0], 1.0);
         }
-        let c = ctx(&target, &search);
+        let c = ctx(&[], &target, &search);
         let mut e = Ensemble::new(stub_pool(), EnsemblePolicy::Proposed);
         e.last_choice = Some(0);
         e.observe(&[0.1], Some(0.01));
@@ -367,7 +355,7 @@ mod tests {
         let mut e = Ensemble::new(stub_pool(), EnsemblePolicy::Toggling);
         let target = Dataset::default();
         let search = SearchOptions::default();
-        let c = ctx(&target, &search);
+        let c = ctx(&[], &target, &search);
         let mut rng = StdRng::seed_from_u64(3);
         let x = e.propose(&c, &mut rng);
         e.observe(&x, Some(4.2));

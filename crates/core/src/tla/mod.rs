@@ -1,21 +1,26 @@
 //! The pool of Transfer-Learning-for-Autotuning (TLA) algorithms
-//! (paper §V, Table I).
+//! (paper §V, Table I), plus the `NoTLA` baseline as the zero-source
+//! member.
 //!
 //! Every algorithm consumes the same context — pre-collected *source
 //! task* datasets (with a cached per-source GP) plus the live *target
 //! task* history — and proposes the next unit-cube configuration to
 //! evaluate. The tuner (see [`crate::tuner`]) owns the evaluate-update
-//! loop and feeds observations back via [`TlaStrategy::observe`], which
-//! the ensemble uses for its attribution bookkeeping.
+//! loop and feeds each evaluation back via [`TlaStrategy::absorb`].
 
 pub mod ensemble;
 pub mod multitask;
+pub mod notla;
 pub mod stacking;
 pub mod weighted;
 
-use crate::acquisition::{SearchOptions, ValidityFn};
+use crate::acquisition::{
+    propose, ProposalRequest, ProposalScratch, SearchOptions, Surrogate, ValidityFn,
+};
 use crate::data::Dataset;
+use crate::tuner::{Constraint, EvalRecord, TuneConfig};
 use crowdtune_gp::{DimKind, Gp, GpConfig};
+use crowdtune_space::Space;
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -53,23 +58,29 @@ impl SourceTask {
 
 /// Everything a TLA algorithm sees when proposing the next configuration.
 pub struct TlaContext<'a> {
+    /// The tuning space.
+    pub space: &'a Space,
     /// Per-dimension kinds of the tuning space.
     pub dims: &'a [DimKind],
     /// The source tasks.
     pub sources: &'a [SourceTask],
     /// The target task's history so far (successful evaluations only).
     pub target: &'a Dataset,
-    /// Acquisition search options.
-    pub search: &'a SearchOptions,
-    /// Cap on per-task samples fed to the LCM (cost control; the full
-    /// source data still backs the cached GPs).
-    pub max_lcm_samples: usize,
-    /// Optional constraint predicate over unit-cube candidates (problem
-    /// constraints such as process-grid feasibility).
-    pub valid: Option<&'a ValidityFn<'a>>,
+    /// Every evaluated unit point in order, failures included; its
+    /// length is the index of the iteration being proposed.
+    pub evaluated: &'a [Vec<f64>],
     /// Unit points of *failed* target evaluations (excluded from models,
     /// avoided by the candidate search).
     pub failed: &'a [Vec<f64>],
+    /// Acquisition search options, snapped to the space's cells.
+    pub search: &'a SearchOptions,
+    /// The run's configuration (budget, initial design size, LCM sample
+    /// cap, refit schedule, surrogate tier).
+    pub config: &'a TuneConfig,
+    /// The problem constraint over configurations, if any.
+    pub constraint: Option<&'a Constraint<'a>>,
+    /// The same constraint over unit-cube candidates.
+    pub valid: Option<&'a ValidityFn<'a>>,
 }
 
 impl TlaContext<'_> {
@@ -84,6 +95,27 @@ impl TlaContext<'_> {
     pub fn dim(&self) -> usize {
         self.dims.len()
     }
+
+    /// The next target point by maximizing the acquisition of
+    /// `surrogate`: a one-shot candidate sweep around the target
+    /// incumbent, deduped against the target's successes, kept away from
+    /// failures, under the constraint.
+    pub fn propose_from<S: Surrogate + ?Sized>(&self, surrogate: &S, rng: &mut StdRng) -> Vec<f64> {
+        let req = ProposalRequest {
+            incumbent: self.incumbent(),
+            evaluated: &self.target.x,
+            failed: self.failed,
+            valid: self.valid,
+            ..ProposalRequest::new(self.dim())
+        };
+        propose(
+            surrogate,
+            &req,
+            self.search,
+            rng,
+            &mut ProposalScratch::new(),
+        )
+    }
 }
 
 /// A transfer-learning proposal strategy.
@@ -97,6 +129,39 @@ pub trait TlaStrategy: Send {
     /// Feed back the observed objective for the last proposal (`None`
     /// when the evaluation failed). Default: stateless.
     fn observe(&mut self, _x: &[f64], _y: Option<f64>) {}
+
+    /// Whether the tuner proposes with `WeightedSum(equal)` while the
+    /// target has no successful evaluation (the paper's §VI-A note: with
+    /// no target data there is nothing for dynamic weights or the LCM to
+    /// use). Cold-start proposals are not fed back. Default: yes;
+    /// [`notla::NoTla`] makes its own space-filling start.
+    fn cold_start(&self) -> bool {
+        true
+    }
+
+    /// The `proposed_by` label of the last proposal. Default:
+    /// [`TlaStrategy::name`].
+    fn proposed_by(&self) -> &str {
+        self.name()
+    }
+
+    /// Feed back one evaluation of this strategy's proposal. `ctx`
+    /// already includes `rec`; `proposal` is the point
+    /// [`TlaStrategy::propose`] returned and `rec.unit` the cell it was
+    /// evaluated at. Default: [`TlaStrategy::observe`] with the raw
+    /// proposal.
+    fn absorb(
+        &mut self,
+        _ctx: &TlaContext<'_>,
+        proposal: &[f64],
+        rec: &EvalRecord,
+        _rng: &mut StdRng,
+    ) {
+        self.observe(proposal, rec.result.as_ref().ok().copied());
+    }
+
+    /// Called once when the budget is spent. Default: nothing.
+    fn finish(&mut self) {}
 }
 
 /// A uniform-random fallback proposal (used internally by strategies when
@@ -109,6 +174,7 @@ pub fn random_proposal(dim: usize, rng: &mut StdRng) -> Vec<f64> {
 pub(crate) mod testutil {
     use super::*;
     use rand::SeedableRng;
+    use std::sync::OnceLock;
 
     /// A 1-D quadratic family: source minimized at 0.3, target at 0.4 —
     /// correlated tasks with shifted optima, the canonical TLA test bed.
@@ -129,6 +195,31 @@ pub(crate) mod testutil {
         (vec![source], tgt)
     }
 
+    /// A context over the 1-D unit interval with the default tuner
+    /// configuration, no constraint and no failures.
+    pub fn ctx<'a>(
+        sources: &'a [SourceTask],
+        target: &'a Dataset,
+        search: &'a SearchOptions,
+    ) -> TlaContext<'a> {
+        static SPACE: OnceLock<Space> = OnceLock::new();
+        static CONFIG: OnceLock<TuneConfig> = OnceLock::new();
+        TlaContext {
+            space: SPACE.get_or_init(|| {
+                Space::new(vec![crowdtune_space::Param::real("x", 0.0, 1.0)]).unwrap()
+            }),
+            dims: &[DimKind::Continuous],
+            sources,
+            target,
+            evaluated: &target.x,
+            failed: &[],
+            search,
+            config: CONFIG.get_or_init(TuneConfig::default),
+            constraint: None,
+            valid: None,
+        }
+    }
+
     pub fn target_objective(x: f64) -> f64 {
         3.0 + 10.0 * (x - 0.4) * (x - 0.4)
     }
@@ -144,15 +235,7 @@ mod tests {
         let (sources, target) = testutil::quad_source_target(20, 3);
         assert_eq!(sources[0].data.len(), 20);
         let opts = SearchOptions::default();
-        let ctx = TlaContext {
-            dims: &[DimKind::Continuous],
-            sources: &sources,
-            target: &target,
-            search: &opts,
-            max_lcm_samples: 100,
-            valid: None,
-            failed: &[],
-        };
+        let ctx = testutil::ctx(&sources, &target, &opts);
         let (x, y) = ctx.incumbent().unwrap();
         assert_eq!(
             y,

@@ -12,7 +12,7 @@
 //!   model sees the full collected knowledge of the crowd.
 
 use super::{random_proposal, TlaContext, TlaStrategy};
-use crate::acquisition::propose_ei_failure_aware;
+use crate::acquisition::{propose, ProposalRequest, ProposalScratch};
 use crowdtune_gp::{Lcm, LcmConfig, TaskData};
 use crowdtune_obs as obs;
 use rand::rngs::StdRng;
@@ -81,7 +81,7 @@ impl TlaStrategy for MultitaskTs {
                 .sources
                 .iter()
                 .map(|s| {
-                    let d = s.data.subsample(ctx.max_lcm_samples);
+                    let d = s.data.subsample(ctx.config.max_lcm_samples);
                     TaskData { x: d.x, y: d.y }
                 })
                 .collect();
@@ -115,16 +115,7 @@ impl TlaStrategy for MultitaskTs {
             lcm,
             task: target_idx,
         };
-        propose_ei_failure_aware(
-            &surrogate,
-            ctx.dim(),
-            ctx.incumbent(),
-            &ctx.target.x,
-            ctx.failed,
-            ctx.search,
-            ctx.valid,
-            rng,
-        )
+        ctx.propose_from(&surrogate, rng)
     }
 }
 
@@ -240,15 +231,18 @@ impl TlaStrategy for MultitaskPs {
                 .unwrap_or(0);
             let inc_x = self.pseudo[i].x[best_idx].clone();
             let surrogate = crate::acquisition::LcmTaskSurrogate { lcm: &lcm, task: i };
-            let x_next = propose_ei_failure_aware(
+            let req = ProposalRequest {
+                incumbent: Some((inc_x.as_slice(), best)),
+                evaluated: &self.pseudo[i].x,
+                valid: ctx.valid,
+                ..ProposalRequest::new(ctx.dim())
+            };
+            let x_next = propose(
                 &surrogate,
-                ctx.dim(),
-                Some((inc_x.as_slice(), best)),
-                &self.pseudo[i].x,
-                &[],
+                &req,
                 ctx.search,
-                ctx.valid,
                 rng,
+                &mut ProposalScratch::new(),
             );
             let y_pseudo = source.gp.predict(&x_next).mean;
             self.pseudo[i].push(x_next, y_pseudo);
@@ -257,16 +251,7 @@ impl TlaStrategy for MultitaskPs {
             lcm: &lcm,
             task: target_idx,
         };
-        propose_ei_failure_aware(
-            &surrogate,
-            ctx.dim(),
-            ctx.incumbent(),
-            &ctx.target.x,
-            ctx.failed,
-            ctx.search,
-            ctx.valid,
-            rng,
-        )
+        ctx.propose_from(&surrogate, rng)
     }
 }
 
@@ -274,27 +259,8 @@ impl TlaStrategy for MultitaskPs {
 mod tests {
     use super::*;
     use crate::acquisition::SearchOptions;
-    use crate::data::Dataset;
-    use crate::tla::testutil::{quad_source_target, target_objective};
-    use crate::tla::SourceTask;
-    use crowdtune_gp::DimKind;
+    use crate::tla::testutil::{ctx, quad_source_target, target_objective};
     use rand::SeedableRng;
-
-    fn ctx<'a>(
-        sources: &'a [SourceTask],
-        target: &'a Dataset,
-        search: &'a SearchOptions,
-    ) -> TlaContext<'a> {
-        TlaContext {
-            dims: &[DimKind::Continuous],
-            sources,
-            target,
-            search,
-            max_lcm_samples: 60,
-            valid: None,
-            failed: &[],
-        }
-    }
 
     #[test]
     fn ts_proposal_uses_source_knowledge() {

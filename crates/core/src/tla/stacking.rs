@@ -9,7 +9,6 @@
 //! means (`beta = n_upper / (n_upper + n_lower)`).
 
 use super::{random_proposal, TlaContext, TlaStrategy};
-use crate::acquisition::propose_ei_failure_aware;
 use crowdtune_gp::{DimKind, Gp, GpConfig};
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -129,16 +128,7 @@ impl TlaStrategy for Stacking {
             })
         };
         let surrogate = |x: &[f64]| stack_predict(stack, target_level.as_ref(), x);
-        propose_ei_failure_aware(
-            &surrogate,
-            ctx.dim(),
-            ctx.incumbent(),
-            &ctx.target.x,
-            ctx.failed,
-            ctx.search,
-            ctx.valid,
-            rng,
-        )
+        ctx.propose_from(&surrogate, rng)
     }
 }
 
@@ -160,25 +150,9 @@ mod tests {
     use super::*;
     use crate::acquisition::SearchOptions;
     use crate::data::Dataset;
-    use crate::tla::testutil::{quad_source_target, target_objective};
+    use crate::tla::testutil::{ctx, quad_source_target, target_objective};
     use crate::tla::SourceTask;
     use rand::SeedableRng;
-
-    fn ctx<'a>(
-        sources: &'a [SourceTask],
-        target: &'a Dataset,
-        search: &'a SearchOptions,
-    ) -> TlaContext<'a> {
-        TlaContext {
-            dims: &[DimKind::Continuous],
-            sources,
-            target,
-            search,
-            max_lcm_samples: 100,
-            valid: None,
-            failed: &[],
-        }
-    }
 
     #[test]
     fn source_stack_reproduces_single_source() {

@@ -11,7 +11,6 @@
 //!   `mu_i(x*)` to absorb scale differences between tasks.
 
 use super::{random_proposal, TlaContext, TlaStrategy};
-use crate::acquisition::propose_ei_failure_aware;
 use crowdtune_gp::{Gp, GpConfig};
 use crowdtune_linalg::{nnls, Matrix};
 use crowdtune_obs as obs;
@@ -193,16 +192,7 @@ impl TlaStrategy for WeightedSum {
         });
         let combined = CombinedSurrogate { models, weights };
         let surrogate = |x: &[f64]| combined.predict(x);
-        propose_ei_failure_aware(
-            &surrogate,
-            ctx.dim(),
-            ctx.incumbent(),
-            &ctx.target.x,
-            ctx.failed,
-            ctx.search,
-            ctx.valid,
-            rng,
-        )
+        ctx.propose_from(&surrogate, rng)
     }
 }
 
@@ -210,25 +200,8 @@ impl TlaStrategy for WeightedSum {
 mod tests {
     use super::*;
     use crate::acquisition::SearchOptions;
-    use crate::tla::testutil::{quad_source_target, target_objective};
-    use crowdtune_gp::DimKind;
+    use crate::tla::testutil::{ctx, quad_source_target, target_objective};
     use rand::SeedableRng;
-
-    fn ctx<'a>(
-        sources: &'a [crate::tla::SourceTask],
-        target: &'a crate::data::Dataset,
-        search: &'a SearchOptions,
-    ) -> TlaContext<'a> {
-        TlaContext {
-            dims: &[DimKind::Continuous],
-            sources,
-            target,
-            search,
-            max_lcm_samples: 100,
-            valid: None,
-            failed: &[],
-        }
-    }
 
     #[test]
     fn equal_weights_proposal_near_source_optimum_with_no_target_data() {

@@ -1,31 +1,26 @@
-//! The tuning drivers: the non-transfer Bayesian-optimization baseline
-//! (`NoTLA`) and the transfer-learning loop that hosts any
-//! [`TlaStrategy`] from the pool.
+//! The tuning driver: one Bayesian-optimization loop that hosts any
+//! [`TlaStrategy`] — the transfer-learning pool and the non-transfer
+//! baseline ([`NoTla`], the zero-source strategy) alike.
 //!
-//! Both share the same mechanics, mirroring GPTune's: propose a
-//! configuration, evaluate the application, record the result (failures
-//! are kept in the history but excluded from surrogate fitting), update
-//! the model, repeat until the budget `NS` is spent. For TLA runs the
-//! very first evaluation uses `WeightedSum(equal)` (the paper's §VI-A
-//! note: with no target data there is nothing for dynamic weights or the
-//! LCM to use).
+//! The loop mirrors GPTune's: propose a configuration, evaluate the
+//! application, record the result (failures are kept in the history but
+//! excluded from surrogate fitting), feed it back to the strategy,
+//! repeat until the budget `NS` is spent. For transfer strategies the
+//! evaluations before the first target success use `WeightedSum(equal)`
+//! (the paper's §VI-A note: with no target data there is nothing for
+//! dynamic weights or the LCM to use).
 
-use crate::acquisition::{
-    propose_ei_pooled_scratch, CandidatePool, ProposalScratch, SearchOptions, ValidityFn,
-};
+use crate::acquisition::{SearchOptions, ValidityFn};
 use crate::checkpoint::{
     is_transient_error, CheckpointRecord, Checkpointing, ResumeError, RetryPolicy, TunerCheckpoint,
 };
 use crate::data::Dataset;
-use crate::quality::QualityScorer;
+use crate::tla::notla::NoTla;
 use crate::tla::weighted::WeightedSum;
 use crate::tla::{SourceTask, TlaContext, TlaStrategy};
-use crowdtune_gp::{
-    CalibrationTracker, DimKind, Gp, GpConfig, IncrementalGp, IncrementalSparseGp, Prediction,
-    RefitSchedule, SparseGpConfig,
-};
+use crowdtune_gp::{DimKind, RefitSchedule};
 use crowdtune_obs as obs;
-use crowdtune_space::{sample_lhs, Domain, Point, Space};
+use crowdtune_space::{Domain, Point, Space};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Instant;
@@ -35,8 +30,8 @@ use std::time::Instant;
 pub struct TuneConfig {
     /// Evaluation budget `NS`.
     pub budget: usize,
-    /// Initial space-filling samples for `NoTLA` (the TLA loop needs
-    /// none; its prior comes from the sources).
+    /// Initial space-filling samples for `NoTLA` (transfer strategies
+    /// need none; their prior comes from the sources).
     pub n_init: usize,
     /// Random seed (drives everything: sampling, model restarts, noise).
     pub seed: u64,
@@ -100,32 +95,6 @@ impl Default for SurrogateTier {
     }
 }
 
-/// The tiered `NoTLA` surrogate: exact below the escalation threshold,
-/// sparse above it.
-enum TierSurrogate {
-    Exact(IncrementalGp),
-    Sparse(IncrementalSparseGp),
-}
-
-impl TierSurrogate {
-    /// Posterior prediction through whichever tier holds a model.
-    fn predict_opt(&self, x: &[f64]) -> Option<Prediction> {
-        match self {
-            TierSurrogate::Exact(inc) => inc.gp().map(|g| g.predict(x)),
-            TierSurrogate::Sparse(inc) => inc.gp().map(|g| g.predict(x)),
-        }
-    }
-
-    /// The exact GP, when the exact tier is active and fitted. The
-    /// quality scorer's final sweep is exact-GP-only by design.
-    fn exact_gp(&self) -> Option<&Gp> {
-        match self {
-            TierSurrogate::Exact(inc) => inc.gp(),
-            TierSurrogate::Sparse(_) => None,
-        }
-    }
-}
-
 /// One evaluation in the tuning history.
 #[derive(Debug, Clone)]
 pub struct EvalRecord {
@@ -142,7 +111,7 @@ pub struct EvalRecord {
     pub attempts: u32,
 }
 
-/// Summary statistics for one tuning run, populated by the tuning loops
+/// Summary statistics for one tuning run, populated by the tuning loop
 /// from the obs layer (the per-thread span scope) so callers don't
 /// re-derive them from `history` or wrap the tuner in their own timers.
 ///
@@ -234,312 +203,13 @@ pub type Constraint<'a> = dyn Fn(&Point) -> bool + Sync + 'a;
 /// Tune with plain single-task Bayesian optimization (the paper's
 /// `NoTLA` baseline: GPTune without transfer learning).
 pub fn tune_notla(space: &Space, objective: &mut Objective, config: &TuneConfig) -> TuneResult {
-    tune_notla_constrained(space, objective, config, None)
-}
-
-/// [`tune_notla`] with a problem constraint.
-pub fn tune_notla_constrained(
-    space: &Space,
-    objective: &mut Objective,
-    config: &TuneConfig,
-    constraint: Option<&Constraint<'_>>,
-) -> TuneResult {
     // With no replay prefix the driver cannot observe divergence, so the
     // error arm is unreachable.
-    run_notla(space, objective, config, constraint, &[], None).unwrap_or_default()
+    tune(space, objective, &[], &mut NoTla::new(), config, None, None).unwrap_or_default()
 }
 
-/// [`tune_notla`] with online data-quality scoring: every accepted
-/// observation is scored against the surrogate's pre-update prediction
-/// (see [`crate::quality`]) and the scorer is finalized against the
-/// final surrogate when the budget is spent. Scoring is observe-only —
-/// the result is bitwise identical to [`tune_notla`] at the same seed.
-/// The scorer is deliberately NOT part of [`TuneConfig`], so checkpoint
-/// payloads (and therefore WAL bytes) are identical scoring on or off.
-pub fn tune_notla_with_quality(
-    space: &Space,
-    objective: &mut Objective,
-    config: &TuneConfig,
-    scorer: &mut QualityScorer,
-) -> TuneResult {
-    run_notla(space, objective, config, None, &[], Some(scorer)).unwrap_or_default()
-}
-
-/// Resume a `NoTLA` run from a checkpoint. The recorded prefix is
-/// replayed deterministically — proposals re-consume the RNG and feed
-/// the surrogate exactly as the original run did, while recorded
-/// outcomes stand in for objective calls — then the loop continues live
-/// up to `config.budget`. The result is bitwise identical to an
-/// uninterrupted run with the same seed. `config.budget` may exceed the
-/// checkpoint's original budget to extend a finished run.
-///
-/// Contract: a *stateful* objective (e.g. one wrapped in a fault
-/// injector) must be fast-forwarded to
-/// [`TunerCheckpoint::objective_calls`] before resuming.
-pub fn resume_notla_from_checkpoint(
-    space: &Space,
-    objective: &mut Objective,
-    config: &TuneConfig,
-    ckpt: &TunerCheckpoint,
-) -> Result<TuneResult, ResumeError> {
-    ckpt.validate("NoTLA", space.dim(), config)?;
-    note_resume(ckpt);
-    run_notla(space, objective, config, None, &ckpt.history, None)
-}
-
-fn run_notla(
-    space: &Space,
-    objective: &mut Objective,
-    config: &TuneConfig,
-    constraint: Option<&Constraint<'_>>,
-    replay: &[CheckpointRecord],
-    mut quality: Option<&mut QualityScorer>,
-) -> Result<TuneResult, ResumeError> {
-    let mut rng = StdRng::seed_from_u64(config.seed);
-    let dims = dims_of(space);
-    // Snap acquisition candidates to the space's discrete cell centers.
-    let mut search = config.search.clone();
-    search.cells = space.cell_counts();
-    let mut result = TuneResult::default();
-    let mut observed = Dataset::default();
-    let mut evaluated_units: Vec<Vec<f64>> = Vec::new();
-    let mut failed_units: Vec<Vec<f64>> = Vec::new();
-    // Unit-space view of the constraint for the acquisition search.
-    let valid_holder = constraint.map(|c| make_unit_validity(space, c));
-    let valid: Option<&ValidityFn<'_>> = valid_holder.as_ref().map(|f| f as &ValidityFn<'_>);
-    // The θ-independent uniform sweep, drawn once and reused every
-    // iteration; dedup/exclusion re-apply per proposal. The scratch
-    // recycles candidate/score buffers across proposals.
-    let pool = CandidatePool::new(space.dim(), &search, &mut rng);
-    let mut scratch = ProposalScratch::new();
-    // The surrogate persists across iterations: most observations are
-    // absorbed by a rank-1 append, with full refits on `config.refit`'s
-    // schedule. Past `config.tier.threshold` successes it escalates to
-    // the crowd-scale sparse tier.
-    let mut gp_config = GpConfig::new(dims);
-    gp_config.restarts = 1;
-    gp_config.max_opt_iter = 40;
-    let mut surrogate =
-        TierSurrogate::Exact(IncrementalGp::new(gp_config.clone(), config.refit.clone()));
-
-    let mut init_points = sample_lhs(space, config.n_init.min(config.budget), &mut rng);
-    if let Some(c) = constraint {
-        // Re-draw infeasible initial points uniformly (bounded tries).
-        for p in init_points.iter_mut() {
-            let mut tries = 0;
-            while !c(p) && tries < 256 {
-                match crowdtune_space::sample_uniform(space, 1, &mut rng).pop() {
-                    Some(q) => *p = q,
-                    None => break,
-                }
-                tries += 1;
-            }
-        }
-    }
-    // Surrogate-health diagnostics: every accepted observation is scored
-    // against the prediction made *before* it is absorbed, so each point
-    // is held out from the model predicting it. Read-only on the
-    // surrogate — never changes tuner output.
-    let mut calibration = CalibrationTracker::new();
-    let mut observer = RunObserver::begin("NoTLA", space.dim(), config);
-    for i in 0..config.budget {
-        let iter_start = Instant::now();
-        let propose_span = obs::span(obs::names::SPAN_PROPOSE);
-        let unit = if i < init_points.len() {
-            space
-                .to_unit(&init_points[i])
-                .unwrap_or_else(|_| crate::tla::random_proposal(space.dim(), &mut rng))
-        } else if observed.is_empty() {
-            // All initial samples failed: keep space-filling.
-            match sample_lhs(space, 1, &mut rng)
-                .pop()
-                .map(|p| space.to_unit(&p))
-            {
-                Some(Ok(u)) => u,
-                _ => crate::tla::random_proposal(space.dim(), &mut rng),
-            }
-        } else {
-            // The incumbent, when dataset and surrogate agree on one.
-            let incumbent = observed
-                .best()
-                .and_then(|b| observed.y.iter().position(|&v| v == b).map(|idx| (idx, b)));
-            match (&surrogate, incumbent) {
-                (TierSurrogate::Exact(inc), Some((idx, best))) if inc.gp().is_some() => {
-                    propose_ei_pooled_scratch(
-                        inc.gp().expect("guarded"),
-                        &pool,
-                        Some((&observed.x[idx], best)),
-                        &evaluated_units,
-                        &failed_units,
-                        &search,
-                        valid,
-                        &mut rng,
-                        &mut scratch,
-                    )
-                }
-                (TierSurrogate::Sparse(inc), Some((idx, best))) if inc.gp().is_some() => {
-                    propose_ei_pooled_scratch(
-                        inc.gp().expect("guarded"),
-                        &pool,
-                        Some((&observed.x[idx], best)),
-                        &evaluated_units,
-                        &failed_units,
-                        &search,
-                        valid,
-                        &mut rng,
-                        &mut scratch,
-                    )
-                }
-                // The last fit attempt failed (degenerate data): fall back
-                // to random until the next observation triggers a rebuild.
-                _ => crate::tla::random_proposal(space.dim(), &mut rng),
-            }
-        };
-        drop(propose_span);
-        let proposed_by = if i < init_points.len() {
-            "LHS-init"
-        } else {
-            "NoTLA"
-        }
-        .to_string();
-        let rec = match next_record(space, objective, unit, proposed_by, i, config, replay) {
-            Ok(rec) => rec,
-            Err(e) => {
-                observer.finish(&mut result);
-                return Err(e);
-            }
-        };
-        evaluated_units.push(rec.unit.clone());
-        match &rec.result {
-            // Absorb the success into the maintained surrogate (rank-1
-            // append or scheduled refit). On numerical failure the
-            // surrogate empties itself and the next iterations propose
-            // randomly until a rebuild succeeds.
-            Ok(y) => {
-                // Hold-out scoring happens before the observation is
-                // folded in. `predict` is deterministic and mutates
-                // nothing, so the prediction (and everything downstream
-                // of it) cannot perturb the run.
-                if quality.is_some() || obs::journal_active() || obs::metrics_enabled() {
-                    let pred = surrogate.predict_opt(&rec.unit);
-                    if let Some(p) = &pred {
-                        obs::count(obs::names::CTR_CALIBRATION_POINTS, 1);
-                        if calibration.record(p, *y) {
-                            obs::count(obs::names::CTR_CALIBRATION_INSIDE90, 1);
-                        }
-                        if calibration.points().is_multiple_of(8) {
-                            note_calibration(&mut calibration, observer.best);
-                        }
-                    }
-                    if let Some(q) = quality.as_deref_mut() {
-                        q.observe(i as u64, &rec.unit, *y, pred);
-                    }
-                }
-                observed.push(rec.unit.clone(), *y);
-                let escalate = matches!(surrogate, TierSurrogate::Exact(_))
-                    && observed.x.len() >= config.tier.threshold;
-                if escalate {
-                    // Escalate: the sparse tier absorbs the full history
-                    // with one reselection + fit. On a numerical failure
-                    // the exact tier carries on and escalation is
-                    // retried at the next success.
-                    let sparse_config = SparseGpConfig {
-                        base: gp_config.clone(),
-                        m_inducing: config.tier.m_inducing,
-                    };
-                    match IncrementalSparseGp::with_history(
-                        sparse_config,
-                        config.refit.clone(),
-                        observed.x.clone(),
-                        observed.y.clone(),
-                        &mut rng,
-                    ) {
-                        Ok(sp) => {
-                            obs::count(obs::names::CTR_TIER_SWITCHES, 1);
-                            obs::record_with(|| obs::Event::TierSwitch {
-                                from: "exact".to_string(),
-                                to: "sparse".to_string(),
-                                points: observed.x.len() as u64,
-                                threshold: config.tier.threshold as u64,
-                                inducing: config.tier.m_inducing as u64,
-                            });
-                            surrogate = TierSurrogate::Sparse(sp);
-                        }
-                        Err(_) => {
-                            if let TierSurrogate::Exact(inc) = &mut surrogate {
-                                let _ = inc.observe(&rec.unit, *y, &mut rng);
-                            }
-                        }
-                    }
-                } else {
-                    match &mut surrogate {
-                        TierSurrogate::Exact(inc) => {
-                            let _ = inc.observe(&rec.unit, *y, &mut rng);
-                        }
-                        TierSurrogate::Sparse(inc) => {
-                            let _ = inc.observe(&rec.unit, *y, &mut rng);
-                        }
-                    }
-                }
-            }
-            Err(_) => failed_units.push(rec.unit.clone()),
-        }
-        observer.iteration(
-            i,
-            &rec,
-            u64::try_from(iter_start.elapsed().as_nanos()).unwrap_or(u64::MAX),
-        );
-        result.history.push(rec);
-        maybe_checkpoint(
-            "NoTLA",
-            space.dim(),
-            config,
-            &result.history,
-            i,
-            replay.len(),
-        );
-    }
-    // Final calibration snapshot carries the run's simple-regret
-    // telemetry (best-so-far), then the scorer sweeps the full history
-    // against the final surrogate.
-    if calibration.points() > 0 {
-        note_calibration(&mut calibration, observer.best);
-    }
-    if let Some(q) = quality {
-        q.finalize(surrogate.exact_gp());
-    }
-    observer.finish(&mut result);
-    Ok(result)
-}
-
-/// Journal one `calibration` snapshot: held-out 90% coverage, predictive
-/// NLL per point and its drift since the previous snapshot, and the
-/// best-so-far objective (convergence telemetry).
-fn note_calibration(calib: &mut CalibrationTracker, best: Option<f64>) {
-    let points = calib.points();
-    let (coverage90, nll_pp, drift) = calib.snapshot();
-    obs::record_with(|| obs::Event::Calibration {
-        model: "gp".to_string(),
-        points,
-        coverage90: coverage90.and_then(obs::finite),
-        nll_pp: nll_pp.and_then(obs::finite),
-        drift: drift.and_then(obs::finite),
-        best,
-    });
-}
-
-/// Tune the target task with a TLA strategy and pre-collected sources.
-pub fn tune_tla(
-    space: &Space,
-    objective: &mut Objective,
-    sources: &[SourceTask],
-    strategy: &mut dyn TlaStrategy,
-    config: &TuneConfig,
-) -> TuneResult {
-    tune_tla_constrained(space, objective, sources, strategy, config, None)
-}
-
-/// [`tune_tla`] with a problem constraint.
+/// Tune the target task with a TLA strategy, pre-collected sources and
+/// an optional problem constraint.
 pub fn tune_tla_constrained(
     space: &Space,
     objective: &mut Objective,
@@ -548,85 +218,85 @@ pub fn tune_tla_constrained(
     config: &TuneConfig,
     constraint: Option<&Constraint<'_>>,
 ) -> TuneResult {
-    // With no replay prefix the driver cannot observe divergence, so the
-    // error arm is unreachable.
-    run_tla(space, objective, sources, strategy, config, constraint, &[]).unwrap_or_default()
-}
-
-/// Resume a TLA run from a checkpoint — the transfer-learning analogue
-/// of [`resume_notla_from_checkpoint`], with the same replay semantics
-/// and the same stateful-objective contract. The checkpoint must have
-/// been taken by a strategy with the same name.
-pub fn resume_tla_from_checkpoint(
-    space: &Space,
-    objective: &mut Objective,
-    sources: &[SourceTask],
-    strategy: &mut dyn TlaStrategy,
-    config: &TuneConfig,
-    ckpt: &TunerCheckpoint,
-) -> Result<TuneResult, ResumeError> {
-    ckpt.validate(strategy.name(), space.dim(), config)?;
-    note_resume(ckpt);
-    run_tla(
-        space,
-        objective,
-        sources,
-        strategy,
-        config,
-        None,
-        &ckpt.history,
+    tune(
+        space, objective, sources, strategy, config, constraint, None,
     )
+    .unwrap_or_default()
 }
 
-fn run_tla(
+/// Tune the target task with `strategy` ([`NoTla`] for the baseline,
+/// which ignores `sources`) until `config.budget` evaluations are spent.
+///
+/// With a `resume` checkpoint the recorded prefix is replayed
+/// deterministically — proposals re-consume the RNG and feed the
+/// strategy exactly as the original run did, while recorded outcomes
+/// stand in for objective calls — then the loop continues live. The
+/// result is bitwise identical to an uninterrupted run with the same
+/// seed, constraint and strategy. `config.budget` may exceed the
+/// checkpoint's original budget to extend a finished run. The checkpoint
+/// must have been taken by a strategy with the same name; a replay that
+/// does not land on the recorded configurations is
+/// [`ResumeError::Incompatible`].
+///
+/// Contract: a *stateful* objective (e.g. one wrapped in a fault
+/// injector) must be fast-forwarded to
+/// [`TunerCheckpoint::objective_calls`] before resuming.
+pub fn tune(
     space: &Space,
     objective: &mut Objective,
     sources: &[SourceTask],
     strategy: &mut dyn TlaStrategy,
     config: &TuneConfig,
     constraint: Option<&Constraint<'_>>,
-    replay: &[CheckpointRecord],
+    resume: Option<&TunerCheckpoint>,
 ) -> Result<TuneResult, ResumeError> {
+    let replay: &[CheckpointRecord] = match resume {
+        Some(ckpt) => {
+            ckpt.validate(strategy.name(), space.dim(), config)?;
+            note_resume(ckpt);
+            &ckpt.history
+        }
+        None => &[],
+    };
     let mut rng = StdRng::seed_from_u64(config.seed);
     let dims = dims_of(space);
+    // Snap acquisition candidates to the space's discrete cell centers.
     let mut search = config.search.clone();
     search.cells = space.cell_counts();
     let mut result = TuneResult::default();
     let mut target = Dataset::default();
-    let mut evaluated_units: Vec<Vec<f64>> = Vec::new();
-    let mut failed_units: Vec<Vec<f64>> = Vec::new();
-    let valid_holder = constraint.map(|c| make_unit_validity(space, c));
+    let mut evaluated: Vec<Vec<f64>> = Vec::new();
+    let mut failed: Vec<Vec<f64>> = Vec::new();
+    // Unit-space view of the constraint for the acquisition search.
+    let valid_holder = constraint.map(|c| move |u: &[f64]| space.from_unit(u).is_ok_and(|p| c(&p)));
     let valid: Option<&ValidityFn<'_>> = valid_holder.as_ref().map(|f| f as &ValidityFn<'_>);
-    // The cold-start strategy for evaluations with no target data yet.
     let mut cold_start = WeightedSum::equal();
+    macro_rules! context {
+        () => {
+            TlaContext {
+                space,
+                dims: &dims,
+                sources,
+                target: &target,
+                evaluated: &evaluated,
+                failed: &failed,
+                search: &search,
+                config,
+                constraint,
+                valid,
+            }
+        };
+    }
 
     let mut observer = RunObserver::begin(strategy.name(), space.dim(), config);
     for i in 0..config.budget {
         let iter_start = Instant::now();
+        let cold = target.is_empty() && strategy.cold_start();
+        let proposer: &mut dyn TlaStrategy = if cold { &mut cold_start } else { strategy };
         let propose_span = obs::span(obs::names::SPAN_PROPOSE);
-        let unit = {
-            let ctx = TlaContext {
-                dims: &dims,
-                sources,
-                target: &target,
-                search: &search,
-                max_lcm_samples: config.max_lcm_samples,
-                valid,
-                failed: &failed_units,
-            };
-            if target.is_empty() {
-                cold_start.propose(&ctx, &mut rng)
-            } else {
-                strategy.propose(&ctx, &mut rng)
-            }
-        };
+        let unit = proposer.propose(&context!(), &mut rng);
         drop(propose_span);
-        let proposed_by = if target.is_empty() {
-            cold_start.name().to_string()
-        } else {
-            strategy.name().to_string()
-        };
-        let was_cold = target.is_empty();
+        let proposed_by = proposer.proposed_by().to_string();
         let rec = match next_record(
             space,
             objective,
@@ -642,14 +312,13 @@ fn run_tla(
                 return Err(e);
             }
         };
-        evaluated_units.push(rec.unit.clone());
-        let y = rec.result.as_ref().ok().copied();
-        match y {
-            Some(y) => target.push(rec.unit.clone(), y),
-            None => failed_units.push(rec.unit.clone()),
+        evaluated.push(rec.unit.clone());
+        match &rec.result {
+            Ok(y) => target.push(rec.unit.clone(), *y),
+            Err(_) => failed.push(rec.unit.clone()),
         }
-        if !was_cold {
-            strategy.observe(&unit, y);
+        if !cold {
+            strategy.absorb(&context!(), &unit, &rec, &mut rng);
         }
         observer.iteration(
             i,
@@ -666,6 +335,7 @@ fn run_tla(
             replay.len(),
         );
     }
+    strategy.finish();
     observer.finish(&mut result);
     Ok(result)
 }
@@ -682,14 +352,12 @@ fn note_resume(ckpt: &TunerCheckpoint) {
     });
 }
 
-/// Per-run observability bookkeeping shared by the NoTLA and TLA loops:
+/// Per-run observability bookkeeping of the tuning loop:
 /// opens the thread-local span scope, journals run/iteration events, and
 /// folds the scope back into [`RunStats`] at the end.
 struct RunObserver {
     start: Instant,
     best: Option<f64>,
-    failures: usize,
-    iterations: usize,
     /// Root span of the run: every propose/eval/fit span on this thread
     /// nests under it, so folded scope stacks read `tune;propose;gp_fit`.
     run_span: obs::SpanGuard,
@@ -708,17 +376,13 @@ impl RunObserver {
         RunObserver {
             start: Instant::now(),
             best: None,
-            failures: 0,
-            iterations: 0,
             run_span: obs::span(obs::names::SPAN_TUNE),
         }
     }
 
     fn iteration(&mut self, iter: usize, rec: &EvalRecord, duration_ns: u64) {
-        self.iterations += 1;
         obs::count(obs::names::CTR_TUNE_ITERATIONS, 1);
         if rec.result.is_err() {
-            self.failures += 1;
             obs::count(obs::names::CTR_TUNE_FAILURES, 1);
         }
         if let Some(y) = rec.result.as_ref().ok().copied().filter(|y| y.is_finite()) {
@@ -743,9 +407,10 @@ impl RunObserver {
         // (and every folded stack under it) is fully credited.
         drop(self.run_span);
         let scope = obs::scope_end().unwrap_or_default();
+        let (iterations, failures) = (result.history.len(), result.failures());
         result.stats = RunStats {
-            iterations: self.iterations,
-            failures: self.failures,
+            iterations,
+            failures,
             fit_time_ns: scope.time_ns_of(obs::names::SPAN_GP_FIT)
                 + scope.time_ns_of(obs::names::SPAN_LCM_FIT),
             acquisition_time_ns: scope.time_ns_of(obs::names::SPAN_ACQUISITION),
@@ -760,23 +425,12 @@ impl RunObserver {
             });
         }
         obs::record_with(|| obs::Event::RunEnd {
-            iterations: self.iterations as u64,
-            failures: self.failures as u64,
+            iterations: iterations as u64,
+            failures: failures as u64,
             best: self.best,
             duration_us: total_time_ns / 1_000,
         });
         obs::journal_flush();
-    }
-}
-
-/// Build a unit-space validity closure from a point-space constraint.
-fn make_unit_validity<'a>(
-    space: &'a Space,
-    constraint: &'a Constraint<'a>,
-) -> impl Fn(&[f64]) -> bool + Sync + 'a {
-    move |u: &[f64]| match space.from_unit(u) {
-        Ok(p) => constraint(&p),
-        Err(_) => false,
     }
 }
 
@@ -1002,7 +656,7 @@ mod tests {
             seed: 3,
             ..Default::default()
         };
-        let res = tune_tla(&space, &mut obj, &sources, &mut strategy, &config);
+        let res = tune_tla_constrained(&space, &mut obj, &sources, &mut strategy, &config, None);
         assert_eq!(res.history[0].proposed_by, "WeightedSum(equal)");
         assert_eq!(res.history[1].proposed_by, "Multitask(TS)");
     }
@@ -1023,7 +677,7 @@ mod tests {
             };
             let mut obj = quad_objective;
             let mut strategy = WeightedSum::dynamic();
-            let r1 = tune_tla(&space, &mut obj, &sources, &mut strategy, &config);
+            let r1 = tune_tla_constrained(&space, &mut obj, &sources, &mut strategy, &config, None);
             best_tla = best_tla.min(r1.best().unwrap().1);
             let mut obj = quad_objective;
             let r2 = tune_notla(&space, &mut obj, &config);

@@ -5,8 +5,8 @@
 
 use crowdtune_apps::{FaultInjector, FaultPlan};
 use crowdtune_core::{
-    resume_notla_from_checkpoint, resume_tla_from_checkpoint, tune_notla, tune_tla, Checkpointing,
-    ResumeError, RetryPolicy, TuneConfig, TuneResult, TunerCheckpoint, WeightedSum,
+    tune, tune_notla, tune_tla_constrained, Checkpointing, Constraint, NoTla, ResumeError,
+    RetryPolicy, SourceTask, TlaStrategy, TuneConfig, TuneResult, TunerCheckpoint, WeightedSum,
 };
 use crowdtune_db::DurableStore;
 use crowdtune_space::{Param, Point, Space, Value};
@@ -22,6 +22,46 @@ fn quad_objective(p: &Point) -> Result<f64, String> {
         Value::Real(x) => Ok(3.0 + 10.0 * (x - 0.4) * (x - 0.4)),
         _ => Err("bad".into()),
     }
+}
+
+/// A correlated source task, same shape the tuner tests use.
+fn quad_source() -> Vec<SourceTask> {
+    use rand::SeedableRng;
+    let mut x = 0.05f64;
+    let mut xs = Vec::new();
+    let mut ys = Vec::new();
+    while x < 1.0 {
+        xs.push(vec![x]);
+        ys.push(2.0 + 8.0 * (x - 0.3) * (x - 0.3));
+        x += 0.05;
+    }
+    let dims = crowdtune_core::dims_of(&quad_space());
+    let mut src_rng = rand::rngs::StdRng::seed_from_u64(0);
+    vec![SourceTask::fit(
+        "src",
+        crowdtune_core::Dataset { x: xs, y: ys },
+        &dims,
+        &mut src_rng,
+    )
+    .unwrap()]
+}
+
+/// Resume a `NoTLA` run from `ckpt`.
+fn resume_notla(
+    objective: &mut dyn FnMut(&Point) -> Result<f64, String>,
+    config: &TuneConfig,
+    ckpt: &TunerCheckpoint,
+) -> Result<TuneResult, ResumeError> {
+    let space = quad_space();
+    tune(
+        &space,
+        objective,
+        &[],
+        &mut NoTla::new(),
+        config,
+        None,
+        Some(ckpt),
+    )
 }
 
 fn temp_dir(name: &str) -> PathBuf {
@@ -107,33 +147,15 @@ fn resumed_notla_run_is_bitwise_identical_under_fault_injection() {
     let mut inj_r = FaultInjector::new(plan);
     inj_r.advance_to(ckpt.objective_calls());
     let mut obj_r = |p: &Point| inj_r.apply(quad_objective(p));
-    let r = resume_notla_from_checkpoint(&space, &mut obj_r, &config_r, &ckpt).unwrap();
+    let r = resume_notla(&mut obj_r, &config_r, &ckpt).unwrap();
     assert_history_identical(&a, &r);
     std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn resumed_tla_run_is_bitwise_identical() {
-    use rand::SeedableRng;
     let space = quad_space();
-    // A correlated source task, same shape the tuner tests use.
-    let mut x = 0.05f64;
-    let mut xs = Vec::new();
-    let mut ys = Vec::new();
-    while x < 1.0 {
-        xs.push(vec![x]);
-        ys.push(2.0 + 8.0 * (x - 0.3) * (x - 0.3));
-        x += 0.05;
-    }
-    let dims = crowdtune_core::dims_of(&space);
-    let mut src_rng = rand::rngs::StdRng::seed_from_u64(0);
-    let sources = vec![crowdtune_core::SourceTask::fit(
-        "src",
-        crowdtune_core::Dataset { x: xs, y: ys },
-        &dims,
-        &mut src_rng,
-    )
-    .unwrap()];
+    let sources = quad_source();
 
     let config_a = TuneConfig {
         budget: 8,
@@ -142,7 +164,7 @@ fn resumed_tla_run_is_bitwise_identical() {
     };
     let mut obj_a = quad_objective;
     let mut strat_a = WeightedSum::dynamic();
-    let a = tune_tla(&space, &mut obj_a, &sources, &mut strat_a, &config_a);
+    let a = tune_tla_constrained(&space, &mut obj_a, &sources, &mut strat_a, &config_a, None);
 
     // Crash at iteration 7; last checkpoint at 6.
     let dir = temp_dir("tla_bitwise");
@@ -155,7 +177,7 @@ fn resumed_tla_run_is_bitwise_identical() {
     };
     let mut obj_b = quad_objective;
     let mut strat_b = WeightedSum::dynamic();
-    let _ = tune_tla(&space, &mut obj_b, &sources, &mut strat_b, &config_b);
+    let _ = tune_tla_constrained(&space, &mut obj_b, &sources, &mut strat_b, &config_b, None);
     drop(config_b);
 
     let (store, _) = DurableStore::open(&dir).unwrap();
@@ -170,9 +192,16 @@ fn resumed_tla_run_is_bitwise_identical() {
     };
     let mut obj_r = quad_objective;
     let mut strat_r = WeightedSum::dynamic();
-    let r =
-        resume_tla_from_checkpoint(&space, &mut obj_r, &sources, &mut strat_r, &config_r, &ckpt)
-            .unwrap();
+    let r = tune(
+        &space,
+        &mut obj_r,
+        &sources,
+        &mut strat_r,
+        &config_r,
+        None,
+        Some(&ckpt),
+    )
+    .unwrap();
     assert_history_identical(&a, &r);
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -201,7 +230,7 @@ fn resume_can_extend_a_finished_run() {
         ..Default::default()
     };
     let mut obj = quad_objective;
-    let long = resume_notla_from_checkpoint(&space, &mut obj, &extended, &ckpt).unwrap();
+    let long = resume_notla(&mut obj, &extended, &ckpt).unwrap();
     assert_eq!(long.history.len(), 10);
     assert_history_identical(
         &short,
@@ -238,7 +267,7 @@ fn resume_rejects_mismatched_config_and_tampered_history() {
     };
     let mut obj = quad_objective;
     assert!(matches!(
-        resume_notla_from_checkpoint(&space, &mut obj, &bad_seed, &ckpt),
+        resume_notla(&mut obj, &bad_seed, &ckpt),
         Err(ResumeError::Incompatible(_))
     ));
 
@@ -254,7 +283,7 @@ fn resume_rejects_mismatched_config_and_tampered_history() {
     };
     let mut obj = quad_objective;
     assert!(matches!(
-        resume_notla_from_checkpoint(&space, &mut obj, &good, &tampered),
+        resume_notla(&mut obj, &good, &tampered),
         Err(ResumeError::Incompatible(_))
     ));
     std::fs::remove_dir_all(&dir).ok();
@@ -356,4 +385,87 @@ fn injected_faults_never_abort_the_run() {
         res.history.iter().any(|r| r.attempts > 1),
         "dense plan should have triggered at least one retry"
     );
+}
+
+/// `x < 0.35`: rejects most of a 4-point Latin-hypercube design on the
+/// quad space (its strata cover all of [0, 1]), so a constrained run
+/// re-draws initial points and filters candidates.
+fn below_035(p: &Point) -> bool {
+    matches!(p[0], Value::Real(x) if x < 0.35)
+}
+
+/// Kill a constrained run after its checkpoint at iteration 8, resume it
+/// with the same constraint, and require the uninterrupted history bit
+/// for bit. Returns the uninterrupted run and the checkpoint.
+fn constrained_kill_and_resume(
+    name: &str,
+    sources: &[SourceTask],
+    strategy: fn() -> Box<dyn TlaStrategy>,
+) -> (TuneResult, TunerCheckpoint) {
+    let space = quad_space();
+    let constraint: Option<&Constraint<'_>> = Some(&below_035);
+    let config = |budget| TuneConfig {
+        budget,
+        n_init: 4,
+        seed: 19,
+        ..Default::default()
+    };
+    let mut obj = quad_objective;
+    let mut run = |config: &TuneConfig, resume| {
+        tune(
+            &space,
+            &mut obj,
+            sources,
+            strategy().as_mut(),
+            config,
+            constraint,
+            resume,
+        )
+    };
+    let a = run(&config(12), None).unwrap();
+    assert!(a.history.iter().all(|r| below_035(&r.point)), "{name}");
+
+    let dir = temp_dir(name);
+    let (store, _) = DurableStore::open(&dir).unwrap();
+    let killed = TuneConfig {
+        checkpoint: Some(Checkpointing::new(Arc::new(store), "ckpt", 4)),
+        ..config(9)
+    };
+    run(&killed, None).unwrap();
+    drop(killed);
+    let (store, _) = DurableStore::open(&dir).unwrap();
+    let ckpt = TunerCheckpoint::load(&store, "ckpt").unwrap().unwrap();
+    assert_eq!(ckpt.iter, 8, "{name}: last checkpoint before the kill");
+    let r = run(&config(12), Some(&ckpt)).unwrap();
+    assert_history_identical(&a, &r);
+    std::fs::remove_dir_all(&dir).ok();
+    (a, ckpt)
+}
+
+#[test]
+fn constrained_notla_run_resumes_bitwise() {
+    let (a, ckpt) =
+        constrained_kill_and_resume("notla_constrained", &[], || Box::new(NoTla::new()));
+    assert_eq!(a.history[3].proposed_by, "LHS-init");
+    // The replay needs the constraint: without it the initial design is
+    // not re-drawn and the replay diverges at once.
+    let config = TuneConfig {
+        budget: 12,
+        n_init: 4,
+        seed: 19,
+        ..Default::default()
+    };
+    let mut obj = quad_objective;
+    assert!(matches!(
+        resume_notla(&mut obj, &config, &ckpt),
+        Err(ResumeError::Incompatible(_))
+    ));
+}
+
+#[test]
+fn constrained_tla_run_resumes_bitwise() {
+    let (a, _) = constrained_kill_and_resume("tla_constrained", &quad_source(), || {
+        Box::new(WeightedSum::dynamic())
+    });
+    assert_eq!(a.history[1].proposed_by, "WeightedSum(dynamic)");
 }

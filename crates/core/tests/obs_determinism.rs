@@ -7,7 +7,7 @@
 //! `RAYON_NUM_THREADS=1` — because the thread count is fixed per process.
 
 use crowdtune_apps::{Application, DemoFunction};
-use crowdtune_core::tuner::{tune_notla_constrained, tune_tla_constrained, TuneConfig, TuneResult};
+use crowdtune_core::tuner::{tune_notla, tune_tla_constrained, TuneConfig, TuneResult};
 use crowdtune_core::{dims_of, Dataset, SourceTask, WeightedSum};
 use crowdtune_obs as obs;
 use crowdtune_space::Point;
@@ -63,7 +63,7 @@ fn run_notla(seed: u64) -> TuneResult {
         seed,
         ..Default::default()
     };
-    tune_notla_constrained(&space, &mut objective, &config, None)
+    tune_notla(&space, &mut objective, &config)
 }
 
 fn run_tla(seed: u64, source: &SourceTask) -> TuneResult {

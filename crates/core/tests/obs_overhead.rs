@@ -11,7 +11,7 @@
 //! test stable on noisy CI machines.
 
 use crowdtune_apps::{Application, DemoFunction};
-use crowdtune_core::tuner::{tune_notla_constrained, TuneConfig};
+use crowdtune_core::tuner::{tune_notla, TuneConfig};
 use crowdtune_obs as obs;
 use crowdtune_space::Point;
 use rand::rngs::StdRng;
@@ -58,7 +58,7 @@ fn timed_small_run() -> f64 {
             ..Default::default()
         };
         let start = Instant::now();
-        let result = tune_notla_constrained(&space, &mut objective, &config, None);
+        let result = tune_notla(&space, &mut objective, &config);
         samples.push(start.elapsed().as_nanos() as f64);
         assert_eq!(result.history.len(), 10);
     }

@@ -1,9 +1,11 @@
 //! Property-based tests for the tuner core: acquisition invariants,
 //! constraint handling, and tuning-loop bookkeeping.
 
-use crowdtune_core::acquisition::{expected_improvement, propose_ei_constrained, SearchOptions};
-use crowdtune_core::tuner::{tune_notla_constrained, TuneConfig};
-use crowdtune_core::{tune_notla, Dataset};
+use crowdtune_core::acquisition::{
+    expected_improvement, propose, ProposalRequest, ProposalScratch, SearchOptions,
+};
+use crowdtune_core::tuner::{tune, TuneConfig};
+use crowdtune_core::{tune_notla, Dataset, NoTla};
 use crowdtune_space::{Param, Point, Space};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -37,9 +39,11 @@ proptest! {
             ..Default::default()
         };
         let mut rng = StdRng::seed_from_u64(seed);
-        let x = propose_ei_constrained(
-            &surrogate, 3, Some((&[0.5, 0.5, 0.5], 1.0)), &[], &opts, None, &mut rng,
-        );
+        let req = ProposalRequest {
+            incumbent: Some((&[0.5, 0.5, 0.5], 1.0)),
+            ..ProposalRequest::new(3)
+        };
+        let x = propose(&surrogate, &req, &opts, &mut rng, &mut ProposalScratch::new());
         prop_assert!(x.iter().all(|&v| (0.0..1.0).contains(&v)));
         // Snapped coordinates sit exactly at cell centers.
         for (v, k) in [(x[0], k1), (x[2], k2)] {
@@ -57,10 +61,12 @@ proptest! {
         let valid = move |x: &[f64]| x[0] >= threshold;
         let mut rng = StdRng::seed_from_u64(seed);
         for _ in 0..5 {
-            let x = propose_ei_constrained(
-                &surrogate, 2, Some((&[0.95, 0.5], 1.0)), &[], &opts,
-                Some(&valid), &mut rng,
-            );
+            let req = ProposalRequest {
+                incumbent: Some((&[0.95, 0.5], 1.0)),
+                valid: Some(&valid),
+                ..ProposalRequest::new(2)
+            };
+            let x = propose(&surrogate, &req, &opts, &mut rng, &mut ProposalScratch::new());
             prop_assert!(x[0] >= threshold, "proposal {x:?} violates x0 >= {threshold}");
         }
     }
@@ -111,8 +117,9 @@ proptest! {
             Ok((p[0].as_int().unwrap() - p[1].as_int().unwrap()).abs() as f64)
         };
         let config = TuneConfig { budget: 6, seed, ..Default::default() };
-        let result =
-            tune_notla_constrained(&space, &mut objective, &config, Some(&constraint));
+        let result = tune(
+            &space, &mut objective, &[], &mut NoTla::new(), &config, Some(&constraint), None,
+        ).unwrap();
         for rec in &result.history {
             prop_assert!(constraint(&rec.point), "evaluated invalid {:?}", rec.point);
         }

@@ -19,8 +19,8 @@
 use std::collections::HashSet;
 
 use crowdtune_apps::{Application, DemoFunction, FaultInjector, FaultPlan, InjectedFault};
-use crowdtune_core::tuner::{tune_notla, tune_notla_with_quality, TuneConfig, TuneResult};
-use crowdtune_core::{QualityConfig, QualityScorer};
+use crowdtune_core::tuner::{tune, tune_notla, TuneConfig, TuneResult};
+use crowdtune_core::{NoTla, QualityConfig, QualityScorer};
 use crowdtune_space::Point;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -64,7 +64,10 @@ fn run_clean(scorer: Option<&mut QualityScorer>) -> TuneResult {
     let mut rng = StdRng::seed_from_u64(9);
     let mut objective = |p: &Point| app.evaluate(p, &mut rng).map_err(|e| e.to_string());
     match scorer {
-        Some(s) => tune_notla_with_quality(&space, &mut objective, &config(), s),
+        Some(s) => {
+            let notla = &mut NoTla::with_quality(s);
+            tune(&space, &mut objective, &[], notla, &config(), None, None).unwrap()
+        }
         None => tune_notla(&space, &mut objective, &config()),
     }
 }
@@ -79,7 +82,10 @@ fn run_corrupted(plan_seed: u64, scorer: Option<&mut QualityScorer>) -> TuneResu
         injector.apply(y)
     };
     match scorer {
-        Some(s) => tune_notla_with_quality(&space, &mut objective, &config(), s),
+        Some(s) => {
+            let notla = &mut NoTla::with_quality(s);
+            tune(&space, &mut objective, &[], notla, &config(), None, None).unwrap()
+        }
         None => tune_notla(&space, &mut objective, &config()),
     }
 }

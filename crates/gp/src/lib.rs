@@ -18,15 +18,12 @@
 //! - [`sparse`] — the crowd-scale inducing-point sparse GP: O(nm²) fit,
 //!   O(m²) predictions, frozen-set updates between scheduled inducing
 //!   reselections.
-//! - [`experts`] — partitioned local experts: per-cell exact GPs plus a
-//!   bounded cross-task LCM core, merged gPoE-style.
 //! - [`calibration`] — observation-only surrogate-health diagnostics:
 //!   held-out 90%-interval coverage and predictive-NLL drift.
 
 #![warn(missing_docs)]
 
 pub mod calibration;
-pub mod experts;
 pub mod gp;
 pub mod incremental;
 pub mod kernel;
@@ -34,7 +31,6 @@ pub mod lcm;
 pub mod sparse;
 
 pub use calibration::{CalibrationTracker, Z90};
-pub use experts::{LocalExperts, LocalExpertsConfig};
 pub use gp::{Gp, GpConfig, GpError, NoiseModel, Prediction};
 pub use incremental::{IncrementalGp, RefitSchedule};
 pub use kernel::{DimKind, Kernel, KernelKind};

@@ -2,7 +2,7 @@
 //! evaluate SLOs against a request-trace journal.
 //!
 //! ```text
-//! crowdtune-report <journal.jsonl> [--snapshot <path>] [--min-kinds <n>] [--profile] [--quality]
+//! crowdtune-report <journal.jsonl> [--snapshot <path>] [--require-kinds <a,b,…>] [--profile] [--quality]
 //! crowdtune-report --slo <spec.json> [--trace <trace.jsonl>] [--metrics <metrics.json>]
 //! ```
 //!
@@ -17,8 +17,10 @@
 //! the journal carries no quality or calibration events. In SLO mode a
 //! `--trace` journal whose capture ring overflowed (dropped records)
 //! prints a warning to stderr. Exits non-zero on an unreadable,
-//! truncated or empty journal, any schema violation, or fewer distinct
-//! event kinds than `--min-kinds` (default 1).
+//! truncated or empty journal, any schema violation, or — in every
+//! journal mode — a journal lacking any event kind named in the
+//! comma-separated `--require-kinds` list (the error names each missing
+//! kind).
 //!
 //! In SLO mode (`--slo`) it parses the declarative objective spec,
 //! evaluates latency objectives with multi-window burn rates over the
@@ -80,12 +82,12 @@ fn run_slo(
 
 fn run() -> Result<(), String> {
     const USAGE: &str = "usage: crowdtune-report <journal.jsonl> [--snapshot <path>] \
-         [--min-kinds <n>] [--profile] [--quality] | --slo <spec.json> \
+         [--require-kinds <a,b,...>] [--profile] [--quality] | --slo <spec.json> \
          [--trace <trace.jsonl>] [--metrics <metrics.json>]";
     let mut args = std::env::args().skip(1);
     let mut journal_path: Option<String> = None;
     let mut snapshot_path = String::from("results/obs_snapshot.json");
-    let mut min_kinds = 1usize;
+    let mut required_kinds: Vec<String> = Vec::new();
     let mut profile = false;
     let mut quality = false;
     let mut slo_path: Option<String> = None;
@@ -96,12 +98,14 @@ fn run() -> Result<(), String> {
             "--snapshot" => {
                 snapshot_path = args.next().ok_or("--snapshot requires a path")?;
             }
-            "--min-kinds" => {
-                min_kinds = args
-                    .next()
-                    .ok_or("--min-kinds requires a number")?
-                    .parse()
-                    .map_err(|e| format!("--min-kinds: {e}"))?;
+            "--require-kinds" => {
+                let list = args.next().ok_or("--require-kinds requires a kind list")?;
+                required_kinds = list
+                    .split(',')
+                    .map(str::trim)
+                    .filter(|k| !k.is_empty())
+                    .map(String::from)
+                    .collect();
             }
             "--profile" => profile = true,
             "--quality" => quality = true,
@@ -125,6 +129,18 @@ fn run() -> Result<(), String> {
         return Err(format!("{journal_path}: journal is empty"));
     }
     let report = summarize(&journal_path, &events);
+    let missing: Vec<&str> = required_kinds
+        .iter()
+        .filter(|k| !report.event_counts.contains_key(k.as_str()))
+        .map(String::as_str)
+        .collect();
+    if !missing.is_empty() {
+        return Err(format!(
+            "{journal_path}: missing required event kinds: {} (present: {:?})",
+            missing.join(", "),
+            report.event_counts.keys().collect::<Vec<_>>()
+        ));
+    }
     if profile {
         if report.profile.is_empty() {
             return Err(format!(
@@ -139,18 +155,11 @@ fn run() -> Result<(), String> {
         if report.quality_scored == 0 && report.calibration_points == 0 {
             return Err(format!(
                 "{journal_path}: no quality or calibration events in journal (run the tuner \
-                 through `tune_notla_with_quality` with a journal installed)"
+                 through `NoTla::with_quality` with a journal installed)"
             ));
         }
         print!("{}", render_quality(&report));
         return Ok(());
-    }
-    if report.event_counts.len() < min_kinds {
-        return Err(format!(
-            "{journal_path}: only {} distinct event kinds (need ≥ {min_kinds}): {:?}",
-            report.event_counts.len(),
-            report.event_counts.keys().collect::<Vec<_>>()
-        ));
     }
     print!("{}", render_report(&report));
 

@@ -7,7 +7,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use crowdtune_apps::{Application, DemoFunction};
-use crowdtune_core::tuner::{tune_notla_constrained, TuneConfig, TuneResult};
+use crowdtune_core::tuner::{tune_notla, TuneConfig, TuneResult};
 use crowdtune_obs as obs;
 use crowdtune_space::Point;
 use crowdtune_telemetry::{exposition::scrape, ExpositionServer};
@@ -39,7 +39,7 @@ fn run(seed: u64) -> TuneResult {
         seed,
         ..Default::default()
     };
-    tune_notla_constrained(&space, &mut objective, &config, None)
+    tune_notla(&space, &mut objective, &config)
 }
 
 #[test]

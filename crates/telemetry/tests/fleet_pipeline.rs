@@ -7,7 +7,7 @@
 use std::sync::Arc;
 
 use crowdtune_apps::{Application, DemoFunction};
-use crowdtune_core::tuner::{tune_notla_constrained, tune_tla_constrained, TuneConfig};
+use crowdtune_core::tuner::{tune_notla, tune_tla_constrained, TuneConfig};
 use crowdtune_core::{dims_of, Dataset, SourceTask, WeightedSum};
 use crowdtune_obs as obs;
 use crowdtune_space::Point;
@@ -28,7 +28,7 @@ fn run_notla(seed: u64) {
         seed,
         ..Default::default()
     };
-    tune_notla_constrained(&space, &mut objective, &config, None);
+    tune_notla(&space, &mut objective, &config);
 }
 
 fn run_tla(seed: u64) {

@@ -5,7 +5,6 @@
 
 use crowdtune::apps::Pdgeqrf;
 use crowdtune::prelude::*;
-use crowdtune::tuner::tune_notla_constrained;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -34,7 +33,16 @@ fn main() {
     // The process-grid constraint is structural — tell the tuner so it
     // never wastes budget on configurations ScaLAPACK would reject.
     let constraint = |p: &Point| app.validate_config(p);
-    let result = tune_notla_constrained(&space, &mut objective, &config, Some(&constraint));
+    let result = tune(
+        &space,
+        &mut objective,
+        &[],
+        &mut NoTla::new(),
+        &config,
+        Some(&constraint),
+        None,
+    )
+    .expect("a fresh run has no replay to diverge from");
 
     println!("\n eval  proposed-by           runtime       best-so-far");
     for (record, best) in result.history.iter().zip(result.best_so_far()) {

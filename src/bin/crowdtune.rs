@@ -12,7 +12,7 @@
 use crowdtune::apps::{HypreAmg, Nimrod, Pdgeqrf, SparseMatrix, SuperLuDist};
 use crowdtune::prelude::*;
 use crowdtune::sensitivity::{analyze_space, AnalysisConfig};
-use crowdtune::tuner::tune_notla_constrained;
+use crowdtune::tuner::tune_tla_constrained;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -101,7 +101,8 @@ fn cmd_tune() {
         ..Default::default()
     };
 
-    let result = if flag("--tla") {
+    // One driver for both: NoTLA is the strategy that ignores sources.
+    let (sources, mut strategy): (Vec<SourceTask>, Box<dyn TlaStrategy>) = if flag("--tla") {
         // Bootstrap a source task from the same app family (here: the
         // same task; in real use the crowd provides different tasks).
         println!("collecting 60 source samples for transfer learning...");
@@ -118,20 +119,19 @@ fn cmd_tune() {
                 ds.push(space.to_unit(&p).unwrap(), y);
             }
         }
-        let sources =
-            vec![SourceTask::fit("self", ds, &dims_of(&space), &mut rng).expect("source fit")];
-        let mut ensemble = Ensemble::proposed_default();
-        crowdtune::tuner::tune_tla_constrained(
-            &space,
-            &mut objective,
-            &sources,
-            &mut ensemble,
-            &config,
-            Some(&constraint),
-        )
+        let source = SourceTask::fit("self", ds, &dims_of(&space), &mut rng).expect("source fit");
+        (vec![source], Box::new(Ensemble::proposed_default()))
     } else {
-        tune_notla_constrained(&space, &mut objective, &config, Some(&constraint))
+        (Vec::new(), Box::new(NoTla::new()))
     };
+    let result = tune_tla_constrained(
+        &space,
+        &mut objective,
+        &sources,
+        strategy.as_mut(),
+        &config,
+        Some(&constraint),
+    );
 
     for (i, (rec, best)) in result.history.iter().zip(result.best_so_far()).enumerate() {
         let outcome = match &rec.result {

@@ -65,18 +65,15 @@ pub mod prelude {
     pub use crowdtune_apps::{Application, EvalFailure, MachineModel};
     pub use crowdtune_core::{
         dims_of, ei_ranking_agreement, query_predict_output, query_sensitivity_analysis,
-        query_surrogate_model, records_to_dataset, tune_notla, tune_tla, AgreementReport,
-        CrowdSession, Dataset, Ensemble, EnsemblePolicy, MetaDescription, MultitaskPs, MultitaskTs,
+        query_surrogate_model, records_to_dataset, tune, tune_notla, AgreementReport, CrowdSession,
+        Dataset, Ensemble, EnsemblePolicy, MetaDescription, MultitaskPs, MultitaskTs, NoTla,
         SourceTask, Stacking, SurrogateTier, TlaStrategy, TuneConfig, TuneResult, WeightedSum,
     };
     pub use crowdtune_db::{
         Access, EvalOutcome, Filter, FunctionEvaluation, HistoryDb, MachineConfig, QuerySpec,
         Scalar, SoftwareConfig,
     };
-    pub use crowdtune_gp::{
-        Gp, GpConfig, Lcm, LcmConfig, LocalExperts, LocalExpertsConfig, SparseGp, SparseGpConfig,
-        TaskData,
-    };
+    pub use crowdtune_gp::{Gp, GpConfig, Lcm, LcmConfig, SparseGp, SparseGpConfig, TaskData};
     pub use crowdtune_sensitivity::{analyze_space, AnalysisConfig};
     pub use crowdtune_space::{Param, Point, Space, Value};
 }

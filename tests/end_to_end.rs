@@ -5,7 +5,7 @@
 use crowdtune::apps::{DemoFunction, HypreAmg, Nimrod, Pdgeqrf};
 use crowdtune::prelude::*;
 use crowdtune::tuner::data::value_to_scalar;
-use crowdtune::tuner::{tune_notla_constrained, tune_tla_constrained};
+use crowdtune::tuner::tune_tla_constrained;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -53,7 +53,16 @@ fn notla_tunes_pdgeqrf_under_constraints() {
         seed: 5,
         ..Default::default()
     };
-    let result = tune_notla_constrained(&space, &mut objective, &config, Some(&constraint));
+    let result = tune(
+        &space,
+        &mut objective,
+        &[],
+        &mut NoTla::new(),
+        &config,
+        Some(&constraint),
+        None,
+    )
+    .unwrap();
     // No structural failures at all: the constraint filters them.
     assert_eq!(result.failures(), 0, "history: {:?}", result.history);
     let (_, best) = result.best().unwrap();
@@ -90,7 +99,7 @@ fn transfer_learning_beats_no_transfer_on_demo() {
         let mut noise = StdRng::seed_from_u64(seed);
         let mut obj = |p: &Point| target.evaluate(p, &mut noise).map_err(|e| e.to_string());
         let mut ensemble = Ensemble::proposed_default();
-        let r = crowdtune::tuner::tune_tla(&space, &mut obj, &sources, &mut ensemble, &config);
+        let r = tune_tla_constrained(&space, &mut obj, &sources, &mut ensemble, &config, None);
         best_tla = best_tla.min(r.best().unwrap().1);
 
         let mut noise = StdRng::seed_from_u64(seed);
@@ -266,7 +275,16 @@ fn nimrod_oom_failures_recorded_not_fitted() {
         seed: 21,
         ..Default::default()
     };
-    let result = tune_notla_constrained(&space, &mut objective, &config, Some(&constraint));
+    let result = tune(
+        &space,
+        &mut objective,
+        &[],
+        &mut NoTla::new(),
+        &config,
+        Some(&constraint),
+        None,
+    )
+    .unwrap();
     assert_eq!(result.history.len(), 10);
     assert!(
         result.best().is_some(),
