@@ -29,7 +29,7 @@ use crowdtune_bench::arg_value;
 use crowdtune_core::{
     tune, tune_notla, Checkpointing, NoTla, TuneConfig, TuneResult, TunerCheckpoint,
 };
-use crowdtune_db::DurableStore;
+use crowdtune_db::{CrowdService, ServiceConfig};
 use crowdtune_obs as obs;
 use crowdtune_space::Point;
 use std::sync::Arc;
@@ -103,7 +103,8 @@ fn main() {
     // --- 2. The doomed run: killed mid-flight after a checkpoint --------
     let store_dir = std::env::temp_dir().join(format!("crowdtune_chaos_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&store_dir);
-    let (store, _) = DurableStore::open(&store_dir).expect("open durable store");
+    let (store, _) = CrowdService::open_durable(&store_dir, ServiceConfig::default())
+        .expect("open durable store");
     let doomed_config = TuneConfig {
         budget: kill_at,
         seed,
@@ -139,7 +140,8 @@ fn main() {
             .expect("open wal for tearing");
         f.write_all(&[0xDE, 0xAD, 0xBE, 0xEF, 0x42]).expect("tear");
     }
-    let (store, report) = DurableStore::open(&store_dir).expect("recover torn store");
+    let (store, report) = CrowdService::open_durable(&store_dir, ServiceConfig::default())
+        .expect("recover torn store");
     assert!(report.torn, "recovery must flag the torn tail");
     assert_eq!(report.torn_bytes, 5, "exactly the garbage is discarded");
     assert_eq!(report.wal_bytes, intact, "the acked prefix survives");

@@ -25,12 +25,12 @@
 //!   to [`TunerCheckpoint::objective_calls`] (see
 //!   `crowdtune_apps::FaultInjector::advance_to`).
 //!
-//! Checkpoints persist through the durable store's blob table
-//! ([`crowdtune_db::DurableStore::put_blob`]), so they survive crashes
-//! with the same WAL guarantees as the performance data itself.
+//! Checkpoints persist through the crowd service's blob table
+//! ([`crowdtune_db::CrowdService::put_blob`]); a durable service gives
+//! them the same WAL guarantees as the performance data itself.
 
 use crate::tuner::{EvalRecord, TuneConfig};
-use crowdtune_db::DurableStore;
+use crowdtune_db::CrowdService;
 use crowdtune_space::Value;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -227,9 +227,9 @@ impl TunerCheckpoint {
         Ok(ckpt)
     }
 
-    /// Load the checkpoint stored under `key` in a durable store.
+    /// Load the checkpoint stored under `key` in a crowd service.
     /// `Ok(None)` when no checkpoint exists yet.
-    pub fn load(store: &DurableStore, key: &str) -> Result<Option<Self>, ResumeError> {
+    pub fn load(store: &CrowdService, key: &str) -> Result<Option<Self>, ResumeError> {
         match store.get_blob(key) {
             Some(json) => Self::from_json(&json).map(Some),
             None => Ok(None),
@@ -310,13 +310,14 @@ pub struct Checkpointing {
     pub every: usize,
     /// Blob key the checkpoint is stored under.
     pub key: String,
-    /// The durable store checkpoints persist through.
-    pub store: Arc<DurableStore>,
+    /// The service checkpoints persist through (durable to survive a
+    /// crash).
+    pub store: Arc<CrowdService>,
 }
 
 impl Checkpointing {
     /// Checkpoint to `store` under `key` every `every` iterations.
-    pub fn new(store: Arc<DurableStore>, key: impl Into<String>, every: usize) -> Self {
+    pub fn new(store: Arc<CrowdService>, key: impl Into<String>, every: usize) -> Self {
         Checkpointing {
             every,
             key: key.into(),
@@ -330,8 +331,7 @@ impl fmt::Debug for Checkpointing {
         f.debug_struct("Checkpointing")
             .field("every", &self.every)
             .field("key", &self.key)
-            .field("store", &self.store.dir())
-            .finish()
+            .finish_non_exhaustive()
     }
 }
 

@@ -46,7 +46,7 @@ pub struct TuneConfig {
     /// errors) are retried. Backoff is charged in simulated seconds —
     /// nothing sleeps — so retries never perturb determinism.
     pub retry: RetryPolicy,
-    /// Periodic checkpointing through a durable store; `None` disables.
+    /// Periodic checkpointing through a crowd service; `None` disables.
     pub checkpoint: Option<Checkpointing>,
     /// When the `NoTLA` surrogate escalates from the exact GP to the
     /// crowd-scale sparse tier (see [`SurrogateTier`]).

@@ -8,7 +8,7 @@ use crowdtune_core::{
     tune, tune_notla, tune_tla_constrained, Checkpointing, Constraint, NoTla, ResumeError,
     RetryPolicy, SourceTask, TlaStrategy, TuneConfig, TuneResult, TunerCheckpoint, WeightedSum,
 };
-use crowdtune_db::DurableStore;
+use crowdtune_db::{CrowdService, ServiceConfig};
 use crowdtune_space::{Param, Point, Space, Value};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -112,7 +112,7 @@ fn resumed_notla_run_is_bitwise_identical_under_fault_injection() {
     // The doomed run: checkpoints every 5 iterations into a durable
     // store, "crashes" at iteration 13 (budget truncated mid-run).
     let dir = temp_dir("notla_bitwise");
-    let (store, _) = DurableStore::open(&dir).unwrap();
+    let (store, _) = CrowdService::open_durable(&dir, ServiceConfig::default()).unwrap();
     let config_b = TuneConfig {
         budget: 13,
         seed: 42,
@@ -133,7 +133,7 @@ fn resumed_notla_run_is_bitwise_identical_under_fault_injection() {
 
     // Recovery: reopen the store (WAL replay), load the last checkpoint,
     // fast-forward a fresh injector, and resume to the full budget.
-    let (store, report) = DurableStore::open(&dir).unwrap();
+    let (store, report) = CrowdService::open_durable(&dir, ServiceConfig::default()).unwrap();
     assert!(report.wal_records >= 2, "both checkpoints hit the WAL");
     let ckpt = TunerCheckpoint::load(&store, "tune")
         .unwrap()
@@ -168,7 +168,7 @@ fn resumed_tla_run_is_bitwise_identical() {
 
     // Crash at iteration 7; last checkpoint at 6.
     let dir = temp_dir("tla_bitwise");
-    let (store, _) = DurableStore::open(&dir).unwrap();
+    let (store, _) = CrowdService::open_durable(&dir, ServiceConfig::default()).unwrap();
     let config_b = TuneConfig {
         budget: 7,
         seed: 7,
@@ -180,7 +180,7 @@ fn resumed_tla_run_is_bitwise_identical() {
     let _ = tune_tla_constrained(&space, &mut obj_b, &sources, &mut strat_b, &config_b, None);
     drop(config_b);
 
-    let (store, _) = DurableStore::open(&dir).unwrap();
+    let (store, _) = CrowdService::open_durable(&dir, ServiceConfig::default()).unwrap();
     let ckpt = TunerCheckpoint::load(&store, "tla")
         .unwrap()
         .expect("checkpoint exists");
@@ -210,7 +210,7 @@ fn resumed_tla_run_is_bitwise_identical() {
 fn resume_can_extend_a_finished_run() {
     let space = quad_space();
     let dir = temp_dir("extend");
-    let (store, _) = DurableStore::open(&dir).unwrap();
+    let (store, _) = CrowdService::open_durable(&dir, ServiceConfig::default()).unwrap();
     let config = TuneConfig {
         budget: 6,
         seed: 42,
@@ -221,7 +221,7 @@ fn resume_can_extend_a_finished_run() {
     let short = tune_notla(&space, &mut obj, &config);
     drop(config);
 
-    let (store, _) = DurableStore::open(&dir).unwrap();
+    let (store, _) = CrowdService::open_durable(&dir, ServiceConfig::default()).unwrap();
     let ckpt = TunerCheckpoint::load(&store, "tune").unwrap().unwrap();
     assert_eq!(ckpt.iter, 6, "checkpoint covers the whole finished run");
     let extended = TuneConfig {
@@ -246,7 +246,7 @@ fn resume_can_extend_a_finished_run() {
 fn resume_rejects_mismatched_config_and_tampered_history() {
     let space = quad_space();
     let dir = temp_dir("reject");
-    let (store, _) = DurableStore::open(&dir).unwrap();
+    let (store, _) = CrowdService::open_durable(&dir, ServiceConfig::default()).unwrap();
     let config = TuneConfig {
         budget: 6,
         seed: 42,
@@ -256,7 +256,7 @@ fn resume_rejects_mismatched_config_and_tampered_history() {
     let mut obj = quad_objective;
     let _ = tune_notla(&space, &mut obj, &config);
     drop(config);
-    let (store, _) = DurableStore::open(&dir).unwrap();
+    let (store, _) = CrowdService::open_durable(&dir, ServiceConfig::default()).unwrap();
     let ckpt = TunerCheckpoint::load(&store, "tune").unwrap().unwrap();
 
     // Wrong seed is refused up front.
@@ -426,14 +426,14 @@ fn constrained_kill_and_resume(
     assert!(a.history.iter().all(|r| below_035(&r.point)), "{name}");
 
     let dir = temp_dir(name);
-    let (store, _) = DurableStore::open(&dir).unwrap();
+    let (store, _) = CrowdService::open_durable(&dir, ServiceConfig::default()).unwrap();
     let killed = TuneConfig {
         checkpoint: Some(Checkpointing::new(Arc::new(store), "ckpt", 4)),
         ..config(9)
     };
     run(&killed, None).unwrap();
     drop(killed);
-    let (store, _) = DurableStore::open(&dir).unwrap();
+    let (store, _) = CrowdService::open_durable(&dir, ServiceConfig::default()).unwrap();
     let ckpt = TunerCheckpoint::load(&store, "ckpt").unwrap().unwrap();
     assert_eq!(ckpt.iter, 8, "{name}: last checkpoint before the kill");
     let r = run(&config(12), Some(&ckpt)).unwrap();

@@ -6,8 +6,8 @@
 //! - [`document`] — JSON performance-sample documents (task parameters,
 //!   tuning parameters, evaluation result) plus reproducibility metadata
 //!   (machine and software configuration) and per-record access control.
-//! - [`store`] — the embedded document store: indexed by problem,
-//!   thread-safe, JSON-file persistent.
+//! - [`store`] — the document store each service shard holds: indexed
+//!   by problem, thread-safe, JSON-file persistent.
 //! - [`query`] — a typed filter AST and the SQL-like text query language
 //!   (`task.m BETWEEN 1000 AND 20000 AND machine.name = 'cori'`).
 //! - [`access`] — registered users, plain and keypair-style API keys.
@@ -15,9 +15,10 @@
 //!   environments) and machine/software tag normalization.
 //! - [`repo`] — the [`HistoryDb`] facade: authenticated submit, meta-
 //!   description-shaped queries (problem space + configuration space).
-//! - [`service`] — the concurrent sharded crowd service: parallel
-//!   problem-sharded reads, group-commit WAL writes, and an
-//!   epoch-invalidated query-result cache.
+//! - [`service`] — the crowd service, the one storage engine behind
+//!   [`HistoryDb`]: parallel problem-sharded reads, group-commit WAL
+//!   writes, an epoch-invalidated query-result cache, and a blob table
+//!   for tuner checkpoints.
 //! - [`overload`] — overload resilience for the service: bounded
 //!   admission control with typed shedding, deadline propagation, a
 //!   per-shard Healthy → Degraded → Shedding ladder, capped seeded
@@ -25,10 +26,9 @@
 //! - [`telemetry`] — the fleet-telemetry collection: cross-run records
 //!   distilled from per-run event journals, with the same per-record
 //!   access control as performance samples.
-//! - [`wal`] — crash-safe persistence: a checksummed write-ahead log in
-//!   front of the store, snapshot + replay recovery that truncates torn
-//!   tails, atomic compaction, and a blob side table for tuner
-//!   checkpoints.
+//! - [`wal`] — crash-safe persistence for the service: a checksummed
+//!   write-ahead log, snapshot + replay recovery that truncates torn
+//!   tails, and atomic compaction.
 
 #![warn(missing_docs)]
 
@@ -61,4 +61,4 @@ pub use repo::{
 pub use service::{CrowdService, ServiceConfig};
 pub use store::{DocumentStore, ScanStats, StoreError};
 pub use telemetry::{FleetQuery, RunRecord, TelemetryCollection};
-pub use wal::{crc32, DurableStore, RecoveryReport, WalConfig, WalRecord};
+pub use wal::{crc32, RecoveryReport, WalConfig, WalRecord};

@@ -13,7 +13,7 @@ use crate::env::TagRegistry;
 use crate::overload::Backoff;
 use crate::query::Filter;
 use crate::service::{CrowdService, ServiceConfig};
-use crate::store::{DocumentStore, ScanStats, StoreError};
+use crate::store::StoreError;
 use crowdtune_obs as obs;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -220,37 +220,6 @@ impl QuerySpec {
     }
 }
 
-/// Storage engine behind a [`HistoryDb`]: the single-lock embedded
-/// store, or the sharded concurrent crowd service. Exactly one backend
-/// exists per db, so the variant size gap is irrelevant.
-#[allow(clippy::large_enum_variant)]
-enum Backend {
-    Embedded(DocumentStore),
-    Service(CrowdService),
-}
-
-impl Backend {
-    fn insert(&self, eval: FunctionEvaluation, ctx: obs::RequestCtx) -> Result<u64, StoreError> {
-        match self {
-            Backend::Embedded(store) => Ok(store.insert(eval)),
-            Backend::Service(svc) => svc.insert_ctx(eval, ctx),
-        }
-    }
-
-    fn query_problem_counted(
-        &self,
-        problem: &str,
-        filter: &Filter,
-        user: Option<&str>,
-        ctx: obs::RequestCtx,
-    ) -> (Vec<FunctionEvaluation>, ScanStats) {
-        match self {
-            Backend::Embedded(store) => store.query_problem_counted(problem, filter, user),
-            Backend::Service(svc) => svc.query_problem_counted_ctx(problem, filter, user, ctx),
-        }
-    }
-}
-
 /// FNV-1a over a client identity, folding usernames into the compact
 /// `client` field request traces carry (0 = anonymous/unknown).
 fn client_hash(user: Option<&str>) -> u32 {
@@ -363,7 +332,7 @@ impl CircuitBreaker {
 
 /// The shared crowd-tuning database.
 pub struct HistoryDb {
-    backend: Backend,
+    service: CrowdService,
     users: UserRegistry,
     tags: TagRegistry,
     /// Monotonic upload-batch id; every `submit`/`submit_batch` call gets
@@ -378,37 +347,33 @@ impl Default for HistoryDb {
 }
 
 impl HistoryDb {
-    /// A database with the built-in tag registry, backed by the embedded
-    /// single-lock store (the right shape for one tuner process).
+    /// A database with the built-in tag registry for one tuner process:
+    /// a single-shard service with the query cache off.
     pub fn new() -> Self {
-        HistoryDb {
-            backend: Backend::Embedded(DocumentStore::new()),
-            users: UserRegistry::new(),
-            tags: TagRegistry::with_builtin_entries(),
-            batch: AtomicU64::new(0),
-        }
+        Self::concurrent(ServiceConfig {
+            shards: 1,
+            cache_capacity: 0,
+            ..ServiceConfig::default()
+        })
     }
 
-    /// A database backed by the concurrent sharded [`CrowdService`] —
-    /// parallel reads across client threads, cached repeat queries. The
-    /// facade API is identical; a single-threaded caller sees the same
-    /// ids and query results as [`HistoryDb::new`].
+    /// A database backed by a [`CrowdService`] with the given layout —
+    /// parallel reads across client threads, cached repeat queries. A
+    /// single-threaded caller sees the same ids and query results at any
+    /// layout.
     pub fn concurrent(config: ServiceConfig) -> Self {
         HistoryDb {
-            backend: Backend::Service(CrowdService::new(config)),
+            service: CrowdService::new(config),
             users: UserRegistry::new(),
             tags: TagRegistry::with_builtin_entries(),
             batch: AtomicU64::new(0),
         }
     }
 
-    /// The sharded service behind this database, if it is concurrent
-    /// (cache/fsync observability for benchmarks and reports).
+    /// The service behind this database (cache/fsync observability for
+    /// benchmarks and reports). Always `Some`.
     pub fn service(&self) -> Option<&CrowdService> {
-        match &self.backend {
-            Backend::Service(svc) => Some(svc),
-            Backend::Embedded(_) => None,
-        }
+        Some(&self.service)
     }
 
     /// Access the user registry (registration, key management).
@@ -478,7 +443,7 @@ impl HistoryDb {
         prov.machine = machine;
         prov.batch = batch;
         let ctx = obs::RequestCtx::new(obs::OpKind::Upload, client_hash(Some(&eval.owner)));
-        Ok((self.backend.insert(eval, ctx)?, owner))
+        Ok((self.service.insert_ctx(eval, ctx)?, owner))
     }
 
     /// Submit a batch of evaluations. Stops at the first rejected record;
@@ -542,8 +507,8 @@ impl HistoryDb {
         let span = obs::span(obs::names::SPAN_DB_QUERY);
         let ctx = obs::RequestCtx::new(obs::OpKind::Query, client_hash(user));
         let (hits, stats) =
-            self.backend
-                .query_problem_counted(&spec.problem, &spec.filter, user, ctx);
+            self.service
+                .query_problem_counted_ctx(&spec.problem, &spec.filter, user, ctx);
         let kept: Vec<FunctionEvaluation> = hits
             .into_iter()
             .filter(|e| spec.include_failures || e.result.is_ok())
@@ -626,10 +591,7 @@ impl HistoryDb {
 
     /// Number of stored documents.
     pub fn len(&self) -> usize {
-        match &self.backend {
-            Backend::Embedded(store) => store.len(),
-            Backend::Service(svc) => svc.len(),
-        }
+        self.service.len()
     }
 
     /// True when the store is empty.
@@ -640,29 +602,20 @@ impl HistoryDb {
     /// Stored-record counts per provenance contributor, sorted by name.
     /// Records without provenance (pre-schema imports) are not counted.
     pub fn contributor_counts(&self) -> Vec<(String, u64)> {
-        match &self.backend {
-            Backend::Embedded(store) => store.contributor_counts(),
-            Backend::Service(svc) => svc.contributor_counts(),
-        }
+        self.service.contributor_counts()
     }
 
     /// Distinct problems with data.
     pub fn problems(&self) -> Vec<String> {
-        match &self.backend {
-            Backend::Embedded(store) => store.problems(),
-            Backend::Service(svc) => svc.problems(),
-        }
+        self.service.problems()
     }
 
     /// Persist the document collection to a JSON file. (User records are
-    /// credentials and deliberately not serialized.) A concurrent
-    /// database saves its merged single-store form, so the file loads
-    /// identically whichever backend wrote it.
+    /// credentials and deliberately not serialized.) The service saves
+    /// its merged single-store form, so the file loads identically at
+    /// any shard count.
     pub fn save_documents(&self, path: &std::path::Path) -> Result<(), DbError> {
-        match &self.backend {
-            Backend::Embedded(store) => Ok(store.save(path)?),
-            Backend::Service(svc) => Ok(svc.merged_store().save(path)?),
-        }
+        Ok(self.service.merged_store().save(path)?)
     }
 
     /// Export the records a query matches as a JSON array — the

@@ -1,11 +1,11 @@
 //! The concurrent sharded crowd repository: parallel reads, group-commit
 //! writes, and an epoch-invalidated query cache.
 //!
-//! The embedded [`DocumentStore`] serializes every operation behind one
-//! `RwLock`, which is the right shape for a single tuner process but not
-//! for the paper's crowd service, where many clients upload and query the
-//! shared history concurrently. [`CrowdService`] re-hosts the same
-//! document model for fleet-scale access:
+//! A [`DocumentStore`] serializes every operation behind one `RwLock`,
+//! which is the right shape for one shard but not for the paper's crowd
+//! service, where many clients upload and query the shared history
+//! concurrently. [`CrowdService`], the crate's one storage engine, hosts
+//! that document model for fleet-scale access:
 //!
 //! * **Sharding** — documents are partitioned by problem name across N
 //!   [`DocumentStore`] shards. Problem-scoped queries (the TLA hot path:
@@ -30,9 +30,9 @@
 //!   cached.
 //!
 //! Global id/logical-time counters are atomics, so ids stay unique and
-//! monotone across shards; a single-threaded client sees exactly the
-//! ids, query results, and (in durable mode) WAL bytes the embedded
-//! store would produce.
+//! monotone across shards; a single-threaded client sees the same ids,
+//! query results, and (in durable mode) WAL bytes at every shard count
+//! (`tests/service_determinism.rs` pins them).
 
 use crate::document::FunctionEvaluation;
 use crate::overload::{OverloadConfig, OverloadState};
@@ -151,14 +151,12 @@ impl Shard {
     }
 }
 
-/// The durable half: one WAL shared by all shards, plus the blob side
-/// table. The on-disk layout (snapshot.json + wal.log) is interchangeable
-/// with a [`crate::DurableStore`] directory.
+/// The durable half: one WAL shared by all shards, rooted at a
+/// directory holding `snapshot.json` + `wal.log`.
 struct Durable {
     wal: WalAppender,
     dir: PathBuf,
     config: WalConfig,
-    blobs: RwLock<HashMap<String, String>>,
 }
 
 /// A concurrent, optionally durable, sharded crowd repository. See the
@@ -168,6 +166,8 @@ pub struct CrowdService {
     next_id: AtomicU64,
     clock: AtomicU64,
     cache_capacity: usize,
+    /// Named blobs (tuner checkpoints), logged to the WAL when durable.
+    blobs: RwLock<HashMap<String, String>>,
     durable: Option<Durable>,
     overload: Option<OverloadState>,
 }
@@ -209,6 +209,7 @@ impl CrowdService {
             next_id: AtomicU64::new(0),
             clock: AtomicU64::new(0),
             cache_capacity: config.cache_capacity,
+            blobs: RwLock::new(HashMap::new()),
             durable: None,
             overload: config.overload.map(|cfg| OverloadState::new(cfg, n)),
         }
@@ -222,9 +223,9 @@ impl CrowdService {
     }
 
     /// Open (or create) a durable service rooted at `dir`, replaying
-    /// `snapshot.json` + `wal.log` into the shards. The directory format
-    /// is shared with [`crate::DurableStore`], so a store written by one
-    /// can be reopened by the other.
+    /// `snapshot.json` + `wal.log` into the shards. A torn final record
+    /// (a crash mid-append) is truncated away, so recovery restores
+    /// exactly the acknowledged writes; the report says what was found.
     pub fn open_durable(
         dir: &Path,
         config: ServiceConfig,
@@ -277,11 +278,12 @@ impl CrowdService {
 
         service.next_id.store(next_id, Ordering::Relaxed);
         service.clock.store(clock, Ordering::Relaxed);
+        service.blobs = RwLock::new(blobs);
 
         let file = open_wal_append(dir)?;
         obs::count(obs::names::CTR_WAL_REPLAYED, report.wal_records as u64);
         obs::record_with(|| obs::Event::Recovery {
-            source: "crowd".to_string(),
+            source: "wal".to_string(),
             docs: service.len() as u64,
             records: report.wal_records as u64,
             torn: report.torn,
@@ -291,7 +293,6 @@ impl CrowdService {
             wal: WalAppender::new(file, &config.wal),
             dir: dir.to_path_buf(),
             config: config.wal,
-            blobs: RwLock::new(blobs),
         });
         Ok((service, report))
     }
@@ -357,11 +358,6 @@ impl CrowdService {
         }
     }
 
-    /// Number of shards (for reporting).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Insert a document: id and logical time are drawn from the global
     /// counters under the shard write lock, the shard applies it in
     /// memory, and (durable mode) the WAL record is enqueued before the
@@ -412,10 +408,7 @@ impl CrowdService {
         if let Some(d) = &self.durable {
             let outcome = d.wal.wait_durable_traced(ticket, ctx.trace_id)?;
             self.record_commit(&ctx, sidx as u16, &outcome);
-            obs::count(obs::names::CTR_WAL_APPENDS, 1);
-            if d.wal.compact_due(d.config.compact_every) {
-                self.compact_linked(ctx.trace_id)?;
-            }
+            self.after_commit(d, 1, ctx.trace_id)?;
         }
         ctx.record(TraceStage::Op, sidx as u16, op_start);
         Ok(id)
@@ -458,12 +451,13 @@ impl CrowdService {
                 ctx.record(TraceStage::WalEnqueue, sidx as u16, enqueue_start);
             }
         }
-        if let Some(d) = &self.durable {
+        if let (Some(d), false) = (&self.durable, tickets.is_empty()) {
+            let records = tickets.len() as u64;
             for (sidx, t) in tickets {
                 let outcome = d.wal.wait_durable_traced(t, ctx.trace_id)?;
                 self.record_commit(&ctx, sidx as u16, &outcome);
-                obs::count(obs::names::CTR_WAL_APPENDS, 1);
             }
+            self.after_commit(d, records, ctx.trace_id)?;
         }
         ctx.record(TraceStage::Op, obs::NO_SHARD, op_start);
         Ok(removed)
@@ -715,20 +709,6 @@ impl CrowdService {
         (results, stats)
     }
 
-    /// Count of matching documents across all shards.
-    pub fn count(&self, filter: &Filter, user: Option<&str>) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.store.count(filter, user))
-            .sum()
-    }
-
-    /// Fetch a document by id (searches the owning shard by scan; ids do
-    /// not encode shards).
-    pub fn get(&self, id: u64) -> Option<FunctionEvaluation> {
-        self.shards.iter().find_map(|s| s.store.get(id))
-    }
-
     /// Total documents across all shards.
     pub fn len(&self) -> usize {
         self.shards.iter().map(|s| s.store.len()).sum()
@@ -785,8 +765,8 @@ impl CrowdService {
             .map_or(0, |d| d.wal.fsync_batched_count())
     }
 
-    /// Write a named blob durably (tuner checkpoints). No-op store in
-    /// memory when the service is not durable.
+    /// Write a named blob (tuner checkpoints); durable mode logs it to
+    /// the WAL before acknowledging.
     pub fn put_blob(&self, key: &str, value: &str) -> Result<(), StoreError> {
         // Checkpoint blobs are essential writes: admission always admits
         // them (they still occupy virtual queue capacity, so their cost
@@ -794,24 +774,35 @@ impl CrowdService {
         if let Some(ov) = &self.overload {
             ov.admit_write(0, &RequestCtx::disabled(OpKind::Blob))?;
         }
+        self.blobs
+            .write()
+            .insert(key.to_string(), value.to_string());
         if let Some(d) = &self.durable {
-            d.blobs.write().insert(key.to_string(), value.to_string());
             let framed = frame_record(&WalRecord::Blob {
                 key: key.to_string(),
                 value: value.to_string(),
             })?;
-            let ticket = d.wal.enqueue(&framed)?;
-            d.wal.wait_durable(ticket)?;
-            obs::count(obs::names::CTR_WAL_APPENDS, 1);
+            d.wal.wait_durable(d.wal.enqueue(&framed)?)?;
+            self.after_commit(d, 1, 0)?;
         }
         Ok(())
     }
 
     /// Fetch a named blob.
     pub fn get_blob(&self, key: &str) -> Option<String> {
-        self.durable
-            .as_ref()
-            .and_then(|d| d.blobs.read().get(key).cloned())
+        self.blobs.read().get(key).cloned()
+    }
+
+    /// The one post-commit step of every durable write: count the
+    /// `records` it committed and compact once `compact_every` records
+    /// have accumulated since the last compaction. `link` names the trace
+    /// of the triggering write (0 when untraced).
+    fn after_commit(&self, d: &Durable, records: u64, link: u64) -> Result<(), StoreError> {
+        obs::count(obs::names::CTR_WAL_APPENDS, records);
+        if d.wal.compact_due(d.config.compact_every) {
+            self.compact_linked(link)?;
+        }
+        Ok(())
     }
 
     /// Materialize the whole service as one embedded [`DocumentStore`]
@@ -835,8 +826,10 @@ impl CrowdService {
         store
     }
 
-    /// Fold the WAL into a fresh snapshot and truncate the log, exactly
-    /// like [`crate::DurableStore::compact`]. The merged snapshot is
+    /// Fold the WAL into a fresh snapshot (written atomically: temp +
+    /// fsync + rename + dir fsync) and truncate the log. A crash between
+    /// the two steps only replays records the snapshot already holds,
+    /// because replay skips ids it has seen. The merged snapshot is
     /// captured inside the quiesce so every enqueued-but-unflushed
     /// record (already applied in memory) is covered before the buffer
     /// is dropped. No-op for in-memory services.
@@ -858,7 +851,7 @@ impl CrowdService {
         d.wal.quiesce(|file| {
             let snap = DurableSnapshot {
                 store: self.merged_store().snapshot_json()?,
-                blobs: d.blobs.read().clone(),
+                blobs: self.blobs.read().clone(),
             };
             let json = serde_json::to_string(&snap)?;
             write_atomic(&snapshot_path, json.as_bytes())?;
@@ -1074,27 +1067,13 @@ mod tests {
     }
 
     #[test]
-    fn service_directory_interchangeable_with_durable_store() {
-        let dir = temp_dir("svc_interchange");
-        {
-            let (svc, _) = CrowdService::open_durable(&dir, ServiceConfig::default()).unwrap();
-            for i in 0..5 {
-                svc.insert(eval("P", "alice", i)).unwrap();
-            }
-            svc.compact().unwrap();
-            svc.insert(eval("Q", "bob", 9)).unwrap();
-        }
-        // A DurableStore reads the service's directory...
-        let (store, report) = crate::wal::DurableStore::open(&dir).unwrap();
-        assert_eq!(report.snapshot_docs, 5);
-        assert_eq!(report.wal_records, 1);
-        assert_eq!(store.store().len(), 6);
-        store.insert(eval("R", "carol", 1)).unwrap();
-        drop(store);
-        // ...and the service reads it back.
-        let (svc, _) = CrowdService::open_durable(&dir, ServiceConfig::default()).unwrap();
-        assert_eq!(svc.len(), 7);
-        std::fs::remove_dir_all(&dir).ok();
+    fn in_memory_service_keeps_blobs() {
+        let svc = CrowdService::new(ServiceConfig::default());
+        assert_eq!(svc.get_blob("k"), None);
+        svc.put_blob("k", "v").unwrap();
+        assert_eq!(svc.get_blob("k").as_deref(), Some("v"));
+        svc.put_blob("k", "w").unwrap();
+        assert_eq!(svc.get_blob("k").as_deref(), Some("w"));
     }
 
     #[test]

@@ -195,19 +195,7 @@ impl DocumentStore {
     }
 
     /// Insert a document; returns the assigned id.
-    pub fn insert(&self, doc: FunctionEvaluation) -> u64 {
-        self.insert_stored(doc).id
-    }
-
-    /// Insert many documents; returns the assigned ids.
-    pub fn insert_batch(&self, docs: Vec<FunctionEvaluation>) -> Vec<u64> {
-        docs.into_iter().map(|d| self.insert(d)).collect()
-    }
-
-    /// Insert a document and return it exactly as stored (id and logical
-    /// timestamp assigned) — what a write-ahead log must record so that
-    /// replay reproduces the store byte for byte.
-    pub fn insert_stored(&self, mut doc: FunctionEvaluation) -> FunctionEvaluation {
+    pub fn insert(&self, mut doc: FunctionEvaluation) -> u64 {
         let mut inner = self.inner.write();
         inner.next_id += 1;
         inner.clock += 1;
@@ -221,8 +209,8 @@ impl DocumentStore {
             .push(idx);
         inner.indexes.insert_doc(idx, &doc);
         bump_contributor(&mut inner.by_contributor, &doc);
-        inner.docs.push(doc.clone());
-        doc
+        inner.docs.push(doc);
+        inner.next_id
     }
 
     /// Replay an insert whose id and logical timestamp were already
@@ -270,7 +258,7 @@ impl DocumentStore {
     }
 
     /// Every stored document, access control NOT applied — for moving a
-    /// store's contents between the embedded and sharded representations.
+    /// store's contents between a snapshot and the service's shards.
     pub(crate) fn all_docs(&self) -> Vec<FunctionEvaluation> {
         self.inner.read().docs.clone()
     }
@@ -318,9 +306,9 @@ impl DocumentStore {
             .collect()
     }
 
-    /// Like [`DocumentStore::delete_owned`], but returns the ids of the
-    /// removed documents so a write-ahead log can record the exact
-    /// effect.
+    /// Delete the documents matching `filter` owned by `owner` (only the
+    /// owner may delete their data) and return their ids, so a
+    /// write-ahead log can record the exact effect.
     pub fn delete_owned_ids(&self, owner: &str, filter: &Filter) -> Vec<u64> {
         let mut inner = self.inner.write();
         let removed: Vec<u64> = inner
@@ -440,16 +428,6 @@ impl DocumentStore {
         (hits, stats)
     }
 
-    /// Count of matching documents without cloning them.
-    pub fn count(&self, filter: &Filter, user: Option<&str>) -> usize {
-        let inner = self.inner.read();
-        let verify = |d: &FunctionEvaluation| d.readable_by(user) && filter.matches(d);
-        match inner.indexes.plan(filter) {
-            Some(plan) => plan.iter().filter(|&&i| verify(&inner.docs[i])).count(),
-            None => inner.docs.iter().filter(|d| verify(d)).count(),
-        }
-    }
-
     /// Live-document counts per provenance contributor, sorted by name.
     /// Maintained incrementally on insert and rebuilt on deletes/load.
     pub fn contributor_counts(&self) -> Vec<(String, u64)> {
@@ -467,21 +445,6 @@ impl DocumentStore {
         let mut names: Vec<String> = inner.by_problem.keys().cloned().collect();
         names.sort();
         names
-    }
-
-    /// Delete documents matching the filter owned by `owner`; returns the
-    /// number removed. (Only the owner may delete their data.)
-    pub fn delete_owned(&self, owner: &str, filter: &Filter) -> usize {
-        let mut inner = self.inner.write();
-        let before = inner.docs.len();
-        inner
-            .docs
-            .retain(|d| !(d.owner == owner && filter.matches(d)));
-        let removed = before - inner.docs.len();
-        if removed > 0 {
-            inner.rebuild_index();
-        }
-        removed
     }
 
     /// Serialize the store's persistent state to a JSON string (the
@@ -630,7 +593,7 @@ mod tests {
         let f = parse_query("task.m BETWEEN 150 AND 350").unwrap();
         let hits = store.query_problem("P", &f, None);
         assert_eq!(hits.len(), 2);
-        assert_eq!(store.count(&f, None), 2);
+        assert_eq!(store.query(&f, None).len(), 2);
     }
 
     #[test]
@@ -661,8 +624,8 @@ mod tests {
         let store = DocumentStore::new();
         store.insert(eval("P", "alice", 1, 1.0));
         store.insert(eval("P", "bob", 1, 2.0));
-        let removed = store.delete_owned("alice", &Filter::True);
-        assert_eq!(removed, 1);
+        let removed = store.delete_owned_ids("alice", &Filter::True);
+        assert_eq!(removed.len(), 1);
         assert_eq!(store.len(), 1);
         assert_eq!(
             store.query_problem("P", &Filter::True, None)[0].owner,
@@ -743,7 +706,7 @@ mod tests {
         let (hits, stats) = store.query_counted(&f, None);
         assert_eq!(hits.len(), 2);
         assert_eq!(stats.scanned, 2);
-        store.delete_owned("bob", &parse_query("task.m = 2").unwrap());
+        store.delete_owned_ids("bob", &parse_query("task.m = 2").unwrap());
         // Postings rebuilt: positions still valid after compaction.
         let (hits, stats) = store.query_counted(&f, None);
         assert_eq!(hits.len(), 1);
@@ -763,7 +726,7 @@ mod tests {
             store.contributor_counts(),
             vec![("alice".to_string(), 2), ("bob".to_string(), 1)]
         );
-        store.delete_owned("bob", &Filter::True);
+        store.delete_owned_ids("bob", &Filter::True);
         assert_eq!(store.contributor_counts(), vec![("alice".to_string(), 2)]);
         // Counts are rebuilt from documents on snapshot reload.
         let reloaded = DocumentStore::from_snapshot_json(&store.snapshot_json().unwrap()).unwrap();

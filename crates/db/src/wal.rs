@@ -1,21 +1,21 @@
-//! Crash-safe persistence: a write-ahead log in front of the document
-//! store.
+//! Crash-safe persistence: the write-ahead log of the durable
+//! [`crate::CrowdService`].
 //!
 //! The paper's shared repository is fed by unreliable crowd workers, so
-//! the store must survive being killed mid-write. [`DurableStore`] wraps
-//! a [`DocumentStore`] with the classic snapshot + WAL design:
+//! the store must survive being killed mid-write. The service uses the
+//! classic snapshot + WAL design:
 //!
-//! * every mutation (insert, delete, checkpoint blob) is first appended
-//!   to `wal.log` as a length-framed, CRC-32-checksummed JSON record and
-//!   fsynced, then applied in memory;
-//! * [`DurableStore::open`] (or [`DocumentStore::open_durable`]) replays
-//!   `snapshot.json` + the WAL on startup. A torn final record — a crash
-//!   mid-append — is detected by the framing/checksum and the log is
-//!   truncated back to the last valid prefix, so recovery restores
-//!   exactly the acknowledged writes;
-//! * [`DurableStore::compact`] folds the log into a fresh snapshot
-//!   written atomically (temp + fsync + rename + dir fsync) and then
-//!   truncates the WAL. Replay is idempotent (inserts carry their
+//! * every mutation (insert, delete, checkpoint blob) is appended to
+//!   `wal.log` as a length-framed, CRC-32-checksummed JSON record and
+//!   fsynced before it is acknowledged;
+//! * [`crate::CrowdService::open_durable`] replays `snapshot.json` + the
+//!   WAL on startup. A torn final record — a crash mid-append — is
+//!   detected by the framing/checksum and the log is truncated back to
+//!   the last valid prefix, so recovery restores exactly the
+//!   acknowledged writes;
+//! * [`crate::CrowdService::compact`] folds the log into a fresh
+//!   snapshot written atomically (temp + fsync + rename + dir fsync) and
+//!   then truncates the WAL. Replay is idempotent (inserts carry their
 //!   assigned ids and skip duplicates), so a crash *between* snapshot
 //!   write and WAL truncation merely replays records the snapshot
 //!   already contains.
@@ -26,15 +26,13 @@
 //! sequential), so recovery treats it as the torn tail.
 
 use crate::document::FunctionEvaluation;
-use crate::query::Filter;
-use crate::store::{json_is_truncated, write_atomic, DocumentStore, StoreError};
+use crate::store::{json_is_truncated, StoreError};
 use crowdtune_obs as obs;
-use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
 use std::fs::{File, OpenOptions};
 use std::io::Write;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex as StdMutex};
 
@@ -80,7 +78,8 @@ pub enum WalRecord {
     },
 }
 
-/// What [`DurableStore::open`] found and did during recovery.
+/// What [`crate::CrowdService::open_durable`] found and did during
+/// recovery.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RecoveryReport {
     /// Documents restored from the snapshot.
@@ -104,7 +103,7 @@ impl RecoveryReport {
     }
 }
 
-/// Durability knobs for a [`DurableStore`].
+/// Durability knobs for a durable [`crate::CrowdService`].
 #[derive(Debug, Clone)]
 pub struct WalConfig {
     /// fsync the log after every commit (the crash-safety guarantee;
@@ -149,24 +148,11 @@ impl Default for WalConfig {
 
 /// Snapshot payload: the document store's state plus the blob table.
 /// The store state is embedded as a JSON string so the snapshot schema
-/// is independent of the store's internal serialization. Shared with the
-/// sharded crowd service, whose durable directories are interchangeable
-/// with a [`DurableStore`]'s.
+/// is independent of the store's internal serialization.
 #[derive(Serialize, Deserialize)]
 pub(crate) struct DurableSnapshot {
     pub(crate) store: String,
     pub(crate) blobs: HashMap<String, String>,
-}
-
-/// A crash-safe [`DocumentStore`]: WAL-fronted mutations, snapshot +
-/// log replay on open, periodic atomic compaction, and a named-blob
-/// side table for tuner checkpoints.
-pub struct DurableStore {
-    store: DocumentStore,
-    blobs: RwLock<HashMap<String, String>>,
-    wal: WalAppender,
-    dir: PathBuf,
-    config: WalConfig,
 }
 
 /// Frame `record` as `len | crc32 | payload` bytes.
@@ -443,12 +429,6 @@ impl WalAppender {
         }
     }
 
-    /// Enqueue + wait: one fully-committed record.
-    pub(crate) fn append(&self, framed: &[u8]) -> Result<(), StoreError> {
-        let ticket = self.enqueue(framed)?;
-        self.wait_durable(ticket)
-    }
-
     /// True once `compact_every` records have been appended since the
     /// last compaction.
     pub(crate) fn compact_due(&self, compact_every: u64) -> bool {
@@ -485,189 +465,6 @@ impl WalAppender {
     }
 }
 
-impl DurableStore {
-    /// Open (or create) a durable store rooted at directory `dir`,
-    /// replaying `snapshot.json` and `wal.log`. Returns the recovered
-    /// store and a [`RecoveryReport`] describing what was restored.
-    pub fn open(dir: &Path) -> Result<(Self, RecoveryReport), StoreError> {
-        Self::open_with(dir, WalConfig::default())
-    }
-
-    /// [`DurableStore::open`] with explicit durability knobs.
-    pub fn open_with(dir: &Path, config: WalConfig) -> Result<(Self, RecoveryReport), StoreError> {
-        std::fs::create_dir_all(dir)?;
-        let mut report = RecoveryReport::default();
-
-        // 1. Snapshot, if one exists.
-        let (store, blobs) = match load_snapshot(dir)? {
-            Some(snap) => {
-                let store = DocumentStore::from_snapshot_json(&snap.store)?;
-                report.snapshot_docs = store.len();
-                report.snapshot_blobs = snap.blobs.len();
-                (store, snap.blobs)
-            }
-            None => (DocumentStore::new(), HashMap::new()),
-        };
-
-        // 2. WAL replay: apply every intact record, truncate a torn tail.
-        let scan = scan_wal(dir)?;
-        let blobs = RwLock::new(blobs);
-        for record in scan.records {
-            match record {
-                WalRecord::Insert { doc } => store.insert_exact(doc),
-                WalRecord::Delete { ids } => {
-                    store.delete_ids(&ids);
-                }
-                WalRecord::Blob { key, value } => {
-                    blobs.write().insert(key, value);
-                }
-            }
-            report.wal_records += 1;
-        }
-        report.wal_bytes = scan.wal_bytes;
-        report.torn = scan.torn;
-        report.torn_bytes = scan.torn_bytes;
-
-        let file = open_wal_append(dir)?;
-        obs::count(obs::names::CTR_WAL_REPLAYED, report.wal_records as u64);
-        obs::record_with(|| obs::Event::Recovery {
-            source: "wal".to_string(),
-            docs: store.len() as u64,
-            records: report.wal_records as u64,
-            torn: report.torn,
-            resumed_iter: None,
-        });
-
-        Ok((
-            DurableStore {
-                store,
-                blobs,
-                wal: WalAppender::new(file, &config),
-                dir: dir.to_path_buf(),
-                config,
-            },
-            report,
-        ))
-    }
-
-    /// Physical fsyncs the WAL has issued since open.
-    pub fn fsync_count(&self) -> u64 {
-        self.wal.fsync_count()
-    }
-
-    /// Records whose durability rode on another record's fsync (group
-    /// commit coalescing). Always 0 with `group_commit: false`.
-    pub fn fsync_batched_count(&self) -> u64 {
-        self.wal.fsync_batched_count()
-    }
-
-    /// The directory this store persists into.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// Read access to the underlying document store (queries, counts).
-    pub fn store(&self) -> &DocumentStore {
-        &self.store
-    }
-
-    /// Insert a document durably: WAL append (fsynced) before the ack.
-    pub fn insert(&self, doc: FunctionEvaluation) -> Result<u64, StoreError> {
-        let stored = self.store.insert_stored(doc);
-        let id = stored.id;
-        self.append(&WalRecord::Insert { doc: stored })?;
-        Ok(id)
-    }
-
-    /// Delete documents matching `filter` owned by `owner`; logs the
-    /// resolved ids. Returns the number removed.
-    pub fn delete_owned(&self, owner: &str, filter: &Filter) -> Result<usize, StoreError> {
-        let ids = self.store.delete_owned_ids(owner, filter);
-        if ids.is_empty() {
-            return Ok(0);
-        }
-        let n = ids.len();
-        self.append(&WalRecord::Delete { ids })?;
-        Ok(n)
-    }
-
-    /// Write a named blob durably (tuner checkpoints ride on this).
-    pub fn put_blob(&self, key: &str, value: &str) -> Result<(), StoreError> {
-        self.blobs
-            .write()
-            .insert(key.to_string(), value.to_string());
-        self.append(&WalRecord::Blob {
-            key: key.to_string(),
-            value: value.to_string(),
-        })
-    }
-
-    /// Fetch a named blob.
-    pub fn get_blob(&self, key: &str) -> Option<String> {
-        self.blobs.read().get(key).cloned()
-    }
-
-    /// Keys of every stored blob, sorted.
-    pub fn blob_keys(&self) -> Vec<String> {
-        let mut keys: Vec<String> = self.blobs.read().keys().cloned().collect();
-        keys.sort();
-        keys
-    }
-
-    /// Fold the WAL into a fresh snapshot (written atomically) and
-    /// truncate the log. Safe against a crash at any point: the rename
-    /// is atomic and replay is idempotent.
-    pub fn compact(&self) -> Result<(), StoreError> {
-        let wal_path = self.dir.join("wal.log");
-        let snapshot_path = self.dir.join("snapshot.json");
-        self.wal.quiesce(|file| {
-            // The snapshot must be captured *inside* the quiesce: a write
-            // that applied in memory and enqueued between an earlier
-            // snapshot and the buffer drop below would otherwise be lost
-            // from both.
-            let snap = DurableSnapshot {
-                store: self.store.snapshot_json()?,
-                blobs: self.blobs.read().clone(),
-            };
-            let json = serde_json::to_string(&snap)?;
-            write_atomic(&snapshot_path, json.as_bytes())?;
-            // Snapshot durable: the log can now be emptied. Recreate
-            // rather than set_len(0) so the file handle's append offset
-            // resets on every platform.
-            let fresh = OpenOptions::new()
-                .create(true)
-                .write(true)
-                .truncate(true)
-                .open(&wal_path)?;
-            fresh.sync_all()?;
-            *file = OpenOptions::new().append(true).open(&wal_path)?;
-            Ok(())
-        })?;
-        obs::count(obs::names::CTR_WAL_COMPACTIONS, 1);
-        Ok(())
-    }
-
-    /// Append one record: frame, checksum, commit (group-batched when
-    /// concurrent appends overlap).
-    fn append(&self, record: &WalRecord) -> Result<(), StoreError> {
-        self.wal.append(&frame_record(record)?)?;
-        obs::count(obs::names::CTR_WAL_APPENDS, 1);
-        if self.wal.compact_due(self.config.compact_every) {
-            self.compact()?;
-        }
-        Ok(())
-    }
-}
-
-impl DocumentStore {
-    /// Open a crash-safe, WAL-backed store rooted at directory `dir`
-    /// (see [`DurableStore`]). Replays snapshot + WAL, truncating a torn
-    /// final record, and reports what was recovered.
-    pub fn open_durable(dir: &Path) -> Result<(DurableStore, RecoveryReport), StoreError> {
-        DurableStore::open(dir)
-    }
-}
-
 /// Result of scanning a durable directory's `wal.log`: the intact
 /// records in append order, plus what the scan did about the tail.
 pub(crate) struct WalScan {
@@ -681,8 +478,7 @@ pub(crate) struct WalScan {
 }
 
 /// Load `snapshot.json` from `dir`, distinguishing "no snapshot yet"
-/// (`Ok(None)`) from a truncated or corrupt one (an error). Shared by
-/// [`DurableStore`] and the sharded crowd service.
+/// (`Ok(None)`) from a truncated or corrupt one (an error).
 pub(crate) fn load_snapshot(dir: &Path) -> Result<Option<DurableSnapshot>, StoreError> {
     let snapshot_path = dir.join("snapshot.json");
     match std::fs::read_to_string(&snapshot_path) {
@@ -786,6 +582,8 @@ pub(crate) fn next_record(bytes: &[u8], offset: usize) -> Option<Result<(WalReco
 mod tests {
     use super::*;
     use crate::document::{EvalOutcome, MachineConfig};
+    use crate::query::parse_query;
+    use crate::service::{CrowdService, ServiceConfig};
 
     fn eval(problem: &str, owner: &str, m: i64) -> FunctionEvaluation {
         FunctionEvaluation::new(problem, owner)
@@ -795,7 +593,7 @@ mod tests {
             .on_machine(MachineConfig::new("cori", "haswell", 8, 32))
     }
 
-    fn temp_dir(name: &str) -> PathBuf {
+    fn temp_dir(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir()
             .join("crowdtune_wal_unit")
             .join(format!("{name}_{}", std::process::id()));
@@ -852,71 +650,71 @@ mod tests {
     }
 
     #[test]
-    fn durable_roundtrip_inserts_deletes_blobs() {
-        let dir = temp_dir("roundtrip");
-        {
-            let (store, report) = DurableStore::open(&dir).unwrap();
-            assert!(!report.recovered_anything());
-            for m in 0..5 {
-                store.insert(eval("P", "alice", m)).unwrap();
-            }
-            store
-                .delete_owned("alice", &crate::query::parse_query("task.m = 3").unwrap())
-                .unwrap();
-            store.put_blob("ckpt/run1", "{\"iter\":5}").unwrap();
-        }
-        let (store, report) = DurableStore::open(&dir).unwrap();
-        assert_eq!(report.wal_records, 7); // 5 inserts + 1 delete + 1 blob
-        assert!(!report.torn);
-        assert_eq!(store.store().len(), 4);
-        assert_eq!(store.get_blob("ckpt/run1").unwrap(), "{\"iter\":5}");
-        // Ids keep rising after recovery.
-        let id = store.insert(eval("P", "alice", 99)).unwrap();
-        assert!(id > 5);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn compaction_folds_wal_into_snapshot() {
         let dir = temp_dir("compact");
         {
-            let (store, _) = DurableStore::open(&dir).unwrap();
+            let (svc, _) = CrowdService::open_durable(&dir, ServiceConfig::default()).unwrap();
             for m in 0..6 {
-                store.insert(eval("P", "alice", m)).unwrap();
+                svc.insert(eval("P", "alice", m)).unwrap();
             }
-            store.put_blob("k", "v").unwrap();
-            store.compact().unwrap();
+            svc.put_blob("k", "v").unwrap();
+            svc.compact().unwrap();
             // Post-compaction appends land in the fresh log.
-            store.insert(eval("P", "bob", 100)).unwrap();
+            svc.insert(eval("P", "bob", 100)).unwrap();
         }
-        let (store, report) = DurableStore::open(&dir).unwrap();
+        let (svc, report) = CrowdService::open_durable(&dir, ServiceConfig::default()).unwrap();
         assert_eq!(report.snapshot_docs, 6);
         assert_eq!(report.snapshot_blobs, 1);
         assert_eq!(report.wal_records, 1);
-        assert_eq!(store.store().len(), 7);
-        assert_eq!(store.get_blob("k").unwrap(), "v");
+        assert_eq!(svc.len(), 7);
+        assert_eq!(svc.get_blob("k").unwrap(), "v");
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn auto_compaction_triggers_on_threshold() {
         let dir = temp_dir("auto");
-        let config = WalConfig {
-            compact_every: 4,
-            ..WalConfig::default()
+        let config = ServiceConfig {
+            wal: WalConfig {
+                compact_every: 4,
+                ..WalConfig::default()
+            },
+            ..ServiceConfig::default()
         };
+        let wal_len = || std::fs::metadata(dir.join("wal.log")).unwrap().len();
         {
-            let (store, _) = DurableStore::open_with(&dir, config.clone()).unwrap();
+            let (svc, _) = CrowdService::open_durable(&dir, config.clone()).unwrap();
             for m in 0..9 {
-                store.insert(eval("P", "alice", m)).unwrap();
+                svc.insert(eval("P", "alice", m)).unwrap();
             }
         }
-        let (store, report) = DurableStore::open_with(&dir, config).unwrap();
+        let (svc, report) = CrowdService::open_durable(&dir, config.clone()).unwrap();
         // Two compactions happened (at 4 and 8); only the tail remains
         // in the log.
         assert_eq!(report.snapshot_docs, 8);
         assert_eq!(report.wal_records, 1);
-        assert_eq!(store.store().len(), 9);
+        assert_eq!(svc.len(), 9);
+        // Deletes and blobs count toward the threshold too: the fourth
+        // record since reopening compacts, leaving an empty log.
+        svc.delete_owned("alice", &parse_query("task.m = 0").unwrap())
+            .unwrap();
+        svc.put_blob("ckpt", "{\"iter\":1}").unwrap();
+        svc.put_blob("ckpt", "{\"iter\":2}").unwrap();
+        assert!(wal_len() > 0);
+        svc.put_blob("ckpt", "{\"iter\":3}").unwrap();
+        assert_eq!(wal_len(), 0, "the delete + blob records compacted");
+        // A checkpoint-only run keeps its log bounded.
+        for iter in 4..=11 {
+            svc.put_blob("ckpt", &format!("{{\"iter\":{iter}}}"))
+                .unwrap();
+        }
+        assert_eq!(wal_len(), 0, "blob records compacted");
+        drop(svc);
+        let (svc, report) = CrowdService::open_durable(&dir, config).unwrap();
+        assert_eq!(report.snapshot_docs, 8);
+        assert_eq!(report.snapshot_blobs, 1);
+        assert_eq!(report.wal_records, 0);
+        assert_eq!(svc.get_blob("ckpt").unwrap(), "{\"iter\":11}");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -924,9 +722,9 @@ mod tests {
     fn torn_tail_is_truncated_and_log_stays_usable() {
         let dir = temp_dir("torn");
         {
-            let (store, _) = DurableStore::open(&dir).unwrap();
+            let (svc, _) = CrowdService::open_durable(&dir, ServiceConfig::default()).unwrap();
             for m in 0..3 {
-                store.insert(eval("P", "alice", m)).unwrap();
+                svc.insert(eval("P", "alice", m)).unwrap();
             }
         }
         // Simulate a crash mid-append: garbage tail bytes.
@@ -936,19 +734,19 @@ mod tests {
         drop(f);
         let before = std::fs::metadata(&wal_path).unwrap().len();
         {
-            let (store, report) = DurableStore::open(&dir).unwrap();
+            let (svc, report) = CrowdService::open_durable(&dir, ServiceConfig::default()).unwrap();
             assert!(report.torn);
             assert_eq!(report.torn_bytes, 3);
             assert_eq!(report.wal_records, 3);
-            assert_eq!(store.store().len(), 3);
+            assert_eq!(svc.len(), 3);
             // The log was physically truncated.
             assert_eq!(std::fs::metadata(&wal_path).unwrap().len(), before - 3);
             // And appends after recovery are clean.
-            store.insert(eval("P", "alice", 50)).unwrap();
+            svc.insert(eval("P", "alice", 50)).unwrap();
         }
-        let (store, report) = DurableStore::open(&dir).unwrap();
+        let (svc, report) = CrowdService::open_durable(&dir, ServiceConfig::default()).unwrap();
         assert!(!report.torn);
-        assert_eq!(store.store().len(), 4);
+        assert_eq!(svc.len(), 4);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -1,20 +1,27 @@
-//! Determinism guard: a single-client run through the sharded crowd
-//! service is indistinguishable from the embedded store — same document
-//! ids, same query results, same event journal (timings aside), and in
-//! durable mode a byte-identical write-ahead log — at any shard count.
+//! Determinism guard: a single-client run through the crowd service is
+//! indistinguishable from the single-lock embedded store it replaced —
+//! same document ids, same query results, same event journal (timings
+//! aside), and in durable mode byte-identical write-ahead log and
+//! snapshot files — at any shard count.
+//!
+//! The reference is `storage_contract.golden`, recorded from the
+//! embedded store and its durable WAL wrapper before they were deleted:
+//! one `rows` line per query result, one `event` line per journal event
+//! (durations stripped), and `wal` / `snapshot` lines giving each file's
+//! length and CRC-32.
 //!
 //! Everything lives in ONE test function because the obs journal is
 //! process-global: a second test emitting events concurrently would
 //! interleave into whichever journal is installed.
 
 use crowdtune_db::{
-    CrowdService, DurableStore, EvalOutcome, FunctionEvaluation, HistoryDb, MachineConfig,
-    QuerySpec, ServiceConfig, WalConfig,
+    crc32, CrowdService, EvalOutcome, FunctionEvaluation, HistoryDb, MachineConfig, QuerySpec,
+    ServiceConfig, WalConfig,
 };
 use crowdtune_obs::{install_journal, read_journal, uninstall_journal, Journal};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 fn eval(problem: &str, m: i64) -> FunctionEvaluation {
@@ -50,10 +57,7 @@ fn run_script(db: &HistoryDb) -> Vec<Vec<FunctionEvaluation>> {
 }
 
 /// Record a journal for one scripted run.
-fn journal_of(
-    db: &HistoryDb,
-    path: &PathBuf,
-) -> (Vec<Vec<FunctionEvaluation>>, Vec<serde_json::Value>) {
+fn journal_of(db: &HistoryDb, path: &PathBuf) -> (Vec<String>, Vec<String>) {
     let _ = std::fs::remove_file(path);
     install_journal(Arc::new(Journal::create(path).unwrap()));
     let results = run_script(db);
@@ -68,10 +72,40 @@ fn journal_of(
             if let serde_json::Value::Object(fields) = &mut v {
                 fields.retain(|(k, _)| k != "duration_us");
             }
-            v
+            format!("event {}", serde_json::to_string(&v).unwrap())
         })
         .collect();
-    (results, events)
+    (rows_lines(&results), events)
+}
+
+fn rows_lines(results: &[Vec<FunctionEvaluation>]) -> Vec<String> {
+    results
+        .iter()
+        .map(|rows| format!("rows {}", serde_json::to_string(rows).unwrap()))
+        .collect()
+}
+
+/// A file's golden line: tag, byte length, CRC-32.
+fn file_line(tag: &str, path: &Path) -> String {
+    let bytes = std::fs::read(path).unwrap();
+    format!("{tag} {} {:08x}", bytes.len(), crc32(&bytes))
+}
+
+/// The golden lines starting with `tag `.
+fn golden(tag: &str) -> Vec<String> {
+    let prefix = format!("{tag} ");
+    include_str!("storage_contract.golden")
+        .lines()
+        .filter(|l| l.starts_with(&prefix))
+        .map(str::to_string)
+        .collect()
+}
+
+fn assert_lines_eq(got: &[String], want: &[String], what: &str) {
+    assert_eq!(got.len(), want.len(), "{what}: line count");
+    for (i, (g, w)) in got.iter().zip(want).enumerate() {
+        assert_eq!(g, w, "{what}: line {i}");
+    }
 }
 
 fn temp_dir(name: &str) -> PathBuf {
@@ -83,19 +117,7 @@ fn temp_dir(name: &str) -> PathBuf {
     dir
 }
 
-/// The durable-mode script, shared by both WAL writers.
-fn durable_ops_store(store: &DurableStore) {
-    for m in 1..=12i64 {
-        store
-            .insert(eval(["PDGEQRF", "PDGETRF"][(m % 2) as usize], m))
-            .unwrap();
-    }
-    store
-        .delete_owned("ignored", &crowdtune_db::parse_query("task.m = 4").unwrap())
-        .unwrap();
-    store.put_blob("ckpt/run", "{\"iter\":3}").unwrap();
-}
-
+/// The durable-mode script.
 fn durable_ops_service(svc: &CrowdService) {
     for m in 1..=12i64 {
         svc.insert(eval(["PDGEQRF", "PDGETRF"][(m % 2) as usize], m))
@@ -108,11 +130,12 @@ fn durable_ops_service(svc: &CrowdService) {
 
 #[test]
 fn single_client_service_is_bitwise_identical_to_embedded() {
-    // ---- Journal + results: embedded reference run. ----
+    // ---- Journal + results against the embedded store's golden. ----
     let dir = temp_dir("journals");
-    let embedded_path = dir.join("embedded.jsonl");
-    let embedded_db = HistoryDb::new();
-    let (embedded_results, embedded_events) = journal_of(&embedded_db, &embedded_path);
+    let (want_rows, want_events) = (golden("rows"), golden("event"));
+    let (rows, events) = journal_of(&HistoryDb::new(), &dir.join("new.jsonl"));
+    assert_lines_eq(&rows, &want_rows, "HistoryDb::new query rows");
+    assert_lines_eq(&events, &want_events, "HistoryDb::new journal");
 
     for shards in [1usize, 2, 8] {
         // Cache OFF: the journal (counters included) must match the
@@ -123,14 +146,16 @@ fn single_client_service_is_bitwise_identical_to_embedded() {
             cache_capacity: 0,
             ..ServiceConfig::default()
         });
-        let (svc_results, svc_events) = journal_of(&db, &svc_path);
-        assert_eq!(
-            svc_results, embedded_results,
-            "query results diverged at {shards} shards"
+        let (svc_rows, svc_events) = journal_of(&db, &svc_path);
+        assert_lines_eq(
+            &svc_rows,
+            &want_rows,
+            &format!("query results at {shards} shards"),
         );
-        assert_eq!(
-            svc_events, embedded_events,
-            "event journal diverged at {shards} shards (cache off)"
+        assert_lines_eq(
+            &svc_events,
+            &want_events,
+            &format!("event journal at {shards} shards (cache off)"),
         );
 
         // Cache ON: results must still be identical; only the cache
@@ -140,30 +165,18 @@ fn single_client_service_is_bitwise_identical_to_embedded() {
             cache_capacity: 64,
             ..ServiceConfig::default()
         });
-        let cached_results = run_script(&cached);
-        assert_eq!(
-            cached_results, embedded_results,
-            "cached query results diverged at {shards} shards"
+        assert_lines_eq(
+            &rows_lines(&run_script(&cached)),
+            &want_rows,
+            &format!("cached query results at {shards} shards"),
         );
         let (hits, _) = cached.service().unwrap().cache_counts();
         assert!(hits > 0, "repeat queries should have hit the cache");
     }
 
-    // ---- WAL byte identity: DurableStore vs durable service. ----
+    // ---- WAL and snapshot bytes against the golden. ----
     for shards in [1usize, 4] {
-        let store_dir = temp_dir(&format!("wal_store_{shards}"));
         let svc_dir = temp_dir(&format!("wal_service_{shards}"));
-        {
-            let (store, _) = DurableStore::open_with(
-                &store_dir,
-                WalConfig {
-                    compact_every: 0,
-                    ..WalConfig::default()
-                },
-            )
-            .unwrap();
-            durable_ops_store(&store);
-        }
         {
             let (svc, _) = CrowdService::open_durable(
                 &svc_dir,
@@ -179,15 +192,13 @@ fn single_client_service_is_bitwise_identical_to_embedded() {
             .unwrap();
             durable_ops_service(&svc);
         }
-        let store_wal = std::fs::read(store_dir.join("wal.log")).unwrap();
-        let svc_wal = std::fs::read(svc_dir.join("wal.log")).unwrap();
-        assert_eq!(store_wal, svc_wal, "WAL bytes diverged at {shards} shards");
+        assert_lines_eq(
+            &[file_line("wal", &svc_dir.join("wal.log"))],
+            &golden("wal"),
+            &format!("WAL bytes at {shards} shards"),
+        );
 
-        // And after compaction the snapshots are byte-identical too.
-        {
-            let (store, _) = DurableStore::open(&store_dir).unwrap();
-            store.compact().unwrap();
-        }
+        // And after compaction the snapshot bytes match too.
         {
             let (svc, _) = CrowdService::open_durable(
                 &svc_dir,
@@ -199,13 +210,11 @@ fn single_client_service_is_bitwise_identical_to_embedded() {
             .unwrap();
             svc.compact().unwrap();
         }
-        let store_snap = std::fs::read(store_dir.join("snapshot.json")).unwrap();
-        let svc_snap = std::fs::read(svc_dir.join("snapshot.json")).unwrap();
-        assert_eq!(
-            store_snap, svc_snap,
-            "snapshot bytes diverged at {shards} shards"
+        assert_lines_eq(
+            &[file_line("snapshot", &svc_dir.join("snapshot.json"))],
+            &golden("snapshot"),
+            &format!("snapshot bytes at {shards} shards"),
         );
-        std::fs::remove_dir_all(&store_dir).ok();
         std::fs::remove_dir_all(&svc_dir).ok();
     }
     std::fs::remove_dir_all(&dir).ok();

@@ -1,4 +1,4 @@
-//! Crash-recovery guarantees of the WAL-backed durable store.
+//! Crash-recovery guarantees of the WAL-backed durable crowd service.
 //!
 //! The kill-point matrix simulates a crash at *every byte position* of
 //! the write-ahead log — record boundaries and mid-record — and asserts
@@ -7,8 +7,8 @@
 //! is discarded, and the [`RecoveryReport`] says so.
 
 use crowdtune_db::{
-    parse_query, CrowdService, DocumentStore, DurableStore, EvalOutcome, FunctionEvaluation,
-    MachineConfig, OverloadConfig, ServiceConfig, StoreError, WalConfig,
+    parse_query, CrowdService, DocumentStore, EvalOutcome, FunctionEvaluation, MachineConfig,
+    OverloadConfig, ServiceConfig, StoreError, WalConfig,
 };
 use std::path::PathBuf;
 
@@ -50,12 +50,15 @@ fn kill_point_matrix_recovers_exactly_the_acked_prefix() {
     // Build a reference WAL: 6 inserts, 1 delete, 1 blob — no
     // auto-compaction so the whole history stays in the log.
     let src = temp_dir("kill_src");
-    let no_compact = WalConfig {
-        compact_every: 0,
-        ..WalConfig::default()
+    let no_compact = ServiceConfig {
+        wal: WalConfig {
+            compact_every: 0,
+            ..WalConfig::default()
+        },
+        ..ServiceConfig::default()
     };
     {
-        let (store, _) = DurableStore::open_with(&src, no_compact.clone()).unwrap();
+        let (store, _) = CrowdService::open_durable(&src, no_compact.clone()).unwrap();
         for m in 0..6 {
             store.insert(eval(m)).unwrap();
         }
@@ -86,18 +89,18 @@ fn kill_point_matrix_recovers_exactly_the_acked_prefix() {
         let complete = bounds.iter().filter(|&&b| b <= cut).count();
         let at_boundary = cut == 0 || bounds.contains(&cut);
         std::fs::write(work.join("wal.log"), &wal[..cut]).unwrap();
-        let (store, report) = DurableStore::open_with(&work, no_compact.clone()).unwrap();
+        let (store, report) = CrowdService::open_durable(&work, no_compact.clone()).unwrap();
         assert_eq!(
             report.wal_records, complete,
             "cut at byte {cut}: wrong record count"
         );
         assert_eq!(
-            store.store().len(),
+            store.len(),
             docs_after(complete),
             "cut at byte {cut}: wrong doc count"
         );
         assert_eq!(
-            store.blob_keys().len(),
+            usize::from(store.get_blob("ckpt").is_some()),
             blobs_after(complete),
             "cut at byte {cut}: wrong blob count"
         );
@@ -208,12 +211,15 @@ fn kill_points_with_shedding_keep_acked_writes_and_drop_shed_ones() {
 #[test]
 fn flipped_bit_in_tail_record_is_detected_by_checksum() {
     let dir = temp_dir("bitrot");
-    let no_compact = WalConfig {
-        compact_every: 0,
-        ..WalConfig::default()
+    let no_compact = ServiceConfig {
+        wal: WalConfig {
+            compact_every: 0,
+            ..WalConfig::default()
+        },
+        ..ServiceConfig::default()
     };
     {
-        let (store, _) = DurableStore::open_with(&dir, no_compact.clone()).unwrap();
+        let (store, _) = CrowdService::open_durable(&dir, no_compact.clone()).unwrap();
         for m in 0..4 {
             store.insert(eval(m)).unwrap();
         }
@@ -225,24 +231,10 @@ fn flipped_bit_in_tail_record_is_detected_by_checksum() {
     let target = bounds[2] + 12;
     bytes[target] ^= 0x01;
     std::fs::write(&wal_path, &bytes).unwrap();
-    let (store, report) = DurableStore::open_with(&dir, no_compact).unwrap();
+    let (store, report) = CrowdService::open_durable(&dir, no_compact).unwrap();
     assert!(report.torn, "checksum must catch the flipped bit");
     assert_eq!(report.wal_records, 3);
-    assert_eq!(store.store().len(), 3);
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn open_durable_entry_point_on_document_store() {
-    let dir = temp_dir("entry");
-    {
-        let (store, report) = DocumentStore::open_durable(&dir).unwrap();
-        assert!(!report.recovered_anything());
-        store.insert(eval(1)).unwrap();
-    }
-    let (store, report) = DocumentStore::open_durable(&dir).unwrap();
-    assert_eq!(report.wal_records, 1);
-    assert_eq!(store.store().len(), 1);
+    assert_eq!(store.len(), 3);
     std::fs::remove_dir_all(&dir).ok();
 }
 
