@@ -6,7 +6,8 @@
 //! residual models of the Vizier-style stacking algorithm.
 
 use crate::kernel::{DimKind, Kernel, KernelKind, KernelParams, SqDists};
-use crowdtune_linalg::{lbfgs, Bounds, Cholesky, LbfgsOptions, LbfgsResult, Matrix};
+use crate::posterior::{BlockedLinv, DimsMajor};
+use crowdtune_linalg::{lbfgs, Bounds, Cholesky, LbfgsOptions, LbfgsResult, Matrix, StopReason};
 use crowdtune_obs as obs;
 use rand::Rng;
 use rayon::prelude::*;
@@ -21,9 +22,8 @@ const LOG_SF2_MAX: f64 = 4.6; // sf2 <= 100
 const LOG_NOISE_MIN: f64 = -18.4; // sn2 >= 1e-8
 const LOG_NOISE_MAX: f64 = 0.0; // sn2 <= 1
 
-/// Candidates per block in [`Gp::predict_batch`]: sized so the `V` and
-/// `K*` working set (`2 · n · block · 8` bytes at typical `n`) stays
-/// cache-resident during the triangular sweep.
+/// Candidates per parallel work item in [`Gp::predict_batch`]. Items
+/// are independent, so the thread count never changes a result.
 const PREDICT_BLOCK: usize = 256;
 
 /// Noise-variance treatment.
@@ -119,13 +119,15 @@ pub struct Gp {
     params: KernelParams,
     log_noise: f64,
     x: Vec<Vec<f64>>,
+    /// The training inputs again, dims-major, for building `k*`.
+    xt: DimsMajor,
     alpha: Vec<f64>,
     chol: Cholesky,
-    /// `L^{-1}`, precomputed at fit time so the posterior variance is
-    /// `sf2 - ||L^{-1} k*||^2` — independent triangular dot products
-    /// that pipeline, instead of a loop-carried triangular solve per
-    /// query point.
-    linv: Matrix,
+    /// `L^{-1}` in row panels, precomputed at fit time so the posterior
+    /// variance is `sf2 - ||L^{-1} k*||^2` — a panel's rows accumulate
+    /// in independent registers, instead of a loop-carried triangular
+    /// solve per query point.
+    linv: BlockedLinv,
     /// Standardized training targets, kept so incremental updates can
     /// re-solve `alpha` in O(n²) and recompute the NLL in closed form.
     ys: Vec<f64>,
@@ -219,9 +221,10 @@ impl Gp {
         let (k, _) = covariance_pass(&kernel, &params, log_noise.exp(), &lik.sq);
         let chol = Cholesky::robust(&k).map_err(|_| GpError::NumericalFailure)?;
         let alpha = chol.solve_vec(&lik.ys);
-        let linv = chol.inverse_lower();
+        let linv = BlockedLinv::from_lower(&chol.inverse_lower());
 
         Ok(Gp {
+            xt: DimsMajor::new(x, kernel.dims()),
             kernel,
             params,
             log_noise,
@@ -260,12 +263,13 @@ impl Gp {
         let k = build_covariance(&kernel, &params, log_noise, x);
         let chol = Cholesky::robust(&k).map_err(|_| GpError::NumericalFailure)?;
         let alpha = chol.solve_vec(&ys);
-        let linv = chol.inverse_lower();
+        let linv = BlockedLinv::from_lower(&chol.inverse_lower());
         let n = x.len() as f64;
         let lml = -0.5 * crowdtune_linalg::dot(&ys, &alpha)
             - 0.5 * chol.log_det()
             - 0.5 * n * (2.0 * std::f64::consts::PI).ln();
         Ok(Gp {
+            xt: DimsMajor::new(x, kernel.dims()),
             kernel,
             params,
             log_noise,
@@ -313,8 +317,10 @@ impl Gp {
         let mut chol = self.chol.clone();
         chol.append_row(&k_new, k_diag, max_jitter)
             .map_err(|_| GpError::NumericalFailure)?;
-        self.linv = chol.extend_inverse_lower(&self.linv);
+        let lrow = chol.l().row(k_new.len());
+        self.linv.push_row(&lrow[..k_new.len()], lrow[k_new.len()]);
         self.chol = chol;
+        self.xt.push(xnew);
         self.x.push(xnew.to_vec());
         self.ys.push((ynew - self.y_mean) / self.y_std);
         self.alpha = self.chol.solve_vec(&self.ys);
@@ -333,7 +339,7 @@ impl Gp {
         let k = build_covariance(&self.kernel, &self.params, self.log_noise, &self.x);
         let chol = Cholesky::robust(&k).map_err(|_| GpError::NumericalFailure)?;
         self.alpha = chol.solve_vec(&self.ys);
-        self.linv = chol.inverse_lower();
+        self.linv = BlockedLinv::from_lower(&chol.inverse_lower());
         let n = self.ys.len() as f64;
         self.lml = -0.5 * crowdtune_linalg::dot(&self.ys, &self.alpha)
             - 0.5 * chol.log_det()
@@ -366,69 +372,47 @@ impl Gp {
     pub fn predict(&self, xstar: &[f64]) -> Prediction {
         let mut kstar = vec![0.0; self.x.len()];
         self.fill_kstar(xstar, &mut kstar);
-        self.posterior_from_kstar(&kstar)
+        let mean_s = crowdtune_linalg::dot(&kstar, &self.alpha);
+        let [qf] = self.linv.quad_forms::<1>(&kstar);
+        self.prediction(mean_s, qf)
     }
 
-    /// Batch prediction: assembles the cross-covariance block-wise and
-    /// computes all variances with one triangular axpy sweep per block
-    /// (`V = L⁻¹K*` vectorized across candidates). Entry `j` is bitwise
-    /// identical to `self.predict(&xs[j])`: every scalar result
+    /// Batch prediction. Candidates go through the variance sweep two at
+    /// a time, so each `L⁻¹` panel is read once per pair. Entry `j` is
+    /// bitwise identical to `self.predict(&xs[j])`: every scalar result
     /// accumulates in the same order as the per-point path.
     pub fn predict_batch(&self, xs: &[Vec<f64>]) -> Vec<Prediction> {
         let m = xs.len();
-        if m == 0 {
-            return Vec::new();
-        }
         let n = self.x.len();
-        let threads = rayon::current_num_threads();
         let process_block = |block: &[Vec<f64>]| -> Vec<Prediction> {
-            let b = block.len();
-            let mut kt = Matrix::zeros(n, b);
-            let mut means = vec![0.0; b];
-            let mut kstar = vec![0.0; n];
-            for (j, x) in block.iter().enumerate() {
-                self.fill_kstar(x, &mut kstar);
-                means[j] = crowdtune_linalg::dot(&kstar, &self.alpha);
-                for (k, &ks) in kstar.iter().enumerate() {
-                    kt[(k, j)] = ks;
+            let mut out = Vec::with_capacity(block.len());
+            let mut kstar = [vec![0.0; n], vec![0.0; n]];
+            let mut kt = vec![0.0; 2 * n];
+            let mut pairs = block.chunks_exact(2);
+            for pair in pairs.by_ref() {
+                let mut means = [0.0; 2];
+                for ((x, ks), mean) in pair.iter().zip(&mut kstar).zip(&mut means) {
+                    self.fill_kstar(x, ks);
+                    *mean = crowdtune_linalg::dot(ks, &self.alpha);
                 }
-            }
-            // V[i][j] accumulates L⁻¹[i][k]·k*[k][j] over ascending k,
-            // exactly the per-point order, but the inner axpy runs
-            // across the whole candidate block.
-            let mut v = Matrix::zeros(n, b);
-            for i in 0..n {
-                let li = self.linv.row(i);
-                let vi = v.row_mut(i);
-                for (k, &c) in li.iter().enumerate().take(i + 1) {
-                    for (o, &s) in vi.iter_mut().zip(kt.row(k)) {
-                        *o += c * s;
-                    }
+                for ((t, &a), &b) in kt.chunks_exact_mut(2).zip(&kstar[0]).zip(&kstar[1]) {
+                    t[0] = a;
+                    t[1] = b;
                 }
+                let qf = self.linv.quad_forms::<2>(&kt);
+                out.extend(
+                    means
+                        .iter()
+                        .zip(qf)
+                        .map(|(&mean_s, q)| self.prediction(mean_s, q)),
+                );
             }
-            let mut qf = vec![0.0; b];
-            for i in 0..n {
-                for (q, &val) in qf.iter_mut().zip(v.row(i)) {
-                    *q += val * val;
-                }
-            }
-            means
-                .iter()
-                .zip(&qf)
-                .map(|(&mean_s, &q)| {
-                    let var_s = (self.params.sf2 - q).max(0.0);
-                    Prediction {
-                        mean: self.y_mean + self.y_std * mean_s,
-                        std: self.y_std * var_s.sqrt(),
-                    }
-                })
-                .collect()
+            out.extend(pairs.remainder().iter().map(|x| self.predict(x)));
+            out
         };
-        // Candidate blocks keep V and K* resident in cache; blocks are
-        // independent, so thread count never changes any result.
         let blocks: Vec<&[Vec<f64>]> = xs.chunks(PREDICT_BLOCK).collect();
         let per_block: Vec<Vec<Prediction>> =
-            if threads > 1 && blocks.len() >= 2 && m * n * n >= 1 << 16 {
+            if rayon::current_num_threads() > 1 && blocks.len() >= 2 && m * n * n >= 1 << 16 {
                 blocks.par_iter().map(|blk| process_block(blk)).collect()
             } else {
                 blocks.iter().map(|blk| process_block(blk)).collect()
@@ -439,62 +423,13 @@ impl Gp {
     /// Cross-covariance vector `k* = K(xstar, X)` with hoisted params.
     #[inline]
     fn fill_kstar(&self, xstar: &[f64], kstar: &mut [f64]) {
-        for (k, xi) in kstar.iter_mut().zip(self.x.iter()) {
-            *k = self.kernel.eval_params(xstar, xi, &self.params);
-        }
+        self.xt.kstar(&self.kernel, &self.params, xstar, kstar);
     }
 
-    /// Posterior mean/std from an assembled `k*`. The variance is
-    /// `sf2 - ||L^{-1} k*||^2` computed against the precomputed inverse
-    /// factor: independent per-row reductions instead of a loop-carried
-    /// triangular solve, at half the flops of a `K^{-1}` quadratic
-    /// form. Rows go four at a time so four independent dependency
-    /// chains are in flight, but each `v_i` still uses a single
-    /// accumulator over ascending `k` and `qf` adds `v_i²` in ascending
-    /// `i`, so the result is bitwise identical to one row at a time and
-    /// to the blocked axpy sweep in [`Gp::predict_batch`].
+    /// The prediction in original y units from the standardized mean
+    /// `k*·α` and the quadratic form `‖L⁻¹k*‖²`.
     #[inline]
-    fn posterior_from_kstar(&self, kstar: &[f64]) -> Prediction {
-        let mean_s = crowdtune_linalg::dot(kstar, &self.alpha);
-        let n = kstar.len();
-        let mut qf = 0.0;
-        let mut i = 0;
-        while i + 4 <= n {
-            // Rows i..i+4 share the columns 0..=i; each row's remaining
-            // triangle columns follow, still in ascending k.
-            let ks = &kstar[..=i];
-            let r0 = &self.linv.row(i)[..=i];
-            let r1 = &self.linv.row(i + 1)[..=i + 1];
-            let r2 = &self.linv.row(i + 2)[..=i + 2];
-            let r3 = &self.linv.row(i + 3)[..=i + 3];
-            let (mut v0, mut v1, mut v2, mut v3) = (0.0, 0.0, 0.0, 0.0);
-            for (k, &s) in ks.iter().enumerate() {
-                v0 += r0[k] * s;
-                v1 += r1[k] * s;
-                v2 += r2[k] * s;
-                v3 += r3[k] * s;
-            }
-            let s1 = kstar[i + 1];
-            v1 += r1[i + 1] * s1;
-            v2 += r2[i + 1] * s1;
-            v3 += r3[i + 1] * s1;
-            let s2 = kstar[i + 2];
-            v2 += r2[i + 2] * s2;
-            v3 += r3[i + 2] * s2;
-            v3 += r3[i + 3] * kstar[i + 3];
-            qf += v0 * v0;
-            qf += v1 * v1;
-            qf += v2 * v2;
-            qf += v3 * v3;
-            i += 4;
-        }
-        for i in i..n {
-            let mut vi = 0.0;
-            for (a, b) in self.linv.row(i)[..=i].iter().zip(&kstar[..=i]) {
-                vi += a * b;
-            }
-            qf += vi * vi;
-        }
+    fn prediction(&self, mean_s: f64, qf: f64) -> Prediction {
         let var_s = (self.params.sf2 - qf).max(0.0);
         Prediction {
             mean: self.y_mean + self.y_std * mean_s,
@@ -788,6 +723,11 @@ where
         // Journaled on the calling thread, in start order, so parallel and
         // sequential paths produce identical event sequences.
         for (index, res) in results.iter().enumerate() {
+            if res.stop == StopReason::LineSearchFailed {
+                obs::record_with(|| obs::Event::LineSearch {
+                    iteration: res.iterations as u64,
+                });
+            }
             obs::record_with(|| obs::Event::Restart {
                 index: index as u64,
                 nll: obs::finite(res.f),
@@ -1050,12 +990,12 @@ mod tests {
         for (q, b) in qs.iter().zip(&batch) {
             assert_eq!(*b, gp.predict(q));
         }
-        // 12-D Hypre-kind inputs at sizes that are not multiples of the
-        // posterior's four-row groups, with enough candidates for two
-        // batch blocks.
+        // 12-D Hypre-kind inputs at sizes on both sides of the
+        // posterior's eight-row panels, with enough candidates for two
+        // batch blocks and an odd one out of the candidate pairs.
         for n in [1, 3, 4, 5, 131, 200] {
             let gp = hypre_like_gp(n, 40 + n as u64);
-            let qs = hypre_like_points(300, 7 * n as u64);
+            let qs = hypre_like_points(301, 7 * n as u64);
             let batch = gp.predict_batch(&qs);
             for (q, b) in qs.iter().zip(&batch) {
                 assert_eq!(*b, gp.predict(q), "n = {n}");
@@ -1063,38 +1003,179 @@ mod tests {
         }
     }
 
-    /// The one-row-at-a-time posterior: each `v_i = L⁻¹[i,:]·k*` in
-    /// turn, `qf` summed in ascending `i`.
-    fn posterior_single_row_reference(gp: &Gp, xstar: &[f64]) -> Prediction {
-        let mut kstar = vec![0.0; gp.len()];
-        gp.fill_kstar(xstar, &mut kstar);
-        let mean_s = crowdtune_linalg::dot(&kstar, &gp.alpha);
-        let mut qf = 0.0;
-        for i in 0..kstar.len() {
-            let li = &gp.linv.row(i)[..=i];
-            let mut vi = 0.0;
-            for (a, b) in li.iter().zip(&kstar[..=i]) {
-                vi += a * b;
+    /// The posterior as it was computed before the dims-major `k*` and
+    /// the panel-blocked `L⁻¹`: one kernel evaluation per training point,
+    /// a row-major `L⁻¹` swept four rows at a time, and the batch path's
+    /// axpy sweep. `linv` is the row-major `L⁻¹` the model used to store.
+    mod reference {
+        use super::*;
+
+        pub(super) fn fill_kstar(gp: &Gp, xstar: &[f64], kstar: &mut [f64]) {
+            for (k, xi) in kstar.iter_mut().zip(gp.x.iter()) {
+                *k = gp.kernel.eval_params(xstar, xi, &gp.params);
             }
-            qf += vi * vi;
         }
-        let var_s = (gp.params.sf2 - qf).max(0.0);
-        Prediction {
-            mean: gp.y_mean + gp.y_std * mean_s,
-            std: gp.y_std * var_s.sqrt(),
+
+        pub(super) fn posterior_from_kstar(gp: &Gp, linv: &Matrix, kstar: &[f64]) -> Prediction {
+            let mean_s = crowdtune_linalg::dot(kstar, &gp.alpha);
+            let n = kstar.len();
+            let mut qf = 0.0;
+            let mut i = 0;
+            while i + 4 <= n {
+                let ks = &kstar[..=i];
+                let r0 = &linv.row(i)[..=i];
+                let r1 = &linv.row(i + 1)[..=i + 1];
+                let r2 = &linv.row(i + 2)[..=i + 2];
+                let r3 = &linv.row(i + 3)[..=i + 3];
+                let (mut v0, mut v1, mut v2, mut v3) = (0.0, 0.0, 0.0, 0.0);
+                for (k, &s) in ks.iter().enumerate() {
+                    v0 += r0[k] * s;
+                    v1 += r1[k] * s;
+                    v2 += r2[k] * s;
+                    v3 += r3[k] * s;
+                }
+                let s1 = kstar[i + 1];
+                v1 += r1[i + 1] * s1;
+                v2 += r2[i + 1] * s1;
+                v3 += r3[i + 1] * s1;
+                let s2 = kstar[i + 2];
+                v2 += r2[i + 2] * s2;
+                v3 += r3[i + 2] * s2;
+                v3 += r3[i + 3] * kstar[i + 3];
+                qf += v0 * v0;
+                qf += v1 * v1;
+                qf += v2 * v2;
+                qf += v3 * v3;
+                i += 4;
+            }
+            for i in i..n {
+                let mut vi = 0.0;
+                for (a, b) in linv.row(i)[..=i].iter().zip(&kstar[..=i]) {
+                    vi += a * b;
+                }
+                qf += vi * vi;
+            }
+            gp.prediction(mean_s, qf)
+        }
+
+        pub(super) fn predict(gp: &Gp, linv: &Matrix, xstar: &[f64]) -> Prediction {
+            let mut kstar = vec![0.0; gp.len()];
+            fill_kstar(gp, xstar, &mut kstar);
+            posterior_from_kstar(gp, linv, &kstar)
+        }
+
+        pub(super) fn predict_batch(gp: &Gp, linv: &Matrix, xs: &[Vec<f64>]) -> Vec<Prediction> {
+            let n = gp.len();
+            let b = xs.len();
+            let mut kt = Matrix::zeros(n, b);
+            let mut means = vec![0.0; b];
+            let mut kstar = vec![0.0; n];
+            for (j, x) in xs.iter().enumerate() {
+                fill_kstar(gp, x, &mut kstar);
+                means[j] = crowdtune_linalg::dot(&kstar, &gp.alpha);
+                for (k, &ks) in kstar.iter().enumerate() {
+                    kt[(k, j)] = ks;
+                }
+            }
+            let mut v = Matrix::zeros(n, b);
+            for i in 0..n {
+                let li = linv.row(i);
+                let vi = v.row_mut(i);
+                for (k, &c) in li.iter().enumerate().take(i + 1) {
+                    for (o, &s) in vi.iter_mut().zip(kt.row(k)) {
+                        *o += c * s;
+                    }
+                }
+            }
+            let mut qf = vec![0.0; b];
+            for i in 0..n {
+                for (q, &val) in qf.iter_mut().zip(v.row(i)) {
+                    *q += val * val;
+                }
+            }
+            means
+                .iter()
+                .zip(&qf)
+                .map(|(&mean_s, &q)| gp.prediction(mean_s, q))
+                .collect()
+        }
+    }
+
+    fn bits(p: &[Prediction]) -> Vec<(u64, u64)> {
+        p.iter()
+            .map(|p| (p.mean.to_bits(), p.std.to_bits()))
+            .collect()
+    }
+
+    /// `predict`, `k*` and `predict_batch` against the row-major
+    /// reference, bitwise: `predict` on every query and the training
+    /// points themselves (equal categorical cells), `predict_batch` on an
+    /// odd candidate count.
+    fn assert_matches_reference(gp: &Gp, linv: &Matrix, qs: &[Vec<f64>], label: &str) {
+        let mut kstar = vec![0.0; gp.len()];
+        let mut want = vec![0.0; gp.len()];
+        for q in qs.iter().chain(gp.train_x()) {
+            gp.fill_kstar(q, &mut kstar);
+            reference::fill_kstar(gp, q, &mut want);
+            assert_eq!(
+                kstar.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                "{label}: k*"
+            );
+            assert_eq!(
+                bits(&[gp.predict(q)]),
+                bits(&[reference::predict(gp, linv, q)]),
+                "{label}: predict"
+            );
+        }
+        assert_eq!(
+            bits(&gp.predict_batch(qs)),
+            bits(&reference::predict_batch(gp, linv, qs)),
+            "{label}: predict_batch"
+        );
+    }
+
+    #[test]
+    fn posterior_matches_row_major_reference_bitwise() {
+        // Sizes on both sides of the eight-row panel boundaries.
+        for kind in [KernelKind::Matern52, KernelKind::SquaredExponential] {
+            for n in [1, 7, 8, 9, 63, 200] {
+                let gp = hypre_like_gp_with(kind, n, 90 + n as u64);
+                let qs = hypre_like_points(65, 3 * n as u64);
+                let linv = gp.chol.inverse_lower();
+                assert_matches_reference(&gp, &linv, &qs, &format!("{kind:?} n = {n}"));
+            }
         }
     }
 
     #[test]
-    fn row_grouped_posterior_matches_single_row_reference_bitwise() {
-        for n in [1, 2, 3, 4, 5, 6, 7, 8, 9, 131, 200] {
-            let gp = hypre_like_gp(n, 90 + n as u64);
-            for q in hypre_like_points(64, 3 * n as u64) {
-                assert_eq!(
-                    gp.predict(&q),
-                    posterior_single_row_reference(&gp, &q),
-                    "n = {n}"
-                );
+    fn updates_across_panels_match_row_major_reference_bitwise() {
+        // Appends from n = 6 to 18 fill the first panel, open the second
+        // at n = 9 and the third at n = 17; from 62 to 66 cross 64.
+        for kind in [KernelKind::Matern52, KernelKind::SquaredExponential] {
+            for (n0, n1) in [(6, 18), (62, 66)] {
+                let all = hypre_like_points(n1, 17 + n0 as u64);
+                let y = hypre_like_targets(&all);
+                let mut gp = Gp::with_hypers(
+                    hypre_like_kernel(kind),
+                    (1e-3f64).ln(),
+                    &all[..n0],
+                    &y[..n0],
+                )
+                .unwrap();
+                let mut linv = gp.chol.inverse_lower();
+                let qs = hypre_like_points(33, 5 + n0 as u64);
+                for n in n0..n1 {
+                    gp.update(&all[n], y[n]).unwrap();
+                    let lrow = gp.chol.l().row(n);
+                    linv = crowdtune_linalg::cholesky::extend_inverse_lower(
+                        &linv,
+                        &lrow[..n],
+                        lrow[n],
+                    );
+                    let label = format!("{kind:?} after update to n = {}", n + 1);
+                    assert_matches_reference(&gp, &linv, &qs, &label);
+                }
             }
         }
     }
@@ -1142,15 +1223,13 @@ mod tests {
     }
 
     fn hypre_like_gp(n: usize, seed: u64) -> Gp {
+        hypre_like_gp_with(KernelKind::Matern52, n, seed)
+    }
+
+    fn hypre_like_gp_with(kind: KernelKind, n: usize, seed: u64) -> Gp {
         let x = hypre_like_points(n, seed);
         let y = hypre_like_targets(&x);
-        Gp::with_hypers(
-            hypre_like_kernel(KernelKind::Matern52),
-            (1e-3f64).ln(),
-            &x,
-            &y,
-        )
-        .unwrap()
+        Gp::with_hypers(hypre_like_kernel(kind), (1e-3f64).ln(), &x, &y).unwrap()
     }
 
     /// [`nlml_with_grad`] with the noise gradient, run to completion.

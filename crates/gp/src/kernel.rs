@@ -129,7 +129,7 @@ impl Kernel {
 
     /// The base correlation as a function of `r^2` (signal variance 1).
     #[inline]
-    fn base(&self, r2: f64) -> f64 {
+    pub(crate) fn base(&self, r2: f64) -> f64 {
         match self.kind {
             KernelKind::SquaredExponential => (-0.5 * r2).exp(),
             KernelKind::Matern52 => {

@@ -614,27 +614,7 @@ impl Lcm {
         let lambda = pivot.sqrt();
         // Grow L⁻¹: old rows unchanged, new row is
         // [-(1/λ)·(l₂₁ᵀ L⁻¹), 1/λ].
-        let mut linv = Matrix::zeros(n + 1, n + 1);
-        for i in 0..n {
-            linv.row_mut(i)[..=i].copy_from_slice(&self.linv.row(i)[..=i]);
-        }
-        {
-            let new_row = linv.row_mut(n);
-            for (i, &li) in l21.iter().enumerate() {
-                if li != 0.0 {
-                    let src = &self.linv.row(i)[..=i];
-                    for (o, &s) in new_row.iter_mut().zip(src.iter()) {
-                        *o += li * s;
-                    }
-                }
-            }
-            let inv_lambda = 1.0 / lambda;
-            for v in new_row[..n].iter_mut() {
-                *v = -*v * inv_lambda;
-            }
-            new_row[n] = inv_lambda;
-        }
-        self.linv = linv;
+        self.linv = crowdtune_linalg::cholesky::extend_inverse_lower(&self.linv, &l21, lambda);
         self.x_all.push(xnew.to_vec());
         self.task_of.push(task);
         self.ys.push((ynew - self.y_mean[task]) / self.y_std[task]);

@@ -28,6 +28,7 @@ pub mod gp;
 pub mod incremental;
 pub mod kernel;
 pub mod lcm;
+mod posterior;
 pub mod sparse;
 
 pub use calibration::{CalibrationTracker, Z90};

@@ -413,53 +413,6 @@ impl Cholesky {
         Ok(())
     }
 
-    /// Extend a precomputed `L⁻¹` to match a factor just grown by
-    /// [`Cholesky::append_row`], in O(n²).
-    ///
-    /// With `L⁺ = [[L, 0], [l₂₁ᵀ, λ]]`, the inverse grows as
-    ///
-    /// ```text
-    /// L⁺⁻¹ = [[L⁻¹, 0], [-(1/λ)·(l₂₁ᵀ L⁻¹), 1/λ]]
-    /// ```
-    ///
-    /// — the existing rows are unchanged and the new row is one
-    /// vector-matrix product against the old inverse. `linv` must be the
-    /// inverse of the factor *before* the append (`linv.rows() + 1 ==
-    /// self.dim()`).
-    pub fn extend_inverse_lower(&self, linv: &Matrix) -> Matrix {
-        let n1 = self.dim();
-        assert!(n1 >= 1, "extend_inverse_lower needs an appended factor");
-        let n = n1 - 1;
-        assert_eq!(
-            linv.rows(),
-            n,
-            "linv must invert the factor before the append"
-        );
-        let lrow = self.l.row(n);
-        let lambda = lrow[n];
-        let mut out = Matrix::zeros(n1, n1);
-        for i in 0..n {
-            out.row_mut(i)[..=i].copy_from_slice(&linv.row(i)[..=i]);
-        }
-        // new_row[j] = -(1/λ) Σ_i l₂₁[i]·L⁻¹[i][j]; L⁻¹ is lower
-        // triangular, so row i only contributes to columns j ≤ i.
-        let new_row = out.row_mut(n);
-        for (i, &li) in lrow.iter().enumerate().take(n) {
-            if li != 0.0 {
-                let src = &linv.row(i)[..=i];
-                for (o, &s) in new_row.iter_mut().zip(src.iter()) {
-                    *o += li * s;
-                }
-            }
-        }
-        let inv_lambda = 1.0 / lambda;
-        for v in new_row[..n].iter_mut() {
-            *v = -*v * inv_lambda;
-        }
-        new_row[n] = inv_lambda;
-        out
-    }
-
     /// Run `solve_col` for every column index in `0..m` — in parallel
     /// when `work` (a flop estimate) crosses the cutoff — and pack the
     /// results into a row-major matrix.
@@ -593,6 +546,49 @@ fn try_factor(a: &Matrix, jitter: f64) -> Option<Matrix> {
         i += if paired { 2 } else { 1 };
     }
     Some(l)
+}
+
+/// Extend a precomputed `L⁻¹` to match a factor just grown by
+/// [`Cholesky::append_row`] (or any rank-1 append), in O(n²).
+///
+/// With `L⁺ = [[L, 0], [l₂₁ᵀ, λ]]`, the inverse grows as
+///
+/// ```text
+/// L⁺⁻¹ = [[L⁻¹, 0], [-(1/λ)·(l₂₁ᵀ L⁻¹), 1/λ]]
+/// ```
+///
+/// — the existing rows are unchanged and the new row is one
+/// vector-matrix product against the old inverse, summed over ascending
+/// `i` with zero `l₂₁[i]` skipped. `linv` must be the inverse of the
+/// factor *before* the append (`linv.rows() == l21.len()`).
+pub fn extend_inverse_lower(linv: &Matrix, l21: &[f64], lambda: f64) -> Matrix {
+    let n = l21.len();
+    assert_eq!(
+        linv.rows(),
+        n,
+        "linv must invert the factor before the append"
+    );
+    let mut out = Matrix::zeros(n + 1, n + 1);
+    for i in 0..n {
+        out.row_mut(i)[..=i].copy_from_slice(&linv.row(i)[..=i]);
+    }
+    // new_row[j] = -(1/λ) Σ_i l₂₁[i]·L⁻¹[i][j]; L⁻¹ is lower
+    // triangular, so row i only contributes to columns j ≤ i.
+    let new_row = out.row_mut(n);
+    for (i, &li) in l21.iter().enumerate() {
+        if li != 0.0 {
+            let src = &linv.row(i)[..=i];
+            for (o, &s) in new_row.iter_mut().zip(src.iter()) {
+                *o += li * s;
+            }
+        }
+    }
+    let inv_lambda = 1.0 / lambda;
+    for v in new_row[..n].iter_mut() {
+        *v = -*v * inv_lambda;
+    }
+    new_row[n] = inv_lambda;
+    out
 }
 
 /// Solve `L y = b` in place for lower-triangular `L`.
@@ -961,7 +957,8 @@ mod tests {
         let linv = ch.inverse_lower();
         let k_new: Vec<f64> = (0..n - 1).map(|i| a[(i, n - 1)]).collect();
         ch.append_row(&k_new, a[(n - 1, n - 1)], 1e-4).unwrap();
-        let extended = ch.extend_inverse_lower(&linv);
+        let lrow = ch.l().row(n - 1);
+        let extended = extend_inverse_lower(&linv, &lrow[..n - 1], lrow[n - 1]);
         assert!(extended.max_abs_diff(&ch.inverse_lower()) < 1e-11);
         let prod = ch.l().matmul(&extended);
         assert!(prod.max_abs_diff(&Matrix::identity(n)) < 1e-11);

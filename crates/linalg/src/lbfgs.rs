@@ -312,11 +312,9 @@ pub fn lbfgs<G: FnOnce() -> Vec<f64>>(
         else {
             // Surface the failure instead of swallowing it: callers treat a
             // line-search abort as a normal (weaker) convergence outcome, but
-            // a high rate signals ill-conditioned likelihood surfaces.
+            // a high rate signals ill-conditioned likelihood surfaces. The
+            // journal event is the caller's to record, in start order.
             obs::count(obs::names::CTR_LINESEARCH_FAILURES, 1);
-            obs::record_with(|| obs::Event::LineSearch {
-                iteration: iterations as u64,
-            });
             stop = StopReason::LineSearchFailed;
             break;
         };

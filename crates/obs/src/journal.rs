@@ -120,6 +120,8 @@ pub enum Event {
         recovered: bool,
     },
     /// An L-BFGS Wolfe line search failed to find an acceptable step.
+    /// A multistart fit records it just before the failed start's
+    /// `Restart` event, in start order at any thread count.
     LineSearch {
         /// Optimizer iteration at which the line search failed.
         iteration: u64,

@@ -140,12 +140,15 @@ fn bucket_lower(idx: usize) -> u64 {
 /// sharded across [`SHARDS`] cells like [`Counter`].
 pub struct Histogram {
     shards: [HistShard; SHARDS],
+    /// Spans record into this histogram: its values are nanoseconds.
+    span: bool,
 }
 
 impl Histogram {
-    fn new() -> Self {
+    fn new(span: bool) -> Self {
         Histogram {
             shards: std::array::from_fn(|_| HistShard::new()),
+            span,
         }
     }
 
@@ -205,6 +208,7 @@ impl Histogram {
             max
         };
         HistogramSummary {
+            span: self.span,
             count,
             sum,
             max,
@@ -237,6 +241,11 @@ impl Histogram {
 /// rather than the bucket's upper bound.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct HistogramSummary {
+    /// True when spans record into the histogram, so its values are
+    /// nanoseconds; other histograms carry their unit in their name, or
+    /// have none.
+    #[serde(skip)]
+    pub span: bool,
     /// Number of recorded observations.
     pub count: u64,
     /// Sum of all observations.
@@ -280,13 +289,20 @@ pub fn counter(name: &'static str) -> &'static Counter {
 
 /// Returns (registering on first use) the histogram named `name`.
 pub fn histogram(name: &'static str) -> &'static Histogram {
+    register_histogram(name, false)
+}
+
+/// The histogram named `name`, registered on first use as a span
+/// histogram when `span` is set. Whether a histogram is a span's is
+/// fixed when it is registered.
+fn register_histogram(name: &'static str, span: bool) -> &'static Histogram {
     let reg = registry();
     if let Some(h) = reg.histograms.read().get(name) {
         return h;
     }
     let mut w = reg.histograms.write();
     w.entry(name)
-        .or_insert_with(|| Box::leak(Box::new(Histogram::new())))
+        .or_insert_with(|| Box::leak(Box::new(Histogram::new(span))))
 }
 
 /// Adds `n` to the counter named `name`. While metrics are disabled this is
@@ -307,6 +323,15 @@ pub fn observe(name: &'static str, v: u64) {
         return;
     }
     histogram(name).record(v);
+}
+
+/// Records a span's duration `ns` into the span histogram `name`.
+#[inline]
+pub(crate) fn observe_span(name: &'static str, ns: u64) {
+    if !metrics_enabled() {
+        return;
+    }
+    register_histogram(name, true).record(ns);
 }
 
 /// Current total of the counter named `name` (0 if never registered).

@@ -86,7 +86,7 @@ impl Drop for SpanGuard {
             crate::scope::scope_time_stack(path, ns);
         }
         crate::scope::scope_time(self.name, ns);
-        crate::metrics::observe(self.name, ns);
+        crate::metrics::observe_span(self.name, ns);
     }
 }
 

@@ -248,6 +248,32 @@ fn every_variant_round_trips_bitwise() {
 }
 
 #[test]
+fn seeds_above_i64_max_round_trip() {
+    let path = temp_path("u64_seed.jsonl");
+    let events: Vec<Event> = [i64::MAX as u64, i64::MAX as u64 + 1, u64::MAX]
+        .into_iter()
+        .map(|seed| Event::RunStart {
+            run: format!("seed{seed}"),
+            tuner: "NoTLA".into(),
+            dim: 3,
+            budget: 20,
+            seed,
+        })
+        .collect();
+    {
+        let journal = Journal::create(&path).unwrap();
+        for ev in &events {
+            journal.record(ev).unwrap();
+        }
+        journal.flush().unwrap();
+    }
+    let text = std::fs::read_to_string(&path).unwrap();
+    assert!(text.contains("\"seed\":18446744073709551615"), "{text}");
+    assert_eq!(read_journal(&path).unwrap(), events);
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
 fn unknown_event_tag_is_a_schema_violation() {
     let path = temp_path("bad_tag.jsonl");
     std::fs::write(

@@ -12,9 +12,11 @@
 //!   and offline inspection without opening a socket.
 //!
 //! Counters become `crowdtune_<name>_total` counter families; histograms
-//! become `crowdtune_<name>_ns` summary families (quantiles from the
-//! log₂ buckets, interpolated) plus a `_ns_max` gauge. Metric names are
-//! sanitized to `[a-zA-Z0-9_]`.
+//! become summary families (quantiles from the log₂ buckets,
+//! interpolated) plus a `_max` gauge. A span histogram's family is
+//! `crowdtune_<name>_ns`; any other histogram keeps the unit its name
+//! ends in (`_us`, `_ns`), or gets none. Metric names are sanitized to
+//! `[a-zA-Z0-9_]`.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -41,6 +43,19 @@ pub fn sanitize(name: &str) -> String {
     out
 }
 
+/// The summary family of a histogram: span histograms hold nanoseconds
+/// and get `_ns`, unless their name already ends in a unit; any other
+/// histogram's name carries its unit (`db.shard_lock_wait_us`) or it has
+/// none (`db.queue_depth`).
+fn histogram_family(name: &str, span: bool) -> String {
+    let base = sanitize(name);
+    if span && !(base.ends_with("_us") || base.ends_with("_ns")) {
+        format!("{base}_ns")
+    } else {
+        base
+    }
+}
+
 /// Renders a metrics snapshot in Prometheus text exposition format
 /// (version 0.0.4). Families are emitted in deterministic (sorted) name
 /// order: counters first, then histogram summaries.
@@ -51,7 +66,7 @@ pub fn render_prometheus(snap: &MetricsSnapshot) -> String {
         out.push_str(&format!("# TYPE {base} counter\n{base} {value}\n"));
     }
     for (name, h) in &snap.histograms {
-        let base = format!("{}_ns", sanitize(name));
+        let base = histogram_family(name, h.span);
         out.push_str(&format!("# TYPE {base} summary\n"));
         out.push_str(&format!("{base}{{quantile=\"0.5\"}} {}\n", h.p50));
         out.push_str(&format!("{base}{{quantile=\"0.9\"}} {}\n", h.p90));
@@ -281,8 +296,8 @@ mod tests {
         let _guard = metrics_guard();
         crowdtune_obs::set_metrics_enabled(true);
         crowdtune_obs::count("expo.test_counter", 3);
-        crowdtune_obs::observe("expo.test_hist", 1500);
-        crowdtune_obs::observe("expo.test_hist", 2500);
+        crowdtune_obs::observe("expo.test_hist_ns", 1500);
+        crowdtune_obs::observe("expo.test_hist_ns", 2500);
         let text = render_prometheus(&crowdtune_obs::snapshot());
         crowdtune_obs::set_metrics_enabled(false);
 
@@ -301,6 +316,39 @@ mod tests {
             let (_, value) = line.rsplit_once(' ').expect("space-separated");
             value.parse::<f64>().expect("numeric sample value");
         }
+    }
+
+    #[test]
+    fn histogram_families_carry_their_own_unit() {
+        let _guard = metrics_guard();
+        crowdtune_obs::set_metrics_enabled(true);
+        drop(crowdtune_obs::span("expo.test_span"));
+        crowdtune_obs::observe("expo.test_wait_us", 7);
+        crowdtune_obs::observe("expo.test_hit_ns", 7);
+        crowdtune_obs::observe("expo.test_depth", 7);
+        let text = render_prometheus(&crowdtune_obs::snapshot());
+        crowdtune_obs::set_metrics_enabled(false);
+
+        for family in [
+            "crowdtune_expo_test_span_ns",
+            "crowdtune_expo_test_wait_us",
+            "crowdtune_expo_test_hit_ns",
+            "crowdtune_expo_test_depth",
+        ] {
+            assert!(
+                text.contains(&format!("# TYPE {family} summary\n")),
+                "{family} missing from\n{text}"
+            );
+            assert!(text.contains(&format!("# TYPE {family}_max gauge\n")));
+        }
+        for family in text.lines().filter_map(|l| l.strip_prefix("# TYPE ")) {
+            let name = family.split(' ').next().unwrap();
+            assert!(
+                !name.ends_with("_us_ns") && !name.ends_with("_ns_ns"),
+                "{name}"
+            );
+        }
+        assert!(!text.contains("crowdtune_expo_test_depth_ns"));
     }
 
     #[test]
