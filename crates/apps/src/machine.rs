@@ -10,7 +10,6 @@
 //! for reproducing the paper is the *relative* structure (KNL: more
 //! cores, slower cores, higher aggregate bandwidth).
 
-use crowdtune_db::MachineConfig;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -92,21 +91,6 @@ impl MachineModel {
         self.nodes as u64 * self.cores_per_node as u64
     }
 
-    /// Aggregate compute rate in GFLOP/s.
-    pub fn total_gflops(&self) -> f64 {
-        self.total_cores() as f64 * self.gflops_per_core
-    }
-
-    /// Convert to the database's machine configuration record.
-    pub fn to_config(&self) -> MachineConfig {
-        MachineConfig::new(
-            &self.name,
-            self.arch.partition(),
-            self.nodes,
-            self.cores_per_node,
-        )
-    }
-
     /// The `SLURM_*` environment a job on this allocation would see —
     /// consumed by `crowdtune_db::parse_slurm_env` to exercise the
     /// automatic environment-recording path.
@@ -146,16 +130,6 @@ mod tests {
         assert!(knl.gflops_per_core < hsw.gflops_per_core);
         assert!(knl.mem_bw_gbs > hsw.mem_bw_gbs);
         assert!(knl.mem_gb < hsw.mem_gb);
-    }
-
-    #[test]
-    fn config_conversion() {
-        let m = MachineModel::cori_haswell(8);
-        let c = m.to_config();
-        assert_eq!(c.machine_name, "cori");
-        assert_eq!(c.node_type, "haswell");
-        assert_eq!(c.nodes, 8);
-        assert_eq!(c.total_cores(), 256);
     }
 
     #[test]

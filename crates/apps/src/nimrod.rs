@@ -69,7 +69,7 @@ impl Nimrod {
     }
 
     /// Fourier mode count: `floor(2^lphi / 3) + 1`.
-    pub fn fourier_modes(&self) -> u64 {
+    fn fourier_modes(&self) -> u64 {
         (1u64 << self.lphi) / 3 + 1
     }
 

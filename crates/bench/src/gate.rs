@@ -293,7 +293,7 @@ pub fn check(
 }
 
 /// Renders a readable diff of the regressions, worst first.
-pub fn render_regressions(regressions: &[Regression], band: f64) -> String {
+fn render_regressions(regressions: &[Regression], band: f64) -> String {
     let mut sorted = regressions.to_vec();
     sorted.sort_by(|a, b| {
         b.ratio()

@@ -22,12 +22,9 @@ pub mod runner;
 pub mod sources;
 
 pub use runner::{
-    comparison_json, print_curves, print_speedups, report_comparison, run_comparison,
-    ComparisonJson, Curve, CurveJson, Scenario, TunerSpec,
+    report_comparison, run_comparison, ComparisonJson, Curve, CurveJson, Scenario, TunerSpec,
 };
-pub use sources::{
-    collect_source_data, source_task_from_app, source_task_from_db, upload_source_data,
-};
+pub use sources::{source_task_from_app, source_task_from_db, upload_source_data};
 
 /// Parse a `--flag value` style argument from `std::env::args`.
 pub fn arg_value(name: &str) -> Option<String> {

@@ -245,7 +245,7 @@ fn aggregate(tuner: &'static str, budget: usize, runs: &[Vec<Option<f64>>]) -> C
 /// Print curves as an aligned table: one row per evaluation count, one
 /// `mean±std` column per tuner — the textual equivalent of the paper's
 /// line charts.
-pub fn print_curves(label: &str, curves: &[Curve]) {
+fn print_curves(label: &str, curves: &[Curve]) {
     println!("\n=== {label} ===");
     print!("{:>4}", "eval");
     for c in curves {
@@ -301,7 +301,7 @@ pub struct ComparisonJson {
 
 /// Convert aggregated curves to the machine-readable comparison form,
 /// with speedups over NoTLA taken at evaluation `k`.
-pub fn comparison_json(label: &str, curves: &[Curve], k: usize) -> ComparisonJson {
+fn comparison_json(label: &str, curves: &[Curve], k: usize) -> ComparisonJson {
     let base = curves
         .iter()
         .find(|c| c.tuner == "NoTLA")
@@ -369,7 +369,7 @@ fn label_slug(label: &str) -> String {
 /// Report the paper's headline ratio: tuned performance of each tuner
 /// relative to `NoTLA` at evaluation `k` (values > 1 mean the tuner's
 /// configuration is that many times faster).
-pub fn print_speedups(curves: &[Curve], k: usize) {
+fn print_speedups(curves: &[Curve], k: usize) {
     let Some(base) = curves
         .iter()
         .find(|c| c.tuner == "NoTLA")

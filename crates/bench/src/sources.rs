@@ -19,7 +19,7 @@ use rand::SeedableRng;
 /// Evaluate `n` uniformly random configurations of `app`, returning the
 /// successful ones as a unit-cube dataset (failures are dropped, as the
 /// paper's surrogate fitting does).
-pub fn collect_source_data(app: &dyn Application, n: usize, seed: u64) -> Dataset {
+fn collect_source_data(app: &dyn Application, n: usize, seed: u64) -> Dataset {
     let space = app.tuning_space();
     let mut rng = StdRng::seed_from_u64(seed);
     let mut ds = Dataset::default();

@@ -135,28 +135,6 @@ pub fn expected_improvement(mean: f64, std: f64, best: f64) -> f64 {
     ei.max(0.0)
 }
 
-/// Lower Confidence Bound score for minimization (to be *minimized*):
-/// `LCB(x) = mu - kappa sigma`. Used when no target observation exists
-/// yet (EI needs an incumbent).
-pub fn lower_confidence_bound(mean: f64, std: f64, kappa: f64) -> f64 {
-    mean - kappa * std
-}
-
-/// Which acquisition function scores candidates.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub enum AcquisitionKind {
-    /// Expected Improvement (the default; falls back to LCB when no
-    /// incumbent exists yet).
-    #[default]
-    ExpectedImprovement,
-    /// Lower Confidence Bound with exploration weight `kappa` —
-    /// a cheaper, more exploration-tunable alternative.
-    LowerConfidenceBound {
-        /// Exploration weight (`mu - kappa * sigma` is minimized).
-        kappa: f64,
-    },
-}
-
 /// Options for the acquisition search.
 #[derive(Debug, Clone)]
 pub struct SearchOptions {
@@ -174,8 +152,6 @@ pub struct SearchOptions {
     /// categorical kernels see exact cell identity; empty disables
     /// snapping.
     pub cells: Vec<Option<usize>>,
-    /// Acquisition function used to score candidates.
-    pub acquisition: AcquisitionKind,
     /// Candidates within this radius (infinity norm) of a *failed*
     /// evaluation are discarded — failed runs are excluded from surrogate
     /// fitting (per the paper), so without this exclusion the search
@@ -191,7 +167,6 @@ impl Default for SearchOptions {
             local_scales: vec![0.05, 0.15],
             dedup_radius: 1e-9,
             cells: Vec::new(),
-            acquisition: AcquisitionKind::ExpectedImprovement,
             failure_radius: 0.12,
         }
     }
@@ -480,7 +455,7 @@ pub fn propose<S: Surrogate + ?Sized, R: Rng>(
             }
         }
     }
-    score(surrogate, scratch, req.incumbent, opts)
+    score(surrogate, scratch, req.incumbent)
 }
 
 /// Score the scratch's live candidates and return the winner.
@@ -488,7 +463,6 @@ fn score<S: Surrogate + ?Sized>(
     surrogate: &S,
     scratch: &mut ProposalScratch,
     incumbent: Option<(&[f64], f64)>,
-    opts: &SearchOptions,
 ) -> Vec<f64> {
     let acq_span = obs::span(obs::names::SPAN_ACQUISITION);
     obs::count(obs::names::CTR_ACQ_CANDIDATES, scratch.n as u64);
@@ -497,24 +471,18 @@ fn score<S: Surrogate + ?Sized>(
     // exactly as a per-point loop in candidate order would.
     let predictions = surrogate.predict_batch(scratch.active());
     scratch.scores.clear();
-    match (opts.acquisition, incumbent) {
-        (AcquisitionKind::ExpectedImprovement, Some((_, best))) => scratch.scores.extend(
+    match incumbent {
+        Some((_, best)) => scratch.scores.extend(
             predictions
                 .iter()
                 .map(|&(m, s)| expected_improvement(m, s, best)),
         ),
-        (AcquisitionKind::LowerConfidenceBound { kappa }, _) => scratch.scores.extend(
-            predictions
-                .iter()
-                .map(|&(m, s)| -lower_confidence_bound(m, s, kappa)),
-        ),
-        // No observation yet: minimize LCB (exploit the transferred
-        // prior, with an exploration bonus).
-        (AcquisitionKind::ExpectedImprovement, None) => scratch.scores.extend(
-            predictions
-                .iter()
-                .map(|&(m, s)| -lower_confidence_bound(m, s, 1.0)),
-        ),
+        // No observation yet, so EI has no incumbent: minimize the lower
+        // confidence bound `mu - kappa sigma` with kappa = 1 (exploit the
+        // transferred prior, with an exploration bonus).
+        None => scratch
+            .scores
+            .extend(predictions.iter().map(|&(m, s)| -(m - s))),
     };
     let mut best_score = f64::NEG_INFINITY;
     let mut best_idx = 0;
@@ -525,10 +493,10 @@ fn score<S: Surrogate + ?Sized>(
         }
     }
     obs::record_with(|| obs::Event::Acquisition {
-        kind: match (opts.acquisition, incumbent) {
-            (AcquisitionKind::ExpectedImprovement, Some(_)) => "ei",
-            (AcquisitionKind::ExpectedImprovement, None) => "lcb-cold",
-            (AcquisitionKind::LowerConfidenceBound { .. }, _) => "lcb",
+        kind: if incumbent.is_some() {
+            "ei"
+        } else {
+            "lcb-cold"
         }
         .to_string(),
         candidates: scratch.n as u64,
@@ -636,19 +604,16 @@ mod tests {
 
     #[test]
     fn lcb_acquisition_explores_uncertainty() {
-        // Two regions with equal mean; LCB with large kappa prefers the
-        // uncertain one.
+        // No incumbent, so the fallback scores -LCB. Two halves with equal
+        // mean: only its sigma term can prefer the uncertain one.
         let surrogate = |x: &[f64]| (1.0, if x[0] > 0.5 { 2.0 } else { 0.01 });
         let mut rng = StdRng::seed_from_u64(77);
-        let opts = SearchOptions {
-            acquisition: AcquisitionKind::LowerConfidenceBound { kappa: 3.0 },
-            ..Default::default()
-        };
-        let req = ProposalRequest {
-            incumbent: Some((&[0.2], 1.0)),
-            ..ProposalRequest::new(1)
-        };
-        let x = propose_once(&surrogate, req, &opts, &mut rng);
+        let x = propose_once(
+            &surrogate,
+            ProposalRequest::new(1),
+            &SearchOptions::default(),
+            &mut rng,
+        );
         assert!(x[0] > 0.5, "LCB should chase uncertainty: {x:?}");
     }
 

@@ -50,11 +50,6 @@ pub struct RetryPolicy {
     /// wait; the cap keeps the worst case at `max_attempts ×
     /// max_backoff_s`.
     pub max_backoff_s: f64,
-    /// Jitter fraction in `[0, 1)`: [`RetryPolicy::backoff_jittered_s`]
-    /// shaves up to this fraction off the capped backoff,
-    /// deterministically from a caller seed. 0 (the default) keeps
-    /// [`RetryPolicy::backoff_s`] and the jittered form identical.
-    pub jitter: f64,
 }
 
 impl Default for RetryPolicy {
@@ -64,7 +59,6 @@ impl Default for RetryPolicy {
             base_backoff_s: 1.0,
             multiplier: 2.0,
             max_backoff_s: 60.0,
-            jitter: 0.0,
         }
     }
 }
@@ -83,15 +77,6 @@ impl RetryPolicy {
     pub fn backoff_s(&self, attempt: u32) -> f64 {
         let raw = self.base_backoff_s * self.multiplier.powi(attempt.saturating_sub(1) as i32);
         raw.min(self.max_backoff_s)
-    }
-
-    /// [`RetryPolicy::backoff_s`] with up to `jitter` of the delay shaved
-    /// off, derived deterministically from `(seed, attempt)` so twin runs
-    /// charge identical simulated waits while distinct seeds (one per
-    /// tuner/client) desynchronize their retry storms.
-    pub fn backoff_jittered_s(&self, seed: u64, attempt: u32) -> f64 {
-        let base = self.backoff_s(attempt);
-        base * (1.0 - self.jitter.clamp(0.0, 1.0) * crowdtune_db::seeded_unit(seed, attempt as u64))
     }
 }
 
@@ -126,7 +111,7 @@ pub struct CheckpointRecord {
 
 impl CheckpointRecord {
     /// Capture an [`EvalRecord`].
-    pub fn from_eval(rec: &EvalRecord) -> Self {
+    fn from_eval(rec: &EvalRecord) -> Self {
         CheckpointRecord {
             point: rec.point.clone(),
             unit: rec.unit.clone(),
@@ -365,26 +350,16 @@ mod tests {
             base_backoff_s: 1.0,
             multiplier: 2.0,
             max_backoff_s: 8.0,
-            jitter: 0.5,
         };
         // Unbounded doubling would hit 2^19 s by attempt 20; the cap
         // pins every rung.
         assert_eq!(p.backoff_s(4), 8.0);
         assert_eq!(p.backoff_s(20), 8.0);
-        // Total simulated backoff for k attempts stays under k × cap,
-        // jittered or not, and the jittered form is seed-deterministic.
+        // Total simulated backoff for k attempts stays under k × cap.
         for k in [3u32, 10, 20] {
             let total: f64 = (1..=k).map(|a| p.backoff_s(a)).sum();
-            let total_jittered: f64 = (1..=k).map(|a| p.backoff_jittered_s(7, a)).sum();
             assert!(total <= f64::from(k) * p.max_backoff_s);
-            assert!(total_jittered <= total);
-            assert!(total_jittered >= total * (1.0 - p.jitter));
-            let twin: f64 = (1..=k).map(|a| p.backoff_jittered_s(7, a)).sum();
-            assert_eq!(total_jittered, twin);
         }
-        // Zero jitter (the default) collapses to the plain capped form.
-        let plain = RetryPolicy::default();
-        assert_eq!(plain.backoff_jittered_s(7, 2), plain.backoff_s(2));
     }
 
     #[test]

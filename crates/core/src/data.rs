@@ -118,7 +118,7 @@ pub fn value_to_scalar(v: &Value, domain: &Domain) -> Scalar {
 }
 
 /// Extract the tuning-parameter point of a record against a space.
-pub fn record_to_point(rec: &FunctionEvaluation, space: &Space) -> Result<Point, DataError> {
+fn record_to_point(rec: &FunctionEvaluation, space: &Space) -> Result<Point, DataError> {
     let mut point = Vec::with_capacity(space.dim());
     for p in space.params() {
         let s = rec

@@ -5,18 +5,16 @@
 //! - [`tuner`] — the Bayesian-optimization driver: one loop hosting any
 //!   strategy, the `NoTLA` baseline included.
 //! - [`tla`] — the TLA algorithm pool (paper Table I): `Multitask(PS)`,
-//!   `Multitask(TS)`, `WeightedSum(static/equal/dynamic)`, `Stacking`,
+//!   `Multitask(TS)`, `WeightedSum(equal/dynamic)`, `Stacking`,
 //!   and the `Ensemble(proposed/toggling/prob)` selector, plus `NoTLA`
 //!   as the zero-source strategy.
 //! - [`acquisition`] — Expected Improvement / LCB and the candidate
 //!   search all strategies share.
 //! - [`meta`] — the meta-description interface (paper §IV-A): one JSON
 //!   document binds a tuning problem to the shared database.
-//! - [`utilities`] — `QueryFunctionEvaluations`, `QuerySurrogateModel`,
-//!   `QueryPredictOutput`, `QuerySensitivityAnalysis` (paper §IV-B).
-//! - [`analytics`] — leave-one-out surrogate validation, Morris
-//!   screening, and performance-variability detection (the paper's
-//!   stated future work).
+//! - [`query_surrogate_model`], [`query_predict_output`] and
+//!   [`query_sensitivity_analysis`] — the paper's crowd-data utilities
+//!   (§IV-B), re-exported at the crate root.
 //! - [`data`] — dataset plumbing between database records, spaces, and
 //!   the GP stack.
 //! - [`checkpoint`] — the fault model: retry policy for transient
@@ -25,31 +23,21 @@
 //! - [`quality`] — observe-only data-quality scoring of crowd uploads:
 //!   held-out standardized-residual outlier detection, duplicate-config
 //!   disagreement, and per-contributor trust statistics (DESIGN.md §12).
-//! - [`agreement`] — the EI-ranking agreement harness: top-k overlap and
-//!   Spearman rank correlation between two surrogates' acquisition
-//!   rankings, the accuracy gate for the sparse tier (DESIGN.md §13).
 
 #![warn(missing_docs)]
 
 pub mod acquisition;
-pub mod agreement;
-pub mod analytics;
 pub mod checkpoint;
 pub mod data;
 pub mod meta;
 pub mod quality;
 pub mod tla;
 pub mod tuner;
-pub mod utilities;
+mod utilities;
 
 pub use acquisition::{
-    expected_improvement, lower_confidence_bound, propose, AcquisitionKind, CandidatePool,
-    LcmTaskSurrogate, ProposalRequest, ProposalScratch, SearchOptions, Surrogate,
-};
-pub use agreement::{ei_ranking_agreement, AgreementReport};
-pub use analytics::{
-    detect_variability, loo_validation, morris_screening_of_session, LooValidation,
-    VariabilityReport,
+    expected_improvement, propose, CandidatePool, LcmTaskSurrogate, ProposalRequest,
+    ProposalScratch, SearchOptions, Surrogate,
 };
 pub use checkpoint::{
     is_transient_error, CheckpointRecord, Checkpointing, ResumeError, RetryPolicy, TunerCheckpoint,

@@ -218,17 +218,6 @@ impl MetaDescription {
         Space::new(params?).map_err(|e| MetaError::BadField(e.to_string()))
     }
 
-    /// The task space declared in `input_space`.
-    pub fn task_space(&self) -> Result<Space, MetaError> {
-        let params: Result<Vec<Param>, MetaError> = self
-            .problem_space
-            .input_space
-            .iter()
-            .map(ParamDesc::to_param)
-            .collect();
-        Space::new(params?).map_err(|e| MetaError::BadField(e.to_string()))
-    }
-
     /// The objective output name (first `output_space` entry, or
     /// `"runtime"` when unspecified).
     pub fn objective_name(&self) -> &str {
@@ -293,7 +282,7 @@ impl MetaDescription {
     }
 
     /// Whether uploads are enabled.
-    pub fn sync_enabled(&self) -> bool {
+    fn sync_enabled(&self) -> bool {
         self.sync_crowd_repo.eq_ignore_ascii_case("yes")
     }
 }
@@ -432,7 +421,6 @@ mod tests {
         let meta = MetaDescription::from_json(META).unwrap();
         let tuning = meta.tuning_space().unwrap();
         assert_eq!(tuning.dim(), 2);
-        assert_eq!(meta.task_space().unwrap().dim(), 1);
         assert_eq!(meta.objective_name(), "y");
         assert!(meta.sync_enabled());
     }

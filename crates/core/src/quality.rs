@@ -73,15 +73,6 @@ pub struct ContributorTrust {
 }
 
 impl ContributorTrust {
-    /// Mean standardized-residual score across scored observations.
-    pub fn mean_score(&self) -> f64 {
-        if self.scored == 0 {
-            0.0
-        } else {
-            self.score_sum / self.scored as f64
-        }
-    }
-
     /// Fraction of this contributor's scored observations that were
     /// flagged.
     pub fn flag_rate(&self) -> f64 {
@@ -133,14 +124,6 @@ impl QualityReport {
             .filter(|(_, t)| t.flagged > 0)
             .max_by(|a, b| a.1.flagged.cmp(&b.1.flagged).then_with(|| b.0.cmp(a.0)))
             .map(|(name, t)| (name.as_str(), t))
-    }
-
-    /// Docs flagged for any reason, deduplicated and sorted.
-    pub fn flagged_docs(&self) -> Vec<u64> {
-        let mut docs: Vec<u64> = self.flagged.iter().map(|f| f.doc).collect();
-        docs.sort_unstable();
-        docs.dedup();
-        docs
     }
 }
 

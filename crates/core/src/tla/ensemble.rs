@@ -88,7 +88,7 @@ impl Ensemble {
     }
 
     /// Eq. 4 exploration rate.
-    pub fn exploration_rate(n_algorithms: usize, n_parameters: usize, n_samples: usize) -> f64 {
+    fn exploration_rate(n_algorithms: usize, n_parameters: usize, n_samples: usize) -> f64 {
         if n_samples == 0 {
             return 1.0;
         }
@@ -152,11 +152,6 @@ impl Ensemble {
                 }
             }
         }
-    }
-
-    /// Name of the member that made the most recent proposal.
-    pub fn last_member_name(&self) -> Option<&str> {
-        self.last_choice.map(|i| self.members[i].strategy.name())
     }
 
     /// Attribution counts per member (diagnostics).
@@ -363,7 +358,6 @@ mod tests {
         assert_eq!(att[0].0, "a");
         assert_eq!(att[0].1, 1);
         assert_eq!(att[0].2, Some(4.2));
-        assert_eq!(e.last_member_name(), Some("a"));
         // Sanity: random_proposal helper reachable from this module.
         let _ = random_proposal(2, &mut rng);
     }

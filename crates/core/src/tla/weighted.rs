@@ -2,8 +2,7 @@
 //! surrogates with an arithmetic mean of means (Eq. 1) and a geometric
 //! mean of standard deviations (Eq. 2).
 //!
-//! Three weight policies:
-//! - `Static` — user-provided weights (HiPerBOt with specified weights),
+//! Two weight policies:
 //! - `Equal` — all weights 1 (HiPerBOt's default when unspecified),
 //! - `Dynamic` — **this paper's** improvement: per-iteration weights from
 //!   a non-negative linear regression of observed improvement gaps onto
@@ -19,8 +18,6 @@ use rand::rngs::StdRng;
 /// Weight policy for [`WeightedSum`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum WeightPolicy {
-    /// User-specified weights: `sources[i]` then target last.
-    Static(Vec<f64>),
     /// Equal weight 1 for every task.
     Equal,
     /// Per-iteration non-negative regression (the paper's improvement).
@@ -48,14 +45,6 @@ impl WeightedSum {
         }
     }
 
-    /// Static user weights (`sources..., target` order).
-    pub fn with_static(weights: Vec<f64>) -> Self {
-        WeightedSum {
-            policy: WeightPolicy::Static(weights),
-            label: "WeightedSum(static)".into(),
-        }
-    }
-
     /// Dynamic regression weights (this paper).
     pub fn dynamic() -> Self {
         WeightedSum {
@@ -79,13 +68,6 @@ impl WeightedSum {
         let fallback = vec![1.0 / k as f64; k];
         match &self.policy {
             WeightPolicy::Equal => fallback,
-            WeightPolicy::Static(w) => {
-                if w.len() == k {
-                    normalize(w.clone()).unwrap_or(fallback)
-                } else {
-                    fallback
-                }
-            }
             WeightPolicy::Dynamic | WeightPolicy::DynamicUnconstrained => {
                 self.dynamic_weights(ctx, models).unwrap_or(fallback)
             }
@@ -309,21 +291,6 @@ mod tests {
         let l1: f64 = w.iter().map(|v| v.abs()).sum();
         assert!((l1 - 1.0).abs() < 1e-9, "{w:?}");
         assert_eq!(strat.name(), "WeightedSum(dynamic-unconstrained)");
-    }
-
-    #[test]
-    fn static_weights_respected() {
-        let (sources, target) = quad_source_target(20, 3);
-        let search = SearchOptions::default();
-        let c = ctx(&sources, &target, &search);
-        let strat = WeightedSum::with_static(vec![3.0, 1.0]);
-        let models: Vec<&Gp> = c.sources.iter().map(|s| &s.gp).collect();
-        // Wrong length falls back to equal.
-        let w = strat.weights(&c, &models);
-        assert_eq!(w, vec![1.0]);
-        let strat2 = WeightedSum::with_static(vec![3.0]);
-        let w2 = strat2.weights(&c, &models);
-        assert_eq!(w2, vec![1.0]);
     }
 
     #[test]

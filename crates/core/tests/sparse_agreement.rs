@@ -9,10 +9,151 @@
 //! every push; a sparse-tier change that degrades ranking fidelity
 //! fails here before it can regress tuning trajectories.
 
-use crowdtune_core::agreement::ei_ranking_agreement;
+use crowdtune_core::acquisition::{expected_improvement, Surrogate};
 use crowdtune_gp::{Gp, GpConfig, NoiseModel, SparseGp, SparseGpConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+// EI-ranking agreement between two surrogates. Both surrogates'
+// Expected Improvement is scored over one shared candidate set, and the
+// report gives:
+//
+// - **top-k overlap** — the fraction of the reference surrogate's k
+//   best candidates that also appear in the candidate surrogate's k
+//   best. This is the quantity the tuner actually depends on.
+// - **Spearman rank correlation** — rank agreement over the whole
+//   candidate set (average ranks on ties), a broader-band check that
+//   catches rankings that agree at the top by luck.
+//
+// Both are deterministic given the inputs.
+
+/// Agreement statistics between two surrogates' EI rankings over a
+/// shared candidate set.
+#[derive(Debug, Clone, PartialEq)]
+struct AgreementReport {
+    /// Number of candidates scored.
+    pub candidates: usize,
+    /// The `k` used for the overlap statistic.
+    pub top_k: usize,
+    /// `|top_k(reference) ∩ top_k(candidate)| / k`, in `[0, 1]`.
+    pub top_k_overlap: f64,
+    /// Spearman rank correlation over all candidates, in `[-1, 1]`
+    /// (average ranks on ties; `1.0` when either ranking is constant,
+    /// since a constant acquisition surface imposes no ordering to
+    /// disagree with).
+    pub spearman: f64,
+}
+
+/// Score `xs` under both surrogates' Expected Improvement (incumbent
+/// `best`, minimization) and compare the rankings.
+///
+/// `top_k` is clamped to `xs.len()`; an empty candidate set yields a
+/// degenerate report with overlap and correlation of `1.0`.
+fn ei_ranking_agreement<A, B>(
+    reference: &A,
+    candidate: &B,
+    best: f64,
+    xs: &[Vec<f64>],
+    top_k: usize,
+) -> AgreementReport
+where
+    A: Surrogate + ?Sized,
+    B: Surrogate + ?Sized,
+{
+    fn ei<S: Surrogate + ?Sized>(s: &S, xs: &[Vec<f64>], best: f64) -> Vec<f64> {
+        s.predict_batch(xs)
+            .into_iter()
+            .map(|(m, sd)| expected_improvement(m, sd, best))
+            .collect()
+    }
+    let a = ei(reference, xs, best);
+    let b = ei(candidate, xs, best);
+    let k = top_k.min(xs.len());
+    AgreementReport {
+        candidates: xs.len(),
+        top_k: k,
+        top_k_overlap: top_k_overlap(&a, &b, k),
+        spearman: spearman(&a, &b),
+    }
+}
+
+/// Indices of the `k` largest scores, ties broken toward the lowest
+/// index so the result is deterministic.
+fn top_k_indices(scores: &[f64], k: usize) -> Vec<usize> {
+    let mut idx: Vec<usize> = (0..scores.len()).collect();
+    idx.sort_by(|&i, &j| {
+        scores[j]
+            .partial_cmp(&scores[i])
+            .unwrap_or(std::cmp::Ordering::Equal)
+            .then(i.cmp(&j))
+    });
+    idx.truncate(k);
+    idx
+}
+
+/// Fraction of `a`'s top-k indices also present in `b`'s top-k.
+fn top_k_overlap(a: &[f64], b: &[f64], k: usize) -> f64 {
+    if k == 0 {
+        return 1.0;
+    }
+    let ta = top_k_indices(a, k);
+    let tb = top_k_indices(b, k);
+    let hits = ta.iter().filter(|i| tb.contains(i)).count();
+    hits as f64 / k as f64
+}
+
+/// Average ranks (1-based, ties share the mean of their positions).
+fn average_ranks(scores: &[f64]) -> Vec<f64> {
+    let n = scores.len();
+    let mut idx: Vec<usize> = (0..n).collect();
+    idx.sort_by(|&i, &j| {
+        scores[i]
+            .partial_cmp(&scores[j])
+            .unwrap_or(std::cmp::Ordering::Equal)
+            .then(i.cmp(&j))
+    });
+    let mut ranks = vec![0.0; n];
+    let mut pos = 0;
+    while pos < n {
+        let mut end = pos + 1;
+        while end < n && scores[idx[end]] == scores[idx[pos]] {
+            end += 1;
+        }
+        // positions pos..end (0-based) share rank mean of (pos+1)..=end.
+        let rank = (pos + 1 + end) as f64 / 2.0;
+        for &i in &idx[pos..end] {
+            ranks[i] = rank;
+        }
+        pos = end;
+    }
+    ranks
+}
+
+/// Spearman rank correlation: Pearson correlation of the average
+/// ranks. Returns `1.0` when either ranking is constant.
+fn spearman(a: &[f64], b: &[f64]) -> f64 {
+    let n = a.len();
+    if n < 2 {
+        return 1.0;
+    }
+    let ra = average_ranks(a);
+    let rb = average_ranks(b);
+    let mean = (n + 1) as f64 / 2.0;
+    let mut cov = 0.0;
+    let mut va = 0.0;
+    let mut vb = 0.0;
+    for i in 0..n {
+        let da = ra[i] - mean;
+        let db = rb[i] - mean;
+        cov += da * db;
+        va += da * da;
+        vb += db * db;
+    }
+    if va <= 1e-300 || vb <= 1e-300 {
+        return 1.0;
+    }
+    cov / (va.sqrt() * vb.sqrt())
+}
 
 /// A smooth but multi-basin 2-d objective on the unit square.
 fn objective(x: &[f64]) -> f64 {
@@ -116,4 +257,49 @@ fn sparse_update_matches_refit_through_public_api() {
             "update/refit diverged at {p:?}: {a:?} vs {b:?}"
         );
     }
+}
+
+fn lin(coef: f64) -> impl Surrogate {
+    move |x: &[f64]| (coef * x[0], 0.1)
+}
+
+#[test]
+fn identical_surrogates_agree_perfectly() {
+    let xs: Vec<Vec<f64>> = (0..50).map(|i| vec![i as f64 / 50.0]).collect();
+    let s = lin(1.0);
+    let r = ei_ranking_agreement(&s, &s, 0.5, &xs, 10);
+    assert_eq!(r.top_k_overlap, 1.0);
+    assert!((r.spearman - 1.0).abs() < 1e-12);
+}
+
+#[test]
+fn reversed_ranking_is_anticorrelated() {
+    let xs: Vec<Vec<f64>> = (0..50).map(|i| vec![i as f64 / 50.0]).collect();
+    // EI under minimization rewards low mean: coef 1.0 ranks small
+    // x[0] first, coef -1.0 ranks large x[0] first.
+    let r = ei_ranking_agreement(&lin(1.0), &lin(-1.0), 0.5, &xs, 10);
+    assert!(r.spearman < -0.99, "spearman={}", r.spearman);
+    assert_eq!(r.top_k_overlap, 0.0);
+}
+
+#[test]
+fn constant_scores_yield_unit_agreement() {
+    let xs: Vec<Vec<f64>> = (0..10).map(|i| vec![i as f64]).collect();
+    let flat = |_: &[f64]| (0.0, 0.1);
+    let r = ei_ranking_agreement(&flat, &lin(1.0), 0.5, &xs, 3);
+    assert_eq!(r.spearman, 1.0);
+}
+
+#[test]
+fn average_ranks_handle_ties() {
+    let ranks = average_ranks(&[1.0, 2.0, 2.0, 3.0]);
+    assert_eq!(ranks, vec![1.0, 2.5, 2.5, 4.0]);
+}
+
+#[test]
+fn empty_and_clamped_k_are_degenerate_but_defined() {
+    let r = ei_ranking_agreement(&lin(1.0), &lin(1.0), 0.5, &[], 10);
+    assert_eq!(r.top_k, 0);
+    assert_eq!(r.top_k_overlap, 1.0);
+    assert_eq!(r.spearman, 1.0);
 }

@@ -156,16 +156,6 @@ impl UserRegistry {
         Err(AuthError::InvalidKey)
     }
 
-    /// Revoke every key of a user.
-    pub fn revoke_all_keys(&self, username: &str) -> Result<(), AuthError> {
-        let mut inner = self.inner.write();
-        let user = inner
-            .get_mut(username)
-            .ok_or_else(|| AuthError::UnknownUser(username.into()))?;
-        user.keys.clear();
-        Ok(())
-    }
-
     /// Public user listing: usernames of users who opted into a public
     /// profile (what the paper's website exposes for the
     /// `user_configurations` field).
@@ -239,16 +229,6 @@ mod tests {
             reg.authenticate("not-the-secret").unwrap_err(),
             AuthError::InvalidKey
         );
-    }
-
-    #[test]
-    fn revoke_keys() {
-        let reg = UserRegistry::new();
-        reg.register("alice", "a@x.org", true).unwrap();
-        let mut rng = StdRng::seed_from_u64(3);
-        let key = reg.create_api_key("alice", &mut rng).unwrap();
-        reg.revoke_all_keys("alice").unwrap();
-        assert_eq!(reg.authenticate(&key).unwrap_err(), AuthError::InvalidKey);
     }
 
     #[test]

@@ -193,7 +193,7 @@ pub struct Provenance {
     #[serde(default)]
     pub fault_index: Option<u64>,
     /// Upload batch id assigned by the repository facade (one id per
-    /// `submit`/`submit_batch` call, monotone per repository).
+    /// `submit` call, monotone per repository).
     #[serde(default)]
     pub batch: u64,
 }

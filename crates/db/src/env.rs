@@ -180,7 +180,7 @@ impl TagRegistry {
     }
 
     /// Register a machine and its aliases.
-    pub fn add_machine(&mut self, canonical: &str, aliases: &[&str]) {
+    fn add_machine(&mut self, canonical: &str, aliases: &[&str]) {
         for a in aliases {
             self.machine_aliases
                 .insert(a.to_ascii_lowercase(), canonical.to_string());
@@ -190,7 +190,7 @@ impl TagRegistry {
     }
 
     /// Record the node types a machine offers.
-    pub fn set_node_types(&mut self, canonical: &str, node_types: &[&str]) {
+    fn set_node_types(&mut self, canonical: &str, node_types: &[&str]) {
         self.machine_nodes.insert(
             canonical.to_string(),
             node_types.iter().map(|s| s.to_string()).collect(),
@@ -198,7 +198,7 @@ impl TagRegistry {
     }
 
     /// Register a software package and its aliases.
-    pub fn add_software(&mut self, canonical: &str, aliases: &[&str]) {
+    fn add_software(&mut self, canonical: &str, aliases: &[&str]) {
         for a in aliases {
             self.software_aliases
                 .insert(a.to_ascii_lowercase(), canonical.to_string());

@@ -50,8 +50,8 @@ pub use document::{
 };
 pub use env::{parse_slurm_env, parse_spack_spec, EnvError, TagRegistry};
 pub use overload::{
-    fingerprint_outcomes, seeded_unit, splitmix64, AdmitVerdict, Backoff, Episode, HealthState,
-    OverloadConfig, OverloadOutcome, OverloadState, ServiceFaultPlan, ShardHealth, ShardStall,
+    splitmix64, AdmitVerdict, Backoff, Episode, HealthState, OverloadConfig, OverloadOutcome,
+    OverloadState, ServiceFaultPlan, ShardHealth, ShardStall,
 };
 pub use query::{parse_query, FieldIndexes, Filter, ParseError};
 pub use repo::{

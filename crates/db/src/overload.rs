@@ -29,7 +29,7 @@
 //!   slow/stuck-fsync episodes, per-shard stalls, and client request
 //!   storms, all pure functions of `(seed, time, sequence)` so twin runs
 //!   are bitwise identical.
-//! * **Backoff** ([`Backoff`], [`seeded_unit`]) — capped exponential
+//! * **Backoff** ([`Backoff`], `seeded_unit`) — capped exponential
 //!   backoff with deterministic seeded jitter, shared with the tuner's
 //!   `RetryPolicy` and the client-side circuit breaker.
 
@@ -53,7 +53,7 @@ pub fn splitmix64(mut x: u64) -> u64 {
 /// Deterministic uniform draw in `[0, 1)` from `(seed, index)`. Uses the
 /// top 53 bits of one SplitMix64 output, so the result is an exactly
 /// representable double and identical everywhere.
-pub fn seeded_unit(seed: u64, index: u64) -> f64 {
+fn seeded_unit(seed: u64, index: u64) -> f64 {
     let bits = splitmix64(seed ^ index.wrapping_mul(0x9e37_79b9_7f4a_7c15));
     (bits >> 11) as f64 / (1u64 << 53) as f64
 }
@@ -73,7 +73,7 @@ pub struct Backoff {
     /// Hard ceiling on any single delay, milliseconds.
     pub cap_ms: u64,
     /// Jitter fraction in `[0, 1]`: each delay is scaled by
-    /// `1 - jitter * u` with `u` drawn from [`seeded_unit`].
+    /// `1 - jitter * u` with `u` drawn from `seeded_unit`.
     pub jitter: f64,
     /// Seed for the jitter draws.
     pub seed: u64,
@@ -190,7 +190,7 @@ impl ServiceFaultPlan {
     /// Extra modeled service cost for the write with admission sequence
     /// number `seq` hitting `shard` at service time `now_us`. Pure in
     /// `(self, shard, now_us, seq)`.
-    pub fn extra_cost_us(&self, shard: u16, now_us: u64, seq: u64) -> u64 {
+    fn extra_cost_us(&self, shard: u16, now_us: u64, seq: u64) -> u64 {
         let mut extra = 0u64;
         for (i, e) in self.fsync_episodes.iter().enumerate() {
             if e.covers(now_us) {
@@ -444,7 +444,7 @@ pub struct OverloadOutcome {
 
 /// FNV-1a fingerprint over an outcome log; equal logs ⇒ equal fingerprints,
 /// and the fields cover everything the simulation decides.
-pub fn fingerprint_outcomes(outcomes: &[OverloadOutcome]) -> u64 {
+fn fingerprint_outcomes(outcomes: &[OverloadOutcome]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     let mut fold = |v: u64| {
         for b in v.to_le_bytes() {

@@ -281,23 +281,6 @@ impl CircuitBreaker {
         now_us >= self.open_until_us
     }
 
-    /// Microseconds until the breaker re-closes (0 when requests are
-    /// already allowed).
-    pub fn remaining_us(&self, now_us: u64) -> u64 {
-        self.open_until_us.saturating_sub(now_us)
-    }
-
-    /// [`CircuitBreaker::remaining_us`] rounded up to whole milliseconds,
-    /// shaped like a server `retry_after` hint.
-    pub fn remaining_ms(&self, now_us: u64) -> u64 {
-        self.remaining_us(now_us).div_ceil(1_000)
-    }
-
-    /// Consecutive overload failures since the last success.
-    pub fn consecutive_failures(&self) -> u32 {
-        self.consecutive_failures
-    }
-
     /// How many times the breaker has opened over its lifetime.
     pub fn opens(&self) -> u64 {
         self.opens
@@ -335,7 +318,7 @@ pub struct HistoryDb {
     service: CrowdService,
     users: UserRegistry,
     tags: TagRegistry,
-    /// Monotonic upload-batch id; every `submit`/`submit_batch` call gets
+    /// Monotonic upload-batch id; every `submit` call gets
     /// one, stamped into each accepted record's provenance.
     batch: AtomicU64,
 }
@@ -379,11 +362,6 @@ impl HistoryDb {
     /// Access the user registry (registration, key management).
     pub fn users(&self) -> &UserRegistry {
         &self.users
-    }
-
-    /// Access the tag registry.
-    pub fn tags(&self) -> &TagRegistry {
-        &self.tags
     }
 
     /// Register a user and return a fresh API key in one step.
@@ -446,48 +424,6 @@ impl HistoryDb {
         Ok((self.service.insert_ctx(eval, ctx)?, owner))
     }
 
-    /// Submit a batch of evaluations. Stops at the first rejected record;
-    /// records accepted before the failure remain stored.
-    pub fn submit_batch(
-        &self,
-        api_key: &str,
-        evals: Vec<FunctionEvaluation>,
-    ) -> Result<Vec<u64>, DbError> {
-        let span = obs::span(obs::names::SPAN_DB_UPLOAD);
-        let batch = self.batch.fetch_add(1, Ordering::Relaxed) + 1;
-        let mut ids = Vec::with_capacity(evals.len());
-        let mut rejected = 0u64;
-        let mut error = None;
-        let mut contributor = String::new();
-        for e in evals {
-            match self.submit_inner(api_key, e, batch) {
-                Ok((id, owner)) => {
-                    ids.push(id);
-                    contributor = owner;
-                }
-                Err(err) => {
-                    rejected = 1;
-                    error = Some(err);
-                    break;
-                }
-            }
-        }
-        let accepted = ids.len() as u64;
-        obs::count(obs::names::CTR_DB_UPLOADED, accepted);
-        obs::count(obs::names::CTR_DB_REJECTED, rejected);
-        obs::record_with(|| obs::Event::Upload {
-            accepted,
-            rejected,
-            contributor: contributor.clone(),
-            batch,
-            duration_us: span.elapsed_ns() / 1_000,
-        });
-        match error {
-            Some(err) => Err(err),
-            None => Ok(ids),
-        }
-    }
-
     /// Query with an API key (sees public + own + shared-with-user data).
     pub fn query(
         &self,
@@ -533,62 +469,6 @@ impl HistoryDb {
         kept
     }
 
-    /// [`HistoryDb::submit`] behind a client-side [`CircuitBreaker`]:
-    /// when the breaker is open the submit is refused locally (typed
-    /// `Overloaded` carrying the remaining cooldown) without touching the
-    /// service; an `Overloaded`/`DeadlineExceeded` response trips the
-    /// breaker, which honors the server's `retry_after` hint and backs
-    /// off with capped deterministic jitter. `now_us` is the client's
-    /// clock — simulated microseconds under the overload simulator.
-    pub fn submit_guarded(
-        &self,
-        api_key: &str,
-        eval: FunctionEvaluation,
-        breaker: &mut CircuitBreaker,
-        now_us: u64,
-    ) -> Result<u64, DbError> {
-        if !breaker.allow(now_us) {
-            return Err(DbError::Store(StoreError::Overloaded {
-                retry_after_ms: breaker.remaining_ms(now_us),
-            }));
-        }
-        match self.submit(api_key, eval) {
-            Ok(id) => {
-                breaker.on_success();
-                Ok(id)
-            }
-            Err(DbError::Store(StoreError::Overloaded { retry_after_ms })) => {
-                breaker.on_overload(now_us, retry_after_ms);
-                Err(DbError::Store(StoreError::Overloaded { retry_after_ms }))
-            }
-            Err(DbError::Store(StoreError::DeadlineExceeded)) => {
-                breaker.on_overload(now_us, 0);
-                Err(DbError::Store(StoreError::DeadlineExceeded))
-            }
-            Err(e) => Err(e),
-        }
-    }
-
-    /// The `k` best (lowest-output) configurations matching a query —
-    /// what the paper's web tools surface as "best known configuration"
-    /// for a problem. Ties broken by insertion order.
-    pub fn best_configurations(
-        &self,
-        api_key: &str,
-        spec: &QuerySpec,
-        output: &str,
-        k: usize,
-    ) -> Result<Vec<(FunctionEvaluation, f64)>, DbError> {
-        let mut rows: Vec<(FunctionEvaluation, f64)> = self
-            .query(api_key, spec)?
-            .into_iter()
-            .filter_map(|e| e.result.output(output).map(|y| (e, y)))
-            .collect();
-        rows.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
-        rows.truncate(k);
-        Ok(rows)
-    }
-
     /// Number of stored documents.
     pub fn len(&self) -> usize {
         self.service.len()
@@ -616,31 +496,6 @@ impl HistoryDb {
     /// any shard count.
     pub fn save_documents(&self, path: &std::path::Path) -> Result<(), DbError> {
         Ok(self.service.merged_store().save(path)?)
-    }
-
-    /// Export the records a query matches as a JSON array — the
-    /// repository-to-repository data-exchange format (human-readable,
-    /// per the paper's "the data can be used for various autotuning
-    /// frameworks").
-    pub fn export_json(&self, api_key: &str, spec: &QuerySpec) -> Result<String, DbError> {
-        let records = self.query(api_key, spec)?;
-        serde_json::to_string_pretty(&records)
-            .map_err(|e| DbError::Store(crate::store::StoreError::Json(e)))
-    }
-
-    /// Import records from an [`HistoryDb::export_json`]-shaped JSON
-    /// array, re-owned by the importing user and re-normalized against
-    /// this repository's tag registry. Returns the number imported.
-    pub fn import_json(&self, api_key: &str, json: &str) -> Result<usize, DbError> {
-        let records: Vec<FunctionEvaluation> = serde_json::from_str(json)
-            .map_err(|e| DbError::Store(crate::store::StoreError::Json(e)))?;
-        let n = records.len();
-        for mut rec in records {
-            rec.id = 0;
-            rec.logical_time = 0;
-            self.submit(api_key, rec)?;
-        }
-        Ok(n)
     }
 }
 
@@ -826,63 +681,6 @@ mod tests {
     }
 
     #[test]
-    fn export_import_roundtrip_between_repositories() {
-        let (db_a, alice, _) = setup();
-        db_a.submit(&alice, pdgeqrf_eval(1000, 3.0, 8, "haswell"))
-            .unwrap();
-        db_a.submit(&alice, pdgeqrf_eval(2000, 4.0, 8, "knl"))
-            .unwrap();
-        let json = db_a
-            .export_json(&alice, &QuerySpec::all_of("PDGEQRF"))
-            .unwrap();
-        assert!(json.contains("task_parameters"));
-
-        // A second repository, a different user.
-        let db_b = HistoryDb::new();
-        let mut rng = StdRng::seed_from_u64(9);
-        let bob = db_b
-            .register_user("bob", "b@y.org", true, &mut rng)
-            .unwrap();
-        let n = db_b.import_json(&bob, &json).unwrap();
-        assert_eq!(n, 2);
-        let hits = db_b.query_public(&QuerySpec::all_of("PDGEQRF"));
-        assert_eq!(hits.len(), 2);
-        // Re-owned by the importer, fresh ids/timestamps.
-        assert!(hits.iter().all(|h| h.owner == "bob"));
-        assert!(hits.iter().all(|h| h.id > 0));
-        // Bad JSON is an error, not a partial import.
-        assert!(db_b.import_json(&bob, "not-json").is_err());
-    }
-
-    #[test]
-    fn best_configurations_sorted_and_truncated() {
-        let (db, alice, _) = setup();
-        for (m, rt) in [(1i64, 5.0), (2, 1.0), (3, 3.0), (4, 2.0)] {
-            db.submit(&alice, pdgeqrf_eval(m, rt, 8, "haswell"))
-                .unwrap();
-        }
-        // A failed run never appears.
-        db.submit(
-            &alice,
-            pdgeqrf_eval(5, 0.0, 8, "haswell").outcome(EvalOutcome::Failed {
-                reason: "OOM".into(),
-            }),
-        )
-        .unwrap();
-        let best = db
-            .best_configurations(&alice, &QuerySpec::all_of("PDGEQRF"), "runtime", 2)
-            .unwrap();
-        assert_eq!(best.len(), 2);
-        assert_eq!(best[0].1, 1.0);
-        assert_eq!(best[1].1, 2.0);
-        // Unknown output name: empty.
-        let none = db
-            .best_configurations(&alice, &QuerySpec::all_of("PDGEQRF"), "memory", 2)
-            .unwrap();
-        assert!(none.is_empty());
-    }
-
-    #[test]
     fn text_filter_composes_with_configuration() {
         let (db, alice, _) = setup();
         for m in [1000i64, 5000, 10000, 20000] {
@@ -921,7 +719,9 @@ mod tests {
         // One success fully closes and resets.
         b.on_success();
         assert!(b.allow(20_001));
-        assert_eq!(b.consecutive_failures(), 0);
+        // The failure count restarted: one overload is below the threshold.
+        assert_eq!(b.on_overload(30_000, 0), 0);
+        assert_eq!(b.opens(), 1);
     }
 
     #[test]
@@ -941,32 +741,5 @@ mod tests {
         assert_eq!(waits, vec![10, 20, 40, 40, 40]);
         // Re-tripping while already open counts as one open, not five.
         assert_eq!(b.opens(), 1);
-    }
-
-    #[test]
-    fn submit_guarded_refuses_locally_while_open() {
-        let (db, alice, _) = setup();
-        let mut b = CircuitBreaker::new(Backoff::default(), 1);
-        b.on_overload(0, 50);
-        let before = db.query_public(&QuerySpec::all_of("PDGEQRF")).len();
-        let err = db
-            .submit_guarded(&alice, pdgeqrf_eval(1, 1.0, 8, "haswell"), &mut b, 10_000)
-            .unwrap_err();
-        match err {
-            DbError::Store(StoreError::Overloaded { retry_after_ms }) => {
-                assert_eq!(retry_after_ms, 40)
-            }
-            other => panic!("expected local Overloaded, got {other}"),
-        }
-        // The refused submit never reached the store.
-        assert_eq!(db.query_public(&QuerySpec::all_of("PDGEQRF")).len(), before);
-        // After the cooldown the request flows and the breaker closes.
-        db.submit_guarded(&alice, pdgeqrf_eval(1, 1.0, 8, "haswell"), &mut b, 50_000)
-            .unwrap();
-        assert_eq!(b.consecutive_failures(), 0);
-        assert_eq!(
-            db.query_public(&QuerySpec::all_of("PDGEQRF")).len(),
-            before + 1
-        );
     }
 }

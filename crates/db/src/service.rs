@@ -422,7 +422,7 @@ impl CrowdService {
     }
 
     /// [`CrowdService::delete_owned`] under an explicit request context.
-    pub fn delete_owned_ctx(
+    fn delete_owned_ctx(
         &self,
         owner: &str,
         filter: &Filter,
@@ -554,7 +554,7 @@ impl CrowdService {
 
     /// [`CrowdService::query_counted`] under an explicit request context:
     /// per-shard cache/scan stages plus one end-to-end `op` stage.
-    pub fn query_counted_ctx(
+    fn query_counted_ctx(
         &self,
         filter: &Filter,
         user: Option<&str>,
@@ -1048,7 +1048,14 @@ mod tests {
         let dir = temp_dir("svc_roundtrip");
         {
             let (svc, report) = CrowdService::open_durable(&dir, ServiceConfig::default()).unwrap();
-            assert!(!report.recovered_anything());
+            assert_eq!(
+                (
+                    report.snapshot_docs,
+                    report.snapshot_blobs,
+                    report.wal_records
+                ),
+                (0, 0, 0)
+            );
             for i in 0..8 {
                 svc.insert(eval(&format!("P{}", i % 4), "alice", i))
                     .unwrap();

@@ -96,19 +96,10 @@ pub struct RecoveryReport {
     pub torn: bool,
 }
 
-impl RecoveryReport {
-    /// True when recovery found anything to restore.
-    pub fn recovered_anything(&self) -> bool {
-        self.snapshot_docs > 0 || self.snapshot_blobs > 0 || self.wal_records > 0
-    }
-}
-
-/// Durability knobs for a durable [`crate::CrowdService`].
+/// Durability knobs for a durable [`crate::CrowdService`]. Every commit
+/// is fsynced before it is acknowledged; no knob turns that off.
 #[derive(Debug, Clone)]
 pub struct WalConfig {
-    /// fsync the log after every commit (the crash-safety guarantee;
-    /// disable only for throughput experiments).
-    pub sync_every_append: bool,
     /// Compact automatically after this many appended records
     /// (0 disables auto-compaction).
     pub compact_every: u64,
@@ -137,7 +128,6 @@ pub struct WalConfig {
 impl Default for WalConfig {
     fn default() -> Self {
         WalConfig {
-            sync_every_append: true,
             compact_every: 1024,
             group_commit: true,
             group_window_us: 0,
@@ -216,7 +206,6 @@ pub(crate) struct WalAppender {
     fsyncs: AtomicU64,
     fsync_batched: AtomicU64,
     records_since_compact: AtomicU64,
-    sync_every_append: bool,
     group_commit: bool,
     window: std::time::Duration,
     follower_timeout: std::time::Duration,
@@ -246,7 +235,6 @@ impl WalAppender {
             fsyncs: AtomicU64::new(0),
             fsync_batched: AtomicU64::new(0),
             records_since_compact: AtomicU64::new(0),
-            sync_every_append: config.sync_every_append,
             group_commit: config.group_commit,
             window: std::time::Duration::from_micros(config.group_window_us),
             follower_timeout: std::time::Duration::from_micros(config.follower_wait_timeout_us),
@@ -276,11 +264,9 @@ impl WalAppender {
         if !self.group_commit {
             let mut file = lock(&self.file);
             file.write_all(framed)?;
-            if self.sync_every_append {
-                file.sync_all()?;
-                self.fsyncs.fetch_add(1, Ordering::Relaxed);
-                obs::count(obs::names::CTR_WAL_FSYNCS, 1);
-            }
+            file.sync_all()?;
+            self.fsyncs.fetch_add(1, Ordering::Relaxed);
+            obs::count(obs::names::CTR_WAL_FSYNCS, 1);
             return Ok(0);
         }
         let mut g = lock(&self.group);
@@ -367,13 +353,7 @@ impl WalAppender {
                 let fsync_start = if timed { obs::now_ns() } else { 0 };
                 let flushed = {
                     let mut file = lock(&self.file);
-                    file.write_all(&batch).and_then(|()| {
-                        if self.sync_every_append {
-                            file.sync_all()
-                        } else {
-                            Ok(())
-                        }
-                    })
+                    file.write_all(&batch).and_then(|()| file.sync_all())
                 };
                 outcome.leader = true;
                 outcome.fsync_start_ns = fsync_start;
@@ -391,10 +371,8 @@ impl WalAppender {
                             g.flushes.pop_front();
                         }
                         let n = upto - from;
-                        if self.sync_every_append {
-                            self.fsyncs.fetch_add(1, Ordering::Relaxed);
-                            obs::count(obs::names::CTR_WAL_FSYNCS, 1);
-                        }
+                        self.fsyncs.fetch_add(1, Ordering::Relaxed);
+                        obs::count(obs::names::CTR_WAL_FSYNCS, 1);
                         if n > 1 {
                             self.fsync_batched.fetch_add(n - 1, Ordering::Relaxed);
                             obs::count(obs::names::CTR_WAL_FSYNC_BATCHED, n - 1);

@@ -71,11 +71,6 @@ impl CalibrationTracker {
         self.points
     }
 
-    /// Points that fell inside the 90% predictive interval.
-    pub fn inside90(&self) -> u64 {
-        self.inside90
-    }
-
     /// Empirical 90%-interval coverage, `None` before any point.
     pub fn coverage90(&self) -> Option<f64> {
         (self.points > 0).then(|| self.inside90 as f64 / self.points as f64)
@@ -122,7 +117,7 @@ mod tests {
         // Far outside.
         t.record(&pred(0.0, 1.0), 10.0);
         assert_eq!(t.points(), 3);
-        assert_eq!(t.inside90(), 2);
+        assert_eq!(t.inside90, 2);
         assert!((t.coverage90().unwrap() - 2.0 / 3.0).abs() < 1e-12);
     }
 
@@ -149,7 +144,7 @@ mod tests {
         t.record(&pred(0.0, 0.0), 1.0);
         t.record(&pred(0.0, f64::NAN), 1.0);
         assert_eq!(t.points(), 2);
-        assert_eq!(t.inside90(), 0);
+        assert_eq!(t.inside90, 0);
         assert_eq!(t.nll_pp(), Some(0.0));
     }
 }

@@ -291,8 +291,8 @@ impl Gp {
     ///
     /// Hyperparameters and the target standardization stay **frozen** at
     /// their last-fit values, so the updated model is exactly the model
-    /// a full rebuild at the current θ would produce (see
-    /// [`Gp::refit_at_current_hypers`]) up to rounding. The caller is
+    /// a full rebuild at the current θ would produce up to rounding (the
+    /// tests compare it against such a rebuild). The caller is
     /// expected to schedule genuine refits; on numerical failure of the
     /// append (jitter ladder exhausted) the model is left unchanged and
     /// the caller should fall back to a full refit.
@@ -334,8 +334,9 @@ impl Gp {
     /// Rebuild the covariance, factor, and `alpha` from scratch at the
     /// **current** hyperparameters and the current (frozen) target
     /// standardization. This is the reference the incremental append
-    /// path is equivalent to, and the fallback when an append fails.
-    pub fn refit_at_current_hypers(&mut self) -> Result<(), GpError> {
+    /// path is equivalent to.
+    #[cfg(test)]
+    pub(crate) fn refit_at_current_hypers(&mut self) -> Result<(), GpError> {
         let k = build_covariance(&self.kernel, &self.params, self.log_noise, &self.x);
         let chol = Cholesky::robust(&k).map_err(|_| GpError::NumericalFailure)?;
         self.alpha = chol.solve_vec(&self.ys);
@@ -450,11 +451,6 @@ impl Gp {
     /// The fitted log noise variance (standardized-y units).
     pub fn log_noise(&self) -> f64 {
         self.log_noise
-    }
-
-    /// Training inputs.
-    pub fn train_x(&self) -> &[Vec<f64>] {
-        &self.x
     }
 
     /// Number of training points.
@@ -1114,7 +1110,7 @@ mod tests {
     fn assert_matches_reference(gp: &Gp, linv: &Matrix, qs: &[Vec<f64>], label: &str) {
         let mut kstar = vec![0.0; gp.len()];
         let mut want = vec![0.0; gp.len()];
-        for q in qs.iter().chain(gp.train_x()) {
+        for q in qs.iter().chain(&gp.x) {
             gp.fill_kstar(q, &mut kstar);
             reference::fill_kstar(gp, q, &mut want);
             assert_eq!(

@@ -9,11 +9,12 @@
 //! - a [`RefitSchedule`] decides when to pay for a genuine refit — every
 //!   `every` updates, or earlier when the frozen model's per-point NLL
 //!   degrades past a threshold;
-//! - full refits warm-start L-BFGS from the previous θ and drop to a
-//!   reduced restart count while the warm start keeps proving
-//!   competitive. The reduction decision is computed from NLL values,
-//!   never from timing or thread count, so fixed-seed runs stay
-//!   deterministic at any parallelism.
+//! - full refits warm-start L-BFGS from the previous θ and run no random
+//!   restarts while the warm start keeps proving competitive (its
+//!   per-point NLL within `WARM_TOLERANCE` of the fresh optimum). The
+//!   reduction decision is computed from NLL values, never from timing or
+//!   thread count, so fixed-seed runs stay deterministic at any
+//!   parallelism.
 //!
 //! Every decision is journaled through `crowdtune-obs` as `refit` /
 //! `warmstart` events.
@@ -36,12 +37,12 @@ pub struct RefitSchedule {
     /// Full refit when the frozen-θ per-point NLL exceeds its value at
     /// the last full refit by more than this (raw-y units).
     pub nll_degradation: f64,
-    /// The warm start counts as competitive when the previous model's
-    /// per-point NLL is within this of the fresh multi-start optimum.
-    pub warm_tolerance: f64,
-    /// Random restarts used while the warm start is competitive.
-    pub reduced_restarts: usize,
 }
+
+/// The warm start counts as competitive when the previous model's
+/// per-point NLL is within this of the fresh multi-start optimum; the
+/// next refit then runs no random restarts.
+const WARM_TOLERANCE: f64 = 0.1;
 
 impl Default for RefitSchedule {
     fn default() -> Self {
@@ -49,8 +50,6 @@ impl Default for RefitSchedule {
             every: 16,
             min_points: 16,
             nll_degradation: 1.0,
-            warm_tolerance: 0.1,
-            reduced_restarts: 0,
         }
     }
 }
@@ -69,7 +68,7 @@ pub struct IncrementalGp {
     nll_pp_at_refit: f64,
     /// Winner θ of the last full refit, the next warm start.
     prev_theta: Option<Vec<f64>>,
-    /// Whether the next refit runs with `reduced_restarts`.
+    /// Whether the next refit runs with no random restarts.
     next_reduced: bool,
 }
 
@@ -131,7 +130,7 @@ impl IncrementalGp {
         let reduced = self.next_reduced && self.prev_theta.is_some();
         let mut config = self.config.clone();
         if reduced {
-            config.restarts = self.schedule.reduced_restarts;
+            config.restarts = 0;
         }
         let warm: Vec<Vec<f64>> = self.prev_theta.iter().cloned().collect();
         let gp = match Gp::fit_with_starts(&self.x, &self.y, &config, rng, &warm) {
@@ -164,7 +163,7 @@ impl IncrementalGp {
         // restarts. Decided from NLL values only: deterministic at any
         // thread count.
         self.next_reduced = match warm_nll_pp {
-            Some(w) => w.is_finite() && w - best_nll_pp <= self.schedule.warm_tolerance,
+            Some(w) => w.is_finite() && w - best_nll_pp <= WARM_TOLERANCE,
             None => false,
         };
         self.prev_theta = Some(gp.pack_theta(fixed_noise));
@@ -247,7 +246,6 @@ mod tests {
             every: 8,
             min_points: 1,
             nll_degradation: f64::INFINITY, // isolate the count trigger
-            ..RefitSchedule::default()
         };
         let mut inc = IncrementalGp::new(config, schedule);
         drive(&mut inc, 20, 5);
@@ -316,7 +314,6 @@ mod tests {
             every: 1_000,
             min_points: 1,
             nll_degradation: 0.0, // any worsening forces a refit
-            ..RefitSchedule::default()
         };
         let mut inc = IncrementalGp::new(config, schedule);
         let mut rng = StdRng::seed_from_u64(3);

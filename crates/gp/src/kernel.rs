@@ -196,9 +196,9 @@ impl Kernel {
 
     /// Raw (unscaled) per-dimension squared distance between two points,
     /// written into `out`. θ-independent: depends only on the points and
-    /// the dimension kinds, so it can be cached for the lifetime of a fit.
-    #[inline]
-    pub fn raw_sq_dists(&self, x: &[f64], y: &[f64], out: &mut [f64]) {
+    /// the dimension kinds. The reference `precompute_sq_dists` matches.
+    #[cfg(test)]
+    fn raw_sq_dists(&self, x: &[f64], y: &[f64], out: &mut [f64]) {
         for d in 0..self.dims.len() {
             out[d] = match self.dims[d] {
                 DimKind::Continuous => {

@@ -761,11 +761,6 @@ impl Lcm {
         self.lml
     }
 
-    /// The fitted noise variance of a task (standardized-y units).
-    pub fn task_noise_variance(&self, task: usize) -> f64 {
-        self.log_noise[task].exp()
-    }
-
     /// Number of tasks.
     pub fn n_tasks(&self) -> usize {
         self.n_tasks
@@ -774,34 +769,6 @@ impl Lcm {
     /// Total number of training samples across tasks.
     pub fn n_samples(&self) -> usize {
         self.x_all.len()
-    }
-
-    /// The fitted coregionalization matrix `B_q` for latent kernel `q`.
-    pub fn coregionalization(&self, q: usize) -> Matrix {
-        let t = self.n_tasks;
-        let mut b = Matrix::zeros(t, t);
-        for i in 0..t {
-            for j in 0..t {
-                b[(i, j)] =
-                    self.a[q][i] * self.a[q][j] + if i == j { self.kappa[q][i] } else { 0.0 };
-            }
-        }
-        b
-    }
-
-    /// The correlation between two tasks implied by the fitted model
-    /// (normalized total covariance at zero input distance).
-    pub fn task_correlation(&self, t1: usize, t2: usize) -> f64 {
-        let cov: f64 = (0..self.kernels.len())
-            .map(|q| self.a[q][t1] * self.a[q][t2] + if t1 == t2 { self.kappa[q][t1] } else { 0.0 })
-            .sum();
-        let v1: f64 = (0..self.kernels.len())
-            .map(|q| self.a[q][t1] * self.a[q][t1] + self.kappa[q][t1])
-            .sum();
-        let v2: f64 = (0..self.kernels.len())
-            .map(|q| self.a[q][t2] * self.a[q][t2] + self.kappa[q][t2])
-            .sum();
-        cov / (v1 * v2).sqrt().max(1e-300)
     }
 }
 
@@ -1013,6 +980,28 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// The fitted coregionalization matrix `B_q = a_q a_qᵀ + diag(κ_q)`.
+    fn coregionalization(lcm: &Lcm, q: usize) -> Matrix {
+        let t = lcm.n_tasks;
+        let mut b = Matrix::zeros(t, t);
+        for i in 0..t {
+            for j in 0..t {
+                b[(i, j)] = lcm.a[q][i] * lcm.a[q][j] + if i == j { lcm.kappa[q][i] } else { 0.0 };
+            }
+        }
+        b
+    }
+
+    /// The correlation between two tasks implied by the fitted model
+    /// (normalized total covariance `Σ_q B_q` at zero input distance).
+    fn task_correlation(lcm: &Lcm, t1: usize, t2: usize) -> f64 {
+        let b: Vec<Matrix> = (0..lcm.kernels.len())
+            .map(|q| coregionalization(lcm, q))
+            .collect();
+        let total = |i: usize, j: usize| b.iter().map(|bq| bq[(i, j)]).sum::<f64>();
+        total(t1, t2) / (total(t1, t1) * total(t2, t2)).sqrt().max(1e-300)
+    }
+
     fn correlated_tasks(n_src: usize, n_tgt: usize, seed: u64) -> Vec<TaskData> {
         let mut rng = StdRng::seed_from_u64(seed);
         let f_src = |x: f64| (4.0 * x).sin() * 2.0 + 1.0;
@@ -1102,9 +1091,9 @@ mod tests {
         let tasks = correlated_tasks(40, 10, 5);
         let mut rng = StdRng::seed_from_u64(6);
         let lcm = Lcm::fit(&tasks, &LcmConfig::continuous(1), &mut rng).unwrap();
-        let corr = lcm.task_correlation(0, 1);
+        let corr = task_correlation(&lcm, 0, 1);
         assert!(corr > 0.5, "correlation {corr}");
-        assert!((lcm.task_correlation(0, 0) - 1.0).abs() < 1e-9);
+        assert!((task_correlation(&lcm, 0, 0) - 1.0).abs() < 1e-9);
     }
 
     #[test]
@@ -1379,7 +1368,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(18);
         let lcm = Lcm::fit(&tasks, &LcmConfig::continuous(1), &mut rng).unwrap();
         for q in 0..2 {
-            let b = lcm.coregionalization(q);
+            let b = coregionalization(&lcm, q);
             // B = a a^T + diag(kappa) with kappa > 0 is PD by construction;
             // verify via Cholesky.
             assert!(Cholesky::robust(&b).is_ok(), "B_{q} not PSD");

@@ -480,7 +480,7 @@ impl SparseGp {
     /// Rebuild the Nyström factors from the stored training set at the
     /// current θ, inducing set, and standardization — the reference the
     /// frozen-set [`SparseGp::update`] path must agree with (up to
-    /// rounding), mirroring [`Gp::refit_at_current_hypers`].
+    /// rounding).
     pub fn refit_at_current_inducing(&mut self) -> Result<(), GpError> {
         let f = assemble_nystrom(
             &self.kernel,
@@ -510,11 +510,6 @@ impl SparseGp {
     /// Training-set indices of the inducing points, ascending.
     pub fn inducing_indices(&self) -> &[usize] {
         &self.inducing
-    }
-
-    /// The inducing inputs.
-    pub fn inducing_inputs(&self) -> &[Vec<f64>] {
-        &self.z
     }
 
     /// Number of inducing points `m`.
@@ -820,7 +815,6 @@ mod tests {
             every: 8,
             min_points: 1,
             nll_degradation: f64::INFINITY,
-            ..RefitSchedule::default()
         };
         let mut inc = IncrementalSparseGp::new(cfg, schedule);
         let mut rng = StdRng::seed_from_u64(3);

@@ -169,22 +169,6 @@ impl Cholesky {
         y
     }
 
-    /// Solve `L Y = B` only (forward substitution, column by column),
-    /// column-parallel for large systems. Column `c` of the result is
-    /// bitwise identical to `solve_lower_vec` applied to column `c`
-    /// of `b`.
-    pub fn solve_lower_matrix(&self, b: &Matrix) -> Matrix {
-        assert_eq!(b.rows(), self.dim());
-        let n = b.rows();
-        let m = b.cols();
-        let solve_col = |c: usize| -> Vec<f64> {
-            let mut col: Vec<f64> = (0..n).map(|r| b[(r, c)]).collect();
-            solve_lower_in_place(&self.l, &mut col);
-            col
-        };
-        self.assemble_columns(m, solve_col, n * n * m)
-    }
-
     /// The log-determinant of `A`: `2 * sum(log(L_ii))`.
     pub fn log_det(&self) -> f64 {
         (0..self.dim()).map(|i| self.l[(i, i)].ln()).sum::<f64>() * 2.0
@@ -592,7 +576,7 @@ pub fn extend_inverse_lower(linv: &Matrix, l21: &[f64], lambda: f64) -> Matrix {
 }
 
 /// Solve `L y = b` in place for lower-triangular `L`.
-pub fn solve_lower_in_place(l: &Matrix, b: &mut [f64]) {
+fn solve_lower_in_place(l: &Matrix, b: &mut [f64]) {
     let n = l.rows();
     assert_eq!(b.len(), n);
     for i in 0..n {
@@ -606,7 +590,7 @@ pub fn solve_lower_in_place(l: &Matrix, b: &mut [f64]) {
 }
 
 /// Solve `L^T y = b` in place for lower-triangular `L`.
-pub fn solve_lower_transpose_in_place(l: &Matrix, b: &mut [f64]) {
+fn solve_lower_transpose_in_place(l: &Matrix, b: &mut [f64]) {
     let n = l.rows();
     assert_eq!(b.len(), n);
     for i in (0..n).rev() {
@@ -902,22 +886,6 @@ mod tests {
                 for j in 0..i {
                     assert_eq!(inv[(i, j)].to_bits(), inv[(j, i)].to_bits());
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn solve_lower_matrix_matches_vec() {
-        let a = spd_3x3();
-        let ch = Cholesky::new(&a).unwrap();
-        let b = Matrix::from_rows(&[&[1.0, 4.0], &[-2.0, 5.0], &[0.25, -6.0]]);
-        let ym = ch.solve_lower_matrix(&b);
-        for c in 0..2 {
-            let col: Vec<f64> = (0..3).map(|r| b[(r, c)]).collect();
-            let yv = ch.solve_lower_vec(&col);
-            for r in 0..3 {
-                // Bitwise: same substitutions in the same order.
-                assert_eq!(ym[(r, c)], yv[r]);
             }
         }
     }

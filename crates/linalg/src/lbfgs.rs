@@ -36,22 +36,20 @@ pub struct LbfgsOptions {
     pub max_iter: usize,
     /// History size (number of stored curvature pairs).
     pub history: usize,
-    /// Stop when the infinity norm of the gradient drops below this.
-    pub grad_tol: f64,
-    /// Stop when the relative objective decrease drops below this.
-    pub f_tol: f64,
-    /// Maximum line-search halvings per iteration.
-    pub max_ls_steps: usize,
 }
+
+/// Stop when the infinity norm of the gradient drops below this.
+const GRAD_TOL: f64 = 1e-6;
+/// Stop when the relative objective decrease drops below this.
+const F_TOL: f64 = 1e-10;
+/// Maximum probes per line-search phase (bracketing, then zoom).
+const MAX_LS_STEPS: usize = 30;
 
 impl Default for LbfgsOptions {
     fn default() -> Self {
         LbfgsOptions {
             max_iter: 100,
             history: 8,
-            grad_tol: 1e-6,
-            f_tol: 1e-10,
-            max_ls_steps: 30,
         }
     }
 }
@@ -150,9 +148,9 @@ impl Bounds {
 /// Why the optimizer stopped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StopReason {
-    /// Gradient norm under `grad_tol`.
+    /// Gradient norm under `GRAD_TOL` (1e-6).
     GradientSmall,
-    /// Relative objective decrease under `f_tol`.
+    /// Relative objective decrease under `F_TOL` (1e-10).
     ObjectiveStalled,
     /// Line search failed to find any decrease.
     LineSearchFailed,
@@ -250,7 +248,7 @@ pub fn lbfgs<G: FnOnce() -> Vec<f64>>(
             None => gx.clone(),
         };
         let gnorm = pg.iter().fold(0.0f64, |a, &g| a.max(g.abs()));
-        if gnorm < opts.grad_tol {
+        if gnorm < GRAD_TOL {
             stop = StopReason::GradientSmall;
             break;
         }
@@ -307,9 +305,7 @@ pub fn lbfgs<G: FnOnce() -> Vec<f64>>(
         // new (s, y) pair has s·y > 0 and carries real curvature
         // information — an Armijo-only search freezes the Hessian
         // approximation on valley-shaped objectives.
-        let Some((x_new, f_new, g_new)) =
-            wolfe_search(&x, fx, dg, &d, &mut f, opts.max_ls_steps, bounds)
-        else {
+        let Some((x_new, f_new, g_new)) = wolfe_search(&x, fx, dg, &d, &mut f, bounds) else {
             // Surface the failure instead of swallowing it: callers treat a
             // line-search abort as a normal (weaker) convergence outcome, but
             // a high rate signals ill-conditioned likelihood surfaces. The
@@ -338,7 +334,7 @@ pub fn lbfgs<G: FnOnce() -> Vec<f64>>(
         x = x_new.clone();
         fx = f_new;
         gx = g_new;
-        if rel_dec >= 0.0 && rel_dec < opts.f_tol {
+        if (0.0..F_TOL).contains(&rel_dec) {
             stall_count += 1;
             if stall_count >= 5 {
                 stop = StopReason::ObjectiveStalled;
@@ -374,7 +370,6 @@ fn wolfe_search<G: FnOnce() -> Vec<f64>>(
     dg0: f64,
     d: &[f64],
     f: &mut impl FnMut(&[f64]) -> (f64, G),
-    max_steps: usize,
     bounds: Option<&Bounds>,
 ) -> Option<(Vec<f64>, f64, Vec<f64>)> {
     const C1: f64 = 1e-4;
@@ -409,7 +404,7 @@ fn wolfe_search<G: FnOnce() -> Vec<f64>>(
     let mut f_lo = f0;
     let mut best: Option<(Vec<f64>, f64, Vec<f64>)> = None;
 
-    for i in 0..max_steps {
+    for i in 0..MAX_LS_STEPS {
         let (xt, ft, grad) = probe(t);
         let armijo_fail = !ft.is_finite() || ft > f0 + C1 * t * dg0 || (i > 0 && ft >= f_prev);
         if armijo_fail {
@@ -438,7 +433,7 @@ fn wolfe_search<G: FnOnce() -> Vec<f64>>(
 
     let (mut lo, mut hi) = bracket?;
     // Zoom by bisection.
-    for _ in 0..max_steps {
+    for _ in 0..MAX_LS_STEPS {
         let tm = 0.5 * (lo + hi);
         let (xt, ft, grad) = probe(tm);
         if !ft.is_finite() || ft > f0 + C1 * tm * dg0 || ft >= f_lo {
@@ -553,7 +548,7 @@ mod tests {
                     _ => gx[i],
                 })
                 .collect();
-            if pg.iter().fold(0.0f64, |a, &g| a.max(g.abs())) < opts.grad_tol {
+            if pg.iter().fold(0.0f64, |a, &g| a.max(g.abs())) < GRAD_TOL {
                 stop = StopReason::GradientSmall;
                 break;
             }
@@ -599,7 +594,7 @@ mod tests {
                 rho_hist.clear();
             }
 
-            let search = wolfe_eager_reference(&x, fx, dg0, &d, &mut f, opts, bounds, &mut read);
+            let search = wolfe_eager_reference(&x, fx, dg0, &d, &mut f, bounds, &mut read);
             let Some((x_new, f_new, g_new)) = search else {
                 stop = StopReason::LineSearchFailed;
                 break;
@@ -620,7 +615,7 @@ mod tests {
             }
             let rel_dec = (fx - f_new) / fx.abs().max(1.0);
             (x, fx, gx) = (x_new, f_new, g_new);
-            if rel_dec >= 0.0 && rel_dec < opts.f_tol {
+            if (0.0..F_TOL).contains(&rel_dec) {
                 stall_count += 1;
                 if stall_count >= 5 {
                     stop = StopReason::ObjectiveStalled;
@@ -635,14 +630,12 @@ mod tests {
 
     /// The strong-Wolfe search of [`lbfgs_eager_reference`], every probe
     /// with its gradient; marks in `read` each probe that passes Armijo.
-    #[allow(clippy::too_many_arguments)]
     fn wolfe_eager_reference(
         x: &[f64],
         f0: f64,
         dg0: f64,
         d: &[f64],
         f: &mut impl FnMut(&[f64]) -> (f64, Vec<f64>),
-        opts: &LbfgsOptions,
         bounds: Option<&Bounds>,
         read: &mut Vec<bool>,
     ) -> Option<(Vec<f64>, f64, Vec<f64>)> {
@@ -664,7 +657,7 @@ mod tests {
         };
         let (mut t_prev, mut f_prev, mut t) = (0.0, f0, t_max.min(1.0));
         let (mut bracket, mut f_lo, mut best) = (None, f0, None);
-        for i in 0..opts.max_ls_steps {
+        for i in 0..MAX_LS_STEPS {
             let (xt, ft, gt, dgt) = probe(t, read);
             if !ft.is_finite() || ft > f0 + C1 * t * dg0 || (i > 0 && ft >= f_prev) {
                 bracket = Some((t_prev, t));
@@ -690,7 +683,7 @@ mod tests {
             t = t_max.min(t * 2.0);
         }
         let (mut lo, mut hi) = bracket?;
-        for _ in 0..opts.max_ls_steps {
+        for _ in 0..MAX_LS_STEPS {
             let tm = 0.5 * (lo + hi);
             let (xt, ft, gt, dgt) = probe(tm, read);
             if !ft.is_finite() || ft > f0 + C1 * tm * dg0 || ft >= f_lo {

@@ -80,15 +80,6 @@ impl Matrix {
         Matrix { rows, cols, data }
     }
 
-    /// Create a `rows x cols` matrix filled with `value`.
-    pub fn filled(rows: usize, cols: usize, value: f64) -> Self {
-        Matrix {
-            rows,
-            cols,
-            data: vec![value; rows * cols],
-        }
-    }
-
     /// The `n x n` identity matrix.
     pub fn identity(n: usize) -> Self {
         let mut m = Matrix::zeros(n, n);
@@ -114,8 +105,9 @@ impl Matrix {
         Matrix { rows, cols, data }
     }
 
-    /// Build a matrix from nested row slices (convenient in tests).
-    pub fn from_rows(rows: &[&[f64]]) -> Self {
+    /// Build a matrix from nested row slices.
+    #[cfg(test)]
+    pub(crate) fn from_rows(rows: &[&[f64]]) -> Self {
         let r = rows.len();
         let c = if r == 0 { 0 } else { rows[0].len() };
         let mut data = Vec::with_capacity(r * c);
@@ -141,15 +133,6 @@ impl Matrix {
         m
     }
 
-    /// A column vector (n x 1) from a slice.
-    pub fn col_vector(v: &[f64]) -> Self {
-        Matrix {
-            rows: v.len(),
-            cols: 1,
-            data: v.to_vec(),
-        }
-    }
-
     /// Number of rows.
     #[inline]
     pub fn rows(&self) -> usize {
@@ -172,12 +155,6 @@ impl Matrix {
     #[inline]
     pub fn as_slice(&self) -> &[f64] {
         &self.data
-    }
-
-    /// Mutably borrow the raw row-major data.
-    #[inline]
-    pub fn as_mut_slice(&mut self) -> &mut [f64] {
-        &mut self.data
     }
 
     /// Borrow row `r` as a slice.
@@ -290,7 +267,7 @@ impl Matrix {
     }
 
     /// Serial reference matvec.
-    pub fn matvec_serial(&self, v: &[f64]) -> Vec<f64> {
+    fn matvec_serial(&self, v: &[f64]) -> Vec<f64> {
         assert_eq!(self.cols, v.len(), "matvec dimension mismatch");
         let mut out = vec![0.0; self.rows];
         for (i, o) in out.iter_mut().enumerate() {
@@ -329,7 +306,7 @@ impl Matrix {
     }
 
     /// Serial reference transposed matvec.
-    pub fn tr_matvec_serial(&self, v: &[f64]) -> Vec<f64> {
+    fn tr_matvec_serial(&self, v: &[f64]) -> Vec<f64> {
         assert_eq!(self.rows, v.len(), "tr_matvec dimension mismatch");
         let mut out = vec![0.0; self.cols];
         for (i, &vi) in v.iter().enumerate() {
@@ -391,7 +368,7 @@ impl Matrix {
     }
 
     /// Serial reference gram.
-    pub fn gram_serial(&self) -> Matrix {
+    fn gram_serial(&self) -> Matrix {
         let n = self.cols;
         let mut g = Matrix::zeros(n, n);
         for r in 0..self.rows {
@@ -414,21 +391,6 @@ impl Matrix {
         g
     }
 
-    /// Scale every entry in place.
-    pub fn scale_mut(&mut self, s: f64) {
-        for x in &mut self.data {
-            *x *= s;
-        }
-    }
-
-    /// `self += s * other`, the matrix AXPY.
-    pub fn axpy_mut(&mut self, s: f64, other: &Matrix) {
-        assert_eq!((self.rows, self.cols), (other.rows, other.cols));
-        for (a, &b) in self.data.iter_mut().zip(other.data.iter()) {
-            *a += s * b;
-        }
-    }
-
     /// Sum of the diagonal entries.
     pub fn trace(&self) -> f64 {
         assert!(self.is_square(), "trace of a non-square matrix");
@@ -448,23 +410,6 @@ impl Matrix {
             .zip(other.data.iter())
             .map(|(a, b)| (a - b).abs())
             .fold(0.0, f64::max)
-    }
-
-    /// Extract the square submatrix of the listed row/col indices (used to
-    /// form per-task blocks of multitask covariance matrices).
-    pub fn select(&self, row_idx: &[usize], col_idx: &[usize]) -> Matrix {
-        let mut out = Matrix::zeros(row_idx.len(), col_idx.len());
-        for (oi, &ri) in row_idx.iter().enumerate() {
-            for (oj, &ci) in col_idx.iter().enumerate() {
-                out[(oi, oj)] = self[(ri, ci)];
-            }
-        }
-        out
-    }
-
-    /// True if any entry is NaN or infinite.
-    pub fn has_non_finite(&self) -> bool {
-        self.data.iter().any(|x| !x.is_finite())
     }
 
     /// Symmetrize in place: `self = (self + self^T) / 2`.
@@ -607,21 +552,6 @@ pub fn norm2_sq(a: &[f64]) -> f64 {
     dot(a, a)
 }
 
-/// Euclidean norm.
-#[inline]
-pub fn norm2(a: &[f64]) -> f64 {
-    norm2_sq(a).sqrt()
-}
-
-/// `y += alpha * x` on slices.
-#[inline]
-pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
-    debug_assert_eq!(x.len(), y.len());
-    for (yi, &xi) in y.iter_mut().zip(x.iter()) {
-        *yi += alpha * xi;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -723,34 +653,10 @@ mod tests {
     }
 
     #[test]
-    fn select_submatrix() {
-        let m = Matrix::from_fn(4, 4, |r, c| (r * 4 + c) as f64);
-        let s = m.select(&[0, 2], &[1, 3]);
-        assert_eq!(s, Matrix::from_rows(&[&[1.0, 3.0], &[9.0, 11.0]]));
-    }
-
-    #[test]
     fn symmetrize() {
         let mut m = Matrix::from_rows(&[&[1.0, 2.0], &[4.0, 3.0]]);
         m.symmetrize_mut();
         assert_eq!(m[(0, 1)], 3.0);
         assert_eq!(m[(1, 0)], 3.0);
-    }
-
-    #[test]
-    fn axpy_mut_and_trace() {
-        let mut a = Matrix::identity(2);
-        let b = Matrix::filled(2, 2, 1.0);
-        a.axpy_mut(2.0, &b);
-        assert_eq!(a.trace(), 6.0);
-        assert_eq!(a[(0, 1)], 2.0);
-    }
-
-    #[test]
-    fn non_finite_detection() {
-        let mut a = Matrix::zeros(2, 2);
-        assert!(!a.has_non_finite());
-        a[(1, 1)] = f64::NAN;
-        assert!(a.has_non_finite());
     }
 }

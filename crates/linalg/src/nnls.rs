@@ -11,41 +11,19 @@
 use crate::matrix::Matrix;
 use crate::qr::lstsq;
 
-/// Options for the NNLS solver.
-#[derive(Debug, Clone)]
-pub struct NnlsOptions {
-    /// Maximum outer iterations; the default `3 * n` matches common practice.
-    pub max_iter: usize,
-    /// Tolerance on the dual vector for declaring optimality.
-    pub tol: f64,
-}
-
-impl Default for NnlsOptions {
-    fn default() -> Self {
-        NnlsOptions {
-            max_iter: 0,
-            tol: 1e-10,
-        }
-    }
-}
+/// Tolerance on the dual vector for declaring optimality; coordinates at
+/// or below it are clipped to zero.
+const TOL: f64 = 1e-10;
 
 /// Solve `min ||A x - b||_2 subject to x >= 0`.
 ///
 /// Returns the solution vector; always well-defined (falls back to the zero
 /// vector when no positive coordinate improves the fit).
 pub fn nnls(a: &Matrix, b: &[f64]) -> Vec<f64> {
-    nnls_with(a, b, &NnlsOptions::default())
-}
-
-/// [`nnls`] with explicit options.
-pub fn nnls_with(a: &Matrix, b: &[f64], opts: &NnlsOptions) -> Vec<f64> {
     let (m, n) = (a.rows(), a.cols());
     assert_eq!(b.len(), m, "rhs length mismatch");
-    let max_iter = if opts.max_iter == 0 {
-        3 * n.max(1) * 10
-    } else {
-        opts.max_iter
-    };
+    // Ten times the customary `3 n` outer iterations.
+    let max_iter = 3 * n.max(1) * 10;
 
     let mut x = vec![0.0; n];
     let mut passive: Vec<bool> = vec![false; n];
@@ -57,7 +35,7 @@ pub fn nnls_with(a: &Matrix, b: &[f64], opts: &NnlsOptions) -> Vec<f64> {
         let w = a.tr_matvec(&residual);
         let mut best = None;
         for j in 0..n {
-            if !passive[j] && w[j] > opts.tol {
+            if !passive[j] && w[j] > TOL {
                 match best {
                     Some((_, wv)) if wv >= w[j] => {}
                     _ => best = Some((j, w[j])),
@@ -96,7 +74,7 @@ pub fn nnls_with(a: &Matrix, b: &[f64], opts: &NnlsOptions) -> Vec<f64> {
             }
             for (k, &j) in pset.iter().enumerate() {
                 x[j] += alpha * (z[k] - x[j]);
-                if x[j] <= opts.tol {
+                if x[j] <= TOL {
                     x[j] = 0.0;
                     passive[j] = false;
                 }

@@ -123,7 +123,7 @@ impl Qr {
     }
 
     /// Solve the least squares problem `min ||A x - b||_2`.
-    pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>, QrError> {
+    fn solve(&self, b: &[f64]) -> Result<Vec<f64>, QrError> {
         let (m, n) = (self.qr.rows(), self.qr.cols());
         assert_eq!(b.len(), m, "rhs length mismatch");
         let mut y = b.to_vec();

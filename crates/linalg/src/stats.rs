@@ -1,6 +1,6 @@
 //! Scalar statistics used across the tuner: moments, quantiles, the
-//! standard normal pdf/cdf (needed by Expected Improvement), and bootstrap
-//! resampling (needed for Sobol-index confidence intervals).
+//! standard normal pdf/cdf (needed by Expected Improvement), and a
+//! streaming mean/variance accumulator.
 
 /// Arithmetic mean; 0.0 for an empty slice.
 pub fn mean(xs: &[f64]) -> f64 {
@@ -20,7 +20,8 @@ pub fn variance(xs: &[f64]) -> f64 {
 }
 
 /// Sample variance (divides by n-1); 0.0 for fewer than 2 elements.
-pub fn sample_variance(xs: &[f64]) -> f64 {
+#[cfg(test)]
+fn sample_variance(xs: &[f64]) -> f64 {
     if xs.len() < 2 {
         return 0.0;
     }
@@ -86,7 +87,7 @@ pub fn normal_cdf(z: f64) -> f64 {
 
 /// Error function, Abramowitz & Stegun 7.1.26 rational approximation
 /// (max absolute error 1.5e-7, ample for acquisition functions).
-pub fn erf(x: f64) -> f64 {
+fn erf(x: f64) -> f64 {
     let sign = if x < 0.0 { -1.0 } else { 1.0 };
     let x = x.abs();
     let t = 1.0 / (1.0 + 0.327_591_1 * x);
@@ -96,32 +97,6 @@ pub fn erf(x: f64) -> f64 {
             * t
             * (-x * x).exp();
     sign * y
-}
-
-/// Percentile bootstrap confidence half-width for the mean of `xs`.
-///
-/// Draws `n_boot` resamples using the caller-provided index source (a
-/// closure returning a uniform index, so the crate stays RNG-free) and
-/// returns `z * std(resample means)` — the symmetric normal-approximation
-/// half width SALib reports for Sobol indices (`z = 1.96` for 95%).
-pub fn bootstrap_ci_half_width(
-    xs: &[f64],
-    n_boot: usize,
-    z: f64,
-    mut uniform_index: impl FnMut(usize) -> usize,
-) -> f64 {
-    if xs.len() < 2 || n_boot == 0 {
-        return 0.0;
-    }
-    let mut means = Vec::with_capacity(n_boot);
-    for _ in 0..n_boot {
-        let mut s = 0.0;
-        for _ in 0..xs.len() {
-            s += xs[uniform_index(xs.len())];
-        }
-        means.push(s / xs.len() as f64);
-    }
-    z * std_dev(&means)
 }
 
 /// Welford online mean/variance accumulator — handy for streaming
@@ -236,33 +211,5 @@ mod tests {
         assert_eq!(rs.count(), xs.len() as u64);
         assert!((rs.mean() - mean(&xs)).abs() < 1e-12);
         assert!((rs.variance() - sample_variance(&xs)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn bootstrap_zero_for_constant_data() {
-        let xs = [2.0; 16];
-        let mut state = 12345u64;
-        let hw = bootstrap_ci_half_width(&xs, 50, 1.96, |n| {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            (state >> 33) as usize % n
-        });
-        assert_eq!(hw, 0.0);
-    }
-
-    #[test]
-    fn bootstrap_positive_for_varying_data() {
-        let xs: Vec<f64> = (0..32).map(|i| i as f64).collect();
-        let mut state = 99u64;
-        let hw = bootstrap_ci_half_width(&xs, 200, 1.96, |n| {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            (state >> 33) as usize % n
-        });
-        assert!(hw > 0.0);
-        // Should be in the rough vicinity of 1.96 * sigma / sqrt(n).
-        let expect = 1.96 * std_dev(&xs) / (xs.len() as f64).sqrt();
-        assert!(
-            hw > expect * 0.5 && hw < expect * 2.0,
-            "hw = {hw}, expect ~{expect}"
-        );
     }
 }

@@ -40,21 +40,21 @@ pub use journal::{
     record_with, uninstall_journal, Event, Journal, JournalError,
 };
 pub use metrics::{
-    count, counter, counter_value, histogram, metrics_enabled, observe, reset_metrics,
-    set_metrics_enabled, snapshot, Counter, Histogram, HistogramSummary, MetricsSnapshot,
+    count, counter, metrics_enabled, observe, reset_metrics, set_metrics_enabled, snapshot,
+    Counter, Histogram, HistogramSummary, MetricsSnapshot,
 };
 pub use report::{
-    profile_depth, render_profile, render_quality, render_report, summarize, worst_contributor,
+    render_profile, render_quality, render_report, summarize, worst_contributor,
     ContributorQuality, FitEvalSummary, JournalReport, StageSummary, WarmstartSummary,
 };
-pub use scope::{scope_active, scope_begin, scope_count, scope_end, ScopeStats};
+pub use scope::{scope_active, scope_begin, scope_end, ScopeStats};
 pub use slo::{
     evaluate_slos, parse_slo_file, render_slo_report, SloFile, SloObjective, SloOutcome, SloReport,
     SloWindows, WindowBurn,
 };
-pub use span::{current_span, span, SpanGuard};
+pub use span::{span, SpanGuard};
 pub use trace::{
-    configure_tracing, drain_traces, now_ns, read_trace_journal, reset_traces, set_ring_capacity,
-    set_tracing_enabled, tracing_enabled, write_trace_journal, OpKind, RequestCtx, TraceConfig,
-    TraceJournal, TraceRecord, TraceStage, NO_SHARD,
+    configure_tracing, drain_traces, now_ns, read_trace_journal, reset_traces, set_tracing_enabled,
+    write_trace_journal, OpKind, RequestCtx, TraceConfig, TraceJournal, TraceRecord, TraceStage,
+    NO_SHARD,
 };

@@ -288,7 +288,7 @@ pub fn counter(name: &'static str) -> &'static Counter {
 }
 
 /// Returns (registering on first use) the histogram named `name`.
-pub fn histogram(name: &'static str) -> &'static Histogram {
+fn histogram(name: &'static str) -> &'static Histogram {
     register_histogram(name, false)
 }
 
@@ -332,15 +332,6 @@ pub(crate) fn observe_span(name: &'static str, ns: u64) {
         return;
     }
     register_histogram(name, true).record(ns);
-}
-
-/// Current total of the counter named `name` (0 if never registered).
-pub fn counter_value(name: &'static str) -> u64 {
-    registry()
-        .counters
-        .read()
-        .get(name)
-        .map_or(0, |c| c.value())
 }
 
 /// Point-in-time export of every registered counter and histogram.

@@ -219,7 +219,7 @@ pub struct FitEvalSummary {
 impl FitEvalSummary {
     /// Mean wall-clock microseconds per likelihood evaluation (fit time
     /// divided by evaluations, so it includes the per-fit setup).
-    pub fn us_per_evaluation(&self) -> Option<f64> {
+    fn us_per_evaluation(&self) -> Option<f64> {
         (self.evaluations > 0).then(|| self.duration_us as f64 / self.evaluations as f64)
     }
 }
@@ -530,7 +530,7 @@ pub fn render_profile(r: &JournalReport) -> String {
 }
 
 /// Deepest stack (number of frames) in the merged profile.
-pub fn profile_depth(r: &JournalReport) -> usize {
+fn profile_depth(r: &JournalReport) -> usize {
     r.profile
         .keys()
         .map(|p| p.split(';').count())

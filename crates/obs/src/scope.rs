@@ -62,15 +62,6 @@ pub fn scope_active() -> bool {
     ACTIVE.with(|a| a.borrow().is_some())
 }
 
-/// Adds `n` occurrences of `name` to the active scope (no-op without one).
-pub fn scope_count(name: &'static str, n: u64) {
-    ACTIVE.with(|a| {
-        if let Some(s) = a.borrow_mut().as_mut() {
-            *s.counts.entry(name).or_insert(0) += n;
-        }
-    });
-}
-
 /// Credits `ns` nanoseconds (and one occurrence) of `name` to the active
 /// scope. Called by [`crate::span::SpanGuard`] on drop.
 pub(crate) fn scope_time(name: &'static str, ns: u64) {
@@ -99,12 +90,9 @@ mod tests {
     #[test]
     fn scope_accumulates_counts_and_times() {
         scope_begin();
-        scope_count("widgets", 2);
-        scope_count("widgets", 3);
         scope_time("stage", 100);
         scope_time("stage", 50);
         let stats = scope_end().expect("scope open");
-        assert_eq!(stats.count_of("widgets"), 5);
         assert_eq!(stats.time_ns_of("stage"), 150);
         assert_eq!(stats.count_of("stage"), 2);
         assert!(scope_end().is_none());
@@ -113,9 +101,10 @@ mod tests {
     #[test]
     fn counts_without_scope_are_dropped() {
         assert!(scope_end().is_none());
-        scope_count("orphan", 1);
+        scope_time("orphan", 1);
         scope_begin();
         let stats = scope_end().unwrap();
         assert_eq!(stats.count_of("orphan"), 0);
+        assert_eq!(stats.time_ns_of("orphan"), 0);
     }
 }

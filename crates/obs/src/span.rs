@@ -39,7 +39,8 @@ pub fn span(name: &'static str) -> SpanGuard {
 }
 
 /// Name of the current thread's innermost open span, if any.
-pub fn current_span() -> Option<&'static str> {
+#[cfg(test)]
+fn current_span() -> Option<&'static str> {
     SPAN_STACK.with(|s| s.borrow().last().copied())
 }
 

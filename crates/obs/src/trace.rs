@@ -255,12 +255,6 @@ static NEXT_TRACE: AtomicU64 = AtomicU64::new(1);
 static RING_CAPACITY: AtomicUsize = AtomicUsize::new(4096);
 static BASE: OnceLock<Instant> = OnceLock::new();
 
-/// Whether request tracing is currently enabled (one relaxed load).
-#[inline]
-pub fn tracing_enabled() -> bool {
-    TRACING.load(Ordering::Relaxed)
-}
-
 /// Turn request tracing on or off process-wide.
 pub fn set_tracing_enabled(enabled: bool) {
     if enabled {
@@ -274,7 +268,7 @@ pub fn set_tracing_enabled(enabled: bool) {
 /// Set the per-thread ring capacity (slots). Applies to rings created
 /// after the call; existing rings keep their size. Clamped to
 /// `[64, 1 << 20]`.
-pub fn set_ring_capacity(slots: usize) {
+fn set_ring_capacity(slots: usize) {
     RING_CAPACITY.store(slots.clamp(64, 1 << 20), Ordering::Relaxed);
 }
 

@@ -9,18 +9,15 @@
 //! - [`sobol_indices`] — first-order (Saltelli 2010) and total-effect
 //!   (Jansen 1999) estimators with bootstrap confidence intervals,
 //!   matching SALib's `sobol.analyze` outputs.
-//! - [`morris`] — Morris elementary-effects screening (extension).
 //! - [`analyze`] — named, space-aware analysis producing the paper's
 //!   Table IV / Table V shape.
 
 #![warn(missing_docs)]
 
 pub mod analyze;
-pub mod morris;
 pub mod saltelli;
 pub mod sobol_indices;
 
 pub use analyze::{analyze_space, AnalysisConfig, NamedSobolResult};
-pub use morris::{morris_screening, MorrisParam, MorrisResult};
 pub use saltelli::{SaltelliDesign, SaltelliEvaluations};
 pub use sobol_indices::{sobol_indices, ParamSensitivity, SobolResult};

@@ -53,14 +53,6 @@ impl SobolResult {
         });
         idx
     }
-
-    /// Parameters whose total effect exceeds `threshold` — the set worth
-    /// keeping when reducing a tuning search space.
-    pub fn influential(&self, threshold: f64) -> Vec<usize> {
-        (0..self.params.len())
-            .filter(|&i| self.params[i].st > threshold)
-            .collect()
-    }
 }
 
 /// Number of bootstrap resamples used for confidence intervals.
@@ -238,9 +230,8 @@ mod tests {
         let rank = res.ranking_by_total_effect();
         assert_eq!(rank[0], 2);
         assert_eq!(rank[1], 0);
-        let infl = res.influential(0.05);
-        assert!(infl.contains(&2));
-        assert!(!infl.contains(&1));
+        assert!(res.params[2].st > 0.05);
+        assert!(res.params[1].st <= 0.05);
     }
 
     #[test]

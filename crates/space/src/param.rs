@@ -129,14 +129,6 @@ impl Value {
             _ => None,
         }
     }
-
-    /// The category index, if this is a `Cat`.
-    pub fn as_cat(&self) -> Option<usize> {
-        match self {
-            Value::Cat(v) => Some(*v),
-            _ => None,
-        }
-    }
 }
 
 impl From<i64> for Value {
@@ -197,7 +189,6 @@ mod tests {
         assert_eq!(Value::Cat(1).as_f64(), 1.0);
         assert_eq!(Value::Int(3).as_int(), Some(3));
         assert_eq!(Value::Real(1.0).as_int(), None);
-        assert_eq!(Value::Cat(4).as_cat(), Some(4));
     }
 
     #[test]

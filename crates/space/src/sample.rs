@@ -1,11 +1,10 @@
-//! Samplers over search spaces: uniform random, Latin hypercube, and
-//! Sobol'-sequence sampling.
+//! Samplers over search spaces: uniform random and Latin hypercube.
 //!
 //! The paper's source-task datasets are "randomly chosen parameter
 //! configurations" (uniform), while BO initialization typically prefers
-//! stratified designs (LHS) and Saltelli sampling requires Sobol'.
+//! stratified designs (LHS). Saltelli sampling draws from the Sobol'
+//! sequence in [`crate::sobol`] directly.
 
-use crate::sobol::Sobol;
 use crate::space::{Point, Space};
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -20,27 +19,6 @@ pub fn sample_uniform<R: Rng>(space: &Space, n: usize, rng: &mut R) -> Vec<Point
                 .expect("unit vector has the right length")
         })
         .collect()
-}
-
-/// Draw `n` points uniformly at random subject to a predicate (rejection
-/// sampling). Gives up after `60 * n` draws and returns what it has —
-/// callers with near-empty feasible regions should check the length.
-pub fn sample_uniform_where<R: Rng>(
-    space: &Space,
-    n: usize,
-    rng: &mut R,
-    mut accept: impl FnMut(&Point) -> bool,
-) -> Vec<Point> {
-    let mut out = Vec::with_capacity(n);
-    let mut tries = 0usize;
-    while out.len() < n && tries < n.saturating_mul(60).max(60) {
-        tries += 1;
-        let p = sample_uniform(space, 1, rng).pop().expect("one point");
-        if accept(&p) {
-            out.push(p);
-        }
-    }
-    out
 }
 
 /// Latin hypercube sample of `n` points: each dimension is split into `n`
@@ -63,21 +41,6 @@ pub fn sample_lhs<R: Rng>(space: &Space, n: usize, rng: &mut R) -> Vec<Point> {
             let u: Vec<f64> = (0..d)
                 .map(|j| (strata[j][i] as f64 + rng.gen::<f64>()) / n as f64)
                 .collect();
-            space
-                .from_unit(&u)
-                .expect("unit vector has the right length")
-        })
-        .collect()
-}
-
-/// The first `n` points of a Sobol' sequence mapped into the space
-/// (skipping the all-zeros origin point).
-pub fn sample_sobol(space: &Space, n: usize) -> Vec<Point> {
-    let mut sob = Sobol::new(space.dim());
-    sob.skip(1);
-    (0..n)
-        .map(|_| {
-            let u = sob.next_point();
             space
                 .from_unit(&u)
                 .expect("unit vector has the right length")
@@ -154,33 +117,5 @@ mod tests {
         let s = space();
         let mut rng = StdRng::seed_from_u64(0);
         assert!(sample_lhs(&s, 0, &mut rng).is_empty());
-    }
-
-    #[test]
-    fn constrained_sampling_respects_predicate() {
-        let s = Space::new(vec![Param::integer("i", 0, 10)]).unwrap();
-        let mut rng = StdRng::seed_from_u64(5);
-        let pts = sample_uniform_where(&s, 20, &mut rng, |p| p[0].as_int().unwrap() % 2 == 0);
-        assert_eq!(pts.len(), 20);
-        assert!(pts.iter().all(|p| p[0].as_int().unwrap() % 2 == 0));
-    }
-
-    #[test]
-    fn constrained_sampling_gives_up_gracefully() {
-        let s = Space::new(vec![Param::integer("i", 0, 10)]).unwrap();
-        let mut rng = StdRng::seed_from_u64(6);
-        let pts = sample_uniform_where(&s, 10, &mut rng, |_| false);
-        assert!(pts.is_empty());
-    }
-
-    #[test]
-    fn sobol_points_are_valid_and_deterministic() {
-        let s = space();
-        let a = sample_sobol(&s, 64);
-        let b = sample_sobol(&s, 64);
-        assert_eq!(a, b);
-        for p in &a {
-            assert!(s.validate(p).is_ok());
-        }
     }
 }

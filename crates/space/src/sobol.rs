@@ -135,7 +135,8 @@ impl Sobol {
     }
 
     /// Generate the next `n` points as rows.
-    pub fn take_points(&mut self, n: usize) -> Vec<Vec<f64>> {
+    #[cfg(test)]
+    fn take_points(&mut self, n: usize) -> Vec<Vec<f64>> {
         (0..n).map(|_| self.next_point()).collect()
     }
 }

@@ -42,7 +42,7 @@ type PartialOp = (Option<(OpKind, u16, u64)>, Vec<(TraceStage, u64)>);
 
 /// Assemble per-trace operations from a raw record stream. Traces
 /// without an `op` stage (e.g. clipped by ring overflow) are dropped.
-pub fn assemble_ops(records: &[TraceRecord]) -> Vec<OpTrace> {
+fn assemble_ops(records: &[TraceRecord]) -> Vec<OpTrace> {
     let mut by_trace: BTreeMap<u64, PartialOp> = BTreeMap::new();
     for r in records {
         let entry = by_trace.entry(r.trace).or_default();

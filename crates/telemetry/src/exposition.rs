@@ -30,7 +30,7 @@ use crowdtune_obs::MetricsSnapshot;
 
 /// Maps a dotted metric name (`gp.fit_restarts`) to a Prometheus-legal
 /// base name (`crowdtune_gp_fit_restarts`).
-pub fn sanitize(name: &str) -> String {
+fn sanitize(name: &str) -> String {
     let mut out = String::with_capacity(name.len() + 10);
     out.push_str("crowdtune_");
     for c in name.chars() {
@@ -59,7 +59,7 @@ fn histogram_family(name: &str, span: bool) -> String {
 /// Renders a metrics snapshot in Prometheus text exposition format
 /// (version 0.0.4). Families are emitted in deterministic (sorted) name
 /// order: counters first, then histogram summaries.
-pub fn render_prometheus(snap: &MetricsSnapshot) -> String {
+fn render_prometheus(snap: &MetricsSnapshot) -> String {
     let mut out = String::new();
     for (name, value) in &snap.counters {
         let base = format!("{}_total", sanitize(name));
@@ -74,32 +74,6 @@ pub fn render_prometheus(snap: &MetricsSnapshot) -> String {
         out.push_str(&format!("{base}_sum {}\n", h.sum));
         out.push_str(&format!("{base}_count {}\n", h.count));
         out.push_str(&format!("# TYPE {base}_max gauge\n{base}_max {}\n", h.max));
-    }
-    out
-}
-
-/// Renders an SLO evaluation in Prometheus text exposition format: one
-/// `crowdtune_slo_burn` gauge sample per objective window (labelled with
-/// the objective and window length) and one `crowdtune_slo_breached`
-/// gauge per objective (1 = breached). Deterministic sample order.
-pub fn render_slo_prometheus(report: &crowdtune_obs::SloReport) -> String {
-    let mut out = String::new();
-    out.push_str("# TYPE crowdtune_slo_burn gauge\n");
-    for o in &report.outcomes {
-        for w in &o.windows {
-            out.push_str(&format!(
-                "crowdtune_slo_burn{{slo=\"{}\",window_us=\"{}\"}} {}\n",
-                o.name, w.window_us, w.burn
-            ));
-        }
-    }
-    out.push_str("# TYPE crowdtune_slo_breached gauge\n");
-    for o in &report.outcomes {
-        out.push_str(&format!(
-            "crowdtune_slo_breached{{slo=\"{}\"}} {}\n",
-            o.name,
-            u8::from(o.breached)
-        ));
     }
     out
 }

@@ -48,7 +48,7 @@ pub fn percentile_us(sorted: &[u64], q: f64) -> u64 {
 /// Pools the named stage's durations across `records`, grouped by tuner
 /// (TLA algorithm), and summarizes each group. Groups whose runs never
 /// journaled the stage are omitted.
-pub fn stage_percentiles_by_tuner(
+fn stage_percentiles_by_tuner(
     records: &[RunRecord],
     stage: &str,
 ) -> BTreeMap<String, StagePercentiles> {

@@ -183,7 +183,7 @@ pub fn ingest_events(events: &[Event], meta: &IngestMeta) -> Vec<RunRecord> {
 }
 
 /// Reads and schema-checks a journal, then distills it into run records.
-pub fn ingest_journal<P: AsRef<Path>>(
+fn ingest_journal<P: AsRef<Path>>(
     path: P,
     meta: &IngestMeta,
 ) -> Result<Vec<RunRecord>, JournalError> {

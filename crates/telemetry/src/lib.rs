@@ -34,17 +34,10 @@ pub mod ingest;
 pub mod quality;
 
 pub use attribution::{
-    assemble_ops, reconcile, render_attribution, tail_attribution, OpTrace, Reconciliation,
-    TailAttribution,
+    reconcile, render_attribution, tail_attribution, OpTrace, Reconciliation, TailAttribution,
 };
 pub use crowdtune_db::{Access, FleetQuery, RunRecord, TelemetryCollection};
-pub use exposition::{
-    render_prometheus, render_quality_prometheus, render_slo_prometheus, sanitize, scrape,
-    write_oneshot, ExpositionServer,
-};
-pub use fleet::{
-    fleet_stage_percentiles, percentile_us, render_stage_table, stage_percentiles_by_tuner,
-    StagePercentiles,
-};
-pub use ingest::{ingest_events, ingest_into, ingest_journal, IngestMeta};
+pub use exposition::{render_quality_prometheus, scrape, write_oneshot, ExpositionServer};
+pub use fleet::{fleet_stage_percentiles, percentile_us, render_stage_table, StagePercentiles};
+pub use ingest::{ingest_events, ingest_into, IngestMeta};
 pub use quality::{render_quality_rollup, ContributorAggregate, QualityRollup, ScenarioQuality};

@@ -18,8 +18,7 @@
 //! - [`space`] ([`crowdtune_space`]) — search spaces, transforms,
 //!   samplers (uniform/LHS/Sobol'), space reduction.
 //! - [`sensitivity`] ([`crowdtune_sensitivity`]) — Saltelli/Sobol global
-//!   sensitivity analysis with bootstrap confidence intervals; Morris
-//!   screening.
+//!   sensitivity analysis with bootstrap confidence intervals.
 //! - [`apps`] ([`crowdtune_apps`]) — simulated HPC applications and
 //!   machines (PDGEQRF, NIMROD, SuperLU_DIST, Hypre, synthetic
 //!   functions; Cori Haswell/KNL).
@@ -64,10 +63,10 @@ pub use crowdtune_telemetry as telemetry;
 pub mod prelude {
     pub use crowdtune_apps::{Application, EvalFailure, MachineModel};
     pub use crowdtune_core::{
-        dims_of, ei_ranking_agreement, query_predict_output, query_sensitivity_analysis,
-        query_surrogate_model, records_to_dataset, tune, tune_notla, AgreementReport, CrowdSession,
-        Dataset, Ensemble, EnsemblePolicy, MetaDescription, MultitaskPs, MultitaskTs, NoTla,
-        SourceTask, Stacking, SurrogateTier, TlaStrategy, TuneConfig, TuneResult, WeightedSum,
+        dims_of, query_predict_output, query_sensitivity_analysis, query_surrogate_model,
+        records_to_dataset, tune, tune_notla, CrowdSession, Dataset, Ensemble, EnsemblePolicy,
+        MetaDescription, MultitaskPs, MultitaskTs, NoTla, SourceTask, Stacking, SurrogateTier,
+        TlaStrategy, TuneConfig, TuneResult, WeightedSum,
     };
     pub use crowdtune_db::{
         Access, EvalOutcome, Filter, FunctionEvaluation, HistoryDb, MachineConfig, QuerySpec,
