@@ -761,7 +761,7 @@ fn overload_run(seed: u64, smoke: bool, twin: usize, capture_metrics: bool) -> O
                 if step % 5 == c as u64 % 5 {
                     let filter = &filters[(step as usize + c) % filters.len()];
                     let (res, stats) =
-                        svc.query_problem_counted(&problems[c % problems.len()], filter, None);
+                        svc.query_problem_shared(&problems[c % problems.len()], filter, None);
                     stale_serves += stats.stale_served as u64;
                     std::hint::black_box(res.len());
                 }
@@ -839,7 +839,7 @@ fn overload_run(seed: u64, smoke: bool, twin: usize, capture_metrics: bool) -> O
     let all = parse_query_all();
     let mut recovered_ms: std::collections::HashSet<i64> = std::collections::HashSet::new();
     for problem in &problems {
-        let (docs, _) = svc.query_problem_counted(problem, &all, None);
+        let (docs, _) = svc.query_problem_shared(problem, &all, None);
         recovered_ms.extend(docs.iter().map(|d| {
             d.task_parameters
                 .get("m")

@@ -57,6 +57,44 @@ impl From<&str> for Scalar {
     }
 }
 
+/// A borrowed view of a [`Scalar`]. Field lookups hand these out, so
+/// filtering and indexing a document copy no string.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum ScalarRef<'a> {
+    Int(i64),
+    Real(f64),
+    Str(&'a str),
+}
+
+impl ScalarRef<'_> {
+    /// Numeric view (strings return `None`), as [`Scalar::as_f64`].
+    pub(crate) fn as_f64(self) -> Option<f64> {
+        match self {
+            ScalarRef::Int(v) => Some(v as f64),
+            ScalarRef::Real(v) => Some(v),
+            ScalarRef::Str(_) => None,
+        }
+    }
+
+    fn to_scalar(self) -> Scalar {
+        match self {
+            ScalarRef::Int(v) => Scalar::Int(v),
+            ScalarRef::Real(v) => Scalar::Real(v),
+            ScalarRef::Str(s) => Scalar::Str(s.to_string()),
+        }
+    }
+}
+
+impl<'a> From<&'a Scalar> for ScalarRef<'a> {
+    fn from(s: &'a Scalar) -> Self {
+        match s {
+            Scalar::Int(v) => ScalarRef::Int(*v),
+            Scalar::Real(v) => ScalarRef::Real(*v),
+            Scalar::Str(v) => ScalarRef::Str(v),
+        }
+    }
+}
+
 /// Ordered name → value map used for task and tuning parameters.
 pub type ParamMap = BTreeMap<String, Scalar>;
 
@@ -318,33 +356,39 @@ impl FunctionEvaluation {
     /// `machine.name`, `machine.node_type`, `machine.nodes`,
     /// `machine.cores`, `software.<pkg>.version_major`.
     pub fn field(&self, path: &str) -> Option<Scalar> {
+        self.field_ref(path).map(ScalarRef::to_scalar)
+    }
+
+    /// [`FunctionEvaluation::field`] without copying the value.
+    pub(crate) fn field_ref(&self, path: &str) -> Option<ScalarRef<'_>> {
         let mut parts = path.splitn(3, '.');
         let head = parts.next()?;
         match head {
-            "problem" => Some(Scalar::Str(self.problem.clone())),
-            "owner" => Some(Scalar::Str(self.owner.clone())),
-            "status" => Some(Scalar::Str(
-                if self.result.is_ok() { "ok" } else { "failed" }.to_string(),
-            )),
-            "task" => self.task_parameters.get(parts.next()?).cloned(),
-            "param" => self.tuning_parameters.get(parts.next()?).cloned(),
-            "output" => self.result.output(parts.next()?).map(Scalar::Real),
+            "problem" => Some(ScalarRef::Str(&self.problem)),
+            "owner" => Some(ScalarRef::Str(&self.owner)),
+            "status" => Some(ScalarRef::Str(self.status())),
+            "task" => self.task_parameters.get(parts.next()?).map(ScalarRef::from),
+            "param" => self
+                .tuning_parameters
+                .get(parts.next()?)
+                .map(ScalarRef::from),
+            "output" => self.result.output(parts.next()?).map(ScalarRef::Real),
             "machine" => match parts.next()? {
-                "name" => Some(Scalar::Str(self.machine.machine_name.clone())),
-                "node_type" => Some(Scalar::Str(self.machine.node_type.clone())),
-                "nodes" => Some(Scalar::Int(self.machine.nodes as i64)),
-                "cores" => Some(Scalar::Int(self.machine.cores_per_node as i64)),
+                "name" => Some(ScalarRef::Str(&self.machine.machine_name)),
+                "node_type" => Some(ScalarRef::Str(&self.machine.node_type)),
+                "nodes" => Some(ScalarRef::Int(self.machine.nodes as i64)),
+                "cores" => Some(ScalarRef::Int(self.machine.cores_per_node as i64)),
                 _ => None,
             },
             "provenance" => match parts.next()? {
                 "contributor" => self
                     .provenance
                     .as_ref()
-                    .map(|p| Scalar::Str(p.contributor.clone())),
+                    .map(|p| ScalarRef::Str(&p.contributor)),
                 "batch" => self
                     .provenance
                     .as_ref()
-                    .map(|p| Scalar::Int(p.batch as i64)),
+                    .map(|p| ScalarRef::Int(p.batch as i64)),
                 _ => None,
             },
             "software" => {
@@ -352,9 +396,9 @@ impl FunctionEvaluation {
                 let sub = parts.next().unwrap_or("version_major");
                 let sw = self.software.iter().find(|s| s.name == pkg)?;
                 match sub {
-                    "version_major" => Some(Scalar::Int(sw.version[0] as i64)),
-                    "version_minor" => Some(Scalar::Int(sw.version[1] as i64)),
-                    "version_patch" => Some(Scalar::Int(sw.version[2] as i64)),
+                    "version_major" => Some(ScalarRef::Int(sw.version[0] as i64)),
+                    "version_minor" => Some(ScalarRef::Int(sw.version[1] as i64)),
+                    "version_patch" => Some(ScalarRef::Int(sw.version[2] as i64)),
                     _ => None,
                 }
             }
@@ -362,72 +406,68 @@ impl FunctionEvaluation {
         }
     }
 
-    /// Every queryable field path of this document with its value — the
-    /// inverse of [`FunctionEvaluation::field`], used to build the
-    /// store's field indexes. Paths absent here resolve to `None` in
-    /// `field`, so indexing exactly this set is complete.
-    pub fn indexed_fields(&self) -> Vec<(String, Scalar)> {
-        let mut out = vec![
-            ("problem".to_string(), Scalar::Str(self.problem.clone())),
-            ("owner".to_string(), Scalar::Str(self.owner.clone())),
-            (
-                "status".to_string(),
-                Scalar::Str(if self.result.is_ok() { "ok" } else { "failed" }.to_string()),
-            ),
-            (
-                "machine.name".to_string(),
-                Scalar::Str(self.machine.machine_name.clone()),
-            ),
-            (
-                "machine.node_type".to_string(),
-                Scalar::Str(self.machine.node_type.clone()),
-            ),
-            (
-                "machine.nodes".to_string(),
-                Scalar::Int(self.machine.nodes as i64),
-            ),
-            (
-                "machine.cores".to_string(),
-                Scalar::Int(self.machine.cores_per_node as i64),
-            ),
-        ];
-        if let Some(p) = &self.provenance {
-            out.push((
-                "provenance.contributor".to_string(),
-                Scalar::Str(p.contributor.clone()),
-            ));
-            out.push(("provenance.batch".to_string(), Scalar::Int(p.batch as i64)));
+    fn status(&self) -> &'static str {
+        if self.result.is_ok() {
+            "ok"
+        } else {
+            "failed"
         }
+    }
+
+    /// Visit every queryable field path of this document with its value —
+    /// the inverse of [`FunctionEvaluation::field`], used to build the
+    /// store's field indexes. Paths absent here resolve to `None` in
+    /// `field`, so indexing exactly this set is complete. Composite paths
+    /// are built in one reused buffer and values are borrowed, so a visit
+    /// allocates at most that buffer.
+    pub(crate) fn visit_indexed_fields(&self, mut visit: impl FnMut(&str, ScalarRef<'_>)) {
+        visit("problem", ScalarRef::Str(&self.problem));
+        visit("owner", ScalarRef::Str(&self.owner));
+        visit("status", ScalarRef::Str(self.status()));
+        visit("machine.name", ScalarRef::Str(&self.machine.machine_name));
+        visit("machine.node_type", ScalarRef::Str(&self.machine.node_type));
+        visit("machine.nodes", ScalarRef::Int(self.machine.nodes as i64));
+        visit(
+            "machine.cores",
+            ScalarRef::Int(self.machine.cores_per_node as i64),
+        );
+        if let Some(p) = &self.provenance {
+            visit("provenance.contributor", ScalarRef::Str(&p.contributor));
+            visit("provenance.batch", ScalarRef::Int(p.batch as i64));
+        }
+        let mut path = String::new();
+        let mut visit_path = |parts: [&str; 3], value: ScalarRef<'_>| {
+            path.clear();
+            parts.iter().for_each(|part| path.push_str(part));
+            visit(&path, value);
+        };
         for (k, v) in &self.task_parameters {
-            out.push((format!("task.{k}"), v.clone()));
+            visit_path(["task.", k, ""], v.into());
         }
         for (k, v) in &self.tuning_parameters {
-            out.push((format!("param.{k}"), v.clone()));
+            visit_path(["param.", k, ""], v.into());
         }
         if let EvalOutcome::Ok { outputs } = &self.result {
             for (k, v) in outputs {
-                out.push((format!("output.{k}"), Scalar::Real(*v)));
+                visit_path(["output.", k, ""], ScalarRef::Real(*v));
             }
         }
         for sw in &self.software {
+            let [major, minor, patch] = sw.version.map(|v| ScalarRef::Int(v as i64));
             // `field` resolves the bare package path to version_major.
-            out.push((
-                format!("software.{}", sw.name),
-                Scalar::Int(sw.version[0] as i64),
-            ));
-            out.push((
-                format!("software.{}.version_major", sw.name),
-                Scalar::Int(sw.version[0] as i64),
-            ));
-            out.push((
-                format!("software.{}.version_minor", sw.name),
-                Scalar::Int(sw.version[1] as i64),
-            ));
-            out.push((
-                format!("software.{}.version_patch", sw.name),
-                Scalar::Int(sw.version[2] as i64),
-            ));
+            visit_path(["software.", &sw.name, ""], major);
+            visit_path(["software.", &sw.name, ".version_major"], major);
+            visit_path(["software.", &sw.name, ".version_minor"], minor);
+            visit_path(["software.", &sw.name, ".version_patch"], patch);
         }
+    }
+
+    /// The fields [`FunctionEvaluation::visit_indexed_fields`] visits, as
+    /// owned pairs (for checking them against `field`).
+    #[cfg(test)]
+    pub(crate) fn indexed_fields(&self) -> Vec<(String, Scalar)> {
+        let mut out = Vec::new();
+        self.visit_indexed_fields(|path, value| out.push((path.to_string(), value.to_scalar())));
         out
     }
 
@@ -549,12 +589,36 @@ mod tests {
             Some(Scalar::Str("mallory".into()))
         );
         assert_eq!(e.field("provenance.batch"), Some(Scalar::Int(0)));
-        // Indexed fields and `field` agree on the provenance paths.
+        // Indexed fields and `field` agree on every path, and the paths
+        // are exactly the indexed set, in indexing order.
         let idx = e.indexed_fields();
         for (path, value) in &idx {
             assert_eq!(e.field(path).as_ref(), Some(value), "path {path}");
         }
-        assert!(idx.iter().any(|(p, _)| p == "provenance.contributor"));
+        let paths: Vec<&str> = idx.iter().map(|(p, _)| p.as_str()).collect();
+        assert_eq!(
+            paths,
+            [
+                "problem",
+                "owner",
+                "status",
+                "machine.name",
+                "machine.node_type",
+                "machine.nodes",
+                "machine.cores",
+                "provenance.contributor",
+                "provenance.batch",
+                "task.m",
+                "task.n",
+                "param.mb",
+                "param.nb",
+                "output.runtime",
+                "software.scalapack",
+                "software.scalapack.version_major",
+                "software.scalapack.version_minor",
+                "software.scalapack.version_patch",
+            ]
+        );
     }
 
     #[test]

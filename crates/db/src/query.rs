@@ -13,7 +13,7 @@
 //! Field paths are the dotted paths understood by
 //! [`FunctionEvaluation::field`](crate::document::FunctionEvaluation::field).
 
-use crate::document::{FunctionEvaluation, Scalar};
+use crate::document::{FunctionEvaluation, Scalar, ScalarRef};
 
 /// A query filter over stored documents.
 #[derive(Debug, Clone, PartialEq)]
@@ -44,9 +44,9 @@ pub enum Filter {
     Not(Box<Filter>),
 }
 
-fn scalar_eq(a: &Scalar, b: &Scalar) -> bool {
+fn scalar_eq(a: ScalarRef<'_>, b: &Scalar) -> bool {
     match (a, b) {
-        (Scalar::Str(x), Scalar::Str(y)) => x.eq_ignore_ascii_case(y),
+        (ScalarRef::Str(x), Scalar::Str(y)) => x.eq_ignore_ascii_case(y),
         _ => match (a.as_f64(), b.as_f64()) {
             (Some(x), Some(y)) => x == y,
             _ => false,
@@ -60,16 +60,16 @@ impl Filter {
     pub fn matches(&self, e: &FunctionEvaluation) -> bool {
         match self {
             Filter::True => true,
-            Filter::Eq(path, v) => e.field(path).is_some_and(|f| scalar_eq(&f, v)),
-            Filter::Ne(path, v) => e.field(path).is_some_and(|f| !scalar_eq(&f, v)),
+            Filter::Eq(path, v) => e.field_ref(path).is_some_and(|f| scalar_eq(f, v)),
+            Filter::Ne(path, v) => e.field_ref(path).is_some_and(|f| !scalar_eq(f, v)),
             Filter::Lt(path, v) => num(e, path).is_some_and(|f| f < *v),
             Filter::Le(path, v) => num(e, path).is_some_and(|f| f <= *v),
             Filter::Gt(path, v) => num(e, path).is_some_and(|f| f > *v),
             Filter::Ge(path, v) => num(e, path).is_some_and(|f| f >= *v),
             Filter::Between(path, lo, hi) => num(e, path).is_some_and(|f| f >= *lo && f < *hi),
             Filter::In(path, vs) => e
-                .field(path)
-                .is_some_and(|f| vs.iter().any(|v| scalar_eq(&f, v))),
+                .field_ref(path)
+                .is_some_and(|f| vs.iter().any(|v| scalar_eq(f, v))),
             Filter::And(fs) => fs.iter().all(|f| f.matches(e)),
             Filter::Or(fs) => fs.iter().any(|f| f.matches(e)),
             Filter::Not(f) => !f.matches(e),
@@ -202,7 +202,7 @@ fn fnv_scalar(h: &mut u64, s: &Scalar) {
 }
 
 fn num(e: &FunctionEvaluation, path: &str) -> Option<f64> {
-    e.field(path).and_then(|s| s.as_f64())
+    e.field_ref(path).and_then(ScalarRef::as_f64)
 }
 
 /// Numeric index key with a total order (`f64::total_cmp`), normalized so
@@ -254,10 +254,11 @@ enum IndexKey {
     Str(String),
 }
 
-fn key_of(s: &Scalar) -> IndexKey {
-    match s.as_f64() {
-        Some(v) => IndexKey::Num(NumKey::new(v)),
-        None => IndexKey::Str(s.as_str().unwrap_or_default().to_ascii_lowercase()),
+fn key_of(s: ScalarRef<'_>) -> IndexKey {
+    match s {
+        ScalarRef::Int(v) => IndexKey::Num(NumKey::new(v as f64)),
+        ScalarRef::Real(v) => IndexKey::Num(NumKey::new(v)),
+        ScalarRef::Str(s) => IndexKey::Str(s.to_ascii_lowercase()),
     }
 }
 
@@ -275,24 +276,18 @@ pub struct FieldIndexes {
 
 impl FieldIndexes {
     /// Index one document at collection position `pos`. Positions must be
-    /// fed in ascending order (the store appends).
+    /// fed in ascending order (the store appends). Paths are looked up by
+    /// reference first, so only a path seen for the first time allocates
+    /// a key.
     pub fn insert_doc(&mut self, pos: usize, doc: &FunctionEvaluation) {
-        for (path, value) in doc.indexed_fields() {
-            self.fields
-                .entry(path)
-                .or_default()
-                .entry(key_of(&value))
-                .or_default()
-                .push(pos);
-        }
-    }
-
-    /// Rebuild from scratch (after deletions or a load).
-    pub fn rebuild(&mut self, docs: &[FunctionEvaluation]) {
-        self.fields.clear();
-        for (pos, doc) in docs.iter().enumerate() {
-            self.insert_doc(pos, doc);
-        }
+        let fields = &mut self.fields;
+        doc.visit_indexed_fields(|path, value| {
+            let index = match fields.get_mut(path) {
+                Some(index) => index,
+                None => fields.entry(path.to_string()).or_default(),
+            };
+            index.entry(key_of(value)).or_default().push(pos);
+        });
     }
 
     /// Candidate document positions for a filter: `Some(sorted positions)`
@@ -336,7 +331,7 @@ impl FieldIndexes {
         let index = self.fields.get(path)?;
         let mut out: Vec<usize> = Vec::new();
         for v in values {
-            if let Some(postings) = index.get(&key_of(v)) {
+            if let Some(postings) = index.get(&key_of(v.into())) {
                 out.extend(postings);
             }
         }

@@ -85,8 +85,10 @@ impl MachineFilter {
         self
     }
 
-    fn matches(&self, m: &MachineConfig, tags: &TagRegistry) -> bool {
-        if tags.canonical_machine(&self.machine_name) != m.machine_name {
+    /// `canonical` is this filter's machine name, canonicalized once per
+    /// query rather than once per record.
+    fn matches(&self, canonical: &str, m: &MachineConfig) -> bool {
+        if canonical != m.machine_name {
             return false;
         }
         if let Some(t) = &self.node_type {
@@ -126,16 +128,18 @@ impl SoftwareFilter {
         }
     }
 
-    fn matches(&self, sw_list: &[SoftwareConfig], tags: &TagRegistry) -> bool {
-        let want = tags.canonical_software(&self.name);
+    /// `want` is this filter's package name, canonicalized once per
+    /// query rather than once per record.
+    fn matches(&self, want: &str, sw_list: &[SoftwareConfig], tags: &TagRegistry) -> bool {
         sw_list.iter().any(|sw| {
             // Either the package itself, or the compiler it was built with
             // (the paper's example constraint is "GCC in [8.0.0, 9.0.0)").
+            // The version test runs first: it allocates nothing.
             (sw.name == want
                 && TagRegistry::version_in_range(sw.version, self.version_from, self.version_to))
                 || sw.compiler.as_ref().is_some_and(|(cname, cver)| {
-                    tags.canonical_software(cname) == want
-                        && TagRegistry::version_in_range(*cver, self.version_from, self.version_to)
+                    TagRegistry::version_in_range(*cver, self.version_from, self.version_to)
+                        && tags.canonical_software(cname) == want
                 })
         })
     }
@@ -159,19 +163,35 @@ impl ConfigurationQuery {
         Self::default()
     }
 
-    fn matches(&self, e: &FunctionEvaluation, tags: &TagRegistry) -> bool {
-        if !self.machines.is_empty() && !self.machines.iter().any(|m| m.matches(&e.machine, tags)) {
-            return false;
+    /// The per-record predicate of this query. The query's own machine
+    /// and package names are canonicalized here, once, so testing a
+    /// record allocates nothing unless it carries a compiler inside a
+    /// software filter's version range.
+    fn matcher<'a>(&'a self, tags: &'a TagRegistry) -> impl Fn(&FunctionEvaluation) -> bool + 'a {
+        let machines: Vec<String> = self
+            .machines
+            .iter()
+            .map(|m| tags.canonical_machine(&m.machine_name))
+            .collect();
+        let software: Vec<String> = self
+            .software
+            .iter()
+            .map(|sf| tags.canonical_software(&sf.name))
+            .collect();
+        move |e| {
+            (self.machines.is_empty()
+                || self
+                    .machines
+                    .iter()
+                    .zip(&machines)
+                    .any(|(m, name)| m.matches(name, &e.machine)))
+                && self
+                    .software
+                    .iter()
+                    .zip(&software)
+                    .all(|(sf, want)| sf.matches(want, &e.software, tags))
+                && (self.users.is_empty() || self.users.contains(&e.owner))
         }
-        for sf in &self.software {
-            if !sf.matches(&e.software, tags) {
-                return false;
-            }
-        }
-        if !self.users.is_empty() && !self.users.contains(&e.owner) {
-            return false;
-        }
-        true
     }
 }
 
@@ -439,16 +459,20 @@ impl HistoryDb {
         self.query_as(None, spec)
     }
 
+    /// Filter the service's shared snapshot by reference and copy out only
+    /// the records the caller gets back: one clone per returned record.
     fn query_as(&self, user: Option<&str>, spec: &QuerySpec) -> Vec<FunctionEvaluation> {
         let span = obs::span(obs::names::SPAN_DB_QUERY);
         let ctx = obs::RequestCtx::new(obs::OpKind::Query, client_hash(user));
         let (hits, stats) =
             self.service
-                .query_problem_counted_ctx(&spec.problem, &spec.filter, user, ctx);
+                .query_problem_shared_ctx(&spec.problem, &spec.filter, user, ctx);
+        let configuration = spec.configuration.matcher(&self.tags);
         let kept: Vec<FunctionEvaluation> = hits
-            .into_iter()
+            .iter()
             .filter(|e| spec.include_failures || e.result.is_ok())
-            .filter(|e| spec.configuration.matches(e, &self.tags))
+            .filter(|e| configuration(e))
+            .map(|e| FunctionEvaluation::clone(e))
             .collect();
         obs::count(obs::names::CTR_DB_SCANNED, stats.scanned as u64);
         obs::count(obs::names::CTR_DB_PRUNED, stats.pruned as u64);

@@ -82,17 +82,23 @@ impl Default for ServiceConfig {
     }
 }
 
+/// A query result as the service hands it out: an immutable list of
+/// records shared with the shard's store. The list is `Arc`-shared
+/// between the query cache and its readers, and each record with the
+/// store, so neither a scan nor a cache hit copies a document.
+pub type SharedRecords = Arc<Vec<Arc<FunctionEvaluation>>>;
+
 /// One cached query result, valid only while the shard's epoch still
 /// equals `epoch`. The full key (filter, user, problem scope) is stored
 /// so a fingerprint collision degrades to a miss, never a wrong answer.
-/// Results are `Arc`-shared: a hit hands out the snapshot without
-/// copying a single document.
+/// A stale entry costs one pointer per record it lists: the records
+/// themselves belong to the store.
 struct CacheEntry {
     epoch: u64,
     filter: Filter,
     user: Option<String>,
     problem: Option<String>,
-    results: Arc<Vec<FunctionEvaluation>>,
+    results: SharedRecords,
     stats: ScanStats,
 }
 
@@ -390,8 +396,11 @@ impl CrowdService {
             doc.id = self.next_id.fetch_add(1, Ordering::Relaxed) + 1;
             doc.logical_time = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
             let id = doc.id;
+            let doc = Arc::new(doc);
             let framed = match &self.durable {
-                Some(_) => Some(frame_record(&WalRecord::Insert { doc: doc.clone() })?),
+                Some(_) => Some(frame_record(&WalRecord::Insert {
+                    doc: Arc::clone(&doc),
+                })?),
                 None => None,
             };
             let apply_start = ctx.begin();
@@ -465,41 +474,16 @@ impl CrowdService {
 
     /// Problem-scoped query (the hot path): touches exactly one shard,
     /// answered from that shard's cache when the filter+user was asked
-    /// at the current write epoch.
-    pub fn query_problem_counted(
-        &self,
-        problem: &str,
-        filter: &Filter,
-        user: Option<&str>,
-    ) -> (Vec<FunctionEvaluation>, ScanStats) {
-        self.query_problem_counted_ctx(problem, filter, user, RequestCtx::new(OpKind::Query, 0))
-    }
-
-    /// [`CrowdService::query_problem_counted`] under an explicit request
-    /// context.
-    pub fn query_problem_counted_ctx(
-        &self,
-        problem: &str,
-        filter: &Filter,
-        user: Option<&str>,
-        ctx: RequestCtx,
-    ) -> (Vec<FunctionEvaluation>, ScanStats) {
-        let (results, stats) = self.query_problem_shared_ctx(problem, filter, user, ctx);
-        let owned = Arc::try_unwrap(results).unwrap_or_else(|shared| (*shared).clone());
-        (owned, stats)
-    }
-
-    /// Problem-scoped query returning the shared result snapshot. This
-    /// is the service's cheapest read: a cache hit clones one `Arc`
-    /// instead of every matching document, so repeat queries cost O(1)
-    /// regardless of result size. The snapshot is immutable — later
-    /// writes produce new entries rather than mutating this one.
+    /// at the current write epoch. No record is copied: a miss shares
+    /// the matching records with the store, and a hit clones one `Arc`.
+    /// The snapshot is immutable — later writes produce new entries
+    /// rather than mutating this one.
     pub fn query_problem_shared(
         &self,
         problem: &str,
         filter: &Filter,
         user: Option<&str>,
-    ) -> (Arc<Vec<FunctionEvaluation>>, ScanStats) {
+    ) -> (SharedRecords, ScanStats) {
         self.query_problem_shared_ctx(problem, filter, user, RequestCtx::new(OpKind::Query, 0))
     }
 
@@ -512,7 +496,7 @@ impl CrowdService {
         filter: &Filter,
         user: Option<&str>,
         ctx: RequestCtx,
-    ) -> (Arc<Vec<FunctionEvaluation>>, ScanStats) {
+    ) -> (SharedRecords, ScanStats) {
         let mut ctx = ctx;
         ctx.deadline_us = 0; // infallible entry point: no deadline to miss
         self.try_query_problem_shared_ctx(problem, filter, user, ctx)
@@ -530,7 +514,7 @@ impl CrowdService {
         filter: &Filter,
         user: Option<&str>,
         ctx: RequestCtx,
-    ) -> Result<(Arc<Vec<FunctionEvaluation>>, ScanStats), StoreError> {
+    ) -> Result<(SharedRecords, ScanStats), StoreError> {
         let op_start = ctx.begin();
         let sidx = self.shard_index(problem);
         if let Some(ov) = &self.overload {
@@ -548,7 +532,7 @@ impl CrowdService {
         &self,
         filter: &Filter,
         user: Option<&str>,
-    ) -> (Vec<FunctionEvaluation>, ScanStats) {
+    ) -> (Vec<Arc<FunctionEvaluation>>, ScanStats) {
         self.query_counted_ctx(filter, user, RequestCtx::new(OpKind::Query, 0))
     }
 
@@ -559,16 +543,13 @@ impl CrowdService {
         filter: &Filter,
         user: Option<&str>,
         ctx: RequestCtx,
-    ) -> (Vec<FunctionEvaluation>, ScanStats) {
+    ) -> (Vec<Arc<FunctionEvaluation>>, ScanStats) {
         let op_start = ctx.begin();
         let mut out = Vec::new();
         let mut stats = ScanStats::default();
         for sidx in 0..self.shards.len() {
             let (hits, s) = self.cached_query(sidx, None, filter, user, &ctx);
-            match Arc::try_unwrap(hits) {
-                Ok(owned) => out.extend(owned),
-                Err(shared) => out.extend(shared.iter().cloned()),
-            }
+            out.extend(hits.iter().cloned());
             stats.absorb(&s);
         }
         out.sort_by_key(|d| d.id);
@@ -589,7 +570,7 @@ impl CrowdService {
         filter: &Filter,
         user: Option<&str>,
         ctx: &RequestCtx,
-    ) -> (Arc<Vec<FunctionEvaluation>>, ScanStats) {
+    ) -> (SharedRecords, ScanStats) {
         let shard = &self.shards[sidx];
         let run_scan = || match problem {
             Some(p) => shard.store.query_problem_counted(p, filter, user),
@@ -807,9 +788,10 @@ impl CrowdService {
 
     /// Materialize the whole service as one embedded [`DocumentStore`]
     /// (id order, counters carried over) — for JSON export/save and for
-    /// checking service/embedded equivalence.
+    /// checking service/embedded equivalence. The new store shares the
+    /// shards' records instead of copying them.
     pub fn merged_store(&self) -> DocumentStore {
-        let mut docs: Vec<FunctionEvaluation> = self
+        let mut docs: Vec<Arc<FunctionEvaluation>> = self
             .shards
             .iter()
             .flat_map(|s| s.store.all_docs())
@@ -970,9 +952,9 @@ mod tests {
         let (svc_hits, _) = svc.query_counted(&filter, None);
         let (emb_hits, _) = embedded.query_counted(&filter, None);
         assert_eq!(svc_hits, emb_hits);
-        let (svc_p, _) = svc.query_problem_counted("P1", &filter, None);
+        let (svc_p, _) = svc.query_problem_shared("P1", &filter, None);
         let (emb_p, _) = embedded.query_problem_counted("P1", &filter, None);
-        assert_eq!(svc_p, emb_p);
+        assert_eq!(*svc_p, emb_p);
     }
 
     #[test]
@@ -985,19 +967,51 @@ mod tests {
             svc.insert(eval("P", "alice", i)).unwrap();
         }
         let filter = parse_query("task.m >= 3").unwrap();
-        let (first, s1) = svc.query_problem_counted("P", &filter, None);
+        let (first, s1) = svc.query_problem_shared("P", &filter, None);
         assert_eq!(s1.cache_misses, 1);
         assert_eq!(s1.cache_hits, 0);
-        let (second, s2) = svc.query_problem_counted("P", &filter, None);
+        let (second, s2) = svc.query_problem_shared("P", &filter, None);
         assert_eq!(s2.cache_hits, 1);
         assert_eq!(s2.scanned, 0, "a hit scans nothing");
         assert_eq!(first, second);
         // A write invalidates: the next query re-scans and sees the new doc.
         svc.insert(eval("P", "alice", 50)).unwrap();
-        let (third, s3) = svc.query_problem_counted("P", &filter, None);
+        let (third, s3) = svc.query_problem_shared("P", &filter, None);
         assert_eq!(s3.cache_misses, 1);
         assert_eq!(third.len(), first.len() + 1);
         assert_eq!(svc.cache_counts().0, 1);
+    }
+
+    #[test]
+    fn shared_snapshots_alias_the_store_and_never_change() {
+        let svc = CrowdService::new(ServiceConfig {
+            shards: 2,
+            ..ServiceConfig::default()
+        });
+        for i in 0..10 {
+            svc.insert(eval("P", "alice", i)).unwrap();
+        }
+        let filter = parse_query("task.m >= 3").unwrap();
+        let (miss, s1) = svc.query_problem_shared("P", &filter, None);
+        let (hit, s2) = svc.query_problem_shared("P", &filter, None);
+        assert_eq!((s1.cache_misses, s2.cache_hits), (1, 1));
+        assert!(Arc::ptr_eq(&miss, &hit), "a hit hands out the cached list");
+        let before: Vec<FunctionEvaluation> = miss.iter().map(|d| (**d).clone()).collect();
+        // An upload invalidates the entry: the next miss lists the same
+        // stored records (no copies) plus the new one, and the earlier
+        // snapshot is unchanged.
+        svc.insert(eval("P", "alice", 50)).unwrap();
+        let (after, s3) = svc.query_problem_shared("P", &filter, None);
+        assert_eq!(s3.cache_misses, 1);
+        assert_eq!(after.len(), miss.len() + 1);
+        for (old, new) in miss.iter().zip(after.iter()) {
+            assert!(Arc::ptr_eq(old, new), "record {} was copied", old.id);
+        }
+        assert_eq!(miss.len(), before.len());
+        for (doc, copy) in miss.iter().zip(&before) {
+            assert_eq!(**doc, *copy);
+        }
+        assert_eq!(svc.verify_cache_coherence(), 0);
     }
 
     #[test]
@@ -1011,19 +1025,19 @@ mod tests {
             svc.insert(eval("Q", "alice", i)).unwrap();
         }
         let filter = parse_query("task.m >= 3").unwrap();
-        let (p_first, _) = svc.query_problem_counted("P", &filter, None);
-        let (q_first, _) = svc.query_problem_counted("Q", &filter, None);
+        let (p_first, _) = svc.query_problem_shared("P", &filter, None);
+        let (q_first, _) = svc.query_problem_shared("Q", &filter, None);
         // Nobody named bob owns anything: no shard changes.
         assert_eq!(svc.delete_owned("bob", &Filter::True).unwrap(), 0);
         for (problem, first) in [("P", &p_first), ("Q", &q_first)] {
-            let (again, s) = svc.query_problem_counted(problem, &filter, None);
+            let (again, s) = svc.query_problem_shared(problem, &filter, None);
             assert_eq!((s.cache_hits, s.scanned), (1, 0), "problem {problem}");
             assert_eq!(&again, first);
         }
         // A delete that does match still invalidates.
         let one = parse_query("task.m = 5").unwrap();
         assert_eq!(svc.delete_owned("alice", &one).unwrap(), 2);
-        let (after, s) = svc.query_problem_counted("P", &filter, None);
+        let (after, s) = svc.query_problem_shared("P", &filter, None);
         assert_eq!(s.cache_misses, 1);
         assert_eq!(after.len(), p_first.len() - 1);
     }
@@ -1036,9 +1050,9 @@ mod tests {
         });
         svc.insert(eval("P", "alice", 1)).unwrap();
         let filter = parse_query("task.m >= 0").unwrap();
-        let (_, s) = svc.query_problem_counted("P", &filter, None);
+        let (_, s) = svc.query_problem_shared("P", &filter, None);
         assert_eq!((s.cache_hits, s.cache_misses), (0, 0));
-        let (_, s) = svc.query_problem_counted("P", &filter, None);
+        let (_, s) = svc.query_problem_shared("P", &filter, None);
         assert_eq!((s.cache_hits, s.cache_misses), (0, 0));
         assert_eq!(svc.cache_counts(), (0, 0));
     }

@@ -12,6 +12,7 @@ use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
 use std::path::Path;
+use std::sync::Arc;
 
 /// Store errors.
 #[derive(Debug)]
@@ -80,9 +81,12 @@ impl From<serde_json::Error> for StoreError {
     }
 }
 
+/// The documents are `Arc`-shared: a query result or a cache entry holds
+/// pointers to the stored records, never copies of them. A stored record
+/// is never mutated, so a snapshot taken before a write stays valid.
 #[derive(Default, Serialize, Deserialize)]
 struct Inner {
-    docs: Vec<FunctionEvaluation>,
+    docs: Vec<Arc<FunctionEvaluation>>,
     next_id: u64,
     clock: u64,
     /// problem name -> doc indexes (not ids), rebuilt on load.
@@ -99,25 +103,66 @@ struct Inner {
 /// Count a document against its provenance contributor (records without
 /// provenance — pre-schema imports — are not counted).
 fn bump_contributor(map: &mut BTreeMap<String, u64>, doc: &FunctionEvaluation) {
-    if let Some(p) = &doc.provenance {
-        if !p.contributor.is_empty() {
-            *map.entry(p.contributor.clone()).or_insert(0) += 1;
+    let Some(p) = &doc.provenance else { return };
+    if p.contributor.is_empty() {
+        return;
+    }
+    match map.get_mut(&p.contributor) {
+        Some(n) => *n += 1,
+        None => {
+            map.insert(p.contributor.clone(), 1);
         }
     }
 }
 
 impl Inner {
+    /// Append a document and index it. Problem and contributor keys are
+    /// looked up by reference first, so only a problem or contributor
+    /// seen for the first time allocates a key.
+    fn push(&mut self, doc: Arc<FunctionEvaluation>) {
+        let idx = self.docs.len();
+        match self.by_problem.get_mut(&doc.problem) {
+            Some(postings) => postings.push(idx),
+            None => {
+                self.by_problem.insert(doc.problem.clone(), vec![idx]);
+            }
+        }
+        self.indexes.insert_doc(idx, &doc);
+        bump_contributor(&mut self.by_contributor, &doc);
+        self.docs.push(doc);
+    }
+
     fn rebuild_index(&mut self) {
+        let docs = std::mem::take(&mut self.docs);
         self.by_problem.clear();
         self.by_contributor.clear();
-        for (i, d) in self.docs.iter().enumerate() {
-            self.by_problem
-                .entry(d.problem.clone())
-                .or_default()
-                .push(i);
-            bump_contributor(&mut self.by_contributor, d);
+        self.indexes = FieldIndexes::default();
+        for doc in docs {
+            self.push(doc);
         }
-        self.indexes.rebuild(&self.docs);
+    }
+
+    /// The readable documents among `candidates` that match `filter`,
+    /// shared with the store (no record is copied). Counts the scanned
+    /// and access-denied candidates into `stats`.
+    fn collect_matches(
+        &self,
+        candidates: &[usize],
+        filter: &Filter,
+        user: Option<&str>,
+        stats: &mut ScanStats,
+    ) -> Vec<Arc<FunctionEvaluation>> {
+        stats.scanned = candidates.len();
+        let mut hits = Vec::with_capacity(candidates.len());
+        for &i in candidates {
+            let doc = &self.docs[i];
+            if !doc.readable_by(user) {
+                stats.denied += 1;
+            } else if filter.matches(doc) {
+                hits.push(Arc::clone(doc));
+            }
+        }
+        hits
     }
 }
 
@@ -201,15 +246,7 @@ impl DocumentStore {
         inner.clock += 1;
         doc.id = inner.next_id;
         doc.logical_time = inner.clock;
-        let idx = inner.docs.len();
-        inner
-            .by_problem
-            .entry(doc.problem.clone())
-            .or_default()
-            .push(idx);
-        inner.indexes.insert_doc(idx, &doc);
-        bump_contributor(&mut inner.by_contributor, &doc);
-        inner.docs.push(doc);
+        inner.push(Arc::new(doc));
         inner.next_id
     }
 
@@ -218,22 +255,14 @@ impl DocumentStore {
     /// already present is skipped, so re-replaying records that made it
     /// into a snapshot before a crash cannot duplicate them. The id/clock
     /// counters advance to cover the replayed document.
-    pub fn insert_exact(&self, doc: FunctionEvaluation) {
+    pub fn insert_exact(&self, doc: Arc<FunctionEvaluation>) {
         let mut inner = self.inner.write();
         if inner.docs.iter().any(|d| d.id == doc.id) {
             return;
         }
         inner.next_id = inner.next_id.max(doc.id);
         inner.clock = inner.clock.max(doc.logical_time);
-        let idx = inner.docs.len();
-        inner
-            .by_problem
-            .entry(doc.problem.clone())
-            .or_default()
-            .push(idx);
-        inner.indexes.insert_doc(idx, &doc);
-        bump_contributor(&mut inner.by_contributor, &doc);
-        inner.docs.push(doc);
+        inner.push(doc);
     }
 
     /// Insert a document whose id and logical timestamp were assigned by
@@ -242,24 +271,17 @@ impl DocumentStore {
     /// pays — the allocator guarantees uniqueness — and advances the local
     /// counters to cover the document so a later unsharded load continues
     /// from the right id.
-    pub(crate) fn insert_assigned(&self, doc: FunctionEvaluation) {
+    pub(crate) fn insert_assigned(&self, doc: Arc<FunctionEvaluation>) {
         let mut inner = self.inner.write();
         inner.next_id = inner.next_id.max(doc.id);
         inner.clock = inner.clock.max(doc.logical_time);
-        let idx = inner.docs.len();
-        inner
-            .by_problem
-            .entry(doc.problem.clone())
-            .or_default()
-            .push(idx);
-        inner.indexes.insert_doc(idx, &doc);
-        bump_contributor(&mut inner.by_contributor, &doc);
-        inner.docs.push(doc);
+        inner.push(doc);
     }
 
     /// Every stored document, access control NOT applied — for moving a
-    /// store's contents between a snapshot and the service's shards.
-    pub(crate) fn all_docs(&self) -> Vec<FunctionEvaluation> {
+    /// store's contents between a snapshot and the service's shards. The
+    /// documents are shared, not copied.
+    pub(crate) fn all_docs(&self) -> Vec<Arc<FunctionEvaluation>> {
         self.inner.read().docs.clone()
     }
 
@@ -339,17 +361,22 @@ impl DocumentStore {
     /// Fetch a document by id.
     pub fn get(&self, id: u64) -> Option<FunctionEvaluation> {
         let inner = self.inner.read();
-        inner.docs.iter().find(|d| d.id == id).cloned()
+        inner
+            .docs
+            .iter()
+            .find(|d| d.id == id)
+            .map(|d| FunctionEvaluation::clone(d))
     }
 
     /// All documents for a problem (uses the secondary index), filtered by
-    /// `filter` and readable by `user`.
+    /// `filter` and readable by `user`. The documents are shared with the
+    /// store, not copied.
     pub fn query_problem(
         &self,
         problem: &str,
         filter: &Filter,
         user: Option<&str>,
-    ) -> Vec<FunctionEvaluation> {
+    ) -> Vec<Arc<FunctionEvaluation>> {
         self.query_problem_counted(problem, filter, user).0
     }
 
@@ -361,40 +388,28 @@ impl DocumentStore {
         problem: &str,
         filter: &Filter,
         user: Option<&str>,
-    ) -> (Vec<FunctionEvaluation>, ScanStats) {
+    ) -> (Vec<Arc<FunctionEvaluation>>, ScanStats) {
         let inner = self.inner.read();
         let mut stats = ScanStats::default();
-        let hits = match inner.by_problem.get(problem) {
-            Some(idxs) => {
-                // Narrow the problem's postings through the field indexes
-                // before touching any document; candidates are still
-                // verified by `matches`.
-                let candidates: Vec<usize> = match inner.indexes.plan(filter) {
-                    Some(plan) => intersect_sorted(idxs, &plan),
-                    None => idxs.clone(),
-                };
+        let Some(idxs) = inner.by_problem.get(problem) else {
+            return (Vec::new(), stats);
+        };
+        // Narrow the problem's postings through the field indexes before
+        // touching any document; candidates are still verified by
+        // `matches`.
+        let hits = match inner.indexes.plan(filter) {
+            Some(plan) => {
+                let candidates = intersect_sorted(idxs, &plan);
                 stats.pruned = idxs.len() - candidates.len();
-                stats.scanned = candidates.len();
-                candidates
-                    .iter()
-                    .map(|&i| &inner.docs[i])
-                    .filter(|d| {
-                        if !d.readable_by(user) {
-                            stats.denied += 1;
-                            return false;
-                        }
-                        filter.matches(d)
-                    })
-                    .cloned()
-                    .collect()
+                inner.collect_matches(&candidates, filter, user, &mut stats)
             }
-            None => Vec::new(),
+            None => inner.collect_matches(idxs, filter, user, &mut stats),
         };
         (hits, stats)
     }
 
     /// Full-collection query (no problem restriction).
-    pub fn query(&self, filter: &Filter, user: Option<&str>) -> Vec<FunctionEvaluation> {
+    pub fn query(&self, filter: &Filter, user: Option<&str>) -> Vec<Arc<FunctionEvaluation>> {
         self.query_counted(filter, user).0
     }
 
@@ -404,7 +419,7 @@ impl DocumentStore {
         &self,
         filter: &Filter,
         user: Option<&str>,
-    ) -> (Vec<FunctionEvaluation>, ScanStats) {
+    ) -> (Vec<Arc<FunctionEvaluation>>, ScanStats) {
         let inner = self.inner.read();
         let mut stats = ScanStats::default();
         let candidates: Vec<usize> = match inner.indexes.plan(filter) {
@@ -412,19 +427,7 @@ impl DocumentStore {
             None => (0..inner.docs.len()).collect(),
         };
         stats.pruned = inner.docs.len() - candidates.len();
-        stats.scanned = candidates.len();
-        let hits = candidates
-            .iter()
-            .map(|&i| &inner.docs[i])
-            .filter(|d| {
-                if !d.readable_by(user) {
-                    stats.denied += 1;
-                    return false;
-                }
-                filter.matches(d)
-            })
-            .cloned()
-            .collect();
+        let hits = inner.collect_matches(&candidates, filter, user, &mut stats);
         (hits, stats)
     }
 

@@ -34,7 +34,7 @@ use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex as StdMutex};
+use std::sync::{Arc, Condvar, Mutex as StdMutex};
 
 /// CRC-32 (IEEE 802.3 polynomial, reflected) over `bytes`.
 pub fn crc32(bytes: &[u8]) -> u32 {
@@ -54,15 +54,14 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 /// (id and logical timestamp assigned) so replay is byte-faithful;
 /// deletes carry the resolved ids, not the filter, so replay cannot
 /// re-evaluate a predicate against a different state.
-// Insert dominates the WAL by construction; boxing the document would
-// only add a pointer chase on the hottest record kind.
-#[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum WalRecord {
     /// A document was inserted (post-assignment form).
     Insert {
-        /// The stored document, id and logical time included.
-        doc: FunctionEvaluation,
+        /// The stored document, id and logical time included. Shared
+        /// with the store, so logging an upload copies no record; it
+        /// serializes exactly as the document itself.
+        doc: Arc<FunctionEvaluation>,
     },
     /// Documents were deleted by id.
     Delete {

@@ -78,8 +78,8 @@ fn readers_never_observe_torn_documents() {
                 let mut checked = 0usize;
                 while !stop.load(Ordering::Relaxed) {
                     let problem = problems[r % problems.len()];
-                    let (hits, _) = svc.query_problem_counted(problem, &filter, None);
-                    for doc in &hits {
+                    let (hits, _) = svc.query_problem_shared(problem, &filter, None);
+                    for doc in hits.iter() {
                         assert_not_torn(doc);
                         checked += 1;
                     }
@@ -111,9 +111,9 @@ fn readers_never_observe_torn_documents() {
     assert_eq!(svc.len(), 4 * 250);
     // Final scan re-verifies everything at rest.
     for problem in problems {
-        let (hits, _) = svc.query_problem_counted(problem, &filter, None);
+        let (hits, _) = svc.query_problem_shared(problem, &filter, None);
         assert_eq!(hits.len(), 250);
-        hits.iter().for_each(assert_not_torn);
+        hits.iter().for_each(|doc| assert_not_torn(doc));
     }
 }
 
@@ -138,8 +138,8 @@ fn access_control_holds_under_concurrency() {
             let filter = filter.clone();
             std::thread::spawn(move || {
                 while !stop.load(Ordering::Relaxed) {
-                    let (hits, _) = svc.query_problem_counted("SECRETS", &filter, user);
-                    for doc in hits {
+                    let (hits, _) = svc.query_problem_shared("SECRETS", &filter, user);
+                    for doc in hits.iter() {
                         assert!(
                             doc.access == Access::Public || doc.owner == "bob",
                             "user {user:?} read a private doc owned by {}",
@@ -158,7 +158,7 @@ fn access_control_holds_under_concurrency() {
         std::thread::spawn(move || {
             let mut max_seen = 0usize;
             while !stop.load(Ordering::Relaxed) {
-                let (hits, _) = svc.query_problem_counted("SECRETS", &filter, Some("alice"));
+                let (hits, _) = svc.query_problem_shared("SECRETS", &filter, Some("alice"));
                 // Monotone visibility for the owner: inserts only, so the
                 // owner's view must never shrink (a cache serving a stale
                 // epoch would shrink it).
@@ -188,9 +188,9 @@ fn access_control_holds_under_concurrency() {
     }
     owner_reader.join().unwrap();
 
-    let (public, _) = svc.query_problem_counted("SECRETS", &filter, None);
+    let (public, _) = svc.query_problem_shared("SECRETS", &filter, None);
     assert_eq!(public.len(), 100);
-    let (own, _) = svc.query_problem_counted("SECRETS", &filter, Some("alice"));
+    let (own, _) = svc.query_problem_shared("SECRETS", &filter, Some("alice"));
     assert_eq!(own.len(), 300);
 }
 
@@ -219,7 +219,7 @@ fn cache_never_serves_stale_results() {
                 std::thread::spawn(move || {
                     let mut max_seen = 0usize;
                     while !stop.load(Ordering::Relaxed) {
-                        let (hits, _) = svc.query_problem_counted("P", &filter, None);
+                        let (hits, _) = svc.query_problem_shared("P", &filter, None);
                         assert!(
                             hits.len() >= max_seen,
                             "stale cache: view shrank from {max_seen} to {}",
@@ -246,13 +246,18 @@ fn cache_never_serves_stale_results() {
         // Post-quiescence the cache must serve the complete final state:
         // the first query installs (or revalidates) the entry, the second
         // must hit it and return the full count.
-        let (hits, _) = svc.query_problem_counted("P", &filter, None);
+        let (hits, _) = svc.query_problem_shared("P", &filter, None);
         assert_eq!(hits.len(), total as usize);
-        let (again, stats) = svc.query_problem_counted("P", &filter, None);
+        let (again, stats) = svc.query_problem_shared("P", &filter, None);
         assert_eq!(again.len(), total as usize);
         assert_eq!(stats.cache_hits, 1, "quiescent repeat query must hit");
         let (hits_total, _) = svc.cache_counts();
         assert!(hits_total > 0, "stress never hit the cache (seed {seed})");
+        assert_eq!(
+            svc.verify_cache_coherence(),
+            0,
+            "a current cache entry differs from a fresh scan (seed {seed})"
+        );
     }
 }
 

@@ -72,7 +72,7 @@ fn shed_uploads_are_typed_and_never_reach_memory_or_wal() {
     let (svc, report) = CrowdService::open_durable(&dir, config).unwrap();
     assert_eq!(report.wal_records, 4, "3 admitted inserts + 1 blob");
     assert_eq!(svc.len(), 3, "shed write must not replay from the WAL");
-    let (hits, _) = svc.query_problem_counted("P", &parse_query("task.m = 99").unwrap(), None);
+    let (hits, _) = svc.query_problem_shared("P", &parse_query("task.m = 99").unwrap(), None);
     assert!(hits.is_empty(), "shed document visible after recovery");
     assert_eq!(svc.get_blob("ckpt/run").unwrap(), "{\"iter\":1}");
     std::fs::remove_dir_all(&dir).ok();
@@ -95,7 +95,7 @@ fn deadline_exceeded_reads_never_touch_the_query_cache() {
     let filter = parse_query("task.m >= 0").unwrap();
 
     // Miss populates the cache.
-    let (results, stats) = svc.query_problem_counted("P", &filter, None);
+    let (results, stats) = svc.query_problem_shared("P", &filter, None);
     assert_eq!(results.len(), 2);
     assert_eq!(stats.cache_misses, 1);
     assert_eq!(svc.cache_counts(), (0, 1));
@@ -114,7 +114,7 @@ fn deadline_exceeded_reads_never_touch_the_query_cache() {
     );
 
     // The entry installed by the original miss still serves.
-    let (results, stats) = svc.query_problem_counted("P", &filter, None);
+    let (results, stats) = svc.query_problem_shared("P", &filter, None);
     assert_eq!(results.len(), 2);
     assert_eq!(stats.cache_hits, 1);
     assert_eq!(stats.stale_served, 0);
@@ -155,13 +155,13 @@ fn degraded_shards_serve_epoch_stamped_stale_reads() {
     assert_eq!(ov.health_snapshot(), vec![HealthState::Degraded]);
 
     let filter = parse_query("task.m >= 0").unwrap();
-    let (results, _) = svc.query_problem_counted("P", &filter, None);
+    let (results, _) = svc.query_problem_shared("P", &filter, None);
     assert_eq!(results.len(), 1);
 
     // A write invalidates the entry's epoch...
     svc.insert(eval("P", 2)).unwrap();
     // ...but the degraded shard serves the old snapshot, stamped stale.
-    let (results, stats) = svc.query_problem_counted("P", &filter, None);
+    let (results, stats) = svc.query_problem_shared("P", &filter, None);
     assert_eq!(results.len(), 1, "stale serve returns the old snapshot");
     assert_eq!(stats.stale_served, 1);
     assert_eq!(stats.cache_hits, 0, "a stale serve is not a coherent hit");

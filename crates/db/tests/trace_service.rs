@@ -10,7 +10,7 @@ use crowdtune_db::{EvalOutcome, MachineConfig};
 use crowdtune_obs as obs;
 use obs::{OpKind, RequestCtx, TraceStage};
 use std::path::PathBuf;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// Serialize tests: tracing state is process-global.
 fn lock() -> parking_lot::MutexGuard<'static, ()> {
@@ -187,7 +187,7 @@ fn followers_link_to_their_leader_fsync() {
 #[test]
 fn tracing_does_not_change_results_and_caches_stay_coherent() {
     let _g = lock();
-    let run = |traced: bool| -> (Vec<u64>, Vec<FunctionEvaluation>) {
+    let run = |traced: bool| -> (Vec<u64>, Vec<Arc<FunctionEvaluation>>) {
         obs::set_tracing_enabled(traced);
         let svc = CrowdService::new(ServiceConfig {
             shards: 4,
@@ -201,10 +201,10 @@ fn tracing_does_not_change_results_and_caches_stay_coherent() {
         let mut rows = Vec::new();
         for p in 0..5 {
             // Twice: miss then hit, both must agree with each other.
-            let (a, _) = svc.query_problem_counted(&format!("P{p}"), &filter, None);
-            let (b, _) = svc.query_problem_counted(&format!("P{p}"), &filter, None);
+            let (a, _) = svc.query_problem_shared(&format!("P{p}"), &filter, None);
+            let (b, _) = svc.query_problem_shared(&format!("P{p}"), &filter, None);
             assert_eq!(a, b);
-            rows.extend(a);
+            rows.extend(a.iter().cloned());
         }
         assert_eq!(svc.verify_cache_coherence(), 0, "no stale cache entries");
         obs::set_tracing_enabled(false);

@@ -189,7 +189,7 @@ fn kill_points_with_shedding_keep_acked_writes_and_drop_shed_ones() {
         assert_eq!(svc.len(), complete, "cut at byte {cut}: wrong doc count");
         // Every acked write whose record completed before the cut is
         // present, in ack order...
-        let recovered = svc.query_problem_counted("P", &parse_query("task.m >= 0").unwrap(), None);
+        let recovered = svc.query_problem_shared("P", &parse_query("task.m >= 0").unwrap(), None);
         let ms: std::collections::HashSet<i64> = recovered
             .0
             .iter()

@@ -110,9 +110,9 @@ fn concurrent_scrapes_stay_well_formed_under_live_writes() {
                     svc.insert(eval(&format!("P{t}"), i)).unwrap();
                     // Miss then hit, exercising both cache counters and
                     // the hit-path timing histogram.
-                    let (rows, _) = svc.query_problem_counted(&format!("P{t}"), &filter, None);
+                    let (rows, _) = svc.query_problem_shared(&format!("P{t}"), &filter, None);
                     assert_eq!(rows.len() as i64, i + 1);
-                    svc.query_problem_counted(&format!("P{t}"), &filter, None);
+                    svc.query_problem_shared(&format!("P{t}"), &filter, None);
                 }
             });
         }
@@ -140,7 +140,7 @@ fn concurrent_scrapes_stay_well_formed_under_live_writes() {
             loop {
                 let total: usize = (0..8)
                     .map(|t| {
-                        svc2.query_problem_counted(&format!("P{t}"), &filter, None)
+                        svc2.query_problem_shared(&format!("P{t}"), &filter, None)
                             .0
                             .len()
                     })
