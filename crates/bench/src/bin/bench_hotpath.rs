@@ -1,123 +1,88 @@
-//! Machine-readable hot-path benchmark: times the optimized compute
-//! substrate against a faithful re-implementation of the pre-overhaul
-//! serial algorithms and writes `results/bench_hotpath.json`.
+//! Hot-path benchmark of the sparse surrogate tier: writes
+//! `results/bench_hotpath.json` for `bench_gate`.
 //!
-//! Three substrates are measured:
+//! crowdbench's sessions never reach the sparse tier (its switch
+//! threshold is crowd scale), so it is timed here, in units of a probe:
+//! a 256×256 `Matrix::matmul` at the run's thread count. The probe runs
+//! right before and after every timed run, and each run is divided by
+//! the mean of the two, so a host that is slower for a while slows both
+//! alike (six runs of one build timed the probe alone at 2.8–5.2 ms).
+//! A substrate's `probe_units` is the median of its runs' ratios.
 //!
-//! 1. `lcm_fit_n260` — LCM hyperparameter fit at `n_total = 260`
-//!    (two tasks). Baseline: the original objective, which re-evaluated
-//!    every kernel from raw points (per-call lengthscale exps, a heap
-//!    allocation per pair) and took a dense `inverse()` per L-BFGS
-//!    step. Optimized: `Lcm::fit` with its cached squared-distance /
-//!    cached base-kernel two-pass objective.
-//! 2. `acquisition_2000cand_n128` — score 2000 candidates on a GP with
-//!    128 training points. Baseline: the original per-candidate
-//!    `predict` (fresh `kstar` allocation, per-call hyperparameter
-//!    exps, a loop-carried triangular solve for the variance).
-//!    Optimized: `Gp::predict_batch` (hoisted `KernelParams`, the
-//!    precomputed-`K⁻¹` quadratic form).
-//! 3. `matmul_256` — 256×256 `matmul` vs `matmul_serial`. The two are
-//!    identical below two rayon threads, so the speedup here reflects
-//!    thread-level parallelism only.
-//!
-//! Two amortization substrates cover the incremental BO loop:
-//!
-//! 4. `incremental_update_n260` — absorb one new observation into a GP
-//!    with 260 training points. Baseline: the from-scratch build the
-//!    pre-amortization tuner paid every iteration (covariance + blocked
-//!    Cholesky + `L⁻¹`, O(n³)). Optimized: `Gp::update`'s rank-1
-//!    Cholesky append + `L⁻¹` extension (O(n²)).
-//! 5. `tune_loop_n260` — an end-to-end 260-evaluation BO loop on a
-//!    synthetic objective. Baseline: per-iteration `Gp::fit` plus fresh
-//!    candidate generation (the seed tuner's shape). Optimized:
-//!    `IncrementalGp` on the default refit schedule plus the reusable
-//!    `CandidatePool`.
-//!
-//! Two crowd-scale substrates cover the sparse surrogate tier:
-//!
-//! 6. `sparse_fit_acq_n2000` — exact GP build + 2000-candidate batched
-//!    acquisition vs `SparseGp::fit` (inducing selection, subset hyper
-//!    fit, Nyström assembly) + the same sweep, at the largest n where
-//!    the exact build is still runnable. The sparse tier must win by
-//!    ≥ 20x (asserted).
-//! 7. `sparse_scale_n100000` (`_n10000_smoke`) — sparse fit +
-//!    acquisition at crowd scale, serial vs fixed-chunk parallel
-//!    Nyström assembly, with the single-point predict latency tail
-//!    (p50/p99) emitted for the gate's `tail.` stat.
-//!
-//! The tune-loop substrate additionally reports heap-allocation counts
-//! for the pooled proposal path with and without the persistent
-//! `ProposalScratch` (buffer reuse must strictly reduce allocations;
-//! asserted).
+//! 1. `sparse_fit_acq_n2000` — `SparseGp::fit` (inducing selection,
+//!    subset hyperparameter fit, Nyström assembly) plus a 2000-candidate
+//!    batched acquisition sweep, at the largest n where the exact GP
+//!    still runs. The exact build plus the same sweep is timed too: both
+//!    are live paths the tier switches between, and the sparse one must
+//!    win by ≥ 20x (asserted).
+//! 2. `sparse_scale_n100000` (`_n10000_smoke`) — sparse fit plus
+//!    acquisition at crowd scale, where the exact GP cannot run.
 //!
 //! Run: `cargo run --release -p crowdtune-bench --bin bench_hotpath`.
-//! Pass `--smoke` to shrink the loop and crowd-scale substrates (and
-//! suffix their names with `_smoke` so the regression gate never
-//! compares smoke-scale stats against full-scale baselines) — that is
-//! what CI runs.
+//! Pass `--smoke` to shrink the crowd-scale substrate (and suffix the
+//! substrates' names with `_smoke` so the gate never compares
+//! smoke-scale stats against full-scale baselines) — that is what CI
+//! runs.
 
-use crowdtune_core::acquisition::{propose, CandidatePool, ProposalRequest, ProposalScratch};
-use crowdtune_core::SearchOptions;
-use crowdtune_gp::{
-    DimKind, Gp, GpConfig, IncrementalGp, Kernel, KernelKind, Lcm, LcmConfig, RefitSchedule,
-    SparseGp, SparseGpConfig, TaskData,
-};
-use crowdtune_linalg::{lbfgs, Cholesky, LbfgsOptions, Matrix};
+use crowdtune_gp::{DimKind, Gp, Kernel, KernelKind, Prediction, SparseGp, SparseGpConfig};
+use crowdtune_linalg::Matrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;
 
-/// Heap-allocation counter for the scratch-reuse substrate: counts
-/// `alloc`/`realloc` calls (frees are not interesting) while armed.
-/// Counting costs one relaxed atomic increment, far below timing noise.
-struct CountingAlloc;
-
-static ALLOC_ARMED: AtomicBool = AtomicBool::new(false);
-static ALLOC_COUNT: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if ALLOC_ARMED.load(Ordering::Relaxed) {
-            ALLOC_COUNT.fetch_add(1, Ordering::Relaxed);
-        }
-        System.alloc(layout)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if ALLOC_ARMED.load(Ordering::Relaxed) {
-            ALLOC_COUNT.fetch_add(1, Ordering::Relaxed);
-        }
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-/// Allocation count of one run of `f`.
-fn count_allocs<F: FnOnce()>(f: F) -> u64 {
-    ALLOC_COUNT.store(0, Ordering::Relaxed);
-    ALLOC_ARMED.store(true, Ordering::Relaxed);
+/// Wall-clock seconds of one run of `f`.
+fn seconds(f: &mut impl FnMut()) -> f64 {
+    let t0 = Instant::now();
     f();
-    ALLOC_ARMED.store(false, Ordering::Relaxed);
-    ALLOC_COUNT.load(Ordering::Relaxed)
+    t0.elapsed().as_secs_f64()
 }
 
-/// Median wall-clock nanoseconds of `reps` runs of `f`.
-fn median_ns<F: FnMut()>(reps: usize, mut f: F) -> u128 {
-    let mut samples: Vec<u128> = (0..reps)
-        .map(|_| {
-            let t0 = Instant::now();
-            f();
-            t0.elapsed().as_nanos()
-        })
-        .collect();
-    samples.sort_unstable();
-    samples[samples.len() / 2]
+/// The probe: the fastest of three 256×256 products.
+struct Probe {
+    a: Matrix,
+    b: Matrix,
+}
+
+impl Probe {
+    fn new() -> Self {
+        let mut rng = StdRng::seed_from_u64(41);
+        let mut random = || Matrix::from_fn(256, 256, |_, _| rng.gen::<f64>() - 0.5);
+        Probe {
+            a: random(),
+            b: random(),
+        }
+    }
+
+    fn seconds(&self) -> f64 {
+        (0..3)
+            .map(|_| {
+                seconds(&mut || {
+                    std::hint::black_box(self.a.matmul(&self.b));
+                })
+            })
+            .fold(f64::INFINITY, f64::min)
+    }
+
+    /// `f`'s time in probe units (the median over `reps` runs, each
+    /// divided by the mean probe time on either side of it) and its
+    /// median time in seconds.
+    fn units(&self, reps: usize, mut f: impl FnMut()) -> (f64, f64) {
+        let mut before = self.seconds();
+        let (mut ratios, mut times) = (Vec::new(), Vec::new());
+        for _ in 0..reps {
+            let t = seconds(&mut f);
+            let after = self.seconds();
+            ratios.push(2.0 * t / (before + after));
+            times.push(t);
+            before = after;
+        }
+        (median(ratios), median(times))
+    }
+}
+
+fn median(mut v: Vec<f64>) -> f64 {
+    v.sort_by(f64::total_cmp);
+    v[v.len() / 2]
 }
 
 fn unit_points(n: usize, d: usize, seed: u64) -> Vec<Vec<f64>> {
@@ -127,526 +92,47 @@ fn unit_points(n: usize, d: usize, seed: u64) -> Vec<Vec<f64>> {
         .collect()
 }
 
-// ---------------------------------------------------------------------
-// Baseline 1: the pre-overhaul LCM objective + fit loop.
-// ---------------------------------------------------------------------
-
-/// Hyperparameter layout for the naive LCM baseline (Q latent kernels,
-/// T tasks, D dims), mirroring the packing the model uses internally.
-struct NaivePack {
-    q: usize,
-    d: usize,
-    t: usize,
+/// The synthetic 4-d objective the sparse substrates fit.
+fn objective(p: &[f64]) -> f64 {
+    (p[0] * 5.0).sin() + p[1] * p[2]
 }
 
-impl NaivePack {
-    fn ls(&self, q: usize, dim: usize) -> usize {
-        q * (self.d + 2 * self.t) + dim
+/// Index of the best expected improvement over `best`.
+fn ei_argmax(preds: &[Prediction], best: f64) -> usize {
+    let mut best_score = f64::NEG_INFINITY;
+    let mut best_idx = 0;
+    for (i, p) in preds.iter().enumerate() {
+        let sc = crowdtune_core::expected_improvement(p.mean, p.std, best);
+        if sc.is_finite() && sc > best_score {
+            best_score = sc;
+            best_idx = i;
+        }
     }
-    fn a(&self, q: usize, t: usize) -> usize {
-        q * (self.d + 2 * self.t) + self.d + t
-    }
-    fn kappa(&self, q: usize, t: usize) -> usize {
-        q * (self.d + 2 * self.t) + self.d + self.t + t
-    }
-    fn noise(&self, t: usize) -> usize {
-        self.q * (self.d + 2 * self.t) + t
-    }
-    fn len(&self) -> usize {
-        self.q * (self.d + 2 * self.t) + self.t
-    }
+    best_idx
 }
 
-fn naive_out_of_bounds(theta: &[f64], pack: &NaivePack) -> bool {
-    // Same box constraints the model enforces.
-    for q in 0..pack.q {
-        for dim in 0..pack.d {
-            if !(-4.6..=2.31).contains(&theta[pack.ls(q, dim)]) {
-                return true;
-            }
-        }
-        for t in 0..pack.t {
-            if !(-5.0..=5.0).contains(&theta[pack.a(q, t)]) {
-                return true;
-            }
-            if !(-13.8..=2.31).contains(&theta[pack.kappa(q, t)]) {
-                return true;
-            }
-        }
-    }
-    for t in 0..pack.t {
-        if !(-18.4..=0.69).contains(&theta[pack.noise(t)]) {
-            return true;
-        }
-    }
-    false
-}
-
-/// The original (seed) LCM negative log marginal likelihood + gradient:
-/// rebuilds the covariance from raw points with per-call kernel
-/// evaluations, dense `inverse()`, and a per-pair gradient allocation.
-#[allow(clippy::too_many_arguments)]
-fn naive_lcm_nlml_with_grad(
-    theta: &[f64],
-    pack: &NaivePack,
-    kernel_proto: &Kernel,
-    x_all: &[Vec<f64>],
-    task_of: &[usize],
-    ys: &[f64],
-) -> Option<(f64, Vec<f64>)> {
-    let n = x_all.len();
-    let (q_count, d) = (pack.q, pack.d);
-    let mut kernels = Vec::with_capacity(q_count);
-    for q in 0..q_count {
-        let mut k = kernel_proto.clone();
-        for dim in 0..d {
-            k.log_lengthscales[dim] = theta[pack.ls(q, dim)];
-        }
-        kernels.push(k);
-    }
-    let a: Vec<Vec<f64>> = (0..q_count)
-        .map(|q| (0..pack.t).map(|t| theta[pack.a(q, t)]).collect())
-        .collect();
-    let kappa: Vec<Vec<f64>> = (0..q_count)
-        .map(|q| (0..pack.t).map(|t| theta[pack.kappa(q, t)].exp()).collect())
-        .collect();
-    let log_noise: Vec<f64> = (0..pack.t).map(|t| theta[pack.noise(t)]).collect();
-
-    let mut k_full = Matrix::zeros(n, n);
-    for i in 0..n {
-        for j in i..n {
-            let (ti, tj) = (task_of[i], task_of[j]);
-            let mut v = 0.0;
-            for (q, kq) in kernels.iter().enumerate() {
-                let b = a[q][ti] * a[q][tj] + if ti == tj { kappa[q][ti] } else { 0.0 };
-                v += b * kq.eval(&x_all[i], &x_all[j]);
-            }
-            k_full[(i, j)] = v;
-            k_full[(j, i)] = v;
-        }
-        k_full[(i, i)] += log_noise[task_of[i]].exp();
-    }
-    let chol = Cholesky::robust(&k_full).ok()?;
-    let alpha = chol.solve_vec(ys);
-    let nlml = 0.5 * crowdtune_linalg::dot(ys, &alpha)
-        + 0.5 * chol.log_det()
-        + 0.5 * n as f64 * (2.0 * std::f64::consts::PI).ln();
-
-    // The seed computed the dense inverse by solving against a full
-    // identity (`inverse()` has since been rewritten as a structured
-    // ~n³/3 product, so calling it here would flatter the baseline).
-    let kinv = chol.solve_matrix(&Matrix::identity(n));
-    let mut grad = vec![0.0; pack.len()];
-    let mut kq_grad = vec![0.0; kernel_proto.n_hyper()];
-    for i in 0..n {
-        let ti = task_of[i];
-        for j in i..n {
-            let tj = task_of[j];
-            let w = alpha[i] * alpha[j] - kinv[(i, j)];
-            let sym = if i == j { 1.0 } else { 2.0 };
-            let ws = w * sym;
-            for (q, kq) in kernels.iter().enumerate() {
-                let kv = kq.eval_with_grad(&x_all[i], &x_all[j], &mut kq_grad);
-                let b = a[q][ti] * a[q][tj] + if ti == tj { kappa[q][ti] } else { 0.0 };
-                for dim in 0..d {
-                    grad[pack.ls(q, dim)] -= 0.5 * ws * b * kq_grad[dim];
-                }
-                grad[pack.a(q, ti)] -= 0.5 * ws * a[q][tj] * kv;
-                grad[pack.a(q, tj)] -= 0.5 * ws * a[q][ti] * kv;
-                if ti == tj {
-                    grad[pack.kappa(q, ti)] -= 0.5 * ws * kappa[q][ti] * kv;
-                }
-            }
-        }
-        let w_ii = alpha[i] * alpha[i] - kinv[(i, i)];
-        grad[pack.noise(ti)] -= 0.5 * w_ii * log_noise[ti].exp();
-    }
-    Some((nlml, grad))
-}
-
-/// The original serial LCM fit loop: same start and iteration cap as
-/// [`Lcm::fit`], but the seed's objective and its unbounded L-BFGS.
-fn naive_lcm_fit(tasks: &[TaskData], config: &LcmConfig) {
-    let t_count = tasks.len();
-    let d = config.dims.len();
-    let q_count = config.q.max(1);
-    let mut x_all = Vec::new();
-    let mut task_of = Vec::new();
-    let mut ys_raw: Vec<Vec<f64>> = Vec::new();
-    for (t, task) in tasks.iter().enumerate() {
-        let mean = crowdtune_linalg::stats::mean(&task.y);
-        let std = crowdtune_linalg::stats::std_dev(&task.y).max(1e-12);
-        ys_raw.push(task.y.iter().map(|&v| (v - mean) / std).collect());
-        for xi in &task.x {
-            x_all.push(xi.clone());
-            task_of.push(t);
-        }
-    }
-    let ys: Vec<f64> = ys_raw.into_iter().flatten().collect();
-    let pack = NaivePack {
-        q: q_count,
-        d,
-        t: t_count,
-    };
-    let kernel_proto = {
-        let mut k = Kernel::new(config.kernel, config.dims.clone());
-        k.log_signal_variance = 0.0;
-        k
-    };
-    let objective = |theta: &[f64]| -> (f64, Vec<f64>) {
-        if naive_out_of_bounds(theta, &pack) {
-            return (f64::INFINITY, vec![0.0; theta.len()]);
-        }
-        match naive_lcm_nlml_with_grad(theta, &pack, &kernel_proto, &x_all, &task_of, &ys) {
-            Some(r) => r,
-            None => (f64::INFINITY, vec![0.0; theta.len()]),
-        }
-    };
-    let mut s0 = vec![0.0; pack.len()];
-    for q in 0..q_count {
-        for dim in 0..d {
-            s0[pack.ls(q, dim)] = (0.3f64).ln();
-        }
-        for t in 0..t_count {
-            s0[pack.a(q, t)] = if q == 0 { 1.0 } else { 0.3 };
-            s0[pack.kappa(q, t)] = (0.1f64).ln();
-        }
-    }
-    for t in 0..t_count {
-        s0[pack.noise(t)] = (1e-2f64).ln();
-    }
-    let opts = LbfgsOptions {
-        max_iter: config.max_opt_iter,
-        ..Default::default()
-    };
-    // The seed computed every gradient eagerly.
-    let eager = |theta: &[f64]| {
-        let (nll, grad) = objective(theta);
-        (nll, move || grad)
-    };
-    let res = lbfgs(&s0, eager, &opts, None);
-    std::hint::black_box(res.f);
-}
-
-// ---------------------------------------------------------------------
-// Baseline 2: the pre-overhaul per-candidate GP predict.
-// ---------------------------------------------------------------------
-
-/// The seed's GP posterior: fresh `kstar` per call, per-call
-/// hyperparameter exps inside `Kernel::eval`, and a triangular solve
-/// for the variance.
-struct NaiveGp {
-    kernel: Kernel,
-    x: Vec<Vec<f64>>,
-    alpha: Vec<f64>,
-    chol: Cholesky,
-    y_mean: f64,
-    y_std: f64,
-}
-
-impl NaiveGp {
-    fn build(kernel: Kernel, log_noise: f64, x: &[Vec<f64>], y: &[f64]) -> Self {
-        let y_mean = crowdtune_linalg::stats::mean(y);
-        let y_std = crowdtune_linalg::stats::std_dev(y).max(1e-12);
-        let ys: Vec<f64> = y.iter().map(|&v| (v - y_mean) / y_std).collect();
-        let n = x.len();
-        let mut k = Matrix::zeros(n, n);
-        for i in 0..n {
-            for j in i..n {
-                let v = kernel.eval(&x[i], &x[j]);
-                k[(i, j)] = v;
-                k[(j, i)] = v;
-            }
-            k[(i, i)] += log_noise.exp();
-        }
-        let chol = Cholesky::robust(&k).expect("benchmark covariance is SPD");
-        let alpha = chol.solve_vec(&ys);
-        NaiveGp {
-            kernel,
-            x: x.to_vec(),
-            alpha,
-            chol,
-            y_mean,
-            y_std,
-        }
-    }
-
-    fn predict(&self, xstar: &[f64]) -> (f64, f64) {
-        let n = self.x.len();
-        let mut kstar = vec![0.0; n];
-        for (i, xi) in self.x.iter().enumerate() {
-            kstar[i] = self.kernel.eval(xstar, xi);
-        }
-        let mean_s = crowdtune_linalg::dot(&kstar, &self.alpha);
-        let v = self.chol.solve_lower_vec(&kstar);
-        let var_s = (self.kernel.prior_variance() - crowdtune_linalg::norm2_sq(&v)).max(0.0);
-        (self.y_mean + self.y_std * mean_s, self.y_std * var_s.sqrt())
-    }
-}
-
-fn expected_improvement(mean: f64, std: f64, best: f64) -> f64 {
-    crowdtune_core::expected_improvement(mean, std, best)
-}
-
-/// Which proposal path the distilled BO loop exercises.
-#[derive(Clone, Copy, PartialEq)]
-enum LoopMode {
-    /// Pre-amortization tuner: from-scratch `Gp::fit` and a fresh
-    /// candidate sweep every iteration.
-    NaiveRefit,
-    /// `IncrementalGp` + `CandidatePool`, with a fresh
-    /// [`ProposalScratch`] per proposal (the pre-scratch allocation
-    /// shape).
-    Pooled,
-    /// Same, but with one persistent [`ProposalScratch`]: candidate
-    /// buffers are recycled across iterations, so steady-state proposals
-    /// allocate nothing.
-    PooledScratch,
-}
-
-/// One distilled BO iteration loop over a synthetic 3-d objective.
-/// All modes draw RNG in the same order, so they propose bitwise
-/// identical candidates given a mode-matching surrogate.
-fn tune_loop(budget: usize, mode: LoopMode) -> f64 {
-    const D: usize = 3;
-    const N_INIT: usize = 8;
-    let objective =
-        |p: &[f64]| (p[0] * 4.0).sin() + 10.0 * (p[1] - 0.4) * (p[1] - 0.4) + 0.5 * p[2];
-    let mut rng = StdRng::seed_from_u64(51);
-    let opts = SearchOptions {
-        n_uniform: 128,
-        n_local: 16,
-        local_scales: vec![0.1],
-        ..SearchOptions::default()
-    };
-    let mut gp_config = GpConfig::continuous(D);
-    gp_config.restarts = 0;
-    gp_config.max_opt_iter = 8;
-    let mut surrogate = IncrementalGp::new(gp_config.clone(), RefitSchedule::default());
-    let pool = CandidatePool::new(D, &opts, &mut rng);
-    let mut scratch = ProposalScratch::new();
-    let mut x: Vec<Vec<f64>> = Vec::new();
-    let mut y: Vec<f64> = Vec::new();
-    for i in 0..budget {
-        let cand: Vec<f64> = if i < N_INIT {
-            (0..D).map(|_| rng.gen()).collect()
-        } else {
-            let (bi, by) = y
-                .iter()
-                .enumerate()
-                .min_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-                .map(|(i, &v)| (i, v))
-                .expect("non-empty");
-            let refit;
-            let gp = if mode == LoopMode::NaiveRefit {
-                refit = Gp::fit(&x, &y, &gp_config, &mut rng).expect("fit");
-                &refit
-            } else {
-                surrogate.gp().expect("fitted")
-            };
-            let req = ProposalRequest {
-                incumbent: Some((&x[bi], by)),
-                evaluated: &x,
-                pool: (mode != LoopMode::NaiveRefit).then_some(&pool),
-                ..ProposalRequest::new(D)
-            };
-            if mode != LoopMode::PooledScratch {
-                scratch = ProposalScratch::new();
-            }
-            propose(gp, &req, &opts, &mut rng, &mut scratch)
-        };
-        let value = objective(&cand);
-        if mode != LoopMode::NaiveRefit {
-            surrogate.observe(&cand, value, &mut rng).expect("observe");
-        }
-        x.push(cand);
-        y.push(value);
-    }
-    y.iter().cloned().fold(f64::INFINITY, f64::min)
+/// The sparse tier's configuration as the substrates fit it.
+fn sparse_config(d: usize) -> SparseGpConfig {
+    let mut config = SparseGpConfig::continuous(d);
+    config.base.restarts = 0;
+    config.base.max_opt_iter = 8;
+    config
 }
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
+    let suffix = if smoke { "_smoke" } else { "" };
     let threads = rayon::current_num_threads();
+    let probe = Probe::new();
     let mut rows: Vec<String> = Vec::new();
 
-    // Substrate 1: LCM fit, n_total = 260.
+    // Substrate 1: the sparse tier against the exact GP at n = 2000, the
+    // largest n where the exact build is still runnable. The ≥ 20x floor
+    // is the tier's headline claim and is asserted, not just reported.
     {
-        let d = 3;
-        let xs = unit_points(130, d, 21);
-        let src = TaskData {
-            y: xs.iter().map(|p| (p[0] * 4.0).sin() + p[1] * 2.0).collect(),
-            x: xs,
-        };
-        let xt = unit_points(130, d, 22);
-        let tgt = TaskData {
-            y: xt
-                .iter()
-                .map(|p| (p[0] * 4.0).sin() * 1.2 + p[1] * 2.0 + 0.5)
-                .collect(),
-            x: xt,
-        };
-        let tasks = vec![src, tgt];
-        let mut config = LcmConfig::continuous(d);
-        config.restarts = 0;
-        config.max_opt_iter = 12;
-        let before = median_ns(3, || naive_lcm_fit(&tasks, &config));
-        let after = median_ns(3, || {
-            let mut rng = StdRng::seed_from_u64(23);
-            std::hint::black_box(Lcm::fit(&tasks, &config, &mut rng).unwrap());
-        });
-        rows.push(substrate_row("lcm_fit_n260", before, after));
-    }
-
-    // Substrate 2: acquisition scoring, 2000 candidates, n = 128.
-    {
-        let d = 4;
-        let x = unit_points(128, d, 31);
-        let y: Vec<f64> = x.iter().map(|p| (p[0] * 5.0).sin() + p[1] * p[2]).collect();
-        let mut kernel = Kernel::new(KernelKind::Matern52, vec![DimKind::Continuous; d]);
-        for l in kernel.log_lengthscales.iter_mut() {
-            *l = (0.3f64).ln();
-        }
-        let log_noise = (1e-4f64).ln();
-        let naive = NaiveGp::build(kernel.clone(), log_noise, &x, &y);
-        let gp = Gp::with_hypers(kernel, log_noise, &x, &y).unwrap();
-        let cands = unit_points(2000, d, 32);
-        let best = y.iter().cloned().fold(f64::INFINITY, f64::min);
-        let before = median_ns(5, || {
-            let mut best_score = f64::NEG_INFINITY;
-            let mut best_idx = 0;
-            for (i, c) in cands.iter().enumerate() {
-                let (m, s) = naive.predict(c);
-                let sc = expected_improvement(m, s, best);
-                if sc.is_finite() && sc > best_score {
-                    best_score = sc;
-                    best_idx = i;
-                }
-            }
-            std::hint::black_box(best_idx);
-        });
-        let after = median_ns(5, || {
-            let preds = gp.predict_batch(&cands);
-            let mut best_score = f64::NEG_INFINITY;
-            let mut best_idx = 0;
-            for (i, p) in preds.iter().enumerate() {
-                let sc = expected_improvement(p.mean, p.std, best);
-                if sc.is_finite() && sc > best_score {
-                    best_score = sc;
-                    best_idx = i;
-                }
-            }
-            std::hint::black_box(best_idx);
-        });
-        rows.push(substrate_row("acquisition_2000cand_n128", before, after));
-    }
-
-    // Substrate 3: 256×256 matmul, serial vs parallel dispatch.
-    {
-        let mut rng = StdRng::seed_from_u64(41);
-        let a = Matrix::from_fn(256, 256, |_, _| rng.gen::<f64>() - 0.5);
-        let b = Matrix::from_fn(256, 256, |_, _| rng.gen::<f64>() - 0.5);
-        let before = median_ns(7, || {
-            std::hint::black_box(a.matmul_serial(&b));
-        });
-        let after = median_ns(7, || {
-            std::hint::black_box(a.matmul(&b));
-        });
-        rows.push(substrate_row("matmul_256", before, after));
-    }
-
-    // Substrate 4: absorb one observation into a GP at n = 260 (64 in
-    // smoke mode): from-scratch rebuild vs rank-1 Cholesky append.
-    {
-        let (n, reps, name) = if smoke {
-            (64, 1, "incremental_update_n64_smoke")
-        } else {
-            (260, 5, "incremental_update_n260")
-        };
-        let d = 3;
-        let x = unit_points(n + 1, d, 61);
-        let y: Vec<f64> = x
-            .iter()
-            .map(|p| (p[0] * 4.0).sin() + 10.0 * (p[1] - 0.4) * (p[1] - 0.4) + 0.5 * p[2])
-            .collect();
-        let mut kernel = Kernel::new(KernelKind::Matern52, vec![DimKind::Continuous; d]);
-        for l in kernel.log_lengthscales.iter_mut() {
-            *l = (0.3f64).ln();
-        }
-        let log_noise = (1e-4f64).ln();
-        let base = Gp::with_hypers(kernel.clone(), log_noise, &x[..n], &y[..n]).unwrap();
-        let (xnew, ynew) = (x[n].clone(), y[n]);
-        let before = median_ns(reps, || {
-            // The pre-amortization cost of "one more point": rebuild the
-            // covariance, the factor, and L⁻¹ from scratch at n + 1.
-            std::hint::black_box(Gp::with_hypers(kernel.clone(), log_noise, &x, &y).unwrap());
-        });
-        let after = median_ns(reps, || {
-            // The clone is an O(n²) memcpy so the append can be repeated;
-            // the tuner itself mutates in place and skips even that.
-            let mut gp = base.clone();
-            gp.update(&xnew, ynew).unwrap();
-            std::hint::black_box(gp.predict(&xnew).mean);
-        });
-        rows.push(substrate_row(name, before, after));
-    }
-
-    // Substrate 5: the end-to-end BO loop, per-iteration refit vs the
-    // amortized schedule + reusable candidate pool + proposal scratch.
-    {
-        let (budget, reps, name) = if smoke {
-            (48, 1, "tune_loop_n48_smoke")
-        } else {
-            (260, 3, "tune_loop_n260")
-        };
-        let before = median_ns(reps, || {
-            std::hint::black_box(tune_loop(budget, LoopMode::NaiveRefit));
-        });
-        let after = median_ns(reps, || {
-            std::hint::black_box(tune_loop(budget, LoopMode::PooledScratch));
-        });
-        // Scratch-reuse verification: the same pooled loop with and
-        // without the persistent `ProposalScratch`. Recycled candidate
-        // buffers must strictly cut the heap-allocation count.
-        let allocs_pooled = count_allocs(|| {
-            std::hint::black_box(tune_loop(budget, LoopMode::Pooled));
-        });
-        let allocs_scratch = count_allocs(|| {
-            std::hint::black_box(tune_loop(budget, LoopMode::PooledScratch));
-        });
-        assert!(
-            allocs_scratch < allocs_pooled,
-            "ProposalScratch must reduce allocations: scratch {allocs_scratch} \
-             vs pooled {allocs_pooled}"
-        );
-        eprintln!(
-            "tune_loop allocations: pooled {allocs_pooled}, scratch {allocs_scratch} \
-             ({:.1}% fewer)",
-            100.0 * (1.0 - allocs_scratch as f64 / allocs_pooled.max(1) as f64)
-        );
-        rows.push(substrate_row_ext(
-            name,
-            before,
-            after,
-            &format!(", \"allocs_before\": {allocs_pooled}, \"allocs_after\": {allocs_scratch}"),
-        ));
-    }
-
-    // Substrate 6: the crowd-scale tier at the largest exact-runnable n.
-    // Before: exact GP build (O(n³) Cholesky) + a 2000-candidate batched
-    // acquisition sweep. After: `SparseGp::fit` — inducing selection,
-    // subset hyperparameter fit, Nyström assembly — + the same sweep at
-    // O(m²) per candidate. The ≥20x floor is the PR's headline claim
-    // and is asserted, not just reported.
-    {
-        let (n, reps, name) = if smoke {
-            (2000, 1, "sparse_fit_acq_n2000_smoke")
-        } else {
-            (2000, 3, "sparse_fit_acq_n2000")
-        };
-        let d = 4;
+        let (n, d) = (2000, 4);
         let x = unit_points(n, d, 71);
-        let y: Vec<f64> = x.iter().map(|p| (p[0] * 5.0).sin() + p[1] * p[2]).collect();
+        let y: Vec<f64> = x.iter().map(|p| objective(p)).collect();
         let mut kernel = Kernel::new(KernelKind::Matern52, vec![DimKind::Continuous; d]);
         for l in kernel.log_lengthscales.iter_mut() {
             *l = (0.3f64).ln();
@@ -654,96 +140,53 @@ fn main() {
         let log_noise = (1e-4f64).ln();
         let cands = unit_points(2000, d, 72);
         let best = y.iter().cloned().fold(f64::INFINITY, f64::min);
-        let ei_argmax = |preds: &[crowdtune_gp::Prediction]| {
-            let mut best_score = f64::NEG_INFINITY;
-            let mut best_idx = 0;
-            for (i, p) in preds.iter().enumerate() {
-                let sc = expected_improvement(p.mean, p.std, best);
-                if sc.is_finite() && sc > best_score {
-                    best_score = sc;
-                    best_idx = i;
-                }
-            }
-            best_idx
-        };
-        let before = median_ns(reps, || {
+        // The exact side costs ~40x the sparse one: one run of it is
+        // enough for the assertion.
+        let (_, exact) = probe.units(if smoke { 1 } else { 3 }, || {
             let gp = Gp::with_hypers(kernel.clone(), log_noise, &x, &y).unwrap();
-            std::hint::black_box(ei_argmax(&gp.predict_batch(&cands)));
+            std::hint::black_box(ei_argmax(&gp.predict_batch(&cands), best));
         });
-        let mut scfg = SparseGpConfig::continuous(d);
-        scfg.base.restarts = 0;
-        scfg.base.max_opt_iter = 8;
-        let after = median_ns(reps, || {
+        let config = sparse_config(d);
+        let (units, sparse) = probe.units(5, || {
             let mut rng = StdRng::seed_from_u64(73);
-            let sparse = SparseGp::fit(&x, &y, &scfg, &mut rng).unwrap();
-            std::hint::black_box(ei_argmax(&sparse.predict_batch(&cands)));
+            let sparse = SparseGp::fit(&x, &y, &config, &mut rng).unwrap();
+            std::hint::black_box(ei_argmax(&sparse.predict_batch(&cands), best));
         });
-        let speedup = before as f64 / after.max(1) as f64;
+        let speedup = exact / sparse;
         assert!(
             speedup >= 20.0,
             "sparse tier must beat exact by >= 20x at n = {n} (got {speedup:.1}x)"
         );
         eprintln!("sparse vs exact at n = {n}: {speedup:.1}x");
-        rows.push(substrate_row(name, before, after));
+        rows.push(substrate_row(
+            &format!("sparse_fit_acq_n{n}{suffix}"),
+            units,
+            &format!(", \"seconds\": {sparse:.6}, \"exact_seconds\": {exact:.6}"),
+        ));
     }
 
-    // Substrate 7: sparse fit + acquisition at crowd scale — n where the
-    // exact GP is simply not runnable. Before: serial Nyström assembly;
-    // after: the fixed-chunk parallel assembly + batched predictions
-    // (bitwise identical outputs, see the gp crate's assembly test). The
-    // per-candidate predict latency distribution feeds the gate's
-    // `tail.` stat, pinning the O(m²) predict tail at crowd scale.
+    // Substrate 2: sparse fit + acquisition at crowd scale, where the
+    // exact GP is not runnable.
     {
-        let (n, name) = if smoke {
-            (10_000, "sparse_scale_n10000_smoke")
-        } else {
-            (100_000, "sparse_scale_n100000")
-        };
-        let d = 4;
+        let (n, d) = (if smoke { 10_000 } else { 100_000 }, 4);
         let x = unit_points(n, d, 81);
-        let y: Vec<f64> = x.iter().map(|p| (p[0] * 5.0).sin() + p[1] * p[2]).collect();
+        let y: Vec<f64> = x.iter().map(|p| objective(p)).collect();
         let cands = unit_points(2000, d, 82);
-        let mut serial_cfg = SparseGpConfig::continuous(d);
-        serial_cfg.base.restarts = 0;
-        serial_cfg.base.max_opt_iter = 8;
-        serial_cfg.base.parallel = false;
-        let mut par_cfg = serial_cfg.clone();
-        par_cfg.base.parallel = true;
-        let before = median_ns(1, || {
+        let config = sparse_config(d);
+        let (units, secs) = probe.units(if smoke { 3 } else { 1 }, || {
             let mut rng = StdRng::seed_from_u64(83);
-            let sparse = SparseGp::fit(&x, &y, &serial_cfg, &mut rng).unwrap();
+            let sparse = SparseGp::fit(&x, &y, &config, &mut rng).unwrap();
             std::hint::black_box(sparse.predict_batch(&cands).len());
         });
-        let mut fitted = None;
-        let after = median_ns(1, || {
-            let mut rng = StdRng::seed_from_u64(83);
-            let sparse = SparseGp::fit(&x, &y, &par_cfg, &mut rng).unwrap();
-            std::hint::black_box(sparse.predict_batch(&cands).len());
-            fitted = Some(sparse);
-        });
-        let sparse = fitted.expect("fitted above");
-        // Single-point predict latency tail over the candidate sweep.
-        let mut lat: Vec<u128> = cands
-            .iter()
-            .map(|c| {
-                let t0 = Instant::now();
-                std::hint::black_box(sparse.predict(c));
-                t0.elapsed().as_nanos()
-            })
-            .collect();
-        lat.sort_unstable();
-        let p50 = lat[lat.len() / 2];
-        let p99 = lat[lat.len() * 99 / 100];
-        rows.push(substrate_row_ext(
-            name,
-            before,
-            after,
-            &format!(", \"p50_ns\": {p50}, \"p99_ns\": {p99}"),
+        rows.push(substrate_row(
+            &format!("sparse_scale_n{n}{suffix}"),
+            units,
+            &format!(", \"seconds\": {secs:.6}"),
         ));
     }
 
     let json = format!(
-        "{{\n  \"threads\": {},\n  \"substrates\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"threads\": {},\n  \"probe\": \"matmul_256\",\n  \"substrates\": [\n{}\n  ]\n}}\n",
         threads,
         rows.join(",\n")
     );
@@ -752,17 +195,7 @@ fn main() {
     println!("{json}");
 }
 
-fn substrate_row(name: &str, before_ns: u128, after_ns: u128) -> String {
-    substrate_row_ext(name, before_ns, after_ns, "")
-}
-
-/// A substrate row with extra JSON fields (`extra` must start with a
-/// comma or be empty); the gate parses known fields and ignores the
-/// rest.
-fn substrate_row_ext(name: &str, before_ns: u128, after_ns: u128, extra: &str) -> String {
-    let speedup = before_ns as f64 / after_ns.max(1) as f64;
-    format!(
-        "    {{\"name\": \"{name}\", \"median_ns_before\": {before_ns}, \
-         \"median_ns_after\": {after_ns}, \"speedup\": {speedup:.3}{extra}}}"
-    )
+/// A substrate row; `extra` is empty or starts with a comma.
+fn substrate_row(name: &str, probe_units: f64, extra: &str) -> String {
+    format!("    {{\"name\": \"{name}\", \"probe_units\": {probe_units:.6}{extra}}}")
 }

@@ -1,20 +1,15 @@
 //! Fleet-scale load generator for the crowd repository: many concurrent
 //! clients running a mixed upload + TLA-style query workload against
-//! (a) the embedded store behind one service mutex — the classic
-//! single-loop deployment — and (b) the sharded [`CrowdService`].
+//! the sharded [`CrowdService`].
 //!
-//! Reports read-query throughput for both engines, the service's
-//! p50/p99 read latency, durable upload throughput under group commit,
-//! and the cache/fsync counters, then merges a `crowd_query[_smoke]`
-//! substrate row plus a `crowd` detail block into
-//! `results/bench_hotpath.json` so `bench_gate` tracks
-//! `cost.crowd_query` (1/speedup) and `tail.crowd_query` (p99/p50)
-//! across the trajectory.
+//! Reports the service's read-query throughput and p50/p99 read
+//! latency, durable upload throughput under group commit, and the
+//! cache/fsync counters. The repository's gated end-to-end numbers
+//! come from crowdbench's `crowd_repo` workload instead.
 //!
 //! Run: `cargo run --release -p crowdtune-bench --bin crowd_load`.
-//! Pass `--smoke` for the CI-sized workload (names suffixed `_smoke`
-//! so smoke stats never pool with full-scale baselines), and
-//! `--threads N` to change the client count (default 8).
+//! Pass `--smoke` for the CI-sized workload, and `--threads N` to
+//! change the client count (default 8).
 //!
 //! `--trace` re-runs the service read phase and a durable burst with
 //! request tracing on: every op carries a [`RequestCtx`], the drained
@@ -22,7 +17,7 @@
 //! `results/crowd_metrics.json`), stage durations are reconciled
 //! against op wall time, follower commits are checked for causal links
 //! to their leader's fsync, and the traced/untraced read-p50 ratio is
-//! merged into the `crowd` block as `trace_overhead` for the gate.
+//! printed.
 //! `--ring-capacity N` sizes the per-thread capture ring (default
 //! 65536 slots); overflow drops are warned about and counted in the
 //! `obs.trace_dropped` counter instead of aborting the run.
@@ -32,12 +27,12 @@
 //! a durable service with admission control in *simulated* time, twin
 //! runs are checked for bitwise determinism, and the acked/shed/
 //! deadline accounting, modeled p99, WAL-replay zero-loss cross-check,
-//! and recovery-to-Healthy invariants are asserted before the
-//! `overload` block is merged into `results/bench_hotpath.json`
-//! (metrics snapshot in `results/overload_metrics.json`).
+//! and recovery-to-Healthy invariants are asserted (metrics snapshot in
+//! `results/overload_metrics.json`, which CI holds to
+//! `examples/slo_overload.json`).
 
 use crowdtune_db::{
-    crc32, AdmitVerdict, Backoff, CircuitBreaker, CrowdService, DocumentStore, EvalOutcome, Filter,
+    crc32, AdmitVerdict, Backoff, CircuitBreaker, CrowdService, EvalOutcome, Filter,
     FunctionEvaluation, HealthState, MachineConfig, OverloadConfig, ServiceConfig,
     ServiceFaultPlan, StoreError, WalConfig,
 };
@@ -45,7 +40,6 @@ use crowdtune_obs as obs;
 use obs::{OpKind, RequestCtx};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde_json::Value;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -159,18 +153,6 @@ where
     }
 }
 
-/// Merge `(key, value)` into an object `Value`, replacing any existing
-/// entry with the same key.
-fn obj_set(v: &mut Value, key: &str, value: Value) {
-    if let Value::Object(fields) = v {
-        if let Some(slot) = fields.iter_mut().find(|(k, _)| k == key) {
-            slot.1 = value;
-        } else {
-            fields.push((key.to_string(), value));
-        }
-    }
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let smoke = args.iter().any(|a| a == "--smoke");
@@ -186,12 +168,10 @@ fn main() {
     } else {
         (16, 200, 800, 50)
     };
-    let suffix = if smoke { "_smoke" } else { "" };
-    let name = format!("crowd_query{suffix}");
     let problems: Vec<String> = (0..n_problems).map(|p| format!("PROBLEM{p}")).collect();
     let filters = query_mix();
 
-    // ---- Prepopulate both engines with an identical corpus. ----
+    // ---- Prepopulate the service. ----
     let mut rng = StdRng::seed_from_u64(7);
     let corpus: Vec<FunctionEvaluation> = problems
         .iter()
@@ -201,35 +181,16 @@ fn main() {
                 .collect::<Vec<_>>()
         })
         .collect();
-    let embedded = Mutex::new(DocumentStore::new());
     let service = CrowdService::new(ServiceConfig {
         shards: 16,
         cache_capacity: 128,
         ..ServiceConfig::default()
     });
-    for doc in &corpus {
-        embedded.lock().unwrap().insert(doc.clone());
-        service.insert(doc.clone()).expect("in-memory insert");
+    for doc in corpus {
+        service.insert(doc).expect("in-memory insert");
     }
 
-    // ---- Read phase A: the serialized embedded store. One mutex in
-    // front of the store models the classic single-service-loop
-    // deployment every client funnels through. ----
-    let emb = drive(
-        threads,
-        ops_per_thread,
-        &problems,
-        &filters,
-        |_, problem, filter| {
-            let store = embedded.lock().unwrap();
-            store.query_problem_counted(problem, filter, None).0.len()
-        },
-        |_, doc| {
-            embedded.lock().unwrap().insert(doc);
-        },
-    );
-
-    // ---- Read phase B: the sharded crowd service. ----
+    // ---- Read phase: the sharded crowd service. ----
     let svc = drive(
         threads,
         ops_per_thread,
@@ -243,7 +204,6 @@ fn main() {
         },
     );
     let (cache_hits, cache_misses) = service.cache_counts();
-    let speedup = svc.read_qps() / emb.read_qps().max(1e-9);
 
     // ---- Durable upload burst: group-commit WAL throughput. ----
     let dir = std::env::temp_dir().join(format!("crowdtune_crowd_load_{}", std::process::id()));
@@ -288,8 +248,8 @@ fn main() {
     let ring_capacity: usize = arg_value(&args, "--ring-capacity")
         .and_then(|s| s.parse().ok())
         .unwrap_or(1 << 16);
-    let trace_overhead = if trace {
-        Some(run_traced(
+    if trace {
+        run_traced(
             threads,
             ops_per_thread,
             durable_uploads,
@@ -298,21 +258,12 @@ fn main() {
             &service,
             svc.percentile_us(0.50),
             ring_capacity,
-        ))
-    } else {
-        None
-    };
+        );
+    }
 
-    // ---- Report + merge into results/bench_hotpath.json. ----
+    // ---- Report. ----
     println!(
         "crowd_load: {threads} client threads, {n_problems} problems x {docs_per_problem} docs"
-    );
-    println!(
-        "  embedded (serialized): {:.0} reads/s  (p50 {:.1} us, p99 {:.1} us, {} uploads)",
-        emb.read_qps(),
-        emb.percentile_us(0.50),
-        emb.percentile_us(0.99),
-        emb.uploads,
     );
     println!(
         "  crowd service (16 shards): {:.0} reads/s  (p50 {:.1} us, p99 {:.1} us, {} uploads)",
@@ -321,58 +272,10 @@ fn main() {
         svc.percentile_us(0.99),
         svc.uploads,
     );
-    println!("  read speedup: {speedup:.2}x   cache: {cache_hits} hits / {cache_misses} misses");
+    println!("  cache: {cache_hits} hits / {cache_misses} misses");
     println!(
         "  durable uploads (group commit): {upload_qps:.0} docs/s, {fsyncs} fsyncs ({fsync_batched} batched)"
     );
-
-    let row = format!(
-        "{{\"name\": \"{name}\", \"median_ns_before\": {}, \"median_ns_after\": {}, \"speedup\": {speedup:.3}}}",
-        (emb.percentile_us(0.50) * 1_000.0) as u64,
-        (svc.percentile_us(0.50) * 1_000.0) as u64,
-    );
-    let crowd = format!(
-        "{{\"name\": \"{name}\", \"client_threads\": {threads}, \
-         \"problems\": {n_problems}, \"docs_per_problem\": {docs_per_problem}, \
-         \"read_qps_embedded\": {:.1}, \"read_qps_service\": {:.1}, \"speedup\": {speedup:.3}, \
-         \"p50_us\": {:.2}, \"p99_us\": {:.2}, \"upload_qps\": {upload_qps:.1}, \
-         \"cache_hits\": {cache_hits}, \"cache_misses\": {cache_misses}, \
-         \"fsyncs\": {fsyncs}, \"fsync_batched\": {fsync_batched}}}",
-        emb.read_qps(),
-        svc.read_qps(),
-        svc.percentile_us(0.50),
-        svc.percentile_us(0.99),
-    );
-    let row: Value = serde_json::from_str(&row).expect("row json");
-    let mut crowd: Value = serde_json::from_str(&crowd).expect("crowd json");
-    if let Some(overhead) = trace_overhead {
-        obj_set(&mut crowd, "trace_overhead", Value::Float(overhead));
-    }
-
-    let path = std::path::Path::new("results/bench_hotpath.json");
-    let mut root: Value = match std::fs::read_to_string(path) {
-        Ok(body) => serde_json::from_str(&body).expect("parse existing bench_hotpath.json"),
-        Err(_) => serde_json::from_str(&format!(
-            "{{\"threads\": {}, \"substrates\": []}}",
-            rayon::current_num_threads()
-        ))
-        .expect("fresh hotpath json"),
-    };
-    if let Some(Value::Array(subs)) = root_mut_substrates(&mut root) {
-        // Re-runs replace their own row instead of accumulating.
-        subs.retain(|s| s.get("name") != row.get("name"));
-        subs.push(row);
-    }
-    obj_set(&mut root, "crowd", crowd);
-    std::fs::create_dir_all("results").expect("create results dir");
-    std::fs::write(path, serde_json::to_string(&root).expect("render json"))
-        .expect("write bench_hotpath.json");
-    println!("merged into {}", path.display());
-
-    if !smoke && speedup < 4.0 {
-        eprintln!("WARNING: read speedup {speedup:.2}x is below the 4x target");
-        std::process::exit(1);
-    }
 }
 
 /// The `--trace` phase: re-drive the service read mix and a durable
@@ -380,8 +283,8 @@ fn main() {
 /// (`results/crowd_trace.jsonl`) and metrics snapshot
 /// (`results/crowd_metrics.json`), assert the accounting holds — stage
 /// totals reconcile with op wall time, followers causally link a
-/// leader fsync — print the p99 tail attribution per op kind, and
-/// return the traced/untraced read-p50 overhead ratio. Ring capacity
+/// leader fsync — print the p99 tail attribution per op kind and the
+/// traced/untraced read-p50 overhead ratio. Ring capacity
 /// comes from `--ring-capacity` (default 64Ki slots per thread); an
 /// undersized ring degrades to a loud warning plus the
 /// `obs.trace_dropped` counter rather than aborting, so operators can
@@ -396,7 +299,7 @@ fn run_traced(
     service: &CrowdService,
     untraced_p50_us: f64,
     ring_capacity: usize,
-) -> f64 {
+) {
     obs::reset_traces();
     obs::set_metrics_enabled(true);
     obs::configure_tracing(&obs::TraceConfig { ring_capacity });
@@ -525,7 +428,6 @@ fn run_traced(
         "  traced read p50 {:.2} us vs untraced {untraced_p50_us:.2} us: {overhead:.3}x overhead",
         traced.percentile_us(0.50),
     );
-    overhead
 }
 
 /// One overload-scenario run: everything the twin comparison and the
@@ -554,15 +456,12 @@ struct OverloadRun {
 /// p99 stays under the analytic bound, every acked write survives a WAL
 /// replay while no shed write does, all shards recover to Healthy once
 /// the plan goes quiet, and a twin run with the same seed is bitwise
-/// identical (same admission fingerprint, same WAL bytes). Results land
-/// in `results/overload_metrics.json` and an `overload` block in
-/// `results/bench_hotpath.json` for `bench_gate`.
+/// identical (same admission fingerprint, same WAL bytes). The metrics
+/// snapshot lands in `results/overload_metrics.json`.
 fn run_overload(args: &[String], smoke: bool) {
     let seed: u64 = arg_value(args, "--seed")
         .and_then(|s| s.parse().ok())
         .unwrap_or(42);
-    let suffix = if smoke { "_smoke" } else { "" };
-    let name = format!("overload_storm{suffix}");
     // Admitted sojourn <= queue backlog x worst per-write cost: depth at
     // admission is < queue_limit, and no injected episode costs more
     // than the 20ms shard stall (+ base + jitter margin).
@@ -606,7 +505,10 @@ fn run_overload(args: &[String], smoke: bool) {
         "shards did not return to Healthy after the fault plan went quiet"
     );
 
-    println!("crowd_load --overload: seed {seed}, twin runs bitwise identical");
+    println!(
+        "crowd_load --overload: seed {seed}, twin runs bitwise identical (fingerprint {:#018x})",
+        a.fingerprint
+    );
     println!(
         "  admitted {} / shed {} / write deadlines {} / read deadlines {}",
         a.admitted, a.shed, a.deadline_writes, a.deadline_reads
@@ -626,38 +528,6 @@ fn run_overload(args: &[String], smoke: bool) {
         std::fs::write("results/overload_metrics.json", snap).expect("write overload metrics");
         println!("  metrics snapshot: results/overload_metrics.json");
     }
-
-    let block = format!(
-        "{{\"name\": \"{name}\", \"seed\": {seed}, \"admitted\": {}, \"shed\": {}, \
-         \"deadline_writes\": {}, \"deadline_reads\": {}, \"breaker_refusals\": {}, \
-         \"breaker_opens\": {}, \"stale_serves\": {}, \"p99_us\": {}, \
-         \"p99_bound_us\": {p99_bound_us}, \"recovered_healthy\": {}, \
-         \"fingerprint\": \"{:#018x}\"}}",
-        a.admitted,
-        a.shed,
-        a.deadline_writes,
-        a.deadline_reads,
-        a.breaker_refusals,
-        a.breaker_opens,
-        a.stale_serves,
-        a.p99_us,
-        a.recovered_healthy,
-        a.fingerprint,
-    );
-    let block: Value = serde_json::from_str(&block).expect("overload json");
-    let path = std::path::Path::new("results/bench_hotpath.json");
-    let mut root: Value = match std::fs::read_to_string(path) {
-        Ok(body) => serde_json::from_str(&body).expect("parse existing bench_hotpath.json"),
-        Err(_) => serde_json::from_str(&format!(
-            "{{\"threads\": {}, \"substrates\": []}}",
-            rayon::current_num_threads()
-        ))
-        .expect("fresh hotpath json"),
-    };
-    obj_set(&mut root, "overload", block);
-    std::fs::write(path, serde_json::to_string(&root).expect("render json"))
-        .expect("write bench_hotpath.json");
-    println!("merged into {}", path.display());
 }
 
 /// Drive one overload scenario against a fresh durable service and
@@ -884,15 +754,4 @@ fn overload_run(seed: u64, smoke: bool, twin: usize, capture_metrics: bool) -> O
 
 fn parse_query_all() -> Filter {
     crowdtune_db::parse_query("task.m >= 0").expect("query parses")
-}
-
-fn root_mut_substrates(root: &mut Value) -> Option<&mut Value> {
-    if let Value::Object(fields) = root {
-        fields
-            .iter_mut()
-            .find(|(k, _)| k == "substrates")
-            .map(|(_, v)| v)
-    } else {
-        None
-    }
 }

@@ -15,7 +15,9 @@
 //! | `--bin fig7` | Fig. 7: Hypre reduced-space tuning |
 //! | `--bin tables` | Tables I–III (static descriptions) |
 //!
-//! Criterion micro-benchmarks for the substrates live in `benches/`.
+//! `bench_gate` is the performance regression gate over crowdbench's
+//! crowd sessions (see [`gate`]); `bench_hotpath` times the sparse
+//! surrogate tier, the one hot path those sessions do not reach.
 
 pub mod gate;
 pub mod runner;

@@ -129,18 +129,21 @@ impl SoftwareFilter {
     }
 
     /// `want` is this filter's package name, canonicalized once per
-    /// query rather than once per record.
-    fn matches(&self, want: &str, sw_list: &[SoftwareConfig], tags: &TagRegistry) -> bool {
+    /// query rather than once per record. Stored package and compiler
+    /// names are canonical already (`TagRegistry::normalize_software` runs
+    /// at submit), so matching a record allocates nothing.
+    fn matches(&self, want: &str, sw_list: &[SoftwareConfig]) -> bool {
         sw_list.iter().any(|sw| {
             // Either the package itself, or the compiler it was built with
             // (the paper's example constraint is "GCC in [8.0.0, 9.0.0)").
-            // The version test runs first: it allocates nothing.
-            (sw.name == want
-                && TagRegistry::version_in_range(sw.version, self.version_from, self.version_to))
-                || sw.compiler.as_ref().is_some_and(|(cname, cver)| {
-                    TagRegistry::version_in_range(*cver, self.version_from, self.version_to)
-                        && tags.canonical_software(cname) == want
-                })
+            let in_range = |version| {
+                TagRegistry::version_in_range(version, self.version_from, self.version_to)
+            };
+            (sw.name == want && in_range(sw.version))
+                || sw
+                    .compiler
+                    .as_ref()
+                    .is_some_and(|(cname, cver)| cname == want && in_range(*cver))
         })
     }
 }
@@ -165,9 +168,8 @@ impl ConfigurationQuery {
 
     /// The per-record predicate of this query. The query's own machine
     /// and package names are canonicalized here, once, so testing a
-    /// record allocates nothing unless it carries a compiler inside a
-    /// software filter's version range.
-    fn matcher<'a>(&'a self, tags: &'a TagRegistry) -> impl Fn(&FunctionEvaluation) -> bool + 'a {
+    /// record allocates nothing.
+    fn matcher<'a>(&'a self, tags: &TagRegistry) -> impl Fn(&FunctionEvaluation) -> bool + 'a {
         let machines: Vec<String> = self
             .machines
             .iter()
@@ -189,7 +191,7 @@ impl ConfigurationQuery {
                     .software
                     .iter()
                     .zip(&software)
-                    .all(|(sf, want)| sf.matches(want, &e.software, tags))
+                    .all(|(sf, want)| sf.matches(want, &e.software))
                 && (self.users.is_empty() || self.users.contains(&e.owner))
         }
     }

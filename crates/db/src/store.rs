@@ -255,9 +255,13 @@ impl DocumentStore {
     /// already present is skipped, so re-replaying records that made it
     /// into a snapshot before a crash cannot duplicate them. The id/clock
     /// counters advance to cover the replayed document.
+    ///
+    /// `next_id` is at least the largest stored id, so a larger id cannot
+    /// be a duplicate and skips the scan: replaying a log of ascending
+    /// ids is linear, not quadratic.
     pub fn insert_exact(&self, doc: Arc<FunctionEvaluation>) {
         let mut inner = self.inner.write();
-        if inner.docs.iter().any(|d| d.id == doc.id) {
+        if doc.id <= inner.next_id && inner.docs.iter().any(|d| d.id == doc.id) {
             return;
         }
         inner.next_id = inner.next_id.max(doc.id);

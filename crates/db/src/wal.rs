@@ -649,6 +649,49 @@ mod tests {
     }
 
     #[test]
+    fn replay_skips_duplicate_ids_below_and_at_the_largest() {
+        let dir = temp_dir("replay_duplicates");
+        let config = ServiceConfig {
+            wal: WalConfig {
+                compact_every: 0,
+                ..WalConfig::default()
+            },
+            ..ServiceConfig::default()
+        };
+        {
+            let (svc, _) = CrowdService::open_durable(&dir, config.clone()).unwrap();
+            for m in 1..=4 {
+                svc.insert(eval("P", "alice", m)).unwrap();
+            }
+        }
+        // Hand-append copies of ids 2 and 4 (the largest so far), which a
+        // crash between a snapshot and its log truncation leaves behind,
+        // a new id 9, and id 9 again.
+        let copy = |id: u64, m: i64| {
+            let mut doc = eval("P", "mallory", m);
+            doc.id = id;
+            doc.logical_time = id;
+            frame_record(&WalRecord::Insert { doc: Arc::new(doc) }).unwrap()
+        };
+        let mut log = std::fs::OpenOptions::new()
+            .append(true)
+            .open(dir.join("wal.log"))
+            .unwrap();
+        for (id, m) in [(2, 20), (4, 40), (9, 90), (9, 91)] {
+            std::io::Write::write_all(&mut log, &copy(id, m)).unwrap();
+        }
+        drop(log);
+        let (svc, report) = CrowdService::open_durable(&dir, config).unwrap();
+        assert_eq!(report.wal_records, 8);
+        assert_eq!(svc.len(), 5, "ids 1-4 and 9, each once");
+        let store = svc.merged_store();
+        let runtime = |id| store.get(id).unwrap().result.output("runtime").unwrap();
+        // The first record with an id wins; later copies are skipped.
+        assert_eq!([runtime(2), runtime(4), runtime(9)], [2.0, 4.0, 90.0]);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn auto_compaction_triggers_on_threshold() {
         let dir = temp_dir("auto");
         let config = ServiceConfig {

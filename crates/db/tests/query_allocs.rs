@@ -144,6 +144,20 @@ fn rejected_candidates_cost_no_allocations() {
             software: vec![SoftwareFilter::new("scalapack", [2, 0, 0], [3, 0, 0])],
             users: vec![],
         },
+        // Compiler constraints: every record was built with gcc 8.3.0,
+        // inside the version range, so each one's compiler name is
+        // compared. One names another compiler; the other is the paper's
+        // "GCC in [8.0.0, 9.0.0)", met by every record, which the
+        // uploader filter after it then rejects.
+        ConfigurationQuery {
+            software: vec![SoftwareFilter::new("clang", [8, 0, 0], [9, 0, 0])],
+            ..ConfigurationQuery::any()
+        },
+        ConfigurationQuery {
+            software: vec![SoftwareFilter::new("GCC", [8, 0, 0], [9, 0, 0])],
+            users: vec!["nobody".into()],
+            ..ConfigurationQuery::any()
+        },
     ];
     for configuration in configurations {
         let (small_rows, small) =

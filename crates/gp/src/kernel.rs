@@ -141,8 +141,10 @@ impl Kernel {
     }
 
     /// Evaluate `k(x, y)` together with the gradient with respect to every
-    /// log-hyperparameter, appended to `grad_out` in pack order.
-    pub fn eval_with_grad(&self, x: &[f64], y: &[f64], grad_out: &mut [f64]) -> f64 {
+    /// log-hyperparameter, appended to `grad_out` in pack order: the
+    /// per-pair reference the fused likelihood passes are tested against.
+    #[cfg(test)]
+    fn eval_with_grad(&self, x: &[f64], y: &[f64], grad_out: &mut [f64]) -> f64 {
         debug_assert_eq!(grad_out.len(), self.n_hyper());
         let d = self.dim();
         let mut u2 = vec![0.0; d];

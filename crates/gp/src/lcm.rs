@@ -1239,7 +1239,8 @@ mod tests {
         let nlml = 0.5 * crowdtune_linalg::dot(ys, &alpha)
             + 0.5 * chol.log_det()
             + 0.5 * n as f64 * (2.0 * std::f64::consts::PI).ln();
-        let kinv = chol.solve_matrix(&Matrix::identity(n));
+        let identity = Matrix::from_fn(n, n, |i, j| if i == j { 1.0 } else { 0.0 });
+        let kinv = chol.solve_matrix(&identity);
         let mut grad = vec![0.0; pack.len()];
         for i in 0..n {
             let ti = task_of[i];

@@ -162,13 +162,6 @@ impl Cholesky {
         self.assemble_columns(m, solve_col, 2 * n * n * m)
     }
 
-    /// Solve `L y = b` only (forward substitution).
-    pub fn solve_lower_vec(&self, b: &[f64]) -> Vec<f64> {
-        let mut y = b.to_vec();
-        solve_lower_in_place(&self.l, &mut y);
-        y
-    }
-
     /// The log-determinant of `A`: `2 * sum(log(L_ii))`.
     pub fn log_det(&self) -> f64 {
         (0..self.dim()).map(|i| self.l[(i, i)].ln()).sum::<f64>() * 2.0

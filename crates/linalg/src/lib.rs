@@ -29,6 +29,6 @@ pub mod stats;
 
 pub use cholesky::{Cholesky, NotPositiveDefinite};
 pub use lbfgs::{lbfgs, Bounds, LbfgsOptions, LbfgsResult, StopReason};
-pub use matrix::{dot, norm2_sq, Matrix};
+pub use matrix::{dot, Matrix};
 pub use nnls::nnls;
 pub use qr::{lstsq, ridge, Qr, QrError};

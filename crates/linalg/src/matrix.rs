@@ -81,7 +81,8 @@ impl Matrix {
     }
 
     /// The `n x n` identity matrix.
-    pub fn identity(n: usize) -> Self {
+    #[cfg(test)]
+    pub(crate) fn identity(n: usize) -> Self {
         let mut m = Matrix::zeros(n, n);
         for i in 0..n {
             m[(i, i)] = 1.0;
@@ -217,7 +218,7 @@ impl Matrix {
     /// Serial reference matmul (simple ikj loop order that keeps the
     /// inner loop streaming over contiguous rows). Public so benches and
     /// determinism tests can compare against the parallel path.
-    pub fn matmul_serial(&self, rhs: &Matrix) -> Matrix {
+    fn matmul_serial(&self, rhs: &Matrix) -> Matrix {
         assert_eq!(
             self.cols, rhs.rows,
             "matmul dimension mismatch: {}x{} * {}x{}",
@@ -544,12 +545,6 @@ pub(crate) fn dot2(a: &[f64], b: &[f64], c: &[f64]) -> (f64, f64) {
         (s0 + s1) + (s2 + s3) + tail_a,
         (t0 + t1) + (t2 + t3) + tail_b,
     )
-}
-
-/// Squared Euclidean norm.
-#[inline]
-pub fn norm2_sq(a: &[f64]) -> f64 {
-    dot(a, a)
 }
 
 #[cfg(test)]

@@ -81,13 +81,14 @@ pub struct ScenarioQuality {
 
 impl ScenarioQuality {
     /// Scenario-wide outlier rate, `None` before any scored observation.
-    pub fn outlier_rate(&self) -> Option<f64> {
+    fn outlier_rate(&self) -> Option<f64> {
         (self.scored > 0).then(|| self.flagged as f64 / self.scored as f64)
     }
 
     /// Absolute deviation of 90%-interval coverage from its nominal
     /// 0.90, `None` before any calibration event.
-    pub fn coverage_error(&self) -> Option<f64> {
+    #[cfg(test)]
+    fn coverage_error(&self) -> Option<f64> {
         self.coverage90.map(|c| (c - 0.90).abs())
     }
 
