@@ -18,7 +18,7 @@
 //!
 //! The per-run journal (default `results/chaos_journal.jsonl`) must come
 //! out covering the fault-tolerance event kinds (`retry`, `faultinject`,
-//! `checkpoint`, `recovery`); CI validates it with `crowdtune-report`.
+//! `checkpoint`, `recovery`); CI validates it with `crowdtune-report report`.
 //! Any violated invariant panics, so the process exits non-zero.
 //!
 //! Run: `cargo run --release -p crowdtune-bench --bin chaos_smoke \
@@ -182,17 +182,13 @@ fn main() {
     obs::journal_flush();
     let lines = journal.lines();
     obs::uninstall_journal();
-    let text = std::fs::read_to_string(&journal_path).expect("read journal");
-    let mut kinds = std::collections::BTreeSet::new();
-    for line in text.lines() {
-        if let Ok(event) = serde_json::from_str::<obs::Event>(line) {
-            kinds.insert(event.kind());
-        }
-    }
+    let events = obs::read_journal(&journal_path).expect("re-read journal");
+    let kinds = obs::summarize(&journal_path, &events).event_counts;
     for required in ["retry", "faultinject", "checkpoint", "recovery"] {
         assert!(
-            kinds.contains(required),
-            "journal missing `{required}` events (got {kinds:?})"
+            kinds.contains_key(required),
+            "journal missing `{required}` events (got {:?})",
+            kinds.keys()
         );
     }
     std::fs::remove_dir_all(&store_dir).ok();

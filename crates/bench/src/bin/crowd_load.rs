@@ -16,7 +16,7 @@
 //! journal lands in `results/crowd_trace.jsonl` (metrics snapshot in
 //! `results/crowd_metrics.json`), stage durations are reconciled
 //! against op wall time, follower commits are checked for causal links
-//! to their leader's fsync, and the traced/untraced read-p50 ratio is
+//! to their leader's fsync, and the p99 dominant stage per op kind is
 //! printed.
 //! `--ring-capacity N` sizes the per-thread capture ring (default
 //! 65536 slots); overflow drops are warned about and counted in the
@@ -256,7 +256,6 @@ fn main() {
             &problems,
             &filters,
             &service,
-            svc.percentile_us(0.50),
             ring_capacity,
         );
     }
@@ -283,13 +282,13 @@ fn main() {
 /// (`results/crowd_trace.jsonl`) and metrics snapshot
 /// (`results/crowd_metrics.json`), assert the accounting holds — stage
 /// totals reconcile with op wall time, followers causally link a
-/// leader fsync — print the p99 tail attribution per op kind and the
-/// traced/untraced read-p50 overhead ratio. Ring capacity
+/// leader fsync — and print the p99 tail attribution per op kind. The
+/// trace journal holds one `tracedropped` event with the drop count and
+/// one `trace` event per drained record. Ring capacity
 /// comes from `--ring-capacity` (default 64Ki slots per thread); an
 /// undersized ring degrades to a loud warning plus the
 /// `obs.trace_dropped` counter rather than aborting, so operators can
 /// trade capture memory against completeness.
-#[allow(clippy::too_many_arguments)]
 fn run_traced(
     threads: usize,
     ops_per_thread: usize,
@@ -297,14 +296,13 @@ fn run_traced(
     problems: &[String],
     filters: &[Filter],
     service: &CrowdService,
-    untraced_p50_us: f64,
     ring_capacity: usize,
 ) {
     obs::reset_traces();
     obs::set_metrics_enabled(true);
     obs::configure_tracing(&obs::TraceConfig { ring_capacity });
 
-    let traced = drive(
+    drive(
         threads,
         ops_per_thread,
         problems,
@@ -417,17 +415,19 @@ fn run_traced(
         );
     }
 
-    std::fs::create_dir_all("results").expect("create results dir");
-    obs::write_trace_journal("results/crowd_trace.jsonl", &journal).expect("write trace journal");
+    let out = obs::Journal::create("results/crowd_trace.jsonl").expect("create trace journal");
+    out.record(&obs::Event::TraceDropped {
+        records: journal.dropped,
+    })
+    .expect("write trace journal");
+    for record in journal.records {
+        out.record(&obs::Event::Trace { record })
+            .expect("write trace journal");
+    }
+    out.flush().expect("flush trace journal");
     let snap = serde_json::to_string(&obs::snapshot()).expect("render metrics snapshot");
     std::fs::write("results/crowd_metrics.json", snap).expect("write metrics snapshot");
     obs::set_metrics_enabled(false);
-
-    let overhead = traced.percentile_us(0.50) / untraced_p50_us.max(1e-9);
-    println!(
-        "  traced read p50 {:.2} us vs untraced {untraced_p50_us:.2} us: {overhead:.3}x overhead",
-        traced.percentile_us(0.50),
-    );
 }
 
 /// One overload-scenario run: everything the twin comparison and the

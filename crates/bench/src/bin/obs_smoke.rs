@@ -14,7 +14,7 @@
 //! (jitter), and a quality scorer is driven over a synthetic stream
 //! with one outlier and one duplicate disagreement (qualityscore,
 //! quarantine). The journal is then validated with
-//! `crowdtune-report --require-kinds <every kind above>` in CI.
+//! `crowdtune-report report --require-kinds <every kind above>` in CI.
 //!
 //! With `--expose <addr>` the live metrics are additionally served in
 //! Prometheus text format for the duration of the run (and scraped once

@@ -21,7 +21,7 @@
 //!
 //! The journal (default `results/quality_journal.jsonl`) comes out
 //! covering `upload`, `faultinject`, `qualityscore`, `quarantine`, and
-//! `calibration`; CI validates it with `crowdtune-report --quality`.
+//! `calibration`; CI validates it with `crowdtune-report report --quality`.
 //! Any violated invariant panics, so the process exits non-zero.
 //!
 //! Run: `cargo run --release -p crowdtune-bench --bin quality_recall_smoke \
@@ -200,10 +200,9 @@ fn main() {
     let lines = journal.lines();
     obs::uninstall_journal();
     let events = obs::read_journal(&journal_path).expect("re-read journal");
-    let mut kinds = std::collections::BTreeSet::new();
-    for ev in &events {
-        kinds.insert(ev.kind());
-    }
+    let mut rollup = QualityRollup::default();
+    rollup.ingest("demo", &events);
+    let kinds = &rollup.scenarios["demo"].event_counts;
     for required in [
         "upload",
         "faultinject",
@@ -212,12 +211,11 @@ fn main() {
         "calibration",
     ] {
         assert!(
-            kinds.contains(required),
-            "journal missing `{required}` events (got {kinds:?})"
+            kinds.contains_key(required),
+            "journal missing `{required}` events (got {:?})",
+            kinds.keys()
         );
     }
-    let mut rollup = QualityRollup::default();
-    rollup.ingest("demo", &events);
     print!("{}", render_quality_rollup(&rollup));
     let (_, worst, _) = rollup.worst_contributor().expect("rollup has a worst");
     assert_eq!(worst, "mallory", "rollup must name the bad contributor");

@@ -72,18 +72,6 @@ pub struct ContributorTrust {
     pub score_sum: f64,
 }
 
-impl ContributorTrust {
-    /// Fraction of this contributor's scored observations that were
-    /// flagged.
-    pub fn flag_rate(&self) -> f64 {
-        if self.scored == 0 {
-            0.0
-        } else {
-            self.flagged as f64 / self.scored as f64
-        }
-    }
-}
-
 /// One flagged record in the final report.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlaggedRecord {

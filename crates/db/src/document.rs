@@ -211,6 +211,22 @@ pub enum Access {
     },
 }
 
+impl Access {
+    /// True when `user` (or anonymous, `None`) may read an item owned by
+    /// `owner` under this access level.
+    #[inline]
+    pub fn allows(&self, owner: &str, user: Option<&str>) -> bool {
+        match self {
+            Access::Public => true,
+            Access::Private => user == Some(owner),
+            Access::Shared { with } => match user {
+                Some(u) => u == owner || with.iter().any(|w| w == u),
+                None => false,
+            },
+        }
+    }
+}
+
 /// Where an uploaded evaluation came from: the contributor identity and
 /// enough context to trace it back to the producing run. Simulated
 /// machines additionally record the fault-plan seed and objective call
@@ -473,14 +489,7 @@ impl FunctionEvaluation {
 
     /// True when `user` (or anonymous, `None`) may read this document.
     pub fn readable_by(&self, user: Option<&str>) -> bool {
-        match &self.access {
-            Access::Public => true,
-            Access::Private => user == Some(self.owner.as_str()),
-            Access::Shared { with } => match user {
-                Some(u) => u == self.owner || with.iter().any(|w| w == u),
-                None => false,
-            },
-        }
+        self.access.allows(&self.owner, user)
     }
 }
 

@@ -69,14 +69,7 @@ pub struct RunRecord {
 impl RunRecord {
     /// True when `user` (or anonymous, `None`) may read this record.
     pub fn readable_by(&self, user: Option<&str>) -> bool {
-        match &self.access {
-            Access::Public => true,
-            Access::Private => user == Some(self.owner.as_str()),
-            Access::Shared { with } => match user {
-                Some(u) => u == self.owner || with.iter().any(|w| w == u),
-                None => false,
-            },
-        }
+        self.access.allows(&self.owner, user)
     }
 }
 

@@ -24,6 +24,8 @@ use std::sync::{Arc, OnceLock};
 use parking_lot::{Mutex, RwLock};
 use serde::{Deserialize, Serialize};
 
+use crate::trace::TraceRecord;
+
 /// One typed journal entry. The serialized form is internally tagged:
 /// `{"event": "fit", ...}`, with variant names lowercased.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -427,6 +429,18 @@ pub enum Event {
         /// Queue depth observed at the transition.
         queue_depth: u64,
     },
+    /// One timed stage of one traced service request, drained from the
+    /// per-thread capture rings.
+    Trace {
+        /// The drained record.
+        record: TraceRecord,
+    },
+    /// Trace records lost at capture (ring overflow or torn reads) by the
+    /// drain whose records follow.
+    TraceDropped {
+        /// Records lost.
+        records: u64,
+    },
     /// A tuning run finished.
     RunEnd {
         /// Iterations executed.
@@ -472,7 +486,26 @@ impl Event {
             Event::TierSwitch { .. } => "tierswitch",
             Event::Shed { .. } => "shed",
             Event::Health { .. } => "health",
+            Event::Trace { .. } => "trace",
+            Event::TraceDropped { .. } => "tracedropped",
             Event::RunEnd { .. } => "runend",
+        }
+    }
+
+    /// The timed stage this event reports, as `(stage name, µs)`, or
+    /// `None` for an untimed kind. Run reports and fleet ingest both
+    /// aggregate stage time under these names.
+    pub fn stage(&self) -> Option<(&'static str, u64)> {
+        match self {
+            Event::Iteration { duration_us, .. } => Some(("iteration", *duration_us)),
+            Event::Fit { duration_us, .. } => Some(("fit", *duration_us)),
+            Event::Acquisition { duration_us, .. } => Some(("acquisition", *duration_us)),
+            Event::DbQuery { duration_us, .. } => Some(("db_query", *duration_us)),
+            Event::Upload { duration_us, .. } => Some(("db_upload", *duration_us)),
+            Event::Saltelli { duration_us, .. } => Some(("saltelli", *duration_us)),
+            Event::Sobol { duration_us, .. } => Some(("sobol", *duration_us)),
+            Event::RunEnd { duration_us, .. } => Some(("run", *duration_us)),
+            _ => None,
         }
     }
 }

@@ -16,9 +16,10 @@
 //! 3. **Event journal** ([`journal`]) — a per-tuning-run JSONL sink recording
 //!    one typed [`Event`] per interesting occurrence (iteration, surrogate
 //!    fit, optimizer restart, acquisition batch, Cholesky jitter bump,
-//!    failure exclusion, DB query/upload, …). Journals are parsed back and
-//!    schema-checked by [`journal::read_journal`] and summarized by
-//!    [`report`] / the `crowdtune-report` binary.
+//!    failure exclusion, DB query/upload, request-trace records, …).
+//!    Journals are parsed back and schema-checked by
+//!    [`journal::read_journal`] and summarized by [`report`]; the
+//!    `crowdtune-report` binary in `crowdtune-telemetry` reads them.
 //!
 //! Instrumentation is *observation only*: nothing in this crate consumes
 //! randomness or perturbs floating-point evaluation order, so enabling any
@@ -44,8 +45,8 @@ pub use metrics::{
     Counter, Histogram, HistogramSummary, MetricsSnapshot,
 };
 pub use report::{
-    render_profile, render_quality, render_report, summarize, worst_contributor,
-    ContributorQuality, FitEvalSummary, JournalReport, StageSummary, WarmstartSummary,
+    render_profile, render_quality, render_report, summarize, ContributorQuality, FitEvalSummary,
+    JournalReport, StageSummary, WarmstartSummary,
 };
 pub use scope::{scope_active, scope_begin, scope_end, ScopeStats};
 pub use slo::{
@@ -54,7 +55,6 @@ pub use slo::{
 };
 pub use span::{span, SpanGuard};
 pub use trace::{
-    configure_tracing, drain_traces, now_ns, read_trace_journal, reset_traces, set_tracing_enabled,
-    write_trace_journal, OpKind, RequestCtx, TraceConfig, TraceJournal, TraceRecord, TraceStage,
-    NO_SHARD,
+    configure_tracing, drain_traces, now_ns, reset_traces, set_tracing_enabled, OpKind, RequestCtx,
+    TraceConfig, TraceJournal, TraceRecord, TraceStage, NO_SHARD,
 };

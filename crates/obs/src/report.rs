@@ -1,9 +1,11 @@
-//! Journal summarization: the library half of the `crowdtune-report` bin.
+//! Journal summarization: the library half of `crowdtune-report report`.
 //!
 //! [`summarize`] folds a parsed journal into a [`JournalReport`] — per-stage
 //! time/count breakdown plus recovery totals — and [`render_report`] formats
 //! it as the human table the bin prints. The report structure itself is
 //! serializable and doubles as the `results/obs_snapshot.json` export.
+//! `summarize` is the only fold of journal events: the fleet quality rollup
+//! and fleet ingest in `crowdtune-telemetry` summarize through it too.
 
 use std::collections::BTreeMap;
 
@@ -247,6 +249,14 @@ pub struct ContributorQuality {
     pub worst_score: Option<f64>,
 }
 
+impl ContributorQuality {
+    /// Records withheld from trust: flagged plus quarantined. Contributor
+    /// rankings sort on it.
+    pub fn severity(&self) -> u64 {
+        self.flagged + self.quarantined
+    }
+}
+
 fn better(best: &mut Option<f64>, candidate: Option<f64>) {
     if let Some(c) = candidate {
         if best.is_none_or(|b| c < b) {
@@ -265,23 +275,16 @@ pub fn summarize(journal: &str, events: &[Event]) -> JournalReport {
     };
     for ev in events {
         *r.event_counts.entry(ev.kind().to_string()).or_insert(0) += 1;
+        if let Some((stage, us)) = ev.stage() {
+            r.stages.entry(stage.to_string()).or_default().add(us);
+        }
         match ev {
-            Event::RunStart { .. } => {}
-            Event::Iteration {
-                ok,
-                best,
-                duration_us,
-                ..
-            } => {
+            Event::Iteration { ok, best, .. } => {
                 r.iterations += 1;
                 if !ok {
                     r.failures += 1;
                 }
                 better(&mut r.best, *best);
-                r.stages
-                    .entry("iteration".to_string())
-                    .or_default()
-                    .add(*duration_us);
             }
             Event::Fit {
                 model,
@@ -302,20 +305,10 @@ pub fn summarize(journal: &str, events: &[Event]) -> JournalReport {
                     f.gradients += gradients.unwrap_or(0);
                     f.duration_us += duration_us;
                 }
-                r.stages
-                    .entry("fit".to_string())
-                    .or_default()
-                    .add(*duration_us);
             }
             Event::Restart { iterations, .. } => {
                 r.restarts += 1;
                 r.lbfgs_iterations += iterations;
-            }
-            Event::Acquisition { duration_us, .. } => {
-                r.stages
-                    .entry("acquisition".to_string())
-                    .or_default()
-                    .add(*duration_us);
             }
             Event::Jitter {
                 attempts,
@@ -331,7 +324,12 @@ pub fn summarize(journal: &str, events: &[Event]) -> JournalReport {
             }
             Event::LineSearch { .. } => r.linesearch_failures += 1,
             Event::Exclusion { removed, .. } => r.excluded_candidates += removed,
-            Event::Weights { .. } => {}
+            Event::RunStart { .. }
+            | Event::Acquisition { .. }
+            | Event::Weights { .. }
+            | Event::Trace { .. }
+            | Event::TraceDropped { .. }
+            | Event::RunEnd { .. } => {}
             Event::DbQuery {
                 scanned,
                 returned,
@@ -339,7 +337,6 @@ pub fn summarize(journal: &str, events: &[Event]) -> JournalReport {
                 cache_hits,
                 cache_misses,
                 stale_served,
-                duration_us,
                 ..
             } => {
                 r.db_scanned += scanned;
@@ -348,16 +345,11 @@ pub fn summarize(journal: &str, events: &[Event]) -> JournalReport {
                 r.db_cache_hits += cache_hits;
                 r.db_cache_misses += cache_misses;
                 r.db_stale_served += stale_served;
-                r.stages
-                    .entry("db_query".to_string())
-                    .or_default()
-                    .add(*duration_us);
             }
             Event::Upload {
                 accepted,
                 rejected,
                 contributor,
-                duration_us,
                 ..
             } => {
                 r.uploads_accepted += accepted;
@@ -368,29 +360,9 @@ pub fn summarize(journal: &str, events: &[Event]) -> JournalReport {
                         .or_default()
                         .uploads += accepted;
                 }
-                r.stages
-                    .entry("db_upload".to_string())
-                    .or_default()
-                    .add(*duration_us);
             }
-            Event::Saltelli {
-                total_evals,
-                duration_us,
-                ..
-            } => {
-                r.saltelli_evals += total_evals;
-                r.stages
-                    .entry("saltelli".to_string())
-                    .or_default()
-                    .add(*duration_us);
-            }
-            Event::Sobol { duration_us, .. } => {
-                r.sobol_estimates += 1;
-                r.stages
-                    .entry("sobol".to_string())
-                    .or_default()
-                    .add(*duration_us);
-            }
+            Event::Saltelli { total_evals, .. } => r.saltelli_evals += total_evals,
+            Event::Sobol { .. } => r.sobol_estimates += 1,
             Event::SpaceReduce { .. } => r.space_reductions += 1,
             Event::Refit { full, .. } => {
                 if *full {
@@ -490,11 +462,7 @@ pub fn summarize(journal: &str, events: &[Event]) -> JournalReport {
                 r.tier_points = *points;
                 r.tier_inducing = *inducing;
             }
-            Event::Shed {
-                reason,
-                retry_after_ms: _,
-                ..
-            } => {
+            Event::Shed { reason, .. } => {
                 r.db_shed += 1;
                 if reason == "deadline" {
                     r.db_deadline_exceeded += 1;
@@ -505,12 +473,6 @@ pub fn summarize(journal: &str, events: &[Event]) -> JournalReport {
                 for (path, ns) in folded {
                     *r.profile.entry(path.clone()).or_insert(0) += ns;
                 }
-            }
-            Event::RunEnd { duration_us, .. } => {
-                r.stages
-                    .entry("run".to_string())
-                    .or_default()
-                    .add(*duration_us);
             }
         }
     }
@@ -699,7 +661,7 @@ pub fn render_report(r: &JournalReport) -> String {
 }
 
 /// Formats the data-quality section on its own — the body of
-/// `crowdtune-report --quality`. Covers scorer totals, the per-contributor
+/// `crowdtune-report report --quality`. Covers scorer totals, the per-contributor
 /// rollup (sorted worst-first by flags), and surrogate calibration.
 pub fn render_quality(r: &JournalReport) -> String {
     let mut out = String::new();
@@ -725,8 +687,8 @@ pub fn render_quality(r: &JournalReport) -> String {
         ));
         let mut rows: Vec<(&String, &ContributorQuality)> = r.contributors.iter().collect();
         rows.sort_by(|a, b| {
-            (b.1.flagged + b.1.quarantined)
-                .cmp(&(a.1.flagged + a.1.quarantined))
+            b.1.severity()
+                .cmp(&a.1.severity())
                 .then_with(|| a.0.cmp(b.0))
         });
         for (name, c) in rows {
@@ -758,21 +720,6 @@ pub fn render_quality(r: &JournalReport) -> String {
         None => out.push_str("  nll drift               none\n"),
     }
     out
-}
-
-/// The contributor with the most flagged + quarantined records, if any
-/// contributor has at least one. This is what "names the injected bad
-/// contributor" means operationally: smokes assert on this value.
-pub fn worst_contributor(r: &JournalReport) -> Option<(&str, &ContributorQuality)> {
-    r.contributors
-        .iter()
-        .filter(|(_, c)| c.flagged + c.quarantined > 0)
-        .max_by(|a, b| {
-            (a.1.flagged + a.1.quarantined)
-                .cmp(&(b.1.flagged + b.1.quarantined))
-                .then_with(|| b.0.cmp(a.0))
-        })
-        .map(|(name, c)| (name.as_str(), c))
 }
 
 #[cfg(test)]
@@ -1055,9 +1002,8 @@ mod tests {
         assert_eq!(m.flagged, 1);
         assert_eq!(m.quarantined, 1);
         assert_eq!(m.worst_score, Some(12.5));
+        assert_eq!(m.severity(), 2);
         assert_eq!(r.contributors["alice"].flagged, 0);
-        let (worst, _) = worst_contributor(&r).expect("has flagged contributor");
-        assert_eq!(worst, "mallory");
         let rendered = render_quality(&r);
         assert!(rendered.contains("data quality"));
         assert!(rendered.contains("mallory"));

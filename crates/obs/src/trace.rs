@@ -21,15 +21,14 @@
 //! (a single collector) validates the sequence before and after reading and
 //! skips torn slots, counting them as dropped.
 
-use std::fs::File;
-use std::io::{BufRead, BufReader, BufWriter, Write as _};
-use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use parking_lot::RwLock;
 use serde::{DeError, Deserialize, Serialize, Value};
+
+use crate::journal::Event;
 
 /// Which service operation a trace belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -293,7 +292,8 @@ impl Default for TraceConfig {
 
 /// Apply a [`TraceConfig`] and enable tracing. Overflowing the ring is
 /// not fatal: drops are counted per drain into the
-/// `obs.trace_dropped` counter and reported in the journal header, so
+/// `obs.trace_dropped` counter and reported in the journal's
+/// `tracedropped` event, so
 /// an undersized ring degrades to partial (but unbiased-at-the-tail)
 /// capture rather than aborting the run.
 pub fn configure_tracing(config: &TraceConfig) {
@@ -441,7 +441,7 @@ fn push_record(rec: &TraceRecord) {
 
 /// A drained set of trace records plus the number of records lost to
 /// ring overflow (or torn seqlock reads).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceJournal {
     /// Records in `(start_ns, trace)` order.
     pub records: Vec<TraceRecord>,
@@ -477,6 +477,26 @@ pub fn drain_traces() -> TraceJournal {
         crate::metrics::count(crate::names::CTR_TRACE_DROPPED, dropped);
     }
     TraceJournal { records, dropped }
+}
+
+impl TraceJournal {
+    /// Collects the `trace` records and `tracedropped` counts of a parsed
+    /// journal (`crowd_load --trace` writes one `tracedropped` event and
+    /// one `trace` event per drained record). Other kinds are skipped.
+    pub fn from_events(events: &[Event]) -> TraceJournal {
+        let mut journal = TraceJournal {
+            records: Vec::new(),
+            dropped: 0,
+        };
+        for ev in events {
+            match ev {
+                Event::Trace { record } => journal.records.push(record.clone()),
+                Event::TraceDropped { records } => journal.dropped += records,
+                _ => {}
+            }
+        }
+        journal
+    }
 }
 
 /// Discard all pending records in every ring (marks them consumed).
@@ -615,58 +635,6 @@ impl RequestCtx {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Trace journal file IO
-// ---------------------------------------------------------------------------
-
-/// Write a trace journal as JSONL: one [`TraceRecord`] object per line,
-/// preceded by a `{"dropped": n}` header line.
-pub fn write_trace_journal(path: impl AsRef<Path>, journal: &TraceJournal) -> std::io::Result<()> {
-    if let Some(parent) = path.as_ref().parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent)?;
-        }
-    }
-    let mut w = BufWriter::new(File::create(path)?);
-    let render = |v: &Value| {
-        serde_json::to_string(v).map_err(|e| std::io::Error::other(format!("serialize: {e}")))
-    };
-    let header = Value::Object(vec![(
-        "dropped".to_string(),
-        Value::Int(journal.dropped as i64),
-    )]);
-    writeln!(w, "{}", render(&header)?)?;
-    for rec in &journal.records {
-        writeln!(w, "{}", render(&rec.to_value())?)?;
-    }
-    w.flush()
-}
-
-/// Read a trace journal written by [`write_trace_journal`]. Lines that
-/// are not trace records (the dropped-count header) are skipped.
-pub fn read_trace_journal(path: impl AsRef<Path>) -> Result<TraceJournal, String> {
-    let file =
-        File::open(path.as_ref()).map_err(|e| format!("open {}: {e}", path.as_ref().display()))?;
-    let mut records = Vec::new();
-    let mut dropped = 0u64;
-    for (lineno, line) in BufReader::new(file).lines().enumerate() {
-        let line = line.map_err(|e| format!("read line {}: {e}", lineno + 1))?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let value = serde_json::parse(&line)
-            .map_err(|e| format!("line {}: invalid JSON: {e}", lineno + 1))?;
-        if let Some(d) = value.get("dropped") {
-            dropped = u64::from_value(d).map_err(|e| format!("line {}: {e}", lineno + 1))?;
-            continue;
-        }
-        let rec = TraceRecord::from_value(&value)
-            .map_err(|e| format!("line {}: not a trace record: {e}", lineno + 1))?;
-        records.push(rec);
-    }
-    Ok(TraceJournal { records, dropped })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -717,8 +685,19 @@ mod tests {
 
         let dir = std::env::temp_dir().join(format!("trace_rt_{}", std::process::id()));
         let path = dir.join("trace.jsonl");
-        write_trace_journal(&path, &journal).unwrap();
-        let back = read_trace_journal(&path).unwrap();
+        let file = crate::Journal::create(&path).unwrap();
+        file.record(&Event::TraceDropped {
+            records: journal.dropped,
+        })
+        .unwrap();
+        for record in &journal.records {
+            file.record(&Event::Trace {
+                record: record.clone(),
+            })
+            .unwrap();
+        }
+        file.flush().unwrap();
+        let back = TraceJournal::from_events(&crate::read_journal(&path).unwrap());
         assert_eq!(back, journal);
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -2,7 +2,9 @@
 //! parses back to the identical value, and malformed lines are rejected
 //! as schema violations.
 
-use crowdtune_obs::{read_journal, Event, Journal, JournalError};
+use crowdtune_obs::{
+    read_journal, Event, Journal, JournalError, OpKind, TraceJournal, TraceRecord, TraceStage,
+};
 use std::sync::Arc;
 
 /// One instance of every event variant, with representative payloads
@@ -210,6 +212,15 @@ fn all_variants() -> Vec<Event> {
             to: "degraded".into(),
             queue_depth: 6,
         },
+        Event::TierSwitch {
+            from: "exact".into(),
+            to: "sparse".into(),
+            points: 2_000,
+            threshold: 1_500,
+            inducing: 256,
+        },
+        Event::TraceDropped { records: 3 },
+        trace_event(7, TraceStage::WalFollowerWait, 42),
         Event::RunEnd {
             iterations: 20,
             failures: 2,
@@ -217,6 +228,21 @@ fn all_variants() -> Vec<Event> {
             duration_us: 1_000_000,
         },
     ]
+}
+
+fn trace_event(trace: u64, stage: TraceStage, link: u64) -> Event {
+    Event::Trace {
+        record: TraceRecord {
+            trace,
+            client: 9,
+            op: OpKind::Upload,
+            stage,
+            shard: 3,
+            start_ns: 1_000 * trace,
+            dur_ns: 250,
+            link,
+        },
+    }
 }
 
 fn temp_path(name: &str) -> std::path::PathBuf {
@@ -239,11 +265,11 @@ fn every_variant_round_trips_bitwise() {
     }
     let back = read_journal(&path).unwrap();
     assert_eq!(back, events);
-    // All 27 kinds distinct.
+    // All 30 kinds distinct.
     let mut kinds: Vec<&str> = back.iter().map(|e| e.kind()).collect();
     kinds.sort_unstable();
     kinds.dedup();
-    assert_eq!(kinds.len(), 27);
+    assert_eq!(kinds.len(), 30);
     std::fs::remove_file(&path).ok();
 }
 
@@ -327,5 +353,51 @@ fn missing_field_is_a_schema_violation() {
         read_journal(&path),
         Err(JournalError::Schema { line: 1, .. })
     ));
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn trace_journal_rejects_blank_and_unterminated_lines() {
+    // A trace journal is a journal: `crowd_load --trace` writes one
+    // `tracedropped` event, then one `trace` event per drained record.
+    let path = temp_path("trace.jsonl");
+    let events = vec![
+        Event::TraceDropped { records: 2 },
+        trace_event(1, TraceStage::Op, 0),
+        trace_event(2, TraceStage::WalFsync, 0),
+    ];
+    {
+        let journal = Journal::create(&path).unwrap();
+        for ev in &events {
+            journal.record(ev).unwrap();
+        }
+        journal.flush().unwrap();
+    }
+    let back = TraceJournal::from_events(&read_journal(&path).unwrap());
+    assert_eq!(back.dropped, 2);
+    assert_eq!(back.records.len(), 2);
+    assert_eq!(back.records[1].stage, TraceStage::WalFsync);
+
+    let text = std::fs::read_to_string(&path).unwrap();
+    let lines: Vec<&str> = text.lines().collect();
+
+    // A blank line between records is a schema violation at that line.
+    std::fs::write(
+        &path,
+        format!("{}\n\n{}\n{}\n", lines[0], lines[1], lines[2]),
+    )
+    .unwrap();
+    match read_journal(&path) {
+        Err(JournalError::Schema { line, .. }) => assert_eq!(line, 2),
+        other => panic!("expected schema error at line 2, got {other:?}"),
+    }
+
+    // A last record without its newline is truncation, even though the
+    // fragment is a complete record.
+    std::fs::write(&path, text.trim_end_matches('\n')).unwrap();
+    match read_journal(&path) {
+        Err(JournalError::Truncated { line }) => assert_eq!(line, 3),
+        other => panic!("expected truncation at line 3, got {other:?}"),
+    }
     std::fs::remove_file(&path).ok();
 }

@@ -86,7 +86,7 @@ fn render_prometheus(snap: &MetricsSnapshot) -> String {
 /// `crowdtune_calibration_nll_per_point`). Deterministic sample order
 /// (BTreeMap iteration).
 pub fn render_quality_prometheus(rollup: &crate::quality::QualityRollup) -> String {
-    type Pick = fn(&crate::quality::ContributorAggregate) -> u64;
+    type Pick = fn(&crowdtune_obs::ContributorQuality) -> u64;
     let families: [(&str, Pick); 3] = [
         ("crowdtune_quality_contributor_scored", |a| a.scored),
         ("crowdtune_quality_contributor_flagged", |a| a.flagged),
@@ -116,7 +116,7 @@ pub fn render_quality_prometheus(rollup: &crate::quality::QualityRollup) -> Stri
     }
     out.push_str("# TYPE crowdtune_calibration_nll_per_point gauge\n");
     for (scen, sq) in &rollup.scenarios {
-        if let Some(nll) = sq.nll_pp {
+        if let Some(nll) = sq.calibration_nll_pp {
             out.push_str(&format!(
                 "crowdtune_calibration_nll_per_point{{scenario=\"{scen}\"}} {nll}\n"
             ));
@@ -327,7 +327,7 @@ mod tests {
 
     #[test]
     fn quality_rollup_renders_labelled_gauges() {
-        let mut roll = crate::quality::QualityRollup::new();
+        let mut roll = crate::quality::QualityRollup::default();
         roll.ingest(
             "hypre",
             &[

@@ -4,9 +4,10 @@
 //! A journal is a flat event stream; a run is the slice between a
 //! `runstart` and its `runend`. The ingester walks the stream once,
 //! distilling each run into one record: identity from `runstart`,
-//! outcome from `runend`, raw per-stage durations from every timed event
-//! in between, and the collapsed-stack profile from the run's `profile`
-//! event. Events *outside* a run window (the database round trip a
+//! outcome from `runend`, event counts and the collapsed-stack profile
+//! from the run window's [`summarize`] summary, and raw per-stage
+//! durations from every timed event ([`Event::stage`]) in the window.
+//! Events *outside* a run window (the database round trip a
 //! driver performs before tuning, a jitter probe) are attributed to the
 //! **next** run that starts — they are part of that run's session — and
 //! dropped if no run follows.
@@ -19,7 +20,7 @@ use std::collections::BTreeMap;
 use std::path::Path;
 
 use crowdtune_db::{Access, RunRecord, TelemetryCollection};
-use crowdtune_obs::{read_journal, Event, JournalError};
+use crowdtune_obs::{read_journal, summarize, Event, JournalError};
 
 /// Run metadata the journal itself cannot know, supplied at ingest time.
 #[derive(Debug, Clone)]
@@ -46,158 +47,91 @@ impl IngestMeta {
     }
 }
 
-/// Stage name and duration carried by a timed event, `None` for untimed
-/// kinds. Stage names match `crowdtune-obs`'s report aggregation.
-fn stage_of(ev: &Event) -> Option<(&'static str, u64)> {
-    match ev {
-        Event::Iteration { duration_us, .. } => Some(("iteration", *duration_us)),
-        Event::Fit { duration_us, .. } => Some(("fit", *duration_us)),
-        Event::Acquisition { duration_us, .. } => Some(("acquisition", *duration_us)),
-        Event::DbQuery { duration_us, .. } => Some(("db_query", *duration_us)),
-        Event::Upload { duration_us, .. } => Some(("db_upload", *duration_us)),
-        Event::Saltelli { duration_us, .. } => Some(("saltelli", *duration_us)),
-        Event::Sobol { duration_us, .. } => Some(("sobol", *duration_us)),
-        Event::RunEnd { duration_us, .. } => Some(("run", *duration_us)),
-        _ => None,
-    }
-}
-
-/// Event counts and stage durations accumulated either inside a run or in
-/// the gap before one.
-#[derive(Debug, Default)]
-struct Accumulator {
-    event_counts: BTreeMap<String, u64>,
-    stage_us: BTreeMap<String, Vec<u64>>,
-    profile: BTreeMap<String, u64>,
-}
-
-impl Accumulator {
-    fn absorb(&mut self, ev: &Event) {
-        *self.event_counts.entry(ev.kind().to_string()).or_insert(0) += 1;
-        if let Some((stage, us)) = stage_of(ev) {
-            self.stage_us.entry(stage.to_string()).or_default().push(us);
-        }
-        if let Event::Profile { folded } = ev {
-            for (path, ns) in folded {
-                *self.profile.entry(path.clone()).or_insert(0) += ns;
-            }
-        }
-    }
-
-    fn merge_into(self, other: &mut Accumulator) {
-        for (k, n) in self.event_counts {
-            *other.event_counts.entry(k).or_insert(0) += n;
-        }
-        for (stage, mut samples) in self.stage_us {
-            other
-                .stage_us
-                .entry(stage)
-                .or_default()
-                .append(&mut samples);
-        }
-        for (path, ns) in self.profile {
-            *other.profile.entry(path).or_insert(0) += ns;
-        }
-    }
-}
-
 /// Distills a parsed event stream into one [`RunRecord`] per completed
 /// run. A trailing run with no `runend` (the process died mid-tune) is
 /// still emitted, with outcome fields left at their defaults.
 pub fn ingest_events(events: &[Event], meta: &IngestMeta) -> Vec<RunRecord> {
     let mut records = Vec::new();
-    let mut pending = Accumulator::default();
-    // (identity fields, accumulator) of the currently open run.
-    let mut open: Option<(RunRecord, Accumulator)> = None;
-
-    let close = |records: &mut Vec<RunRecord>, rec: RunRecord, acc: Accumulator| {
-        let mut rec = rec;
-        rec.event_counts = acc.event_counts;
-        rec.stage_us = acc.stage_us;
-        rec.profile = acc.profile;
-        records.push(rec);
-    };
-
-    for ev in events {
-        if let Event::RunStart {
-            run,
-            tuner,
-            dim,
-            budget,
-            seed,
-        } = ev
-        {
-            // A new run start closes any run left open by a crashed writer.
-            if let Some((rec, acc)) = open.take() {
-                close(&mut records, rec, acc);
+    // First event not yet attributed to a run: a run's window starts
+    // here, so it includes the events before its `runstart`.
+    let mut window_start = 0;
+    let mut open: Option<RunRecord> = None;
+    for (i, ev) in events.iter().enumerate() {
+        match ev {
+            Event::RunStart {
+                run,
+                tuner,
+                dim,
+                budget,
+                seed,
+            } => {
+                // A new run start closes any run left open by a crashed writer.
+                if let Some(rec) = open.take() {
+                    records.push(distill(rec, &events[window_start..i]));
+                    window_start = i;
+                }
+                open = Some(RunRecord {
+                    id: 0,
+                    run: run.clone(),
+                    app: meta.app.clone(),
+                    machine: meta.machine.clone(),
+                    tuner: tuner.clone(),
+                    dim: *dim,
+                    budget: *budget,
+                    seed: *seed,
+                    iterations: 0,
+                    failures: 0,
+                    best: None,
+                    event_counts: BTreeMap::new(),
+                    stage_us: BTreeMap::new(),
+                    profile: BTreeMap::new(),
+                    owner: meta.owner.clone(),
+                    access: meta.access.clone(),
+                });
             }
-            let rec = RunRecord {
-                id: 0,
-                run: run.clone(),
-                app: meta.app.clone(),
-                machine: meta.machine.clone(),
-                tuner: tuner.clone(),
-                dim: *dim,
-                budget: *budget,
-                seed: *seed,
-                iterations: 0,
-                failures: 0,
-                best: None,
-                event_counts: BTreeMap::new(),
-                stage_us: BTreeMap::new(),
-                profile: BTreeMap::new(),
-                owner: meta.owner.clone(),
-                access: meta.access.clone(),
-            };
-            let mut acc = Accumulator::default();
-            std::mem::take(&mut pending).merge_into(&mut acc);
-            acc.absorb(ev);
-            open = Some((rec, acc));
-            continue;
-        }
-
-        match open.as_mut() {
-            Some((rec, acc)) => {
-                acc.absorb(ev);
-                if let Event::RunEnd {
-                    iterations,
-                    failures,
-                    best,
-                    ..
-                } = ev
-                {
+            Event::RunEnd {
+                iterations,
+                failures,
+                best,
+                ..
+            } => {
+                if let Some(mut rec) = open.take() {
                     rec.iterations = *iterations;
                     rec.failures = *failures;
                     rec.best = *best;
-                    let (rec, acc) = open.take().expect("run open");
-                    close(&mut records, rec, acc);
+                    records.push(distill(rec, &events[window_start..=i]));
+                    window_start = i + 1;
                 }
             }
-            None => pending.absorb(ev),
+            _ => {}
         }
     }
-    if let Some((rec, acc)) = open.take() {
-        close(&mut records, rec, acc);
+    if let Some(rec) = open {
+        records.push(distill(rec, &events[window_start..]));
     }
     records
 }
 
-/// Reads and schema-checks a journal, then distills it into run records.
-fn ingest_journal<P: AsRef<Path>>(
-    path: P,
-    meta: &IngestMeta,
-) -> Result<Vec<RunRecord>, JournalError> {
-    Ok(ingest_events(&read_journal(path)?, meta))
+/// Fills a run record's event counts and profile from the summary of its
+/// window, and its raw stage durations from the window's timed events.
+fn distill(mut rec: RunRecord, window: &[Event]) -> RunRecord {
+    let summary = summarize(&rec.run, window);
+    rec.event_counts = summary.event_counts;
+    rec.profile = summary.profile;
+    for (stage, us) in window.iter().filter_map(Event::stage) {
+        rec.stage_us.entry(stage.to_string()).or_default().push(us);
+    }
+    rec
 }
 
-/// Ingests a journal directly into a collection; returns how many run
-/// records were inserted.
+/// Reads and schema-checks a journal, then ingests its runs into a
+/// collection; returns how many run records were inserted.
 pub fn ingest_into<P: AsRef<Path>>(
     collection: &TelemetryCollection,
     path: P,
     meta: &IngestMeta,
 ) -> Result<usize, JournalError> {
-    let records = ingest_journal(path, meta)?;
+    let records = ingest_events(&read_journal(path)?, meta);
     let n = records.len();
     for rec in records {
         collection.insert(rec);

@@ -14,16 +14,18 @@
 //!   runs on machine X", "fit-time p50/p95 grouped by TLA algorithm" —
 //!   exact order-statistic percentiles, honoring per-record access
 //!   control.
-//! - [`quality`] rolls per-run quality/calibration events up into
-//!   per-scenario, per-contributor data-quality aggregates — which
-//!   contributor is being flagged, which surrogate is drifting.
+//! - [`quality`] keeps one journal summary per scenario and reads its
+//!   per-contributor data-quality rollup — which contributor is being
+//!   flagged, which surrogate is drifting.
 //! - [`exposition`] serves the live process metrics in Prometheus text
 //!   format from a dependency-free blocking HTTP listener (or a
 //!   `--oneshot` file for CI), without perturbing tuner determinism.
 //!
-//! The `crowdtune-telemetry` binary wires ingestion and querying into a
-//! small CLI; `--expose`/`--expose-oneshot` flags on the bench smoke
-//! driver exercise the exposition path mid-tune.
+//! The `crowdtune-report` binary is the one reader of everything the
+//! system writes: `report` and `slo` over run journals, trace journals
+//! and metrics snapshots, `attribute` over trace journals, and `ingest`/
+//! `query` over the fleet store. `--expose`/`--expose-oneshot` flags on
+//! the bench smoke driver exercise the exposition path mid-tune.
 
 #![warn(missing_docs)]
 
@@ -40,4 +42,4 @@ pub use crowdtune_db::{Access, FleetQuery, RunRecord, TelemetryCollection};
 pub use exposition::{render_quality_prometheus, scrape, write_oneshot, ExpositionServer};
 pub use fleet::{fleet_stage_percentiles, percentile_us, render_stage_table, StagePercentiles};
 pub use ingest::{ingest_events, ingest_into, IngestMeta};
-pub use quality::{render_quality_rollup, ContributorAggregate, QualityRollup, ScenarioQuality};
+pub use quality::{render_quality_rollup, QualityRollup};

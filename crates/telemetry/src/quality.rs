@@ -6,9 +6,10 @@
 //! run's data". This module lifts that to the fleet vantage point the
 //! crowd model needs: many contributors uploading into one shared
 //! history, where a single noisy machine or misconfigured harness can
-//! quietly poison every downstream surrogate. The rollup ingests any
-//! number of journals (one per run/scenario), keyed by a
-//! caller-supplied scenario label, and answers:
+//! quietly poison every downstream surrogate. The rollup summarizes any
+//! number of journals (one per run/scenario) with the per-run report's
+//! own fold, [`summarize`], keyed by a caller-supplied scenario label,
+//! and answers:
 //!
 //! - which contributors are being flagged, and at what rate;
 //! - which scenario's surrogate is worst-calibrated (coverage drift);
@@ -19,175 +20,29 @@
 
 use std::collections::BTreeMap;
 
-use crowdtune_obs::Event;
-
-/// Quality aggregate for one contributor within one scenario.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ContributorAggregate {
-    /// Records accepted from this contributor (from `upload` events).
-    pub uploads: u64,
-    /// Observations scored by the quality scorer.
-    pub scored: u64,
-    /// Observations whose standardized residual crossed the outlier
-    /// threshold.
-    pub flagged: u64,
-    /// Duplicate-configuration disagreements attributed to this
-    /// contributor.
-    pub duplicates: u64,
-    /// Quarantine events (observe-only flag lifecycle) for this
-    /// contributor's records.
-    pub quarantined: u64,
-    /// Largest standardized-residual score seen, `None` until a scored
-    /// observation carries one.
-    pub worst_score: Option<f64>,
-}
-
-impl ContributorAggregate {
-    /// Fraction of scored observations that were flagged, `None` before
-    /// any observation was scored.
-    pub fn flag_rate(&self) -> Option<f64> {
-        (self.scored > 0).then(|| self.flagged as f64 / self.scored as f64)
-    }
-
-    /// Combined severity used for ranking: flagged + quarantined.
-    pub fn severity(&self) -> u64 {
-        self.flagged + self.quarantined
-    }
-}
-
-/// Quality rollup for one scenario (one tuning problem / journal).
-#[derive(Debug, Clone, Default)]
-pub struct ScenarioQuality {
-    /// Per-contributor aggregates, keyed by contributor name.
-    pub contributors: BTreeMap<String, ContributorAggregate>,
-    /// Total observations scored in this scenario.
-    pub scored: u64,
-    /// Total online outlier flags in this scenario.
-    pub flagged: u64,
-    /// Total quarantine markers in this scenario. Every flag — online,
-    /// duplicate, or final-sweep — emits one, so this is the complete
-    /// count of records withheld from trust.
-    pub quarantined: u64,
-    /// Held-out calibration points scored by the surrogate (from the
-    /// last `calibration` event).
-    pub calibration_points: u64,
-    /// Last observed 90%-interval coverage.
-    pub coverage90: Option<f64>,
-    /// Last observed predictive NLL per point.
-    pub nll_pp: Option<f64>,
-    /// Last observed NLL-per-point drift between refits.
-    pub drift: Option<f64>,
-}
-
-impl ScenarioQuality {
-    /// Scenario-wide outlier rate, `None` before any scored observation.
-    fn outlier_rate(&self) -> Option<f64> {
-        (self.scored > 0).then(|| self.flagged as f64 / self.scored as f64)
-    }
-
-    /// Absolute deviation of 90%-interval coverage from its nominal
-    /// 0.90, `None` before any calibration event.
-    #[cfg(test)]
-    fn coverage_error(&self) -> Option<f64> {
-        self.coverage90.map(|c| (c - 0.90).abs())
-    }
-
-    fn absorb(&mut self, ev: &Event) {
-        match ev {
-            Event::Upload {
-                accepted,
-                contributor,
-                ..
-            } if !contributor.is_empty() => {
-                self.contributors
-                    .entry(contributor.clone())
-                    .or_default()
-                    .uploads += accepted;
-            }
-            Event::QualityScore {
-                contributor,
-                score,
-                flagged,
-                duplicate,
-                ..
-            } => {
-                self.scored += 1;
-                if *flagged {
-                    self.flagged += 1;
-                }
-                let agg = self.contributors.entry(contributor.clone()).or_default();
-                agg.scored += 1;
-                if *flagged {
-                    agg.flagged += 1;
-                }
-                if *duplicate {
-                    agg.duplicates += 1;
-                }
-                if let Some(s) = score {
-                    if agg.worst_score.is_none_or(|w| *s > w) {
-                        agg.worst_score = Some(*s);
-                    }
-                }
-            }
-            Event::Quarantine { contributor, .. } => {
-                self.quarantined += 1;
-                self.contributors
-                    .entry(contributor.clone())
-                    .or_default()
-                    .quarantined += 1;
-            }
-            Event::Calibration {
-                points,
-                coverage90,
-                nll_pp,
-                drift,
-                ..
-            } => {
-                // Calibration events are cumulative snapshots; keep the
-                // richest (latest) one.
-                self.calibration_points = self.calibration_points.max(*points);
-                if coverage90.is_some() {
-                    self.coverage90 = *coverage90;
-                }
-                if nll_pp.is_some() {
-                    self.nll_pp = *nll_pp;
-                }
-                if drift.is_some() {
-                    self.drift = *drift;
-                }
-            }
-            _ => {}
-        }
-    }
-}
+use crowdtune_obs::{summarize, ContributorQuality, Event, JournalReport};
 
 /// Fleet-wide quality rollup over any number of scenario journals.
 #[derive(Debug, Clone, Default)]
 pub struct QualityRollup {
-    /// Per-scenario rollups, keyed by the caller-supplied label.
-    pub scenarios: BTreeMap<String, ScenarioQuality>,
+    /// One journal summary per scenario, keyed by the caller-supplied
+    /// label. The rollup reads its `quality_*`, `quarantined`,
+    /// `calibration_*`, `coverage90` and `contributors` fields.
+    pub scenarios: BTreeMap<String, JournalReport>,
 }
 
 impl QualityRollup {
-    /// An empty rollup.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Fold one journal's events into the rollup under `scenario`.
-    /// Ingesting the same scenario twice accumulates (multiple runs of
-    /// one problem roll up together).
+    /// Summarize one journal's events under `scenario`, replacing any
+    /// earlier summary of that scenario.
     pub fn ingest(&mut self, scenario: &str, events: &[Event]) {
-        let sq = self.scenarios.entry(scenario.to_string()).or_default();
-        for ev in events {
-            sq.absorb(ev);
-        }
+        self.scenarios
+            .insert(scenario.to_string(), summarize(scenario, events));
     }
 
     /// The single worst contributor across the fleet by severity
     /// (flagged + quarantined), ties broken toward the lexically first
     /// scenario/contributor. `None` when nobody has been flagged.
-    pub fn worst_contributor(&self) -> Option<(&str, &str, &ContributorAggregate)> {
+    pub fn worst_contributor(&self) -> Option<(&str, &str, &ContributorQuality)> {
         self.scenarios
             .iter()
             .flat_map(|(scen, sq)| {
@@ -217,9 +72,10 @@ pub fn render_quality_rollup(r: &QualityRollup) -> String {
     for (scen, sq) in &r.scenarios {
         out.push_str(&format!(
             "  scenario {scen}: {} scored, {} flagged online, {} quarantined",
-            sq.scored, sq.flagged, sq.quarantined
+            sq.quality_scored, sq.quality_flagged, sq.quarantined
         ));
-        if let Some(rate) = sq.outlier_rate() {
+        if sq.quality_scored > 0 {
+            let rate = sq.quality_flagged as f64 / sq.quality_scored as f64;
             out.push_str(&format!(" ({:.1}% outlier rate)", rate * 100.0));
         }
         out.push('\n');
@@ -228,10 +84,10 @@ pub fn render_quality_rollup(r: &QualityRollup) -> String {
                 "    calibration: coverage@90 {:.3} over {} points",
                 cov, sq.calibration_points
             ));
-            if let Some(nll) = sq.nll_pp {
+            if let Some(nll) = sq.calibration_nll_pp {
                 out.push_str(&format!(", nll/pt {nll:.3}"));
             }
-            if let Some(d) = sq.drift {
+            if let Some(d) = sq.calibration_drift {
                 out.push_str(&format!(", drift {d:+.3}"));
             }
             out.push('\n');
@@ -274,7 +130,7 @@ mod tests {
 
     #[test]
     fn rollup_aggregates_per_scenario_and_contributor() {
-        let mut roll = QualityRollup::new();
+        let mut roll = QualityRollup::default();
         roll.ingest(
             "hypre",
             &[
@@ -306,10 +162,9 @@ mod tests {
             ],
         );
         let sq = &roll.scenarios["hypre"];
-        assert_eq!(sq.scored, 3);
-        assert_eq!(sq.flagged, 2);
-        assert!((sq.outlier_rate().unwrap() - 2.0 / 3.0).abs() < 1e-12);
-        assert!((sq.coverage_error().unwrap() - 0.025).abs() < 1e-12);
+        assert_eq!(sq.quality_scored, 3);
+        assert_eq!(sq.quality_flagged, 2);
+        assert_eq!(sq.coverage90, Some(0.875));
         assert_eq!(sq.calibration_points, 16);
         assert_eq!(sq.contributors["alice"].uploads, 3);
         assert_eq!(sq.contributors["alice"].flagged, 0);
@@ -320,12 +175,12 @@ mod tests {
         assert_eq!(m.quarantined, 1);
         assert_eq!(m.worst_score, Some(12.0));
         assert_eq!(m.severity(), 3);
-        assert!((m.flag_rate().unwrap() - 1.0).abs() < 1e-12);
+        assert!(render_quality_rollup(&roll).contains("(66.7% outlier rate)"));
     }
 
     #[test]
     fn worst_contributor_spans_scenarios() {
-        let mut roll = QualityRollup::new();
+        let mut roll = QualityRollup::default();
         roll.ingest("a", &[score("alice", Some(9.0), true, false)]);
         roll.ingest(
             "b",
@@ -343,7 +198,7 @@ mod tests {
 
     #[test]
     fn clean_fleet_has_no_worst_contributor() {
-        let mut roll = QualityRollup::new();
+        let mut roll = QualityRollup::default();
         roll.ingest("a", &[score("alice", Some(0.1), false, false)]);
         assert!(roll.worst_contributor().is_none());
         assert!(render_quality_rollup(&roll).contains("scenario a"));
