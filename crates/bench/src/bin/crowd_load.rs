@@ -1,17 +1,14 @@
 //! Fleet-scale load generator for the crowd repository: many concurrent
 //! clients running a mixed upload + TLA-style query workload against
-//! the sharded [`CrowdService`].
+//! the sharded [`CrowdService`], in one of two modes. It measures
+//! nothing it gates: the repository's end-to-end throughput and query
+//! latency come from crowdbench's `crowd_repo` workload.
 //!
-//! Reports the service's read-query throughput and p50/p99 read
-//! latency, durable upload throughput under group commit, and the
-//! cache/fsync counters. The repository's gated end-to-end numbers
-//! come from crowdbench's `crowd_repo` workload instead.
-//!
-//! Run: `cargo run --release -p crowdtune-bench --bin crowd_load`.
+//! Run: `cargo run --release -p crowdtune-bench --bin crowd_load -- --trace`.
 //! Pass `--smoke` for the CI-sized workload, and `--threads N` to
 //! change the client count (default 8).
 //!
-//! `--trace` re-runs the service read phase and a durable burst with
+//! `--trace` runs the service read mix and a durable upload burst with
 //! request tracing on: every op carries a [`RequestCtx`], the drained
 //! journal lands in `results/crowd_trace.jsonl` (metrics snapshot in
 //! `results/crowd_metrics.json`), stage durations are reconciled
@@ -40,9 +37,6 @@ use crowdtune_obs as obs;
 use obs::{OpKind, RequestCtx};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
-use std::time::Instant;
 
 fn arg_value(args: &[String], flag: &str) -> Option<String> {
     args.iter()
@@ -75,27 +69,6 @@ fn query_mix() -> Vec<Filter> {
     .collect()
 }
 
-struct ReadPhase {
-    wall_s: f64,
-    reads: u64,
-    uploads: u64,
-    latencies_ns: Vec<u64>,
-}
-
-impl ReadPhase {
-    fn read_qps(&self) -> f64 {
-        self.reads as f64 / self.wall_s
-    }
-
-    fn percentile_us(&self, p: f64) -> f64 {
-        if self.latencies_ns.is_empty() {
-            return 0.0;
-        }
-        let idx = ((self.latencies_ns.len() - 1) as f64 * p).round() as usize;
-        self.latencies_ns[idx] as f64 / 1_000.0
-    }
-}
-
 /// Drive `threads` clients through `ops_per_thread` mixed operations
 /// (1 upload per 32 ops, the rest problem-scoped queries) against an
 /// engine exposed as (query, upload) closures. Closures receive the
@@ -107,51 +80,32 @@ fn drive<Q, U>(
     filters: &[Filter],
     query: Q,
     upload: U,
-) -> ReadPhase
-where
+) where
     Q: Fn(usize, &str, &Filter) -> usize + Sync,
     U: Fn(usize, FunctionEvaluation) + Sync,
 {
-    let reads = AtomicU64::new(0);
-    let uploads = AtomicU64::new(0);
-    let all_latencies: Mutex<Vec<u64>> = Mutex::new(Vec::new());
-    let t0 = Instant::now();
     std::thread::scope(|scope| {
         for t in 0..threads {
-            let (reads, uploads, all_latencies) = (&reads, &uploads, &all_latencies);
             let (query, upload) = (&query, &upload);
             scope.spawn(move || {
                 let mut rng = StdRng::seed_from_u64(0x10ad + t as u64);
-                let mut latencies = Vec::with_capacity(ops_per_thread);
                 for i in 0..ops_per_thread {
                     if i % 32 == 31 {
                         let problem = &problems[rng.gen_range(0..problems.len())];
                         upload(t, eval_doc(problem, rng.gen_range(0..10_000), &mut rng));
-                        uploads.fetch_add(1, Ordering::Relaxed);
                     } else {
                         let problem = &problems[(t + i) % problems.len()];
                         let filter = &filters[i % filters.len()];
-                        let q0 = Instant::now();
-                        let n = query(t, problem, filter);
-                        latencies.push(q0.elapsed().as_nanos() as u64);
-                        std::hint::black_box(n);
-                        reads.fetch_add(1, Ordering::Relaxed);
+                        std::hint::black_box(query(t, problem, filter));
                     }
                 }
-                all_latencies.lock().unwrap().extend(latencies);
             });
         }
     });
-    let wall_s = t0.elapsed().as_secs_f64();
-    let mut latencies_ns = all_latencies.into_inner().unwrap();
-    latencies_ns.sort_unstable();
-    ReadPhase {
-        wall_s,
-        reads: reads.load(Ordering::Relaxed),
-        uploads: uploads.load(Ordering::Relaxed),
-        latencies_ns,
-    }
 }
+
+const USAGE: &str = "usage: crowd_load --trace [--smoke] [--threads N] [--ring-capacity N]
+       crowd_load --overload [--smoke] [--seed N]";
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -159,6 +113,10 @@ fn main() {
     if args.iter().any(|a| a == "--overload") {
         run_overload(&args, smoke);
         return;
+    }
+    if !args.iter().any(|a| a == "--trace") {
+        eprintln!("{USAGE}");
+        std::process::exit(2);
     }
     let threads: usize = arg_value(&args, "--threads")
         .and_then(|s| s.parse().ok())
@@ -190,94 +148,24 @@ fn main() {
         service.insert(doc).expect("in-memory insert");
     }
 
-    // ---- Read phase: the sharded crowd service. ----
-    let svc = drive(
-        threads,
-        ops_per_thread,
-        &problems,
-        &filters,
-        // The service hot path: a cache hit hands back the shared
-        // snapshot (one Arc clone) instead of copying every document.
-        |_, problem, filter| service.query_problem_shared(problem, filter, None).0.len(),
-        |_, doc| {
-            service.insert(doc).expect("in-memory insert");
-        },
-    );
-    let (cache_hits, cache_misses) = service.cache_counts();
-
-    // ---- Durable upload burst: group-commit WAL throughput. ----
-    let dir = std::env::temp_dir().join(format!("crowdtune_crowd_load_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let (durable, _) = CrowdService::open_durable(
-        &dir,
-        ServiceConfig {
-            shards: 16,
-            wal: WalConfig {
-                group_commit: true,
-                compact_every: 0,
-                ..WalConfig::default()
-            },
-            ..ServiceConfig::default()
-        },
-    )
-    .expect("open durable service");
-    let t0 = Instant::now();
-    std::thread::scope(|scope| {
-        for t in 0..threads {
-            let (durable, problems) = (&durable, &problems);
-            scope.spawn(move || {
-                let mut rng = StdRng::seed_from_u64(0xd00d + t as u64);
-                for _ in 0..durable_uploads {
-                    let problem = &problems[rng.gen_range(0..problems.len())];
-                    durable
-                        .insert(eval_doc(problem, rng.gen_range(0..10_000), &mut rng))
-                        .expect("durable insert");
-                }
-            });
-        }
-    });
-    let durable_wall_s = t0.elapsed().as_secs_f64();
-    let upload_qps = (threads * durable_uploads) as f64 / durable_wall_s;
-    let (fsyncs, fsync_batched) = (durable.fsync_count(), durable.fsync_batched_count());
-    drop(durable);
-    let _ = std::fs::remove_dir_all(&dir);
-
-    // ---- Traced re-run: same read mix + durable burst with request
-    // tracing on, journaled and reconciled against wall time. ----
-    let trace = args.iter().any(|a| a == "--trace");
     let ring_capacity: usize = arg_value(&args, "--ring-capacity")
         .and_then(|s| s.parse().ok())
         .unwrap_or(1 << 16);
-    if trace {
-        run_traced(
-            threads,
-            ops_per_thread,
-            durable_uploads,
-            &problems,
-            &filters,
-            &service,
-            ring_capacity,
-        );
-    }
-
-    // ---- Report. ----
     println!(
-        "crowd_load: {threads} client threads, {n_problems} problems x {docs_per_problem} docs"
+        "crowd_load --trace: {threads} client threads, {n_problems} problems x {docs_per_problem} docs"
     );
-    println!(
-        "  crowd service (16 shards): {:.0} reads/s  (p50 {:.1} us, p99 {:.1} us, {} uploads)",
-        svc.read_qps(),
-        svc.percentile_us(0.50),
-        svc.percentile_us(0.99),
-        svc.uploads,
-    );
-    println!("  cache: {cache_hits} hits / {cache_misses} misses");
-    println!(
-        "  durable uploads (group commit): {upload_qps:.0} docs/s, {fsyncs} fsyncs ({fsync_batched} batched)"
+    run_traced(
+        threads,
+        ops_per_thread,
+        durable_uploads,
+        &problems,
+        &filters,
+        &service,
+        ring_capacity,
     );
 }
 
-/// The `--trace` phase: re-drive the service read mix and a durable
+/// The `--trace` phase: drive the service read mix and a durable
 /// upload burst with request tracing enabled, write the trace journal
 /// (`results/crowd_trace.jsonl`) and metrics snapshot
 /// (`results/crowd_metrics.json`), assert the accounting holds — stage
@@ -309,10 +197,7 @@ fn run_traced(
         filters,
         |t, problem, filter| {
             let ctx = RequestCtx::new(OpKind::Query, t as u32 + 1);
-            service
-                .query_problem_shared_ctx(problem, filter, None, ctx)
-                .0
-                .len()
+            service.query(problem, filter, None, ctx).unwrap().0.len()
         },
         |t, doc| {
             let ctx = RequestCtx::new(OpKind::Upload, t as u32 + 1);
@@ -329,7 +214,6 @@ fn run_traced(
         ServiceConfig {
             shards: 16,
             wal: WalConfig {
-                group_commit: true,
                 group_window_us: 200,
                 compact_every: 0,
                 ..WalConfig::default()
@@ -545,14 +429,12 @@ fn overload_run(seed: u64, smoke: bool, twin: usize, capture_metrics: bool) -> O
         shards: 4,
         cache_capacity: 64,
         wal: WalConfig {
-            group_commit: true,
             compact_every: 0,
             ..WalConfig::default()
         },
         overload: Some(OverloadConfig {
             queue_limit: 16,
             base_service_us: 200,
-            simulated: true,
             log_outcomes: true,
             plan: Some(plan.clone()),
             ..OverloadConfig::default()
@@ -630,8 +512,14 @@ fn overload_run(seed: u64, smoke: bool, twin: usize, capture_metrics: bool) -> O
                 // answer from epoch-stamped stale snapshots.
                 if step % 5 == c as u64 % 5 {
                     let filter = &filters[(step as usize + c) % filters.len()];
-                    let (res, stats) =
-                        svc.query_problem_shared(&problems[c % problems.len()], filter, None);
+                    let (res, stats) = svc
+                        .query(
+                            &problems[c % problems.len()],
+                            filter,
+                            None,
+                            RequestCtx::new(OpKind::Query, 0),
+                        )
+                        .unwrap();
                     stale_serves += stats.stale_served as u64;
                     std::hint::black_box(res.len());
                 }
@@ -640,12 +528,7 @@ fn overload_run(seed: u64, smoke: bool, twin: usize, capture_metrics: bool) -> O
                 if step % 35 == 34 {
                     let ctx = RequestCtx::new(OpKind::Query, c as u32 + 1)
                         .with_deadline_us(now.saturating_sub(500));
-                    match svc.try_query_problem_shared_ctx(
-                        &problems[c % problems.len()],
-                        &filters[0],
-                        None,
-                        ctx,
-                    ) {
+                    match svc.query(&problems[c % problems.len()], &filters[0], None, ctx) {
                         Err(StoreError::DeadlineExceeded) => deadline_reads += 1,
                         Ok(_) => {}
                         Err(other) => panic!("untyped read failure: {other}"),
@@ -709,7 +592,9 @@ fn overload_run(seed: u64, smoke: bool, twin: usize, capture_metrics: bool) -> O
     let all = parse_query_all();
     let mut recovered_ms: std::collections::HashSet<i64> = std::collections::HashSet::new();
     for problem in &problems {
-        let (docs, _) = svc.query_problem_shared(problem, &all, None);
+        let (docs, _) = svc
+            .query(problem, &all, None, RequestCtx::new(OpKind::Query, 0))
+            .unwrap();
         recovered_ms.extend(docs.iter().map(|d| {
             d.task_parameters
                 .get("m")

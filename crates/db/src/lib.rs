@@ -6,8 +6,9 @@
 //! - [`document`] — JSON performance-sample documents (task parameters,
 //!   tuning parameters, evaluation result) plus reproducibility metadata
 //!   (machine and software configuration) and per-record access control.
-//! - [`store`] — the document store each service shard holds: indexed
-//!   by problem, thread-safe, JSON-file persistent.
+//! - [`store`] — one service shard's index: its records indexed by
+//!   problem, field value and contributor, behind a `RwLock`; plus the
+//!   crate's error type and the scan statistics queries report.
 //! - [`query`] — a typed filter AST and the SQL-like text query language
 //!   (`task.m BETWEEN 1000 AND 20000 AND machine.name = 'cori'`).
 //! - [`access`] — registered users, plain and keypair-style API keys.
@@ -16,9 +17,10 @@
 //! - [`repo`] — the [`HistoryDb`] facade: authenticated submit, meta-
 //!   description-shaped queries (problem space + configuration space).
 //! - [`service`] — the crowd service, the one storage engine behind
-//!   [`HistoryDb`]: parallel problem-sharded reads, group-commit WAL
-//!   writes, an epoch-invalidated query-result cache, and a blob table
-//!   for tuner checkpoints.
+//!   [`HistoryDb`]: global ids and logical times, parallel
+//!   problem-sharded reads, group-commit WAL writes, an
+//!   epoch-invalidated query-result cache, and a blob table for tuner
+//!   checkpoints.
 //! - [`overload`] — overload resilience for the service: bounded
 //!   admission control with typed shedding, deadline propagation, a
 //!   per-shard Healthy → Degraded → Shedding ladder, capped seeded
@@ -28,7 +30,8 @@
 //!   access control as performance samples.
 //! - [`wal`] — crash-safe persistence for the service: a checksummed
 //!   write-ahead log, snapshot + replay recovery that truncates torn
-//!   tails, and atomic compaction.
+//!   tails, atomic compaction, and the one snapshot codec that also
+//!   reads and writes `HistoryDb`'s documents files.
 
 #![warn(missing_docs)]
 
@@ -59,6 +62,6 @@ pub use repo::{
     SoftwareFilter,
 };
 pub use service::{CrowdService, ServiceConfig};
-pub use store::{DocumentStore, ScanStats, StoreError};
+pub use store::{ScanStats, StoreError};
 pub use telemetry::{FleetQuery, RunRecord, TelemetryCollection};
 pub use wal::{crc32, RecoveryReport, WalConfig, WalRecord};

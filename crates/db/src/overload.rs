@@ -8,13 +8,12 @@
 //! * **Admission control** ([`OverloadState::admit_write`]) — a bounded
 //!   *virtual* write queue per shard plus a global in-flight budget. The
 //!   queue models service capacity on the service clock (simulated
-//!   microseconds under the deterministic overload simulator, wall-clock
-//!   microseconds otherwise): each admitted write occupies the queue until
-//!   its modeled completion time. When the queue is full, the budget is
-//!   exhausted, or the shard is shedding, the request is *shed* with a
-//!   typed [`StoreError::Overloaded`] before any state is touched — never
-//!   silently dropped, never acked-then-lost. A shed write by construction
-//!   never reaches memory or the WAL.
+//!   microseconds the load driver advances): each admitted write occupies
+//!   the queue until its modeled completion time. When the queue is full,
+//!   the budget is exhausted, or the shard is shedding, the request is
+//!   *shed* with a typed [`StoreError::Overloaded`] before any state is
+//!   touched — never silently dropped, never acked-then-lost. A shed
+//!   write by construction never reaches memory or the WAL.
 //! * **Deadline checks** — a request whose
 //!   [`RequestCtx::deadline_us`](crowdtune_obs::RequestCtx) cannot be met
 //!   (projected completion past the deadline, or already expired) returns
@@ -373,9 +372,6 @@ pub struct OverloadConfig {
     pub exit_after: u32,
     /// Backoff suggestion carried in `Overloaded` errors, milliseconds.
     pub retry_after_ms: u64,
-    /// Drive the admission clock from [`OverloadState::set_now_us`]
-    /// (deterministic simulation) instead of the wall clock.
-    pub simulated: bool,
     /// Record every admission decision into an outcome log for twin-run
     /// fingerprinting.
     pub log_outcomes: bool,
@@ -395,7 +391,6 @@ impl Default for OverloadConfig {
             enter_after: 3,
             exit_after: 8,
             retry_after_ms: 5,
-            simulated: false,
             log_outcomes: false,
             plan: None,
         }
@@ -473,9 +468,9 @@ struct ShardLoad {
 }
 
 /// The overload controller a `CrowdService` consults before touching any
-/// state. All bookkeeping is on the service clock; with
-/// `cfg.simulated`, that clock is an atomic the load driver advances, so
-/// every decision is a pure function of `(config, schedule)`.
+/// state. All bookkeeping is on the service clock, an atomic the load
+/// driver advances, so every decision is a pure function of
+/// `(config, schedule)`.
 pub struct OverloadState {
     cfg: OverloadConfig,
     sim_now_us: AtomicU64,
@@ -511,13 +506,10 @@ impl OverloadState {
         &self.cfg
     }
 
-    /// Current service time, microseconds.
+    /// Current service time, microseconds: the simulated clock the load
+    /// driver advances with [`OverloadState::set_now_us`].
     pub fn now_us(&self) -> u64 {
-        if self.cfg.simulated {
-            self.sim_now_us.load(Ordering::Acquire)
-        } else {
-            obs::now_ns() / 1_000
-        }
+        self.sim_now_us.load(Ordering::Acquire)
     }
 
     /// Advance the simulated service clock (monotone; lagging calls are
@@ -751,7 +743,6 @@ mod tests {
             enter_after: 2,
             exit_after: 3,
             retry_after_ms: 7,
-            simulated: true,
             log_outcomes: true,
             plan: None,
         }

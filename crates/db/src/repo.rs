@@ -14,6 +14,7 @@ use crate::overload::Backoff;
 use crate::query::Filter;
 use crate::service::{CrowdService, ServiceConfig};
 use crate::store::StoreError;
+use crate::wal::{write_atomic, Documents};
 use crowdtune_obs as obs;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -466,9 +467,10 @@ impl HistoryDb {
     fn query_as(&self, user: Option<&str>, spec: &QuerySpec) -> Vec<FunctionEvaluation> {
         let span = obs::span(obs::names::SPAN_DB_QUERY);
         let ctx = obs::RequestCtx::new(obs::OpKind::Query, client_hash(user));
-        let (hits, stats) =
-            self.service
-                .query_problem_shared_ctx(&spec.problem, &spec.filter, user, ctx);
+        let (hits, stats) = self
+            .service
+            .query(&spec.problem, &spec.filter, user, ctx)
+            .expect("a query without a deadline cannot expire");
         let configuration = spec.configuration.matcher(&self.tags);
         let kept: Vec<FunctionEvaluation> = hits
             .iter()
@@ -516,12 +518,25 @@ impl HistoryDb {
         self.service.problems()
     }
 
-    /// Persist the document collection to a JSON file. (User records are
-    /// credentials and deliberately not serialized.) The service saves
-    /// its merged single-store form, so the file loads identically at
-    /// any shard count.
+    /// Persist the document collection to a JSON file, atomically (see
+    /// `wal::write_atomic`). User records are credentials and
+    /// deliberately not saved. The file lists the records in id order,
+    /// so it is the same at any shard count.
     pub fn save_documents(&self, path: &std::path::Path) -> Result<(), DbError> {
-        Ok(self.service.merged_store().save(path)?)
+        let json = self.service.documents().to_json()?;
+        write_atomic(path, json.as_bytes()).map_err(StoreError::from)?;
+        Ok(())
+    }
+
+    /// A database laid out like [`HistoryDb::new`] holding the documents
+    /// [`HistoryDb::save_documents`] wrote to `path`; new ids continue
+    /// after the saved ones. No user is registered. A file cut mid-write
+    /// is [`StoreError::Truncated`].
+    pub fn load_documents(path: &std::path::Path) -> Result<Self, DbError> {
+        let json = std::fs::read_to_string(path).map_err(StoreError::from)?;
+        let db = Self::new();
+        db.service.restore(Documents::from_json(&json, path)?);
+        Ok(db)
     }
 }
 

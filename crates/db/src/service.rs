@@ -1,14 +1,14 @@
 //! The concurrent sharded crowd repository: parallel reads, group-commit
 //! writes, and an epoch-invalidated query cache.
 //!
-//! A [`DocumentStore`] serializes every operation behind one `RwLock`,
-//! which is the right shape for one shard but not for the paper's crowd
-//! service, where many clients upload and query the shared history
-//! concurrently. [`CrowdService`], the crate's one storage engine, hosts
-//! that document model for fleet-scale access:
+//! [`CrowdService`] is the crate's one storage engine, built for the
+//! paper's crowd service, where many clients upload and query the shared
+//! history concurrently. It owns ids and logical times, the write-ahead
+//! log, snapshots and the commit path; each shard holds only an index of
+//! its records (`crate::store`).
 //!
 //! * **Sharding** — documents are partitioned by problem name across N
-//!   [`DocumentStore`] shards. Problem-scoped queries (the TLA hot path:
+//!   shards. Problem-scoped queries (the TLA hot path:
 //!   "give me every PDGEQRF sample") touch exactly one shard, so queries
 //!   for different problems never contend; each shard's interior `RwLock`
 //!   still lets any number of readers scan one shard in parallel. A
@@ -37,17 +37,15 @@
 use crate::document::FunctionEvaluation;
 use crate::overload::{OverloadConfig, OverloadState};
 use crate::query::Filter;
-use crate::store::write_atomic;
 use crate::store::{DocumentStore, ScanStats, StoreError};
 use crate::wal::{
-    frame_record, load_snapshot, open_wal_append, scan_wal, DurableSnapshot, RecoveryReport,
-    WalAppender, WalConfig, WalRecord,
+    frame_record, load_snapshot, open_wal_append, scan_wal, write_atomic, Documents,
+    DurableSnapshot, RecoveryReport, WalAppender, WalConfig, WalRecord,
 };
 use crowdtune_obs as obs;
 use obs::{OpKind, RequestCtx, TraceStage};
 use parking_lot::{Mutex, RwLock};
-use std::collections::HashMap;
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fs::OpenOptions;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -60,8 +58,8 @@ pub struct ServiceConfig {
     /// how many unrelated-problem writers can proceed in parallel.
     pub shards: usize,
     /// Query-cache entries per shard; 0 disables caching entirely
-    /// (no hit/miss accounting, byte-identical `ScanStats` to the
-    /// embedded store).
+    /// (no hit/miss accounting: every query reports its scan's
+    /// `ScanStats`).
     pub cache_capacity: usize,
     /// Durability knobs for the shared WAL (durable mode only).
     pub wal: WalConfig,
@@ -89,7 +87,7 @@ impl Default for ServiceConfig {
 pub type SharedRecords = Arc<Vec<Arc<FunctionEvaluation>>>;
 
 /// One cached query result, valid only while the shard's epoch still
-/// equals `epoch`. The full key (filter, user, problem scope) is stored
+/// equals `epoch`. The full key (filter, user, problem) is stored
 /// so a fingerprint collision degrades to a miss, never a wrong answer.
 /// A stale entry costs one pointer per record it lists: the records
 /// themselves belong to the store.
@@ -97,7 +95,7 @@ struct CacheEntry {
     epoch: u64,
     filter: Filter,
     user: Option<String>,
-    problem: Option<String>,
+    problem: String,
     results: SharedRecords,
     stats: ScanStats,
 }
@@ -109,8 +107,8 @@ struct QueryCache {
     order: VecDeque<u64>,
 }
 
-/// One shard: an embedded store plus its write serialization, write
-/// epoch, and result cache.
+/// One shard: the index of its records plus its write serialization,
+/// write epoch, and result cache.
 struct Shard {
     store: DocumentStore,
     /// Serializes writers on this shard (readers go straight to the
@@ -147,7 +145,7 @@ impl Shard {
 
     fn new() -> Self {
         Shard {
-            store: DocumentStore::new(),
+            store: DocumentStore::default(),
             write: Mutex::new(()),
             epoch: AtomicU64::new(0),
             cache: Mutex::new(QueryCache::default()),
@@ -190,8 +188,8 @@ fn shard_hash(problem: &str) -> u64 {
 }
 
 /// Cache key: filter fingerprint folded with the querying user and the
-/// problem scope (`None` for whole-shard queries).
-fn cache_key(filter: &Filter, user: Option<&str>, problem: Option<&str>) -> u64 {
+/// problem.
+fn cache_key(filter: &Filter, user: Option<&str>, problem: &str) -> u64 {
     let mut h = filter.fingerprint();
     let mut fold = |s: &str| {
         h ^= 0xff;
@@ -202,7 +200,7 @@ fn cache_key(filter: &Filter, user: Option<&str>, problem: Option<&str>) -> u64 
         }
     };
     fold(user.unwrap_or("\u{0}anon"));
-    fold(problem.unwrap_or("\u{0}all"));
+    fold(problem);
     h
 }
 
@@ -239,37 +237,27 @@ impl CrowdService {
         std::fs::create_dir_all(dir)?;
         let mut service = Self::new(config.clone());
         let mut report = RecoveryReport::default();
-        let mut blobs = HashMap::new();
-        let mut next_id = 0u64;
-        let mut clock = 0u64;
+        let (mut saved, mut blobs) = load_snapshot(dir)?.unwrap_or_default();
+        report.snapshot_docs = saved.docs.len();
+        report.snapshot_blobs = blobs.len();
 
-        if let Some(snap) = load_snapshot(dir)? {
-            let store = DocumentStore::from_snapshot_json(&snap.store)?;
-            report.snapshot_docs = store.len();
-            report.snapshot_blobs = snap.blobs.len();
-            let (nid, clk) = store.counters();
-            next_id = nid;
-            clock = clk;
-            for doc in store.all_docs() {
-                service.shard_for(&doc.problem).store.insert_assigned(doc);
-            }
-            blobs = snap.blobs;
-        }
-
+        // Replay stages the live records by id, so each is indexed once,
+        // after the log: a deleted one never is. The first record with an
+        // id wins, so a record that made it into the snapshot before a
+        // crash replays as a skipped duplicate.
+        let mut docs: BTreeMap<u64, Arc<FunctionEvaluation>> =
+            saved.docs.into_iter().map(|d| (d.id, d)).collect();
         let scan = scan_wal(dir)?;
         for record in scan.records {
             match record {
                 WalRecord::Insert { doc } => {
-                    next_id = next_id.max(doc.id);
-                    clock = clock.max(doc.logical_time);
-                    // insert_exact (not insert_assigned): a record that
-                    // made it into the snapshot before a crash replays as
-                    // a skipped duplicate.
-                    service.shard_for(&doc.problem).store.insert_exact(doc);
+                    saved.next_id = saved.next_id.max(doc.id);
+                    saved.clock = saved.clock.max(doc.logical_time);
+                    docs.entry(doc.id).or_insert(doc);
                 }
                 WalRecord::Delete { ids } => {
-                    for shard in &service.shards {
-                        shard.store.delete_ids(&ids);
+                    for id in ids {
+                        docs.remove(&id);
                     }
                 }
                 WalRecord::Blob { key, value } => {
@@ -282,8 +270,8 @@ impl CrowdService {
         report.torn = scan.torn;
         report.torn_bytes = scan.torn_bytes;
 
-        service.next_id.store(next_id, Ordering::Relaxed);
-        service.clock.store(clock, Ordering::Relaxed);
+        saved.docs = docs.into_values().collect();
+        service.restore(saved);
         service.blobs = RwLock::new(blobs);
 
         let file = open_wal_append(dir)?;
@@ -301,6 +289,35 @@ impl CrowdService {
             config: config.wal,
         });
         Ok((service, report))
+    }
+
+    /// Index `saved`'s records (in id order) into their shards and raise
+    /// the id and clock counters to the saved ones, so new ids continue
+    /// after every id ever assigned, deleted ones included.
+    pub(crate) fn restore(&self, saved: Documents) {
+        for doc in saved.docs {
+            self.shard_for(&doc.problem).store.insert(doc);
+        }
+        self.next_id.fetch_max(saved.next_id, Ordering::Relaxed);
+        self.clock.fetch_max(saved.clock, Ordering::Relaxed);
+    }
+
+    /// Every record in id order plus the id and clock counters: what a
+    /// snapshot or a documents file holds. The records are shared with
+    /// the shards, not copied. The counters are read after the records,
+    /// so they cover every record listed.
+    pub(crate) fn documents(&self) -> Documents {
+        let mut docs: Vec<Arc<FunctionEvaluation>> = self
+            .shards
+            .iter()
+            .flat_map(|s| s.store.all_docs())
+            .collect();
+        docs.sort_by_key(|d| d.id);
+        Documents {
+            docs,
+            next_id: self.next_id.load(Ordering::Relaxed),
+            clock: self.clock.load(Ordering::Relaxed),
+        }
     }
 
     fn shard_index(&self, problem: &str) -> usize {
@@ -404,7 +421,7 @@ impl CrowdService {
                 None => None,
             };
             let apply_start = ctx.begin();
-            shard.write_epoch(|| shard.store.insert_assigned(doc));
+            shard.write_epoch(|| shard.store.insert(doc));
             ctx.record(TraceStage::MemApply, sidx as u16, apply_start);
             let enqueue_start = ctx.begin();
             let ticket = match (&self.durable, framed) {
@@ -472,43 +489,21 @@ impl CrowdService {
         Ok(removed)
     }
 
-    /// Problem-scoped query (the hot path): touches exactly one shard,
-    /// answered from that shard's cache when the filter+user was asked
-    /// at the current write epoch. No record is copied: a miss shares
-    /// the matching records with the store, and a hit clones one `Arc`.
-    /// The snapshot is immutable — later writes produce new entries
-    /// rather than mutating this one.
-    pub fn query_problem_shared(
-        &self,
-        problem: &str,
-        filter: &Filter,
-        user: Option<&str>,
-    ) -> (SharedRecords, ScanStats) {
-        self.query_problem_shared_ctx(problem, filter, user, RequestCtx::new(OpKind::Query, 0))
-    }
-
-    /// [`CrowdService::query_problem_shared`] under an explicit request
-    /// context: the cache probe (hit path) or shard scan (miss path) is
-    /// recorded against `ctx`'s trace, plus one end-to-end `op` stage.
-    pub fn query_problem_shared_ctx(
-        &self,
-        problem: &str,
-        filter: &Filter,
-        user: Option<&str>,
-        ctx: RequestCtx,
-    ) -> (SharedRecords, ScanStats) {
-        let mut ctx = ctx;
-        ctx.deadline_us = 0; // infallible entry point: no deadline to miss
-        self.try_query_problem_shared_ctx(problem, filter, user, ctx)
-            .expect("deadline-free query cannot fail")
-    }
-
-    /// [`CrowdService::query_problem_shared_ctx`] honoring the context's
-    /// deadline: an already-expired request fails with a typed
-    /// [`StoreError::DeadlineExceeded`] *before* the cache is probed, so
-    /// an expired query can never populate or invalidate the cache (and
-    /// never counts toward cache-coherence accounting).
-    pub fn try_query_problem_shared_ctx(
+    /// Problem-scoped query, the one read entry point: touches exactly
+    /// one shard, answered from that shard's cache when the filter+user
+    /// was asked at the current write epoch. No record is copied: a miss
+    /// shares the matching records with the store, and a hit clones one
+    /// `Arc`. The snapshot is immutable — later writes produce new
+    /// entries rather than mutating this one.
+    ///
+    /// The cache probe (hit path) or shard scan (miss path) is recorded
+    /// against `ctx`'s trace, plus one end-to-end `op` stage. With
+    /// admission control on, a context whose deadline has expired fails
+    /// with a typed [`StoreError::DeadlineExceeded`] *before* the cache is
+    /// probed, so an expired query can never populate or invalidate the
+    /// cache (and never counts toward cache-coherence accounting). A
+    /// context without a deadline (`RequestCtx::new`) cannot fail.
+    pub fn query(
         &self,
         problem: &str,
         filter: &Filter,
@@ -520,41 +515,9 @@ impl CrowdService {
         if let Some(ov) = &self.overload {
             ov.check_read_deadline(sidx, &ctx)?;
         }
-        let out = self.cached_query(sidx, Some(problem), filter, user, &ctx);
+        let out = self.cached_query(sidx, problem, filter, user, &ctx);
         ctx.record(TraceStage::Op, sidx as u16, op_start);
         Ok(out)
-    }
-
-    /// Full-collection query: scans every shard (in parallel with any
-    /// other readers), merges by id so the order matches the embedded
-    /// store's insertion order.
-    pub fn query_counted(
-        &self,
-        filter: &Filter,
-        user: Option<&str>,
-    ) -> (Vec<Arc<FunctionEvaluation>>, ScanStats) {
-        self.query_counted_ctx(filter, user, RequestCtx::new(OpKind::Query, 0))
-    }
-
-    /// [`CrowdService::query_counted`] under an explicit request context:
-    /// per-shard cache/scan stages plus one end-to-end `op` stage.
-    fn query_counted_ctx(
-        &self,
-        filter: &Filter,
-        user: Option<&str>,
-        ctx: RequestCtx,
-    ) -> (Vec<Arc<FunctionEvaluation>>, ScanStats) {
-        let op_start = ctx.begin();
-        let mut out = Vec::new();
-        let mut stats = ScanStats::default();
-        for sidx in 0..self.shards.len() {
-            let (hits, s) = self.cached_query(sidx, None, filter, user, &ctx);
-            out.extend(hits.iter().cloned());
-            stats.absorb(&s);
-        }
-        out.sort_by_key(|d| d.id);
-        ctx.record(TraceStage::Op, obs::NO_SHARD, op_start);
-        (out, stats)
     }
 
     /// One shard's cached scan. A hit reports `scanned = pruned = 0`
@@ -566,16 +529,13 @@ impl CrowdService {
     fn cached_query(
         &self,
         sidx: usize,
-        problem: Option<&str>,
+        problem: &str,
         filter: &Filter,
         user: Option<&str>,
         ctx: &RequestCtx,
     ) -> (SharedRecords, ScanStats) {
         let shard = &self.shards[sidx];
-        let run_scan = || match problem {
-            Some(p) => shard.store.query_problem_counted(p, filter, user),
-            None => shard.store.query_counted(filter, user),
-        };
+        let run_scan = || shard.store.scan(problem, filter, user);
         if self.cache_capacity == 0 {
             let scan_start = ctx.begin();
             let (results, stats) = run_scan();
@@ -594,9 +554,8 @@ impl CrowdService {
         {
             let cache = shard.cache.lock();
             if let Some(e) = cache.map.get(&key) {
-                let key_matches = e.filter == *filter
-                    && e.user.as_deref() == user
-                    && e.problem.as_deref() == problem;
+                let key_matches =
+                    e.filter == *filter && e.user.as_deref() == user && e.problem == problem;
                 if key_matches && e.epoch == epoch {
                     shard.hits.fetch_add(1, Ordering::Relaxed);
                     let mut stats = ScanStats {
@@ -682,7 +641,7 @@ impl CrowdService {
                 epoch,
                 filter: filter.clone(),
                 user: user.map(str::to_string),
-                problem: problem.map(str::to_string),
+                problem: problem.to_string(),
                 results: Arc::clone(&results),
                 stats,
             },
@@ -715,7 +674,7 @@ impl CrowdService {
     /// Live-document counts per provenance contributor, merged across all
     /// shards' per-shard counters and sorted by name.
     pub fn contributor_counts(&self) -> Vec<(String, u64)> {
-        let mut merged: std::collections::BTreeMap<String, u64> = Default::default();
+        let mut merged: BTreeMap<String, u64> = BTreeMap::new();
         for shard in &self.shards {
             for (name, n) in shard.store.contributor_counts() {
                 *merged.entry(name).or_insert(0) += n;
@@ -786,35 +745,14 @@ impl CrowdService {
         Ok(())
     }
 
-    /// Materialize the whole service as one embedded [`DocumentStore`]
-    /// (id order, counters carried over) — for JSON export/save and for
-    /// checking service/embedded equivalence. The new store shares the
-    /// shards' records instead of copying them.
-    pub fn merged_store(&self) -> DocumentStore {
-        let mut docs: Vec<Arc<FunctionEvaluation>> = self
-            .shards
-            .iter()
-            .flat_map(|s| s.store.all_docs())
-            .collect();
-        docs.sort_by_key(|d| d.id);
-        let store = DocumentStore::new();
-        for doc in docs {
-            store.insert_assigned(doc);
-        }
-        store.advance_counters(
-            self.next_id.load(Ordering::Relaxed),
-            self.clock.load(Ordering::Relaxed),
-        );
-        store
-    }
-
     /// Fold the WAL into a fresh snapshot (written atomically: temp +
     /// fsync + rename + dir fsync) and truncate the log. A crash between
     /// the two steps only replays records the snapshot already holds,
-    /// because replay skips ids it has seen. The merged snapshot is
-    /// captured inside the quiesce so every enqueued-but-unflushed
-    /// record (already applied in memory) is covered before the buffer
-    /// is dropped. No-op for in-memory services.
+    /// because replay skips ids it has seen. The snapshot shares the
+    /// shards' records and indexes none of them; it is captured inside
+    /// the quiesce so every enqueued-but-unflushed record (already
+    /// applied in memory) is covered before the buffer is dropped. No-op
+    /// for in-memory services.
     pub fn compact(&self) -> Result<(), StoreError> {
         self.compact_linked(0)
     }
@@ -832,7 +770,7 @@ impl CrowdService {
         let snapshot_path = d.dir.join("snapshot.json");
         d.wal.quiesce(|file| {
             let snap = DurableSnapshot {
-                store: self.merged_store().snapshot_json()?,
+                store: self.documents().to_json()?,
                 blobs: self.blobs.read().clone(),
             };
             let json = serde_json::to_string(&snap)?;
@@ -864,7 +802,7 @@ impl CrowdService {
     pub fn verify_cache_coherence(&self) -> usize {
         let mut stale = 0usize;
         for shard in &self.shards {
-            let entries: Vec<(Filter, Option<String>, Option<String>, u64)> = {
+            let entries: Vec<(Filter, Option<String>, String, u64)> = {
                 let cache = shard.cache.lock();
                 cache
                     .map
@@ -878,15 +816,10 @@ impl CrowdService {
                     // it cannot serve stale data.
                     continue;
                 }
-                let (fresh, _) = match problem.as_deref() {
-                    Some(p) => shard
-                        .store
-                        .query_problem_counted(p, &filter, user.as_deref()),
-                    None => shard.store.query_counted(&filter, user.as_deref()),
-                };
+                let (fresh, _) = shard.store.scan(&problem, &filter, user.as_deref());
                 let cached = {
                     let cache = shard.cache.lock();
-                    let key = cache_key(&filter, user.as_deref(), problem.as_deref());
+                    let key = cache_key(&filter, user.as_deref(), &problem);
                     cache.map.get(&key).map(|e| Arc::clone(&e.results))
                 };
                 if let Some(cached) = cached {
@@ -906,6 +839,11 @@ mod tests {
     use super::*;
     use crate::document::{EvalOutcome, MachineConfig};
     use crate::query::parse_query;
+
+    fn query(svc: &CrowdService, problem: &str, filter: &Filter) -> (SharedRecords, ScanStats) {
+        svc.query(problem, filter, None, RequestCtx::new(OpKind::Query, 0))
+            .unwrap()
+    }
 
     fn eval(problem: &str, owner: &str, m: i64) -> FunctionEvaluation {
         FunctionEvaluation::new(problem, owner)
@@ -940,21 +878,24 @@ mod tests {
     }
 
     #[test]
-    fn query_matches_embedded_semantics() {
+    fn query_matches_single_shard_semantics() {
         let svc = CrowdService::new(ServiceConfig::default());
-        let embedded = DocumentStore::new();
+        let single = CrowdService::new(ServiceConfig {
+            shards: 1,
+            cache_capacity: 0,
+            ..ServiceConfig::default()
+        });
         for i in 0..30 {
             let doc = eval(&format!("P{}", i % 3), "alice", i);
             svc.insert(doc.clone()).unwrap();
-            embedded.insert(doc);
+            single.insert(doc).unwrap();
         }
         let filter = parse_query("task.m >= 10").unwrap();
-        let (svc_hits, _) = svc.query_counted(&filter, None);
-        let (emb_hits, _) = embedded.query_counted(&filter, None);
-        assert_eq!(svc_hits, emb_hits);
-        let (svc_p, _) = svc.query_problem_shared("P1", &filter, None);
-        let (emb_p, _) = embedded.query_problem_counted("P1", &filter, None);
-        assert_eq!(*svc_p, emb_p);
+        for problem in ["P0", "P1", "P2"] {
+            let (svc_p, _) = query(&svc, problem, &filter);
+            let (single_p, _) = query(&single, problem, &filter);
+            assert_eq!(svc_p, single_p);
+        }
     }
 
     #[test]
@@ -967,16 +908,16 @@ mod tests {
             svc.insert(eval("P", "alice", i)).unwrap();
         }
         let filter = parse_query("task.m >= 3").unwrap();
-        let (first, s1) = svc.query_problem_shared("P", &filter, None);
+        let (first, s1) = query(&svc, "P", &filter);
         assert_eq!(s1.cache_misses, 1);
         assert_eq!(s1.cache_hits, 0);
-        let (second, s2) = svc.query_problem_shared("P", &filter, None);
+        let (second, s2) = query(&svc, "P", &filter);
         assert_eq!(s2.cache_hits, 1);
         assert_eq!(s2.scanned, 0, "a hit scans nothing");
         assert_eq!(first, second);
         // A write invalidates: the next query re-scans and sees the new doc.
         svc.insert(eval("P", "alice", 50)).unwrap();
-        let (third, s3) = svc.query_problem_shared("P", &filter, None);
+        let (third, s3) = query(&svc, "P", &filter);
         assert_eq!(s3.cache_misses, 1);
         assert_eq!(third.len(), first.len() + 1);
         assert_eq!(svc.cache_counts().0, 1);
@@ -992,8 +933,8 @@ mod tests {
             svc.insert(eval("P", "alice", i)).unwrap();
         }
         let filter = parse_query("task.m >= 3").unwrap();
-        let (miss, s1) = svc.query_problem_shared("P", &filter, None);
-        let (hit, s2) = svc.query_problem_shared("P", &filter, None);
+        let (miss, s1) = query(&svc, "P", &filter);
+        let (hit, s2) = query(&svc, "P", &filter);
         assert_eq!((s1.cache_misses, s2.cache_hits), (1, 1));
         assert!(Arc::ptr_eq(&miss, &hit), "a hit hands out the cached list");
         let before: Vec<FunctionEvaluation> = miss.iter().map(|d| (**d).clone()).collect();
@@ -1001,7 +942,7 @@ mod tests {
         // stored records (no copies) plus the new one, and the earlier
         // snapshot is unchanged.
         svc.insert(eval("P", "alice", 50)).unwrap();
-        let (after, s3) = svc.query_problem_shared("P", &filter, None);
+        let (after, s3) = query(&svc, "P", &filter);
         assert_eq!(s3.cache_misses, 1);
         assert_eq!(after.len(), miss.len() + 1);
         for (old, new) in miss.iter().zip(after.iter()) {
@@ -1025,19 +966,19 @@ mod tests {
             svc.insert(eval("Q", "alice", i)).unwrap();
         }
         let filter = parse_query("task.m >= 3").unwrap();
-        let (p_first, _) = svc.query_problem_shared("P", &filter, None);
-        let (q_first, _) = svc.query_problem_shared("Q", &filter, None);
+        let (p_first, _) = query(&svc, "P", &filter);
+        let (q_first, _) = query(&svc, "Q", &filter);
         // Nobody named bob owns anything: no shard changes.
         assert_eq!(svc.delete_owned("bob", &Filter::True).unwrap(), 0);
         for (problem, first) in [("P", &p_first), ("Q", &q_first)] {
-            let (again, s) = svc.query_problem_shared(problem, &filter, None);
+            let (again, s) = query(&svc, problem, &filter);
             assert_eq!((s.cache_hits, s.scanned), (1, 0), "problem {problem}");
             assert_eq!(&again, first);
         }
         // A delete that does match still invalidates.
         let one = parse_query("task.m = 5").unwrap();
         assert_eq!(svc.delete_owned("alice", &one).unwrap(), 2);
-        let (after, s) = svc.query_problem_shared("P", &filter, None);
+        let (after, s) = query(&svc, "P", &filter);
         assert_eq!(s.cache_misses, 1);
         assert_eq!(after.len(), p_first.len() - 1);
     }
@@ -1050,9 +991,9 @@ mod tests {
         });
         svc.insert(eval("P", "alice", 1)).unwrap();
         let filter = parse_query("task.m >= 0").unwrap();
-        let (_, s) = svc.query_problem_shared("P", &filter, None);
+        let (_, s) = query(&svc, "P", &filter);
         assert_eq!((s.cache_hits, s.cache_misses), (0, 0));
-        let (_, s) = svc.query_problem_shared("P", &filter, None);
+        let (_, s) = query(&svc, "P", &filter);
         assert_eq!((s.cache_hits, s.cache_misses), (0, 0));
         assert_eq!(svc.cache_counts(), (0, 0));
     }
@@ -1098,18 +1039,20 @@ mod tests {
     }
 
     #[test]
-    fn merged_store_preserves_counters_past_deletes() {
+    fn saved_documents_preserve_counters_past_deletes() {
         let svc = CrowdService::new(ServiceConfig::default());
         for i in 0..4 {
             svc.insert(eval("P", "alice", i)).unwrap();
         }
-        // Delete the highest-id doc; the merged store must still hand out
-        // fresh ids above it.
+        // Delete the highest-id doc; a service restored from the saved
+        // documents must still hand out fresh ids above it.
         svc.delete_owned("alice", &parse_query("task.m = 3").unwrap())
             .unwrap();
-        let merged = svc.merged_store();
-        assert_eq!(merged.len(), 3);
-        let id = merged.insert(eval("P", "alice", 10));
+        let json = svc.documents().to_json().unwrap();
+        let restored = CrowdService::new(ServiceConfig::default());
+        restored.restore(Documents::from_json(&json, Path::new("documents.json")).unwrap());
+        assert_eq!(restored.len(), 3);
+        let id = restored.insert(eval("P", "alice", 10)).unwrap();
         assert_eq!(id, 5);
     }
 }

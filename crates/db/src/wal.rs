@@ -26,7 +26,7 @@
 //! sequential), so recovery treats it as the torn tail.
 
 use crate::document::FunctionEvaluation;
-use crate::store::{json_is_truncated, StoreError};
+use crate::store::StoreError;
 use crowdtune_obs as obs;
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
@@ -102,13 +102,6 @@ pub struct WalConfig {
     /// Compact automatically after this many appended records
     /// (0 disables auto-compaction).
     pub compact_every: u64,
-    /// Coalesce concurrent appends into one framed write + fsync (group
-    /// commit). Durability is unchanged — an append is not acknowledged
-    /// until the fsync covering its record returns — but N writers
-    /// blocked on the same flush share one fsync instead of paying N.
-    /// A single-threaded writer flushes every record immediately, so the
-    /// log bytes are identical to the non-grouped path.
-    pub group_commit: bool,
     /// Extra microseconds a group-commit leader waits before flushing,
     /// letting more concurrent appends join the batch. 0 (the default)
     /// relies on the natural window: appends arriving while the previous
@@ -128,20 +121,115 @@ impl Default for WalConfig {
     fn default() -> Self {
         WalConfig {
             compact_every: 1024,
-            group_commit: true,
             group_window_us: 0,
             follower_wait_timeout_us: 0,
         }
     }
 }
 
-/// Snapshot payload: the document store's state plus the blob table.
-/// The store state is embedded as a JSON string so the snapshot schema
-/// is independent of the store's internal serialization.
+/// The one snapshot codec's payload: every record in id order plus the
+/// service's id and clock counters, as JSON
+/// `{"docs":[…],"next_id":N,"clock":C}`. `HistoryDb::save_documents`
+/// writes it as a file of its own; a durable snapshot embeds it as a
+/// string. The counters are saved because deleted documents may have
+/// held the highest id.
+#[derive(Default, Serialize, Deserialize)]
+pub(crate) struct Documents {
+    pub(crate) docs: Vec<Arc<FunctionEvaluation>>,
+    pub(crate) next_id: u64,
+    pub(crate) clock: u64,
+}
+
+impl Documents {
+    /// The JSON text.
+    pub(crate) fn to_json(&self) -> Result<String, StoreError> {
+        Ok(serde_json::to_string(self)?)
+    }
+
+    /// Parse JSON text read from `path`. A torn text is
+    /// [`StoreError::Truncated`], not an opaque parse error.
+    pub(crate) fn from_json(json: &str, path: &Path) -> Result<Self, StoreError> {
+        parse_json(json, path)
+    }
+}
+
+/// The blob table: tuner checkpoints by key.
+pub(crate) type Blobs = HashMap<String, String>;
+
+/// Snapshot payload: the [`Documents`] JSON plus the blob table.
 #[derive(Serialize, Deserialize)]
 pub(crate) struct DurableSnapshot {
     pub(crate) store: String,
-    pub(crate) blobs: HashMap<String, String>,
+    pub(crate) blobs: Blobs,
+}
+
+/// Parse JSON text read from `path`, telling a text that was cut
+/// mid-write ([`StoreError::Truncated`]: crash, full disk, partial copy)
+/// from a complete but malformed one (which keeps its parse error).
+fn parse_json<T: serde::Deserialize>(json: &str, path: &Path) -> Result<T, StoreError> {
+    serde_json::from_str(json).map_err(|e| {
+        if json_is_truncated(json) {
+            StoreError::Truncated {
+                path: path.to_path_buf(),
+                bytes: json.len() as u64,
+            }
+        } else {
+            e.into()
+        }
+    })
+}
+
+/// Structural truncation check: valid JSON text has balanced braces and
+/// brackets outside string literals and does not end inside a string. A
+/// text whose tail was cut off fails this; a complete-but-malformed
+/// document passes it.
+fn json_is_truncated(json: &str) -> bool {
+    let mut depth: i64 = 0;
+    let mut in_string = false;
+    let mut escaped = false;
+    for c in json.chars() {
+        if in_string {
+            if escaped {
+                escaped = false;
+            } else if c == '\\' {
+                escaped = true;
+            } else if c == '"' {
+                in_string = false;
+            }
+            continue;
+        }
+        match c {
+            '"' => in_string = true,
+            '{' | '[' => depth += 1,
+            '}' | ']' => depth -= 1,
+            _ => {}
+        }
+    }
+    in_string || depth > 0 || json.trim().is_empty()
+}
+
+/// Write `bytes` to `path` atomically: the bytes go to `<path>.tmp`,
+/// which is fsynced and renamed over `path`, and the parent directory is
+/// fsynced so the rename itself is durable. A crash at any point leaves
+/// either the old file or the new one, never a torn file.
+pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    let tmp = path.with_extension("tmp");
+    {
+        let mut f = File::create(&tmp)?;
+        f.write_all(bytes)?;
+        f.sync_all()?;
+    }
+    std::fs::rename(&tmp, path)?;
+    if let Some(parent) = path.parent() {
+        if !parent.as_os_str().is_empty() {
+            // Directory fsync makes the rename durable; best-effort on
+            // filesystems that refuse to open directories.
+            if let Ok(d) = File::open(parent) {
+                let _ = d.sync_all();
+            }
+        }
+    }
+    Ok(())
 }
 
 /// Frame `record` as `len | crc32 | payload` bytes.
@@ -191,8 +279,8 @@ pub(crate) struct CommitOutcome {
     pub(crate) wait_ns: u64,
 }
 
-/// The WAL's write half: a framed append pipe with optional group
-/// commit. Concurrent appenders enqueue under the group mutex; the first
+/// The WAL's write half: a framed append pipe with group commit.
+/// Concurrent appenders enqueue under the group mutex; the first
 /// to find no flush in progress becomes the leader, drains the whole
 /// buffer with one `write_all` + one fsync (file mutex held, group mutex
 /// released), then wakes every waiter whose ticket the flush covered.
@@ -205,7 +293,6 @@ pub(crate) struct WalAppender {
     fsyncs: AtomicU64,
     fsync_batched: AtomicU64,
     records_since_compact: AtomicU64,
-    group_commit: bool,
     window: std::time::Duration,
     follower_timeout: std::time::Duration,
 }
@@ -234,7 +321,6 @@ impl WalAppender {
             fsyncs: AtomicU64::new(0),
             fsync_batched: AtomicU64::new(0),
             records_since_compact: AtomicU64::new(0),
-            group_commit: config.group_commit,
             window: std::time::Duration::from_micros(config.group_window_us),
             follower_timeout: std::time::Duration::from_micros(config.follower_wait_timeout_us),
         }
@@ -250,24 +336,16 @@ impl WalAppender {
         self.fsync_batched.load(Ordering::Relaxed)
     }
 
-    /// Stage one framed record for commit and return its ticket. With
-    /// group commit the record is only buffered — the caller must
+    /// Stage one framed record for commit and return its ticket. The
+    /// record is only buffered — the caller must
     /// [`WalAppender::wait_durable`] on the ticket before acknowledging
-    /// the write. Without group commit the record is written (and
-    /// fsynced) before this returns and the ticket wait is a no-op.
+    /// the write. A lone writer's wait flushes its record at once, so a
+    /// single-threaded log holds one write + fsync per record.
     /// Callers that need the log order to match their in-memory apply
     /// order enqueue while still holding their write lock; the wait can
     /// (and should) happen after releasing it.
     pub(crate) fn enqueue(&self, framed: &[u8]) -> Result<u64, StoreError> {
         self.records_since_compact.fetch_add(1, Ordering::Relaxed);
-        if !self.group_commit {
-            let mut file = lock(&self.file);
-            file.write_all(framed)?;
-            file.sync_all()?;
-            self.fsyncs.fetch_add(1, Ordering::Relaxed);
-            obs::count(obs::names::CTR_WAL_FSYNCS, 1);
-            return Ok(0);
-        }
         let mut g = lock(&self.group);
         if let Some(why) = &g.poisoned {
             return Err(StoreError::Corrupt(format!("WAL poisoned: {why}")));
@@ -296,9 +374,6 @@ impl WalAppender {
         trace: u64,
     ) -> Result<CommitOutcome, StoreError> {
         let mut outcome = CommitOutcome::default();
-        if !self.group_commit || ticket == 0 {
-            return Ok(outcome);
-        }
         let timed = obs::metrics_enabled() || trace != 0;
         let wait_start = if timed { obs::now_ns() } else { 0 };
         outcome.wait_start_ns = wait_start;
@@ -454,22 +529,21 @@ pub(crate) struct WalScan {
     pub(crate) torn: bool,
 }
 
-/// Load `snapshot.json` from `dir`, distinguishing "no snapshot yet"
-/// (`Ok(None)`) from a truncated or corrupt one (an error).
-pub(crate) fn load_snapshot(dir: &Path) -> Result<Option<DurableSnapshot>, StoreError> {
-    let snapshot_path = dir.join("snapshot.json");
-    match std::fs::read_to_string(&snapshot_path) {
-        Ok(json) => match serde_json::from_str(&json) {
-            Ok(s) => Ok(Some(s)),
-            Err(_) if json_is_truncated(&json) => Err(StoreError::Truncated {
-                path: snapshot_path,
-                bytes: json.len() as u64,
-            }),
-            Err(e) => Err(e.into()),
-        },
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
-        Err(e) => Err(e.into()),
-    }
+/// Load `snapshot.json` from `dir`: its documents and blob table, or
+/// `Ok(None)` when there is no snapshot yet. A truncated or corrupt
+/// snapshot is an error.
+pub(crate) fn load_snapshot(dir: &Path) -> Result<Option<(Documents, Blobs)>, StoreError> {
+    let path = dir.join("snapshot.json");
+    let json = match std::fs::read_to_string(&path) {
+        Ok(json) => json,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+        Err(e) => return Err(e.into()),
+    };
+    let snap: DurableSnapshot = parse_json(&json, &path)?;
+    Ok(Some((
+        Documents::from_json(&snap.store, &path)?,
+        snap.blobs,
+    )))
 }
 
 /// Read and frame-decode `dir/wal.log`, physically truncating a torn
@@ -684,8 +758,11 @@ mod tests {
         let (svc, report) = CrowdService::open_durable(&dir, config).unwrap();
         assert_eq!(report.wal_records, 8);
         assert_eq!(svc.len(), 5, "ids 1-4 and 9, each once");
-        let store = svc.merged_store();
-        let runtime = |id| store.get(id).unwrap().result.output("runtime").unwrap();
+        let docs = svc.documents().docs;
+        let runtime = |id| {
+            let doc = docs.iter().find(|d| d.id == id).unwrap();
+            doc.result.output("runtime").unwrap()
+        };
         // The first record with an id wins; later copies are skipped.
         assert_eq!([runtime(2), runtime(4), runtime(9)], [2.0, 4.0, 90.0]);
         std::fs::remove_dir_all(&dir).ok();

@@ -34,7 +34,6 @@ fn sim_overload() -> OverloadConfig {
         queue_limit: 3,
         base_service_us: 100,
         retry_after_ms: 7,
-        simulated: true,
         ..OverloadConfig::default()
     }
 }
@@ -72,7 +71,14 @@ fn shed_uploads_are_typed_and_never_reach_memory_or_wal() {
     let (svc, report) = CrowdService::open_durable(&dir, config).unwrap();
     assert_eq!(report.wal_records, 4, "3 admitted inserts + 1 blob");
     assert_eq!(svc.len(), 3, "shed write must not replay from the WAL");
-    let (hits, _) = svc.query_problem_shared("P", &parse_query("task.m = 99").unwrap(), None);
+    let (hits, _) = svc
+        .query(
+            "P",
+            &parse_query("task.m = 99").unwrap(),
+            None,
+            RequestCtx::new(OpKind::Query, 0),
+        )
+        .unwrap();
     assert!(hits.is_empty(), "shed document visible after recovery");
     assert_eq!(svc.get_blob("ckpt/run").unwrap(), "{\"iter\":1}");
     std::fs::remove_dir_all(&dir).ok();
@@ -95,7 +101,9 @@ fn deadline_exceeded_reads_never_touch_the_query_cache() {
     let filter = parse_query("task.m >= 0").unwrap();
 
     // Miss populates the cache.
-    let (results, stats) = svc.query_problem_shared("P", &filter, None);
+    let (results, stats) = svc
+        .query("P", &filter, None, RequestCtx::new(OpKind::Query, 0))
+        .unwrap();
     assert_eq!(results.len(), 2);
     assert_eq!(stats.cache_misses, 1);
     assert_eq!(svc.cache_counts(), (0, 1));
@@ -103,9 +111,7 @@ fn deadline_exceeded_reads_never_touch_the_query_cache() {
     // Expired request: typed failure, cache untouched.
     ov.set_now_us(10_000);
     let expired = RequestCtx::new(OpKind::Query, 0).with_deadline_us(5_000);
-    let err = svc
-        .try_query_problem_shared_ctx("P", &filter, None, expired)
-        .unwrap_err();
+    let err = svc.query("P", &filter, None, expired).unwrap_err();
     assert!(matches!(err, StoreError::DeadlineExceeded));
     assert_eq!(
         svc.cache_counts(),
@@ -114,7 +120,9 @@ fn deadline_exceeded_reads_never_touch_the_query_cache() {
     );
 
     // The entry installed by the original miss still serves.
-    let (results, stats) = svc.query_problem_shared("P", &filter, None);
+    let (results, stats) = svc
+        .query("P", &filter, None, RequestCtx::new(OpKind::Query, 0))
+        .unwrap();
     assert_eq!(results.len(), 2);
     assert_eq!(stats.cache_hits, 1);
     assert_eq!(stats.stale_served, 0);
@@ -123,9 +131,7 @@ fn deadline_exceeded_reads_never_touch_the_query_cache() {
 
     // A still-live deadline passes through untouched.
     let live = RequestCtx::new(OpKind::Query, 0).with_deadline_us(1_000_000);
-    let (results, _) = svc
-        .try_query_problem_shared_ctx("P", &filter, None, live)
-        .unwrap();
+    let (results, _) = svc.query("P", &filter, None, live).unwrap();
     assert_eq!(results.len(), 2);
 }
 
@@ -142,7 +148,6 @@ fn degraded_shards_serve_epoch_stamped_stale_reads() {
             base_service_us: 10_000,
             degrade_depth: 1,
             enter_after: 1,
-            simulated: true,
             ..OverloadConfig::default()
         }),
         ..ServiceConfig::default()
@@ -155,13 +160,17 @@ fn degraded_shards_serve_epoch_stamped_stale_reads() {
     assert_eq!(ov.health_snapshot(), vec![HealthState::Degraded]);
 
     let filter = parse_query("task.m >= 0").unwrap();
-    let (results, _) = svc.query_problem_shared("P", &filter, None);
+    let (results, _) = svc
+        .query("P", &filter, None, RequestCtx::new(OpKind::Query, 0))
+        .unwrap();
     assert_eq!(results.len(), 1);
 
     // A write invalidates the entry's epoch...
     svc.insert(eval("P", 2)).unwrap();
     // ...but the degraded shard serves the old snapshot, stamped stale.
-    let (results, stats) = svc.query_problem_shared("P", &filter, None);
+    let (results, stats) = svc
+        .query("P", &filter, None, RequestCtx::new(OpKind::Query, 0))
+        .unwrap();
     assert_eq!(results.len(), 1, "stale serve returns the old snapshot");
     assert_eq!(stats.stale_served, 1);
     assert_eq!(stats.cache_hits, 0, "a stale serve is not a coherent hit");
@@ -186,7 +195,6 @@ fn shards_recover_to_healthy_after_fault_episodes() {
             base_service_us: 100,
             enter_after: 2,
             exit_after: 2,
-            simulated: true,
             plan: Some(plan.clone()),
             ..OverloadConfig::default()
         }),
@@ -230,7 +238,6 @@ fn twin_overload_runs_are_bitwise_identical() {
             overload: Some(OverloadConfig {
                 queue_limit: 8,
                 base_service_us: 500,
-                simulated: true,
                 log_outcomes: true,
                 plan: Some(plan.clone()),
                 ..OverloadConfig::default()

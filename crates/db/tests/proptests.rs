@@ -1,10 +1,30 @@
 //! Property-based tests for the shared database: access-control
-//! invariants and query-language round trips.
+//! invariants and query-language round trips, through the crowd service.
 
 use crowdtune_db::{
-    parse_query, Access, DocumentStore, EvalOutcome, Filter, FunctionEvaluation, MachineConfig,
+    parse_query, Access, CrowdService, EvalOutcome, Filter, FunctionEvaluation, MachineConfig,
+    ServiceConfig,
 };
+use crowdtune_obs::{OpKind, RequestCtx};
 use proptest::prelude::*;
+use std::sync::Arc;
+
+/// A service holding `evals` (every one for problem "P").
+fn service_of(evals: Vec<FunctionEvaluation>) -> CrowdService {
+    let svc = CrowdService::new(ServiceConfig::default());
+    for e in evals {
+        svc.insert(e).unwrap();
+    }
+    svc
+}
+
+/// The documents of problem "P" matching `filter` that `user` may read.
+fn query(svc: &CrowdService, filter: &Filter, user: Option<&str>) -> Vec<Arc<FunctionEvaluation>> {
+    let (hits, _) = svc
+        .query("P", filter, user, RequestCtx::new(OpKind::Query, 0))
+        .unwrap();
+    hits.to_vec()
+}
 
 fn access_strategy() -> impl Strategy<Value = Access> {
     prop_oneof![
@@ -46,12 +66,9 @@ proptest! {
     /// matter what filter is used.
     #[test]
     fn private_documents_never_leak(evals in proptest::collection::vec(eval_strategy(), 1..30)) {
-        let store = DocumentStore::new();
-        for e in evals {
-            store.insert(e);
-        }
+        let svc = service_of(evals);
         for viewer in [None, Some("a"), Some("b"), Some("c"), Some("zz")] {
-            for doc in store.query(&Filter::True, viewer) {
+            for doc in query(&svc, &Filter::True, viewer) {
                 match &doc.access {
                     Access::Public => {}
                     Access::Private => prop_assert_eq!(viewer, Some(doc.owner.as_str())),
@@ -76,19 +93,16 @@ proptest! {
         lo in 0i64..50,
         width in 1i64..50,
     ) {
-        let store = DocumentStore::new();
         let total = evals.len();
-        for e in evals {
-            store.insert(e);
-        }
+        let svc = service_of(evals);
         let f = Filter::Between("task.m".into(), lo as f64, (lo + width) as f64);
-        let hits = store.query(&f, Some("a"));
+        let hits = query(&svc, &f, Some("a"));
         for h in &hits {
             let m = h.field("task.m").unwrap().as_f64().unwrap();
             prop_assert!(m >= lo as f64 && m < (lo + width) as f64);
         }
         // Completeness: count via an independent full scan.
-        let all = store.query(&Filter::True, Some("a"));
+        let all = query(&svc, &Filter::True, Some("a"));
         let expect = all.iter().filter(|d| f.matches(d)).count();
         prop_assert_eq!(hits.len(), expect);
         prop_assert!(all.len() <= total);
@@ -100,17 +114,14 @@ proptest! {
         evals in proptest::collection::vec(eval_strategy(), 1..20),
         threshold in 0i64..100,
     ) {
-        let store = DocumentStore::new();
-        for e in evals {
-            store.insert(e);
-        }
+        let svc = service_of(evals);
         let text = parse_query(&format!("task.m >= {threshold} AND status = 'ok'")).unwrap();
         let typed = Filter::And(vec![
             Filter::Ge("task.m".into(), threshold as f64),
             Filter::Eq("status".into(), crowdtune_db::Scalar::Str("ok".into())),
         ]);
-        let a = store.query(&text, None);
-        let b = store.query(&typed, None);
+        let a = query(&svc, &text, None);
+        let b = query(&svc, &typed, None);
         prop_assert_eq!(a.len(), b.len());
     }
 }

@@ -55,7 +55,6 @@ fn upload_and_query_stages_cover_their_op() {
         ServiceConfig {
             shards: 2,
             wal: WalConfig {
-                group_commit: true,
                 compact_every: 0,
                 ..WalConfig::default()
             },
@@ -68,9 +67,9 @@ fn upload_and_query_stages_cover_their_op() {
     svc.insert_ctx(eval("P", 1), upload).unwrap();
     let filter = parse_query("task.m >= 0").unwrap();
     let miss = RequestCtx::new(OpKind::Query, 7);
-    svc.query_problem_shared_ctx("P", &filter, None, miss);
+    svc.query("P", &filter, None, miss).unwrap();
     let hit = RequestCtx::new(OpKind::Query, 7);
-    svc.query_problem_shared_ctx("P", &filter, None, hit);
+    svc.query("P", &filter, None, hit).unwrap();
     obs::set_tracing_enabled(false);
 
     let journal = obs::drain_traces();
@@ -128,7 +127,6 @@ fn followers_link_to_their_leader_fsync() {
         ServiceConfig {
             shards: 4,
             wal: WalConfig {
-                group_commit: true,
                 // A real coalescing window so concurrent uploads pile
                 // into shared flushes and produce followers.
                 group_window_us: 500,
@@ -201,8 +199,22 @@ fn tracing_does_not_change_results_and_caches_stay_coherent() {
         let mut rows = Vec::new();
         for p in 0..5 {
             // Twice: miss then hit, both must agree with each other.
-            let (a, _) = svc.query_problem_shared(&format!("P{p}"), &filter, None);
-            let (b, _) = svc.query_problem_shared(&format!("P{p}"), &filter, None);
+            let (a, _) = svc
+                .query(
+                    &format!("P{p}"),
+                    &filter,
+                    None,
+                    RequestCtx::new(OpKind::Query, 0),
+                )
+                .unwrap();
+            let (b, _) = svc
+                .query(
+                    &format!("P{p}"),
+                    &filter,
+                    None,
+                    RequestCtx::new(OpKind::Query, 0),
+                )
+                .unwrap();
             assert_eq!(a, b);
             rows.extend(a.iter().cloned());
         }

@@ -7,9 +7,12 @@
 //! is discarded, and the [`RecoveryReport`] says so.
 
 use crowdtune_db::{
-    parse_query, CrowdService, DocumentStore, EvalOutcome, FunctionEvaluation, MachineConfig,
+    parse_query, CrowdService, DbError, EvalOutcome, FunctionEvaluation, HistoryDb, MachineConfig,
     OverloadConfig, ServiceConfig, StoreError, WalConfig,
 };
+use crowdtune_obs::{OpKind, RequestCtx};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::path::PathBuf;
 
 fn eval(m: i64) -> FunctionEvaluation {
@@ -18,6 +21,18 @@ fn eval(m: i64) -> FunctionEvaluation {
         .param("mb", 4i64)
         .outcome(EvalOutcome::single("runtime", m as f64 * 0.5))
         .on_machine(MachineConfig::new("cori", "haswell", 8, 32))
+}
+
+/// A database holding `n` uploads by alice.
+fn db_with(n: i64) -> HistoryDb {
+    let db = HistoryDb::new();
+    let key = db
+        .register_user("alice", "a@x.org", true, &mut StdRng::seed_from_u64(1))
+        .unwrap();
+    for m in 0..n {
+        db.submit(&key, eval(m)).unwrap();
+    }
+    db
 }
 
 fn temp_dir(name: &str) -> PathBuf {
@@ -142,7 +157,6 @@ fn kill_points_with_shedding_keep_acked_writes_and_drop_shed_ones() {
     let config = ServiceConfig {
         shards: 1,
         wal: WalConfig {
-            group_commit: true,
             compact_every: 0,
             ..WalConfig::default()
         },
@@ -150,7 +164,6 @@ fn kill_points_with_shedding_keep_acked_writes_and_drop_shed_ones() {
             queue_limit: 4,
             base_service_us: 1_000,
             retry_after_ms: 3,
-            simulated: true,
             ..OverloadConfig::default()
         }),
         ..ServiceConfig::default()
@@ -189,7 +202,14 @@ fn kill_points_with_shedding_keep_acked_writes_and_drop_shed_ones() {
         assert_eq!(svc.len(), complete, "cut at byte {cut}: wrong doc count");
         // Every acked write whose record completed before the cut is
         // present, in ack order...
-        let recovered = svc.query_problem_shared("P", &parse_query("task.m >= 0").unwrap(), None);
+        let recovered = svc
+            .query(
+                "P",
+                &parse_query("task.m >= 0").unwrap(),
+                None,
+                RequestCtx::new(OpKind::Query, 0),
+            )
+            .unwrap();
         let ms: std::collections::HashSet<i64> = recovered
             .0
             .iter()
@@ -241,22 +261,16 @@ fn flipped_bit_in_tail_record_is_detected_by_checksum() {
 #[test]
 fn atomic_save_leaves_no_temp_file_and_replaces_whole() {
     let dir = temp_dir("atomic");
-    let store = DocumentStore::new();
-    for m in 0..10 {
-        store.insert(eval(m));
-    }
     let path = dir.join("db.json");
-    store.save(&path).unwrap();
+    db_with(10).save_documents(&path).unwrap();
     assert!(
         !path.with_extension("tmp").exists(),
         "temp file left behind"
     );
-    // Overwrite with a smaller store; the file must be fully replaced,
-    // not partially overwritten.
-    let small = DocumentStore::new();
-    small.insert(eval(1));
-    small.save(&path).unwrap();
-    let loaded = DocumentStore::load(&path).unwrap();
+    // Overwrite with a smaller collection; the file must be fully
+    // replaced, not partially overwritten.
+    db_with(1).save_documents(&path).unwrap();
+    let loaded = HistoryDb::load_documents(&path).unwrap();
     assert_eq!(loaded.len(), 1);
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -264,20 +278,16 @@ fn atomic_save_leaves_no_temp_file_and_replaces_whole() {
 #[test]
 fn truncated_snapshot_is_a_typed_error() {
     let dir = temp_dir("truncated");
-    let store = DocumentStore::new();
-    for m in 0..10 {
-        store.insert(eval(m));
-    }
     let path = dir.join("db.json");
-    store.save(&path).unwrap();
+    db_with(10).save_documents(&path).unwrap();
     let json = std::fs::read_to_string(&path).unwrap();
     // Tear the snapshot at several byte positions; every cut must be
     // reported as Truncated, never as an opaque JSON error.
     for frac in [1, 3, 7, 9] {
         let cut = json.len() * frac / 10;
         std::fs::write(&path, &json[..cut]).unwrap();
-        match DocumentStore::load(&path) {
-            Err(StoreError::Truncated { bytes, .. }) => {
+        match HistoryDb::load_documents(&path) {
+            Err(DbError::Store(StoreError::Truncated { bytes, .. })) => {
                 assert_eq!(bytes, cut as u64, "cut at {cut}")
             }
             Err(other) => panic!("cut at {cut}: expected Truncated, got {other:?}"),
@@ -287,8 +297,26 @@ fn truncated_snapshot_is_a_typed_error() {
     // A complete-but-malformed file keeps its parse error.
     std::fs::write(&path, "{\"docs\": \"nope\"}").unwrap();
     assert!(matches!(
-        DocumentStore::load(&path),
-        Err(StoreError::Json(_))
+        HistoryDb::load_documents(&path),
+        Err(DbError::Store(StoreError::Json(_)))
     ));
+    // So does a durable snapshot cut mid-write: reopening the directory
+    // fails typed instead of starting empty.
+    let durable = temp_dir("truncated_durable");
+    {
+        let (svc, _) = CrowdService::open_durable(&durable, ServiceConfig::default()).unwrap();
+        for m in 0..10 {
+            svc.insert(eval(m)).unwrap();
+        }
+        svc.compact().unwrap();
+    }
+    let snapshot = durable.join("snapshot.json");
+    let json = std::fs::read_to_string(&snapshot).unwrap();
+    std::fs::write(&snapshot, &json[..json.len() / 2]).unwrap();
+    assert!(matches!(
+        CrowdService::open_durable(&durable, ServiceConfig::default()),
+        Err(StoreError::Truncated { .. })
+    ));
+    std::fs::remove_dir_all(&durable).ok();
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -16,6 +16,7 @@ use crowdtune_db::{
 };
 use crowdtune_obs as obs;
 use crowdtune_telemetry::{scrape, ExpositionServer};
+use obs::{OpKind, RequestCtx};
 
 fn eval(problem: &str, m: i64) -> FunctionEvaluation {
     FunctionEvaluation::new(problem, "alice")
@@ -88,7 +89,6 @@ fn concurrent_scrapes_stay_well_formed_under_live_writes() {
         ServiceConfig {
             shards: 4,
             wal: WalConfig {
-                group_commit: true,
                 group_window_us: 200,
                 compact_every: 0,
                 ..WalConfig::default()
@@ -110,9 +110,22 @@ fn concurrent_scrapes_stay_well_formed_under_live_writes() {
                     svc.insert(eval(&format!("P{t}"), i)).unwrap();
                     // Miss then hit, exercising both cache counters and
                     // the hit-path timing histogram.
-                    let (rows, _) = svc.query_problem_shared(&format!("P{t}"), &filter, None);
+                    let (rows, _) = svc
+                        .query(
+                            &format!("P{t}"),
+                            &filter,
+                            None,
+                            RequestCtx::new(OpKind::Query, 0),
+                        )
+                        .unwrap();
                     assert_eq!(rows.len() as i64, i + 1);
-                    svc.query_problem_shared(&format!("P{t}"), &filter, None);
+                    svc.query(
+                        &format!("P{t}"),
+                        &filter,
+                        None,
+                        RequestCtx::new(OpKind::Query, 0),
+                    )
+                    .unwrap();
                 }
             });
         }
@@ -140,9 +153,15 @@ fn concurrent_scrapes_stay_well_formed_under_live_writes() {
             loop {
                 let total: usize = (0..8)
                     .map(|t| {
-                        svc2.query_problem_shared(&format!("P{t}"), &filter, None)
-                            .0
-                            .len()
+                        svc2.query(
+                            &format!("P{t}"),
+                            &filter,
+                            None,
+                            RequestCtx::new(OpKind::Query, 0),
+                        )
+                        .unwrap()
+                        .0
+                        .len()
                     })
                     .sum();
                 if total == 8 * 24 {

@@ -2,11 +2,13 @@
 //! keys, automatic environment capture, SQL-like queries, access
 //! control, and JSON persistence.
 //!
-//! Run: `cargo run --release --example database_tour`
+//! Run: `cargo run --release --example database_tour`. It leaves the
+//! saved documents in `results/database_tour.json`, which
+//! `crowdtune db-stats results/database_tour.json` summarizes.
 
 use crowdtune::db::{
-    parse_query, parse_slurm_env, parse_spack_spec, Access, DocumentStore, EvalOutcome,
-    FunctionEvaluation, HistoryDb, QuerySpec,
+    parse_query, parse_slurm_env, parse_spack_spec, Access, EvalOutcome, FunctionEvaluation,
+    HistoryDb, QuerySpec,
 };
 use crowdtune::prelude::MachineModel;
 use rand::rngs::StdRng;
@@ -101,12 +103,13 @@ fn main() {
     );
 
     // --- Persistence ----------------------------------------------------------
-    let path = std::env::temp_dir().join("crowdtune_tour.json");
-    db.save_documents(&path).unwrap();
-    let store = DocumentStore::load(&path).unwrap();
+    std::fs::create_dir_all("results").unwrap();
+    let path = std::path::Path::new("results/database_tour.json");
+    db.save_documents(path).unwrap();
+    let loaded = HistoryDb::load_documents(path).unwrap();
     println!(
-        "\nsaved and re-loaded the document store: {} documents",
-        store.len()
+        "\nsaved and re-loaded the document store: {} documents in {}",
+        loaded.len(),
+        path.display()
     );
-    std::fs::remove_file(&path).ok();
 }

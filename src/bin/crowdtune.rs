@@ -199,16 +199,16 @@ fn cmd_db_stats() {
         eprintln!("usage: crowdtune db-stats <documents.json>");
         std::process::exit(2);
     };
-    let store = match crowdtune::db::DocumentStore::load(std::path::Path::new(&path)) {
-        Ok(s) => s,
+    let db = match HistoryDb::load_documents(std::path::Path::new(&path)) {
+        Ok(db) => db,
         Err(e) => {
             eprintln!("cannot load '{path}': {e}");
             std::process::exit(1);
         }
     };
-    println!("{path}: {} documents", store.len());
-    for problem in store.problems() {
-        let all = store.query_problem(&problem, &Filter::True, None);
+    println!("{path}: {} documents", db.len());
+    for problem in db.problems() {
+        let all = db.query_public(&QuerySpec::all_of(&problem).including_failures());
         let ok = all.iter().filter(|d| d.result.is_ok()).count();
         let owners: std::collections::BTreeSet<&str> =
             all.iter().map(|d| d.owner.as_str()).collect();
