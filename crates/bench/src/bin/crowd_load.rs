@@ -1,6 +1,6 @@
 //! Fleet-scale load generator for the crowd repository: many concurrent
 //! clients running a mixed upload + TLA-style query workload against
-//! the sharded [`CrowdService`], in one of two modes. It measures
+//! the sharded [`CrowdService`] with request tracing on. It measures
 //! nothing it gates: the repository's end-to-end throughput and query
 //! latency come from crowdbench's `crowd_repo` workload.
 //!
@@ -18,20 +18,9 @@
 //! `--ring-capacity N` sizes the per-thread capture ring (default
 //! 65536 slots); overflow drops are warned about and counted in the
 //! `obs.trace_dropped` counter instead of aborting the run.
-//!
-//! `--overload [--seed N]` runs the service-level fault-injection
-//! scenario instead: breaker-gated clients drive storm bursts against
-//! a durable service with admission control in *simulated* time, twin
-//! runs are checked for bitwise determinism, and the acked/shed/
-//! deadline accounting, modeled p99, WAL-replay zero-loss cross-check,
-//! and recovery-to-Healthy invariants are asserted (metrics snapshot in
-//! `results/overload_metrics.json`, which CI holds to
-//! `examples/slo_overload.json`).
 
 use crowdtune_db::{
-    crc32, AdmitVerdict, Backoff, CircuitBreaker, CrowdService, EvalOutcome, Filter,
-    FunctionEvaluation, HealthState, MachineConfig, OverloadConfig, ServiceConfig,
-    ServiceFaultPlan, StoreError, WalConfig,
+    CrowdService, EvalOutcome, Filter, FunctionEvaluation, MachineConfig, ServiceConfig, WalConfig,
 };
 use crowdtune_obs as obs;
 use obs::{OpKind, RequestCtx};
@@ -104,16 +93,11 @@ fn drive<Q, U>(
     });
 }
 
-const USAGE: &str = "usage: crowd_load --trace [--smoke] [--threads N] [--ring-capacity N]
-       crowd_load --overload [--smoke] [--seed N]";
+const USAGE: &str = "usage: crowd_load --trace [--smoke] [--threads N] [--ring-capacity N]";
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let smoke = args.iter().any(|a| a == "--smoke");
-    if args.iter().any(|a| a == "--overload") {
-        run_overload(&args, smoke);
-        return;
-    }
     if !args.iter().any(|a| a == "--trace") {
         eprintln!("{USAGE}");
         std::process::exit(2);
@@ -141,7 +125,6 @@ fn main() {
         .collect();
     let service = CrowdService::new(ServiceConfig {
         shards: 16,
-        cache_capacity: 128,
         ..ServiceConfig::default()
     });
     for doc in corpus {
@@ -197,7 +180,7 @@ fn run_traced(
         filters,
         |t, problem, filter| {
             let ctx = RequestCtx::new(OpKind::Query, t as u32 + 1);
-            service.query(problem, filter, None, ctx).unwrap().0.len()
+            service.query(problem, filter, None, ctx).0.len()
         },
         |t, doc| {
             let ctx = RequestCtx::new(OpKind::Upload, t as u32 + 1);
@@ -218,7 +201,6 @@ fn run_traced(
                 compact_every: 0,
                 ..WalConfig::default()
             },
-            ..ServiceConfig::default()
         },
     )
     .expect("open traced durable service");
@@ -238,7 +220,6 @@ fn run_traced(
         }
     });
     let batched = durable.fsync_batched_count();
-    assert_eq!(service.verify_cache_coherence(), 0, "stale cache entries");
     drop(durable);
     let _ = std::fs::remove_dir_all(&dir);
 
@@ -312,331 +293,4 @@ fn run_traced(
     let snap = serde_json::to_string(&obs::snapshot()).expect("render metrics snapshot");
     std::fs::write("results/crowd_metrics.json", snap).expect("write metrics snapshot");
     obs::set_metrics_enabled(false);
-}
-
-/// One overload-scenario run: everything the twin comparison and the
-/// invariant checks need to see.
-struct OverloadRun {
-    fingerprint: u64,
-    wal_crc: u32,
-    admitted: u64,
-    shed: u64,
-    deadline_writes: u64,
-    deadline_reads: u64,
-    breaker_refusals: u64,
-    breaker_opens: u64,
-    stale_serves: u64,
-    p99_us: u64,
-    recovered_healthy: bool,
-    metrics_json: Option<String>,
-}
-
-/// The `--overload` phase: a seed-deterministic discrete-event overload
-/// scenario in *simulated* time. A fault plan injects a slow-fsync
-/// episode, a shard stall, and a request storm; breaker-gated clients
-/// drive upload bursts (some with deadlines) plus the read mix against
-/// a durable service with admission control on. The run asserts the
-/// ISSUE invariants: every refusal is typed, admitted-request modeled
-/// p99 stays under the analytic bound, every acked write survives a WAL
-/// replay while no shed write does, all shards recover to Healthy once
-/// the plan goes quiet, and a twin run with the same seed is bitwise
-/// identical (same admission fingerprint, same WAL bytes). The metrics
-/// snapshot lands in `results/overload_metrics.json`.
-fn run_overload(args: &[String], smoke: bool) {
-    let seed: u64 = arg_value(args, "--seed")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(42);
-    // Admitted sojourn <= queue backlog x worst per-write cost: depth at
-    // admission is < queue_limit, and no injected episode costs more
-    // than the 20ms shard stall (+ base + jitter margin).
-    let queue_limit = 16usize;
-    let p99_bound_us = queue_limit as u64 * 21_000;
-
-    let a = overload_run(seed, smoke, 0, true);
-    let b = overload_run(seed, smoke, 1, false);
-
-    // Twin-run bitwise determinism: same admission history, same log.
-    assert_eq!(
-        a.fingerprint, b.fingerprint,
-        "twin overload runs diverged: admission fingerprints differ"
-    );
-    assert_eq!(
-        a.wal_crc, b.wal_crc,
-        "twin overload runs diverged: WAL bytes differ"
-    );
-    assert_eq!(
-        (a.admitted, a.shed, a.deadline_writes, a.deadline_reads),
-        (b.admitted, b.shed, b.deadline_writes, b.deadline_reads),
-        "twin overload runs diverged: verdict counts differ"
-    );
-
-    // The storm must actually exercise every degradation path.
-    assert!(a.shed > 0, "the storm should shed at least one upload");
-    assert!(a.deadline_writes > 0, "some upload deadlines should expire");
-    assert!(a.deadline_reads > 0, "some read deadlines should expire");
-    assert!(
-        a.breaker_opens > 0,
-        "client breakers should open under shed"
-    );
-    assert!(
-        a.p99_us <= p99_bound_us,
-        "admitted p99 {} us exceeds the {} us bound",
-        a.p99_us,
-        p99_bound_us
-    );
-    assert!(
-        a.recovered_healthy,
-        "shards did not return to Healthy after the fault plan went quiet"
-    );
-
-    println!(
-        "crowd_load --overload: seed {seed}, twin runs bitwise identical (fingerprint {:#018x})",
-        a.fingerprint
-    );
-    println!(
-        "  admitted {} / shed {} / write deadlines {} / read deadlines {}",
-        a.admitted, a.shed, a.deadline_writes, a.deadline_reads
-    );
-    println!(
-        "  breaker: {} local refusals, {} opens   stale serves: {}",
-        a.breaker_refusals, a.breaker_opens, a.stale_serves
-    );
-    println!(
-        "  admitted modeled p99 {} us (bound {} us)   recovery: all shards Healthy",
-        a.p99_us, p99_bound_us
-    );
-    println!("  zero acked-write loss confirmed by WAL replay cross-check");
-
-    std::fs::create_dir_all("results").expect("create results dir");
-    if let Some(snap) = &a.metrics_json {
-        std::fs::write("results/overload_metrics.json", snap).expect("write overload metrics");
-        println!("  metrics snapshot: results/overload_metrics.json");
-    }
-}
-
-/// Drive one overload scenario against a fresh durable service and
-/// tear it down, returning everything the caller asserts on. With
-/// `capture_metrics` the obs counters are reset, enabled for the run,
-/// and snapshotted for `results/overload_metrics.json`.
-fn overload_run(seed: u64, smoke: bool, twin: usize, capture_metrics: bool) -> OverloadRun {
-    let (clients, tick_us) = if smoke { (4usize, 1_000u64) } else { (8, 500) };
-    let plan = ServiceFaultPlan::storm_scenario(seed);
-    let horizon_us = plan.quiet_after_us() + 60_000;
-    let dir =
-        std::env::temp_dir().join(format!("crowdtune_overload_{}_{twin}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let config = ServiceConfig {
-        shards: 4,
-        cache_capacity: 64,
-        wal: WalConfig {
-            compact_every: 0,
-            ..WalConfig::default()
-        },
-        overload: Some(OverloadConfig {
-            queue_limit: 16,
-            base_service_us: 200,
-            log_outcomes: true,
-            plan: Some(plan.clone()),
-            ..OverloadConfig::default()
-        }),
-    };
-
-    if capture_metrics {
-        obs::reset_metrics();
-        obs::set_metrics_enabled(true);
-    }
-
-    let (svc, _) = CrowdService::open_durable(&dir, config.clone()).expect("open overload service");
-    let problems: Vec<String> = (0..8).map(|p| format!("PROBLEM{p}")).collect();
-    let filters = query_mix();
-    let mut breakers: Vec<CircuitBreaker> = (0..clients)
-        .map(|c| {
-            CircuitBreaker::new(
-                Backoff {
-                    seed: seed ^ (c as u64 + 1),
-                    ..Backoff::default()
-                },
-                3,
-            )
-        })
-        .collect();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut acked: Vec<(u64, i64)> = Vec::new();
-    let mut shed_ms: Vec<i64> = Vec::new();
-    let mut deadline_ms: Vec<i64> = Vec::new();
-    let (mut deadline_reads, mut breaker_refusals, mut stale_serves) = (0u64, 0u64, 0u64);
-    let mut m: i64 = 0;
-
-    let (fingerprint, p99_us, recovered_healthy) = {
-        let ov = svc.overload().expect("overload configured");
-        for step in 0..horizon_us / tick_us {
-            let now = step * tick_us;
-            ov.set_now_us(now);
-            // A checkpoint blob lands mid-storm: essential, always admitted.
-            if now == 100_000 {
-                svc.put_blob("ckpt/storm", "{\"iter\":9}")
-                    .expect("blob always admitted");
-            }
-            let burst = plan.storm_multiplier(now);
-            for c in 0..clients {
-                if !breakers[c].allow(now) {
-                    breaker_refusals += 1;
-                    continue;
-                }
-                for _ in 0..burst {
-                    m += 1;
-                    let doc = eval_doc(&problems[m as usize % problems.len()], m, &mut rng);
-                    // Every fourth upload carries a client deadline.
-                    let ctx = if m % 4 == 0 {
-                        RequestCtx::new(OpKind::Upload, c as u32 + 1).with_deadline_us(now + 2_500)
-                    } else {
-                        RequestCtx::new(OpKind::Upload, c as u32 + 1)
-                    };
-                    match svc.insert_ctx(doc, ctx) {
-                        Ok(id) => {
-                            breakers[c].on_success();
-                            acked.push((id, m));
-                        }
-                        Err(StoreError::Overloaded { retry_after_ms }) => {
-                            breakers[c].on_overload(now, retry_after_ms);
-                            shed_ms.push(m);
-                        }
-                        Err(StoreError::DeadlineExceeded) => {
-                            breakers[c].on_overload(now, 0);
-                            deadline_ms.push(m);
-                        }
-                        Err(other) => panic!("untyped overload failure: {other}"),
-                    }
-                }
-                // The TLA read mix rides along; degraded shards may
-                // answer from epoch-stamped stale snapshots.
-                if step % 5 == c as u64 % 5 {
-                    let filter = &filters[(step as usize + c) % filters.len()];
-                    let (res, stats) = svc
-                        .query(
-                            &problems[c % problems.len()],
-                            filter,
-                            None,
-                            RequestCtx::new(OpKind::Query, 0),
-                        )
-                        .unwrap();
-                    stale_serves += stats.stale_served as u64;
-                    std::hint::black_box(res.len());
-                }
-                // A client that slept through a breaker cooldown issues
-                // a query whose deadline predates the nap: typed refusal.
-                if step % 35 == 34 {
-                    let ctx = RequestCtx::new(OpKind::Query, c as u32 + 1)
-                        .with_deadline_us(now.saturating_sub(500));
-                    match svc.query(&problems[c % problems.len()], &filters[0], None, ctx) {
-                        Err(StoreError::DeadlineExceeded) => deadline_reads += 1,
-                        Ok(_) => {}
-                        Err(other) => panic!("untyped read failure: {other}"),
-                    }
-                }
-            }
-        }
-
-        // Recovery: once the plan is quiet, idle observations must walk
-        // every shard back down the ladder to Healthy.
-        for i in 1..=40u64 {
-            ov.set_now_us(horizon_us + i * tick_us);
-            ov.observe_idle();
-        }
-        let recovered = ov
-            .health_snapshot()
-            .iter()
-            .all(|h| *h == HealthState::Healthy);
-
-        // Modeled sojourn p99 over admitted uploads.
-        let mut sojourns: Vec<u64> = ov
-            .outcomes()
-            .iter()
-            .filter(|o| o.verdict == AdmitVerdict::Admitted && o.op == OpKind::Upload)
-            .map(|o| o.completion_us - o.arrival_us)
-            .collect();
-        sojourns.sort_unstable();
-        let p99 = if sojourns.is_empty() {
-            0
-        } else {
-            sojourns[((sojourns.len() - 1) as f64 * 0.99).round() as usize]
-        };
-        (ov.fingerprint(), p99, recovered)
-    };
-    drop(svc);
-
-    let metrics_json = if capture_metrics {
-        let snap = serde_json::to_string(&obs::snapshot()).expect("render metrics snapshot");
-        obs::set_metrics_enabled(false);
-        Some(snap)
-    } else {
-        None
-    };
-
-    let wal_crc = crc32(&std::fs::read(dir.join("wal.log")).expect("read wal"));
-
-    // Zero acked-write loss: replay the WAL (admission off — recovery
-    // replays history, it does not re-admit) and cross-check that every
-    // acked write survived and no shed or expired write was revived.
-    let replay_config = ServiceConfig {
-        overload: None,
-        ..config
-    };
-    let (svc, report) = CrowdService::open_durable(&dir, replay_config).expect("replay service");
-    assert_eq!(
-        svc.len(),
-        acked.len(),
-        "replayed doc count differs from acked count (wal_records={})",
-        report.wal_records
-    );
-    let all = parse_query_all();
-    let mut recovered_ms: std::collections::HashSet<i64> = std::collections::HashSet::new();
-    for problem in &problems {
-        let (docs, _) = svc
-            .query(problem, &all, None, RequestCtx::new(OpKind::Query, 0))
-            .unwrap();
-        recovered_ms.extend(docs.iter().map(|d| {
-            d.task_parameters
-                .get("m")
-                .and_then(|s| s.as_f64())
-                .expect("task m") as i64
-        }));
-    }
-    for &(_, am) in &acked {
-        assert!(
-            recovered_ms.contains(&am),
-            "acked write m={am} lost in replay"
-        );
-    }
-    for sm in shed_ms.iter().chain(deadline_ms.iter()) {
-        assert!(
-            !recovered_ms.contains(sm),
-            "refused write m={sm} revived by replay"
-        );
-    }
-    assert_eq!(
-        svc.get_blob("ckpt/storm").expect("blob survives"),
-        "{\"iter\":9}"
-    );
-    drop(svc);
-    let _ = std::fs::remove_dir_all(&dir);
-
-    OverloadRun {
-        fingerprint,
-        wal_crc,
-        admitted: acked.len() as u64,
-        shed: shed_ms.len() as u64,
-        deadline_writes: deadline_ms.len() as u64,
-        deadline_reads,
-        breaker_refusals,
-        breaker_opens: breakers.iter().map(|b| b.opens()).sum(),
-        stale_serves,
-        p99_us,
-        recovered_healthy,
-        metrics_json,
-    }
-}
-
-fn parse_query_all() -> Filter {
-    crowdtune_db::parse_query("task.m >= 0").expect("query parses")
 }

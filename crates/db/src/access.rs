@@ -64,7 +64,7 @@ impl std::error::Error for AuthError {}
 /// FNV-1a fingerprint of a secret. One-way enough for a simulation: the
 /// point is the *protocol* (server never stores the secret), not
 /// cryptographic strength.
-pub fn fingerprint(secret: &str) -> u64 {
+fn fingerprint(secret: &str) -> u64 {
     let mut h: u64 = 0xcbf29ce484222325;
     for b in secret.as_bytes() {
         h ^= *b as u64;

@@ -18,13 +18,8 @@
 //!   description-shaped queries (problem space + configuration space).
 //! - [`service`] — the crowd service, the one storage engine behind
 //!   [`HistoryDb`]: global ids and logical times, parallel
-//!   problem-sharded reads, group-commit WAL writes, an
-//!   epoch-invalidated query-result cache, and a blob table for tuner
-//!   checkpoints.
-//! - [`overload`] — overload resilience for the service: bounded
-//!   admission control with typed shedding, deadline propagation, a
-//!   per-shard Healthy → Degraded → Shedding ladder, capped seeded
-//!   backoff, and seed-deterministic service-level fault plans.
+//!   problem-sharded reads, group-commit WAL writes, and a blob table
+//!   for tuner checkpoints.
 //! - [`telemetry`] — the fleet-telemetry collection: cross-run records
 //!   distilled from per-run event journals, with the same per-record
 //!   access control as performance samples.
@@ -38,7 +33,6 @@
 pub mod access;
 pub mod document;
 pub mod env;
-pub mod overload;
 pub mod query;
 pub mod repo;
 pub mod service;
@@ -52,15 +46,8 @@ pub use document::{
     SoftwareConfig,
 };
 pub use env::{parse_slurm_env, parse_spack_spec, EnvError, TagRegistry};
-pub use overload::{
-    splitmix64, AdmitVerdict, Backoff, Episode, HealthState, OverloadConfig, OverloadOutcome,
-    OverloadState, ServiceFaultPlan, ShardHealth, ShardStall,
-};
 pub use query::{parse_query, FieldIndexes, Filter, ParseError};
-pub use repo::{
-    CircuitBreaker, ConfigurationQuery, DbError, HistoryDb, MachineFilter, QuerySpec,
-    SoftwareFilter,
-};
+pub use repo::{ConfigurationQuery, DbError, HistoryDb, MachineFilter, QuerySpec, SoftwareFilter};
 pub use service::{CrowdService, ServiceConfig};
 pub use store::{ScanStats, StoreError};
 pub use telemetry::{FleetQuery, RunRecord, TelemetryCollection};

@@ -86,119 +86,6 @@ impl Filter {
             f => Filter::And(vec![f, other]),
         }
     }
-
-    /// Structural FNV-1a fingerprint — the query-cache key component
-    /// identifying *which* filter ran. Scalars are normalized exactly as
-    /// the field indexes normalize them (numeric coercion to f64,
-    /// case-folded strings), so filters with identical match semantics
-    /// fingerprint identically. The cache still verifies hits against the
-    /// stored [`Filter`] with `==`, so a collision can only cost a miss,
-    /// never a wrong answer.
-    pub fn fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        self.fold_fingerprint(&mut h);
-        h
-    }
-
-    fn fold_fingerprint(&self, h: &mut u64) {
-        match self {
-            Filter::True => fnv_bytes(h, &[0]),
-            Filter::Eq(path, v) => {
-                fnv_bytes(h, &[1]);
-                fnv_str(h, path);
-                fnv_scalar(h, v);
-            }
-            Filter::Ne(path, v) => {
-                fnv_bytes(h, &[2]);
-                fnv_str(h, path);
-                fnv_scalar(h, v);
-            }
-            Filter::Lt(path, v) => {
-                fnv_bytes(h, &[3]);
-                fnv_str(h, path);
-                fnv_f64(h, *v);
-            }
-            Filter::Le(path, v) => {
-                fnv_bytes(h, &[4]);
-                fnv_str(h, path);
-                fnv_f64(h, *v);
-            }
-            Filter::Gt(path, v) => {
-                fnv_bytes(h, &[5]);
-                fnv_str(h, path);
-                fnv_f64(h, *v);
-            }
-            Filter::Ge(path, v) => {
-                fnv_bytes(h, &[6]);
-                fnv_str(h, path);
-                fnv_f64(h, *v);
-            }
-            Filter::Between(path, lo, hi) => {
-                fnv_bytes(h, &[7]);
-                fnv_str(h, path);
-                fnv_f64(h, *lo);
-                fnv_f64(h, *hi);
-            }
-            Filter::In(path, vs) => {
-                fnv_bytes(h, &[8]);
-                fnv_str(h, path);
-                fnv_bytes(h, &(vs.len() as u64).to_le_bytes());
-                for v in vs {
-                    fnv_scalar(h, v);
-                }
-            }
-            Filter::And(fs) => {
-                fnv_bytes(h, &[9]);
-                fnv_bytes(h, &(fs.len() as u64).to_le_bytes());
-                for f in fs {
-                    f.fold_fingerprint(h);
-                }
-            }
-            Filter::Or(fs) => {
-                fnv_bytes(h, &[10]);
-                fnv_bytes(h, &(fs.len() as u64).to_le_bytes());
-                for f in fs {
-                    f.fold_fingerprint(h);
-                }
-            }
-            Filter::Not(f) => {
-                fnv_bytes(h, &[11]);
-                f.fold_fingerprint(h);
-            }
-        }
-    }
-}
-
-fn fnv_bytes(h: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *h ^= b as u64;
-        *h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-}
-
-/// Length-prefixed so `("ab", "c")` and `("a", "bc")` cannot collide.
-fn fnv_str(h: &mut u64, s: &str) {
-    fnv_bytes(h, &(s.len() as u64).to_le_bytes());
-    fnv_bytes(h, s.as_bytes());
-}
-
-/// Hash through the same normalization as [`NumKey`] so `-0.0` and
-/// `0.0` (and every NaN payload) fingerprint identically.
-fn fnv_f64(h: &mut u64, v: f64) {
-    fnv_bytes(h, &NumKey::new(v).0.to_bits().to_le_bytes());
-}
-
-fn fnv_scalar(h: &mut u64, s: &Scalar) {
-    match s.as_f64() {
-        Some(v) => {
-            fnv_bytes(h, &[0]);
-            fnv_f64(h, v);
-        }
-        None => {
-            fnv_bytes(h, &[1]);
-            fnv_str(h, &s.as_str().unwrap_or_default().to_ascii_lowercase());
-        }
-    }
 }
 
 fn num(e: &FunctionEvaluation, path: &str) -> Option<f64> {

@@ -10,7 +10,6 @@
 use crate::access::{AuthError, UserRegistry};
 use crate::document::{FunctionEvaluation, MachineConfig, Provenance, SoftwareConfig};
 use crate::env::TagRegistry;
-use crate::overload::Backoff;
 use crate::query::Filter;
 use crate::service::{CrowdService, ServiceConfig};
 use crate::store::StoreError;
@@ -255,87 +254,6 @@ fn client_hash(user: Option<&str>) -> u32 {
     h.max(1)
 }
 
-/// Client-side circuit breaker for talking to an overloaded crowd
-/// service.
-///
-/// Closed (normal) traffic flows through; each `Overloaded` /
-/// `DeadlineExceeded` response increments a consecutive-failure count
-/// and pushes the reopen time out to `now + max(server retry_after,
-/// capped seeded backoff)`. Once `failure_threshold` consecutive
-/// failures accumulate the breaker is open: [`CircuitBreaker::allow`]
-/// refuses requests locally until the cooldown elapses, so a storm of
-/// clients cannot keep hammering a shedding service. A single success
-/// fully closes the breaker and resets the backoff ladder.
-///
-/// All times are caller-supplied microseconds, so the breaker works
-/// identically on the wall clock and on the overload simulator's
-/// virtual clock; with a fixed [`Backoff`] seed its decisions are
-/// bitwise-deterministic.
-#[derive(Debug, Clone)]
-pub struct CircuitBreaker {
-    backoff: Backoff,
-    failure_threshold: u32,
-    consecutive_failures: u32,
-    open_until_us: u64,
-    opens: u64,
-}
-
-impl Default for CircuitBreaker {
-    fn default() -> Self {
-        CircuitBreaker::new(Backoff::default(), 3)
-    }
-}
-
-impl CircuitBreaker {
-    /// A closed breaker that opens after `failure_threshold` consecutive
-    /// overload failures, pacing retries with `backoff`.
-    pub fn new(backoff: Backoff, failure_threshold: u32) -> Self {
-        CircuitBreaker {
-            backoff,
-            failure_threshold: failure_threshold.max(1),
-            consecutive_failures: 0,
-            open_until_us: 0,
-            opens: 0,
-        }
-    }
-
-    /// May a request be sent at `now_us`?
-    pub fn allow(&self, now_us: u64) -> bool {
-        now_us >= self.open_until_us
-    }
-
-    /// How many times the breaker has opened over its lifetime.
-    pub fn opens(&self) -> u64 {
-        self.opens
-    }
-
-    /// Record a successful request: the breaker closes and the backoff
-    /// ladder resets.
-    pub fn on_success(&mut self) {
-        self.consecutive_failures = 0;
-        self.open_until_us = 0;
-    }
-
-    /// Record an overload-class failure observed at `now_us`, honoring
-    /// the server's `retry_after_ms` hint (0 = none). Returns the wait in
-    /// microseconds before the breaker will allow the next request.
-    pub fn on_overload(&mut self, now_us: u64, retry_after_ms: u64) -> u64 {
-        self.consecutive_failures = self.consecutive_failures.saturating_add(1);
-        let was_open = self.open_until_us > now_us;
-        let mut wait_ms = retry_after_ms;
-        if self.consecutive_failures >= self.failure_threshold {
-            let attempt = self.consecutive_failures - self.failure_threshold + 1;
-            wait_ms = wait_ms.max(self.backoff.delay_ms(attempt));
-            if !was_open {
-                self.opens += 1;
-            }
-        }
-        let until = now_us.saturating_add(wait_ms.saturating_mul(1_000));
-        self.open_until_us = self.open_until_us.max(until);
-        self.open_until_us.saturating_sub(now_us)
-    }
-}
-
 /// The shared crowd-tuning database.
 pub struct HistoryDb {
     service: CrowdService,
@@ -354,17 +272,16 @@ impl Default for HistoryDb {
 
 impl HistoryDb {
     /// A database with the built-in tag registry for one tuner process:
-    /// a single-shard service with the query cache off.
+    /// a single-shard service.
     pub fn new() -> Self {
         Self::concurrent(ServiceConfig {
             shards: 1,
-            cache_capacity: 0,
             ..ServiceConfig::default()
         })
     }
 
     /// A database backed by a [`CrowdService`] with the given layout —
-    /// parallel reads across client threads, cached repeat queries. A
+    /// parallel reads across client threads. A
     /// single-threaded caller sees the same ids and query results at any
     /// layout.
     pub fn concurrent(config: ServiceConfig) -> Self {
@@ -376,7 +293,7 @@ impl HistoryDb {
         }
     }
 
-    /// The service behind this database (cache/fsync observability for
+    /// The service behind this database (fsync observability for
     /// benchmarks and reports). Always `Some`.
     pub fn service(&self) -> Option<&CrowdService> {
         Some(&self.service)
@@ -467,10 +384,7 @@ impl HistoryDb {
     fn query_as(&self, user: Option<&str>, spec: &QuerySpec) -> Vec<FunctionEvaluation> {
         let span = obs::span(obs::names::SPAN_DB_QUERY);
         let ctx = obs::RequestCtx::new(obs::OpKind::Query, client_hash(user));
-        let (hits, stats) = self
-            .service
-            .query(&spec.problem, &spec.filter, user, ctx)
-            .expect("a query without a deadline cannot expire");
+        let (hits, stats) = self.service.query(&spec.problem, &spec.filter, user, ctx);
         let configuration = spec.configuration.matcher(&self.tags);
         let kept: Vec<FunctionEvaluation> = hits
             .iter()
@@ -482,16 +396,11 @@ impl HistoryDb {
         obs::count(obs::names::CTR_DB_PRUNED, stats.pruned as u64);
         obs::count(obs::names::CTR_DB_RETURNED, kept.len() as u64);
         obs::count(obs::names::CTR_DB_DENIED, stats.denied as u64);
-        obs::count(obs::names::CTR_DB_CACHE_HITS, stats.cache_hits as u64);
-        obs::count(obs::names::CTR_DB_CACHE_MISSES, stats.cache_misses as u64);
         obs::record_with(|| obs::Event::DbQuery {
             query: spec.problem.clone(),
             scanned: stats.scanned as u64,
             returned: kept.len() as u64,
             denied: stats.denied as u64,
-            cache_hits: stats.cache_hits as u64,
-            cache_misses: stats.cache_misses as u64,
-            stale_served: stats.stale_served as u64,
             duration_us: span.elapsed_ns() / 1_000,
         });
         kept
@@ -732,55 +641,5 @@ mod tests {
         let spec = QuerySpec::all_of("PDGEQRF").with_filter(filter);
         let hits = db.query_public(&spec);
         assert_eq!(hits.len(), 2);
-    }
-
-    #[test]
-    fn breaker_opens_after_threshold_and_honors_retry_after() {
-        let mut b = CircuitBreaker::new(Backoff::default(), 3);
-        assert!(b.allow(0));
-        // Below the threshold the breaker still honors the server hint...
-        let wait = b.on_overload(0, 7);
-        assert_eq!(wait, 7_000);
-        assert!(!b.allow(6_999));
-        assert!(b.allow(7_000));
-        // ...but does not count as "open".
-        assert_eq!(b.opens(), 0);
-        b.on_overload(10_000, 0);
-        // Third consecutive failure trips it: backoff (capped, jittered,
-        // >= 0.75 * base of 5ms) beats the absent hint.
-        let wait = b.on_overload(20_000, 1);
-        assert_eq!(b.opens(), 1);
-        assert!(wait >= 3_000, "wait {wait}us should reflect base backoff");
-        assert!(!b.allow(20_000));
-        // Deterministic: a twin breaker makes identical decisions.
-        let mut twin = CircuitBreaker::new(Backoff::default(), 3);
-        twin.on_overload(0, 7);
-        twin.on_overload(10_000, 0);
-        assert_eq!(twin.on_overload(20_000, 1), wait);
-        // One success fully closes and resets.
-        b.on_success();
-        assert!(b.allow(20_001));
-        // The failure count restarted: one overload is below the threshold.
-        assert_eq!(b.on_overload(30_000, 0), 0);
-        assert_eq!(b.opens(), 1);
-    }
-
-    #[test]
-    fn breaker_backoff_escalates_while_open_and_is_capped() {
-        let backoff = Backoff {
-            base_ms: 10,
-            multiplier: 2.0,
-            cap_ms: 40,
-            jitter: 0.0,
-            seed: 1,
-        };
-        let mut b = CircuitBreaker::new(backoff, 1);
-        let mut waits = Vec::new();
-        for _ in 0..5 {
-            waits.push(b.on_overload(0, 0) / 1_000);
-        }
-        assert_eq!(waits, vec![10, 20, 40, 40, 40]);
-        // Re-tripping while already open counts as one open, not five.
-        assert_eq!(b.opens(), 1);
     }
 }

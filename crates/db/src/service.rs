@@ -1,5 +1,5 @@
-//! The concurrent sharded crowd repository: parallel reads, group-commit
-//! writes, and an epoch-invalidated query cache.
+//! The concurrent sharded crowd repository: parallel reads and
+//! group-commit writes.
 //!
 //! [`CrowdService`] is the crate's one storage engine, built for the
 //! paper's crowd service, where many clients upload and query the shared
@@ -20,14 +20,10 @@
 //!   then wait; overlapping commits coalesce into a single
 //!   `write_all` + fsync. Durability is unchanged — no upload is
 //!   acknowledged before the fsync covering its record returns.
-//! * **Query cache** — each shard keeps a small FIFO cache of query
-//!   results keyed on (filter fingerprint, user, problem scope) and
-//!   stamped with the shard's write epoch. Any write bumps the epoch,
-//!   so a stale entry can never be served; entries are stamped with the
-//!   epoch observed *before* their scan, so a write racing a scan
-//!   invalidates conservatively. The epoch is odd while a write is
-//!   being applied, and a scan that starts at an odd epoch is not
-//!   cached.
+//!
+//! A query is one scan of one shard's index under its read lock; a
+//! write is the shard's write lock plus the group commit. Nothing is
+//! cached between queries.
 //!
 //! Global id/logical-time counters are atomics, so ids stay unique and
 //! monotone across shards; a single-threaded client sees the same ids,
@@ -35,7 +31,6 @@
 //! (`tests/service_determinism.rs` pins them).
 
 use crate::document::FunctionEvaluation;
-use crate::overload::{OverloadConfig, OverloadState};
 use crate::query::Filter;
 use crate::store::{DocumentStore, ScanStats, StoreError};
 use crate::wal::{
@@ -45,114 +40,38 @@ use crate::wal::{
 use crowdtune_obs as obs;
 use obs::{OpKind, RequestCtx, TraceStage};
 use parking_lot::{Mutex, RwLock};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap};
 use std::fs::OpenOptions;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Tuning knobs for a [`CrowdService`].
+/// Layout of a [`CrowdService`].
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// Number of shards. Problem names hash to shards, so this bounds
     /// how many unrelated-problem writers can proceed in parallel.
     pub shards: usize,
-    /// Query-cache entries per shard; 0 disables caching entirely
-    /// (no hit/miss accounting: every query reports its scan's
-    /// `ScanStats`).
-    pub cache_capacity: usize,
     /// Durability knobs for the shared WAL (durable mode only).
     pub wal: WalConfig,
-    /// Overload control (admission, deadlines, degradation ladder,
-    /// service-level fault injection). `None` — the default — means no
-    /// admission control at all: the service behaves exactly as before.
-    pub overload: Option<OverloadConfig>,
 }
 
 impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
             shards: 8,
-            cache_capacity: 128,
             wal: WalConfig::default(),
-            overload: None,
         }
     }
 }
 
-/// A query result as the service hands it out: an immutable list of
-/// records shared with the shard's store. The list is `Arc`-shared
-/// between the query cache and its readers, and each record with the
-/// store, so neither a scan nor a cache hit copies a document.
-pub type SharedRecords = Arc<Vec<Arc<FunctionEvaluation>>>;
-
-/// One cached query result, valid only while the shard's epoch still
-/// equals `epoch`. The full key (filter, user, problem) is stored
-/// so a fingerprint collision degrades to a miss, never a wrong answer.
-/// A stale entry costs one pointer per record it lists: the records
-/// themselves belong to the store.
-struct CacheEntry {
-    epoch: u64,
-    filter: Filter,
-    user: Option<String>,
-    problem: String,
-    results: SharedRecords,
-    stats: ScanStats,
-}
-
-/// FIFO query cache for one shard.
-#[derive(Default)]
-struct QueryCache {
-    map: HashMap<u64, CacheEntry>,
-    order: VecDeque<u64>,
-}
-
-/// One shard: the index of its records plus its write serialization,
-/// write epoch, and result cache.
+/// One shard: the index of its records plus its write serialization.
 struct Shard {
     store: DocumentStore,
     /// Serializes writers on this shard (readers go straight to the
     /// store's interior `RwLock`). Held across memory-apply + WAL
     /// enqueue so the per-shard log order matches apply order.
     write: Mutex<()>,
-    /// Bumped twice by every write: to an odd value before the write
-    /// touches the store and back to even after it ([`Shard::write_epoch`]).
-    /// Read (Acquire) before every cached scan; a scan that starts at an
-    /// odd epoch may see a half-applied write and is never cached. A
-    /// cache entry is valid only for the exact (even) epoch it was
-    /// scanned under.
-    epoch: AtomicU64,
-    cache: Mutex<QueryCache>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-impl Shard {
-    /// Run `apply` (a write, under the shard's write lock) between two
-    /// epoch bumps. With a single bump after the apply, a scan that
-    /// started before the write could overwrite, under the same epoch,
-    /// the entry of a scan that saw the write, and a later query would
-    /// hit the older entry. With the first bump before the apply, an
-    /// entry stamped with an even epoch `e` only matches while no write
-    /// has begun since `e`, so it cannot miss one; scans that start
-    /// while the epoch is odd are not cached at all.
-    fn write_epoch<T>(&self, apply: impl FnOnce() -> T) -> T {
-        self.epoch.fetch_add(1, Ordering::AcqRel);
-        let out = apply();
-        self.epoch.fetch_add(1, Ordering::Release);
-        out
-    }
-
-    fn new() -> Self {
-        Shard {
-            store: DocumentStore::default(),
-            write: Mutex::new(()),
-            epoch: AtomicU64::new(0),
-            cache: Mutex::new(QueryCache::default()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
-    }
 }
 
 /// The durable half: one WAL shared by all shards, rooted at a
@@ -169,11 +88,9 @@ pub struct CrowdService {
     shards: Vec<Shard>,
     next_id: AtomicU64,
     clock: AtomicU64,
-    cache_capacity: usize,
     /// Named blobs (tuner checkpoints), logged to the WAL when durable.
     blobs: RwLock<HashMap<String, String>>,
     durable: Option<Durable>,
-    overload: Option<OverloadState>,
 }
 
 /// FNV-1a over a problem name — the shard router. Stable across runs so
@@ -187,43 +104,21 @@ fn shard_hash(problem: &str) -> u64 {
     h
 }
 
-/// Cache key: filter fingerprint folded with the querying user and the
-/// problem.
-fn cache_key(filter: &Filter, user: Option<&str>, problem: &str) -> u64 {
-    let mut h = filter.fingerprint();
-    let mut fold = |s: &str| {
-        h ^= 0xff;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        for &b in s.as_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    fold(user.unwrap_or("\u{0}anon"));
-    fold(problem);
-    h
-}
-
 impl CrowdService {
     /// An in-memory service (no persistence) with the given layout.
     pub fn new(config: ServiceConfig) -> Self {
-        let n = config.shards.max(1);
         CrowdService {
-            shards: (0..n).map(|_| Shard::new()).collect(),
+            shards: (0..config.shards.max(1))
+                .map(|_| Shard {
+                    store: DocumentStore::default(),
+                    write: Mutex::new(()),
+                })
+                .collect(),
             next_id: AtomicU64::new(0),
             clock: AtomicU64::new(0),
-            cache_capacity: config.cache_capacity,
             blobs: RwLock::new(HashMap::new()),
             durable: None,
-            overload: config.overload.map(|cfg| OverloadState::new(cfg, n)),
         }
-    }
-
-    /// The overload controller, when admission control is configured.
-    /// Load drivers use it to advance the simulated service clock, read
-    /// shard health, and fingerprint twin runs.
-    pub fn overload(&self) -> Option<&OverloadState> {
-        self.overload.as_ref()
     }
 
     /// Open (or create) a durable service rooted at `dir`, replaying
@@ -402,11 +297,6 @@ impl CrowdService {
     ) -> Result<u64, StoreError> {
         let op_start = ctx.begin();
         let sidx = self.shard_index(&doc.problem);
-        // Admission BEFORE any effect: a shed or expired upload never
-        // reaches memory or the WAL, so it can never be acked-then-lost.
-        if let Some(ov) = &self.overload {
-            ov.admit_write(sidx, &ctx)?;
-        }
         let shard = &self.shards[sidx];
         let (id, ticket) = {
             let _w = self.lock_shard_timed(shard, sidx, &ctx);
@@ -421,7 +311,7 @@ impl CrowdService {
                 None => None,
             };
             let apply_start = ctx.begin();
-            shard.write_epoch(|| shard.store.insert(doc));
+            shard.store.insert(doc);
             ctx.record(TraceStage::MemApply, sidx as u16, apply_start);
             let enqueue_start = ctx.begin();
             let ticket = match (&self.durable, framed) {
@@ -460,12 +350,11 @@ impl CrowdService {
         for (sidx, shard) in self.shards.iter().enumerate() {
             let _w = self.lock_shard_timed(shard, sidx, &ctx);
             let apply_start = ctx.begin();
-            // Resolve first: a delete that matches nothing on this shard
-            // leaves its epoch, and so its cached scans, untouched.
-            if shard.store.owned_ids(owner, filter).is_empty() {
+            // A shard where nothing matched logs nothing.
+            let ids = shard.store.delete_owned_ids(owner, filter);
+            if ids.is_empty() {
                 continue;
             }
-            let ids = shard.write_epoch(|| shard.store.delete_owned_ids(owner, filter));
             removed += ids.len();
             ctx.record(TraceStage::MemApply, sidx as u16, apply_start);
             if let Some(d) = &self.durable {
@@ -489,164 +378,25 @@ impl CrowdService {
         Ok(removed)
     }
 
-    /// Problem-scoped query, the one read entry point: touches exactly
-    /// one shard, answered from that shard's cache when the filter+user
-    /// was asked at the current write epoch. No record is copied: a miss
-    /// shares the matching records with the store, and a hit clones one
-    /// `Arc`. The snapshot is immutable — later writes produce new
-    /// entries rather than mutating this one.
-    ///
-    /// The cache probe (hit path) or shard scan (miss path) is recorded
-    /// against `ctx`'s trace, plus one end-to-end `op` stage. With
-    /// admission control on, a context whose deadline has expired fails
-    /// with a typed [`StoreError::DeadlineExceeded`] *before* the cache is
-    /// probed, so an expired query can never populate or invalidate the
-    /// cache (and never counts toward cache-coherence accounting). A
-    /// context without a deadline (`RequestCtx::new`) cannot fail.
+    /// Problem-scoped query, the one read entry point: one scan of one
+    /// shard's index under its read lock. No record is copied: the
+    /// result shares the matching records with the store, and a later
+    /// write never changes a result already handed out. The scan and
+    /// one end-to-end `op` stage are recorded against `ctx`'s trace.
     pub fn query(
         &self,
         problem: &str,
         filter: &Filter,
         user: Option<&str>,
         ctx: RequestCtx,
-    ) -> Result<(SharedRecords, ScanStats), StoreError> {
+    ) -> (Vec<Arc<FunctionEvaluation>>, ScanStats) {
         let op_start = ctx.begin();
         let sidx = self.shard_index(problem);
-        if let Some(ov) = &self.overload {
-            ov.check_read_deadline(sidx, &ctx)?;
-        }
-        let out = self.cached_query(sidx, problem, filter, user, &ctx);
-        ctx.record(TraceStage::Op, sidx as u16, op_start);
-        Ok(out)
-    }
-
-    /// One shard's cached scan. A hit reports `scanned = pruned = 0`
-    /// (nothing was examined) but preserves the scan's `denied` count —
-    /// access-control observability must not vanish just because the
-    /// answer was cached — and, when metrics or tracing are on, reports
-    /// the epoch-check + `Arc`-clone time in `cache_check_ns` so hits
-    /// stop reading as free.
-    fn cached_query(
-        &self,
-        sidx: usize,
-        problem: &str,
-        filter: &Filter,
-        user: Option<&str>,
-        ctx: &RequestCtx,
-    ) -> (SharedRecords, ScanStats) {
-        let shard = &self.shards[sidx];
-        let run_scan = || shard.store.scan(problem, filter, user);
-        if self.cache_capacity == 0 {
-            let scan_start = ctx.begin();
-            let (results, stats) = run_scan();
-            ctx.record(TraceStage::Scan, sidx as u16, scan_start);
-            return (Arc::new(results), stats);
-        }
-        let timed = obs::metrics_enabled() || ctx.active();
-        let check_start = if timed { obs::now_ns() } else { 0 };
-        // The epoch must be read BEFORE the scan: if a write lands during
-        // the scan it bumps the epoch past this value, so the entry we
-        // store below can never be mistaken for current. An odd epoch
-        // means a write is mid-apply: no entry matches it, and the scan
-        // below is not cached.
-        let epoch = shard.epoch.load(Ordering::Acquire);
-        let key = cache_key(filter, user, problem);
-        {
-            let cache = shard.cache.lock();
-            if let Some(e) = cache.map.get(&key) {
-                let key_matches =
-                    e.filter == *filter && e.user.as_deref() == user && e.problem == problem;
-                if key_matches && e.epoch == epoch {
-                    shard.hits.fetch_add(1, Ordering::Relaxed);
-                    let mut stats = ScanStats {
-                        scanned: 0,
-                        pruned: 0,
-                        denied: e.stats.denied,
-                        cache_hits: 1,
-                        cache_misses: 0,
-                        cache_check_ns: 0,
-                        stale_served: 0,
-                    };
-                    let results = Arc::clone(&e.results);
-                    drop(cache);
-                    if timed {
-                        let check_ns = obs::now_ns().saturating_sub(check_start);
-                        stats.cache_check_ns = check_ns;
-                        obs::observe(obs::names::HIST_CACHE_HIT_NS, check_ns);
-                        ctx.record_span(
-                            TraceStage::CacheCheck,
-                            sidx as u16,
-                            check_start,
-                            check_ns,
-                            0,
-                        );
-                    }
-                    return (results, stats);
-                }
-                // Degraded shard, entry from an older epoch: serve it
-                // *stale*, explicitly stamped, instead of paying for a
-                // scan the shard can't afford. Never on healthy shards.
-                let degraded = self
-                    .overload
-                    .as_ref()
-                    .is_some_and(|ov| ov.serve_stale(sidx));
-                if key_matches && degraded {
-                    let stats = ScanStats {
-                        scanned: 0,
-                        pruned: 0,
-                        denied: e.stats.denied,
-                        cache_hits: 0,
-                        cache_misses: 0,
-                        cache_check_ns: 0,
-                        stale_served: 1,
-                    };
-                    let results = Arc::clone(&e.results);
-                    drop(cache);
-                    obs::count(obs::names::CTR_DB_STALE_SERVED, 1);
-                    if timed {
-                        let check_ns = obs::now_ns().saturating_sub(check_start);
-                        ctx.record_span(
-                            TraceStage::StaleServe,
-                            sidx as u16,
-                            check_start,
-                            check_ns,
-                            0,
-                        );
-                    }
-                    return (results, stats);
-                }
-            }
-        }
         let scan_start = ctx.begin();
-        let (results, mut stats) = run_scan();
+        let out = self.shards[sidx].store.scan(problem, filter, user);
         ctx.record(TraceStage::Scan, sidx as u16, scan_start);
-        let results = Arc::new(results);
-        stats.cache_misses = 1;
-        shard.misses.fetch_add(1, Ordering::Relaxed);
-        if epoch % 2 == 1 {
-            return (results, stats);
-        }
-        let mut cache = shard.cache.lock();
-        if !cache.map.contains_key(&key) {
-            if cache.map.len() >= self.cache_capacity {
-                if let Some(old) = cache.order.pop_front() {
-                    cache.map.remove(&old);
-                }
-            }
-            cache.order.push_back(key);
-        }
-        cache.map.insert(
-            key,
-            CacheEntry {
-                epoch,
-                filter: filter.clone(),
-                user: user.map(str::to_string),
-                problem: problem.to_string(),
-                results: Arc::clone(&results),
-                stats,
-            },
-        );
-        (results, stats)
+        ctx.record(TraceStage::Op, sidx as u16, op_start);
+        out
     }
 
     /// Total documents across all shards.
@@ -683,14 +433,11 @@ impl CrowdService {
         merged.into_iter().collect()
     }
 
-    /// Total query-cache (hits, misses) across all shards since open.
+    /// Query-cache (hits, misses): always `(0, 0)`, since the service
+    /// caches no query results. Kept for callers that report cache
+    /// traffic.
     pub fn cache_counts(&self) -> (u64, u64) {
-        self.shards.iter().fold((0, 0), |(h, m), s| {
-            (
-                h + s.hits.load(Ordering::Relaxed),
-                m + s.misses.load(Ordering::Relaxed),
-            )
-        })
+        (0, 0)
     }
 
     /// Physical WAL fsyncs since open (0 for in-memory services).
@@ -708,12 +455,6 @@ impl CrowdService {
     /// Write a named blob (tuner checkpoints); durable mode logs it to
     /// the WAL before acknowledging.
     pub fn put_blob(&self, key: &str, value: &str) -> Result<(), StoreError> {
-        // Checkpoint blobs are essential writes: admission always admits
-        // them (they still occupy virtual queue capacity, so their cost
-        // is modeled).
-        if let Some(ov) = &self.overload {
-            ov.admit_write(0, &RequestCtx::disabled(OpKind::Blob))?;
-        }
         self.blobs
             .write()
             .insert(key.to_string(), value.to_string());
@@ -790,47 +531,10 @@ impl CrowdService {
         Ok(())
     }
 
-    /// Audit the query caches for staleness: re-scan every entry still
-    /// stamped with its shard's *current* epoch and count entries whose
-    /// cached results differ from a fresh scan. Any nonzero count is a
-    /// cache coherence bug; the count feeds the `db.cache_stale_serves`
-    /// counter that the "query staleness = 0" SLO objective watches.
-    ///
-    /// Intended to run while the service is quiescent (no concurrent
-    /// writers) — a write racing the audit could stamp an entry stale
-    /// spuriously.
+    /// Stale query-cache entries: always 0, since the service caches
+    /// no query results. Kept for callers that audit cache coherence.
     pub fn verify_cache_coherence(&self) -> usize {
-        let mut stale = 0usize;
-        for shard in &self.shards {
-            let entries: Vec<(Filter, Option<String>, String, u64)> = {
-                let cache = shard.cache.lock();
-                cache
-                    .map
-                    .values()
-                    .map(|e| (e.filter.clone(), e.user.clone(), e.problem.clone(), e.epoch))
-                    .collect()
-            };
-            for (filter, user, problem, epoch) in entries {
-                if shard.epoch.load(Ordering::Acquire) != epoch {
-                    // Entry is already invalid — a lookup would miss, so
-                    // it cannot serve stale data.
-                    continue;
-                }
-                let (fresh, _) = shard.store.scan(&problem, &filter, user.as_deref());
-                let cached = {
-                    let cache = shard.cache.lock();
-                    let key = cache_key(&filter, user.as_deref(), &problem);
-                    cache.map.get(&key).map(|e| Arc::clone(&e.results))
-                };
-                if let Some(cached) = cached {
-                    if *cached != fresh {
-                        stale += 1;
-                    }
-                }
-            }
-        }
-        obs::count(obs::names::CTR_DB_CACHE_STALE, stale as u64);
-        stale
+        0
     }
 }
 
@@ -840,9 +544,12 @@ mod tests {
     use crate::document::{EvalOutcome, MachineConfig};
     use crate::query::parse_query;
 
-    fn query(svc: &CrowdService, problem: &str, filter: &Filter) -> (SharedRecords, ScanStats) {
+    fn query(
+        svc: &CrowdService,
+        problem: &str,
+        filter: &Filter,
+    ) -> (Vec<Arc<FunctionEvaluation>>, ScanStats) {
         svc.query(problem, filter, None, RequestCtx::new(OpKind::Query, 0))
-            .unwrap()
     }
 
     fn eval(problem: &str, owner: &str, m: i64) -> FunctionEvaluation {
@@ -882,7 +589,6 @@ mod tests {
         let svc = CrowdService::new(ServiceConfig::default());
         let single = CrowdService::new(ServiceConfig {
             shards: 1,
-            cache_capacity: 0,
             ..ServiceConfig::default()
         });
         for i in 0..30 {
@@ -899,31 +605,6 @@ mod tests {
     }
 
     #[test]
-    fn cache_hits_and_epoch_invalidation() {
-        let svc = CrowdService::new(ServiceConfig {
-            shards: 2,
-            ..ServiceConfig::default()
-        });
-        for i in 0..10 {
-            svc.insert(eval("P", "alice", i)).unwrap();
-        }
-        let filter = parse_query("task.m >= 3").unwrap();
-        let (first, s1) = query(&svc, "P", &filter);
-        assert_eq!(s1.cache_misses, 1);
-        assert_eq!(s1.cache_hits, 0);
-        let (second, s2) = query(&svc, "P", &filter);
-        assert_eq!(s2.cache_hits, 1);
-        assert_eq!(s2.scanned, 0, "a hit scans nothing");
-        assert_eq!(first, second);
-        // A write invalidates: the next query re-scans and sees the new doc.
-        svc.insert(eval("P", "alice", 50)).unwrap();
-        let (third, s3) = query(&svc, "P", &filter);
-        assert_eq!(s3.cache_misses, 1);
-        assert_eq!(third.len(), first.len() + 1);
-        assert_eq!(svc.cache_counts().0, 1);
-    }
-
-    #[test]
     fn shared_snapshots_alias_the_store_and_never_change() {
         let svc = CrowdService::new(ServiceConfig {
             shards: 2,
@@ -933,69 +614,62 @@ mod tests {
             svc.insert(eval("P", "alice", i)).unwrap();
         }
         let filter = parse_query("task.m >= 3").unwrap();
-        let (miss, s1) = query(&svc, "P", &filter);
-        let (hit, s2) = query(&svc, "P", &filter);
-        assert_eq!((s1.cache_misses, s2.cache_hits), (1, 1));
-        assert!(Arc::ptr_eq(&miss, &hit), "a hit hands out the cached list");
-        let before: Vec<FunctionEvaluation> = miss.iter().map(|d| (**d).clone()).collect();
-        // An upload invalidates the entry: the next miss lists the same
-        // stored records (no copies) plus the new one, and the earlier
-        // snapshot is unchanged.
+        let (first, s1) = query(&svc, "P", &filter);
+        let (second, s2) = query(&svc, "P", &filter);
+        assert_eq!(s1, s2, "a repeated query scans again");
+        assert_eq!(s1.scanned + s1.pruned, 10);
+        for (a, b) in first.iter().zip(&second) {
+            assert!(Arc::ptr_eq(a, b), "record {} was copied", a.id);
+        }
+        let before: Vec<FunctionEvaluation> = first.iter().map(|d| (**d).clone()).collect();
+        // An upload shows in the next query, which lists the same stored
+        // records (no copies) plus the new one; the earlier result is
+        // unchanged.
         svc.insert(eval("P", "alice", 50)).unwrap();
-        let (after, s3) = query(&svc, "P", &filter);
-        assert_eq!(s3.cache_misses, 1);
-        assert_eq!(after.len(), miss.len() + 1);
-        for (old, new) in miss.iter().zip(after.iter()) {
+        let (after, _) = query(&svc, "P", &filter);
+        assert_eq!(after.len(), first.len() + 1);
+        for (old, new) in first.iter().zip(after.iter()) {
             assert!(Arc::ptr_eq(old, new), "record {} was copied", old.id);
         }
-        assert_eq!(miss.len(), before.len());
-        for (doc, copy) in miss.iter().zip(&before) {
+        assert_eq!(first.len(), before.len());
+        for (doc, copy) in first.iter().zip(&before) {
             assert_eq!(**doc, *copy);
         }
-        assert_eq!(svc.verify_cache_coherence(), 0);
     }
 
     #[test]
-    fn empty_delete_keeps_cache_hits() {
-        let svc = CrowdService::new(ServiceConfig {
+    fn delete_that_matches_nothing_logs_nothing() {
+        let dir = temp_dir("svc_empty_delete");
+        let config = ServiceConfig {
             shards: 2,
-            ..ServiceConfig::default()
-        });
+            wal: WalConfig {
+                compact_every: 0,
+                ..WalConfig::default()
+            },
+        };
+        let (svc, _) = CrowdService::open_durable(&dir, config).unwrap();
         for i in 0..10 {
             svc.insert(eval("P", "alice", i)).unwrap();
             svc.insert(eval("Q", "alice", i)).unwrap();
         }
         let filter = parse_query("task.m >= 3").unwrap();
         let (p_first, _) = query(&svc, "P", &filter);
-        let (q_first, _) = query(&svc, "Q", &filter);
-        // Nobody named bob owns anything: no shard changes.
+        let wal_len = || std::fs::metadata(dir.join("wal.log")).unwrap().len();
+        let (bytes, fsyncs) = (wal_len(), svc.fsync_count());
+        // Nobody named bob owns anything: no shard changes, no record is
+        // logged and nothing is fsynced.
         assert_eq!(svc.delete_owned("bob", &Filter::True).unwrap(), 0);
-        for (problem, first) in [("P", &p_first), ("Q", &q_first)] {
-            let (again, s) = query(&svc, problem, &filter);
-            assert_eq!((s.cache_hits, s.scanned), (1, 0), "problem {problem}");
-            assert_eq!(&again, first);
-        }
-        // A delete that does match still invalidates.
+        assert_eq!((wal_len(), svc.fsync_count()), (bytes, fsyncs));
+        assert_eq!(query(&svc, "P", &filter).0, p_first);
+        // A delete that does match removes from both shards and logs one
+        // record per shard it changed.
         let one = parse_query("task.m = 5").unwrap();
         assert_eq!(svc.delete_owned("alice", &one).unwrap(), 2);
-        let (after, s) = query(&svc, "P", &filter);
-        assert_eq!(s.cache_misses, 1);
+        assert!(wal_len() > bytes);
+        let (after, _) = query(&svc, "P", &filter);
         assert_eq!(after.len(), p_first.len() - 1);
-    }
-
-    #[test]
-    fn cache_capacity_zero_disables_accounting() {
-        let svc = CrowdService::new(ServiceConfig {
-            cache_capacity: 0,
-            ..ServiceConfig::default()
-        });
-        svc.insert(eval("P", "alice", 1)).unwrap();
-        let filter = parse_query("task.m >= 0").unwrap();
-        let (_, s) = query(&svc, "P", &filter);
-        assert_eq!((s.cache_hits, s.cache_misses), (0, 0));
-        let (_, s) = query(&svc, "P", &filter);
-        assert_eq!((s.cache_hits, s.cache_misses), (0, 0));
-        assert_eq!(svc.cache_counts(), (0, 0));
+        drop(svc);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

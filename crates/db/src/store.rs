@@ -34,16 +34,9 @@ pub enum StoreError {
     /// A write-ahead log record failed its integrity check somewhere
     /// other than the tail (tail tears are recovered, not errored).
     Corrupt(String),
-    /// Admission control shed this request before any state was touched.
-    /// Nothing was applied, enqueued, or acked; the client should retry
-    /// after the suggested backoff.
-    Overloaded {
-        /// Suggested client backoff before retrying, milliseconds.
-        retry_after_ms: u64,
-    },
-    /// The request's deadline expired before it could complete. Nothing
-    /// was acked on behalf of this request; write effects it observed
-    /// were never reported durable to the caller.
+    /// A group-commit follower gave up waiting for the flush covering
+    /// its record ([`crate::WalConfig::follower_wait_timeout_us`]). The
+    /// write was not acknowledged.
     DeadlineExceeded,
 }
 
@@ -59,10 +52,6 @@ impl std::fmt::Display for StoreError {
                 path.display()
             ),
             StoreError::Corrupt(why) => write!(f, "store corruption: {why}"),
-            StoreError::Overloaded { retry_after_ms } => write!(
-                f,
-                "service overloaded: request shed, retry after {retry_after_ms}ms"
-            ),
             StoreError::DeadlineExceeded => write!(f, "request deadline exceeded"),
         }
     }
@@ -82,8 +71,7 @@ impl From<serde_json::Error> for StoreError {
     }
 }
 
-/// The documents are `Arc`-shared: a query result or a cache entry holds
-/// pointers to the stored records, never copies of them. A stored record
+/// The documents are `Arc`-shared: a query result holds pointers to the stored records, never copies of them. A stored record
 /// is never mutated, so a snapshot taken before a write stays valid.
 #[derive(Default)]
 struct Inner {
@@ -185,35 +173,6 @@ pub struct ScanStats {
     pub pruned: usize,
     /// Documents withheld because the querying user may not read them.
     pub denied: usize,
-    /// Queries answered from a shard result cache (always 0 with the
-    /// cache off; a cache hit reports `scanned = pruned = 0` because
-    /// nothing was examined).
-    pub cache_hits: usize,
-    /// Cacheable lookups that missed the cache and ran a real scan.
-    pub cache_misses: usize,
-    /// Nanoseconds the cache-hit path spent on the epoch check plus the
-    /// result `Arc` clone, so hits stop reading as free in per-op
-    /// timings. 0 with the cache off, on misses, and whenever neither
-    /// metrics nor tracing is enabled (timing is gated to keep the
-    /// disabled path cheap).
-    pub cache_check_ns: u64,
-    /// Results served from an epoch-stamped *stale* cache entry by a
-    /// degraded shard. Always 0 on healthy shards: stale answers are
-    /// only ever returned deliberately, and always marked.
-    pub stale_served: usize,
-}
-
-impl ScanStats {
-    /// Element-wise accumulation (merging per-shard stats).
-    pub fn absorb(&mut self, other: &ScanStats) {
-        self.scanned += other.scanned;
-        self.pruned += other.pruned;
-        self.denied += other.denied;
-        self.cache_hits += other.cache_hits;
-        self.cache_misses += other.cache_misses;
-        self.cache_check_ns += other.cache_check_ns;
-        self.stale_served += other.stale_served;
-    }
 }
 
 /// Intersection of two ascending position lists (two-pointer merge).
@@ -252,18 +211,6 @@ impl DocumentStore {
     /// The documents are shared, not copied.
     pub(crate) fn all_docs(&self) -> Vec<Arc<FunctionEvaluation>> {
         self.inner.read().docs.clone()
-    }
-
-    /// Ids of the documents owned by `owner` that match `filter`: what
-    /// [`DocumentStore::delete_owned_ids`] would remove now.
-    pub(crate) fn owned_ids(&self, owner: &str, filter: &Filter) -> Vec<u64> {
-        self.inner
-            .read()
-            .docs
-            .iter()
-            .filter(|d| d.owner == owner && filter.matches(d))
-            .map(|d| d.id)
-            .collect()
     }
 
     /// Delete the documents matching `filter` owned by `owner` (only the
@@ -329,8 +276,8 @@ impl DocumentStore {
     }
 }
 
-/// The index seen through the service that owns it. Caching is off, so
-/// every query's `ScanStats` are the index scan's own.
+/// The index seen through the service that owns it: every query's
+/// `ScanStats` are the index scan's own.
 #[cfg(test)]
 mod tests {
     use crate::document::{Access, EvalOutcome, FunctionEvaluation, MachineConfig};
@@ -351,7 +298,6 @@ mod tests {
     fn service() -> CrowdService {
         CrowdService::new(ServiceConfig {
             shards: 1,
-            cache_capacity: 0,
             ..ServiceConfig::default()
         })
     }
@@ -366,10 +312,7 @@ mod tests {
         filter: &Filter,
         user: Option<&str>,
     ) -> (Vec<Arc<FunctionEvaluation>>, ScanStats) {
-        let (hits, stats) = svc
-            .query(problem, filter, user, RequestCtx::new(OpKind::Query, 0))
-            .unwrap();
-        (hits.to_vec(), stats)
+        svc.query(problem, filter, user, RequestCtx::new(OpKind::Query, 0))
     }
 
     fn count(svc: &CrowdService, problem: &str, filter: &Filter, user: Option<&str>) -> usize {

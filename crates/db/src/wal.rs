@@ -469,7 +469,6 @@ impl WalAppender {
                 if now >= deadline {
                     drop(g);
                     finish(&mut outcome);
-                    obs::count(obs::names::CTR_DB_DEADLINE_EXCEEDED, 1);
                     return Err(StoreError::DeadlineExceeded);
                 }
                 let (guard, _) = self

@@ -1,6 +1,6 @@
 //! Concurrent-correctness suite for the sharded crowd service: torn-read
-//! freedom, access control under contention, cache-staleness freedom,
-//! and the group-commit fsync-reduction guarantee.
+//! freedom, access control under contention, monotone reads under a
+//! concurrent writer, and the group-commit fsync-reduction guarantee.
 //!
 //! The stress tests are seeded and bounded (a few thousand operations)
 //! so they run deterministically-enough in CI while still interleaving
@@ -79,9 +79,8 @@ fn readers_never_observe_torn_documents() {
                 let mut checked = 0usize;
                 while !stop.load(Ordering::Relaxed) {
                     let problem = problems[r % problems.len()];
-                    let (hits, _) = svc
-                        .query(problem, &filter, None, RequestCtx::new(OpKind::Query, 0))
-                        .unwrap();
+                    let (hits, _) =
+                        svc.query(problem, &filter, None, RequestCtx::new(OpKind::Query, 0));
                     for doc in hits.iter() {
                         assert_not_torn(doc);
                         checked += 1;
@@ -114,9 +113,7 @@ fn readers_never_observe_torn_documents() {
     assert_eq!(svc.len(), 4 * 250);
     // Final scan re-verifies everything at rest.
     for problem in problems {
-        let (hits, _) = svc
-            .query(problem, &filter, None, RequestCtx::new(OpKind::Query, 0))
-            .unwrap();
+        let (hits, _) = svc.query(problem, &filter, None, RequestCtx::new(OpKind::Query, 0));
         assert_eq!(hits.len(), 250);
         hits.iter().for_each(|doc| assert_not_torn(doc));
     }
@@ -143,9 +140,8 @@ fn access_control_holds_under_concurrency() {
             let filter = filter.clone();
             std::thread::spawn(move || {
                 while !stop.load(Ordering::Relaxed) {
-                    let (hits, _) = svc
-                        .query("SECRETS", &filter, user, RequestCtx::new(OpKind::Query, 0))
-                        .unwrap();
+                    let (hits, _) =
+                        svc.query("SECRETS", &filter, user, RequestCtx::new(OpKind::Query, 0));
                     for doc in hits.iter() {
                         assert!(
                             doc.access == Access::Public || doc.owner == "bob",
@@ -165,17 +161,14 @@ fn access_control_holds_under_concurrency() {
         std::thread::spawn(move || {
             let mut max_seen = 0usize;
             while !stop.load(Ordering::Relaxed) {
-                let (hits, _) = svc
-                    .query(
-                        "SECRETS",
-                        &filter,
-                        Some("alice"),
-                        RequestCtx::new(OpKind::Query, 0),
-                    )
-                    .unwrap();
+                let (hits, _) = svc.query(
+                    "SECRETS",
+                    &filter,
+                    Some("alice"),
+                    RequestCtx::new(OpKind::Query, 0),
+                );
                 // Monotone visibility for the owner: inserts only, so the
-                // owner's view must never shrink (a cache serving a stale
-                // epoch would shrink it).
+                // owner's view must never shrink.
                 assert!(
                     hits.len() >= max_seen,
                     "owner view shrank: {} < {max_seen}",
@@ -202,32 +195,27 @@ fn access_control_holds_under_concurrency() {
     }
     owner_reader.join().unwrap();
 
-    let (public, _) = svc
-        .query("SECRETS", &filter, None, RequestCtx::new(OpKind::Query, 0))
-        .unwrap();
+    let (public, _) = svc.query("SECRETS", &filter, None, RequestCtx::new(OpKind::Query, 0));
     assert_eq!(public.len(), 100);
-    let (own, _) = svc
-        .query(
-            "SECRETS",
-            &filter,
-            Some("alice"),
-            RequestCtx::new(OpKind::Query, 0),
-        )
-        .unwrap();
+    let (own, _) = svc.query(
+        "SECRETS",
+        &filter,
+        Some("alice"),
+        RequestCtx::new(OpKind::Query, 0),
+    );
     assert_eq!(own.len(), 300);
 }
 
-/// Seeded cache-staleness stress: readers hammer the same cached query
-/// while a writer keeps bumping the shard epoch. Each reader's view must
-/// be monotone (inserts only) and must converge to the final count once
-/// the writer joins — a cache that ever serves a stale epoch fails one
-/// or the other.
+/// Seeded read-your-history stress: readers repeat one query while a
+/// writer keeps uploading to the same shard. Each reader's view must be
+/// a prefix of the acked uploads that never shrinks, and once the writer
+/// joins every query must equal a brute-force filter of the acked
+/// records.
 #[test]
-fn cache_never_serves_stale_results() {
+fn queries_never_shrink_and_match_a_fresh_scan() {
     for seed in [1u64, 7, 42] {
         let svc = Arc::new(CrowdService::new(ServiceConfig {
-            shards: 1, // maximum cache/write contention
-            cache_capacity: 8,
+            shards: 1, // every reader and the writer on one shard
             ..ServiceConfig::default()
         }));
         let total = 200 + (seed as i64 % 3) * 50;
@@ -242,14 +230,19 @@ fn cache_never_serves_stale_results() {
                 std::thread::spawn(move || {
                     let mut max_seen = 0usize;
                     while !stop.load(Ordering::Relaxed) {
-                        let (hits, _) = svc
-                            .query("P", &filter, None, RequestCtx::new(OpKind::Query, 0))
-                            .unwrap();
+                        let (hits, _) =
+                            svc.query("P", &filter, None, RequestCtx::new(OpKind::Query, 0));
                         assert!(
                             hits.len() >= max_seen,
-                            "stale cache: view shrank from {max_seen} to {}",
+                            "view shrank from {max_seen} to {}",
                             hits.len()
                         );
+                        // One writer, ids from 1: a view is the first
+                        // `len` uploads, in order.
+                        for (i, doc) in hits.iter().enumerate() {
+                            assert_eq!(doc.id, i as u64 + 1, "view is not a prefix");
+                            assert_not_torn(doc);
+                        }
                         max_seen = hits.len();
                     }
                 })
@@ -257,8 +250,10 @@ fn cache_never_serves_stale_results() {
             .collect();
 
         // Writer paced by the seed so interleavings differ across runs.
+        let mut acked = Vec::new();
         for m in 1..=total {
-            svc.insert(woven_eval("P", "alice", m)).unwrap();
+            let doc = woven_eval("P", "alice", m);
+            acked.push((svc.insert(doc.clone()).unwrap(), doc));
             if m % (3 + (seed as i64 % 4)) == 0 {
                 std::thread::yield_now();
             }
@@ -268,25 +263,20 @@ fn cache_never_serves_stale_results() {
             r.join().unwrap();
         }
 
-        // Post-quiescence the cache must serve the complete final state:
-        // the first query installs (or revalidates) the entry, the second
-        // must hit it and return the full count.
-        let (hits, _) = svc
-            .query("P", &filter, None, RequestCtx::new(OpKind::Query, 0))
-            .unwrap();
-        assert_eq!(hits.len(), total as usize);
-        let (again, stats) = svc
-            .query("P", &filter, None, RequestCtx::new(OpKind::Query, 0))
-            .unwrap();
-        assert_eq!(again.len(), total as usize);
-        assert_eq!(stats.cache_hits, 1, "quiescent repeat query must hit");
-        let (hits_total, _) = svc.cache_counts();
-        assert!(hits_total > 0, "stress never hit the cache (seed {seed})");
-        assert_eq!(
-            svc.verify_cache_coherence(),
-            0,
-            "a current cache entry differs from a fresh scan (seed {seed})"
-        );
+        // Quiescent: each query equals a brute-force filter of the acked
+        // records, field for field.
+        for text in ["task.m >= 0", "task.m BETWEEN 50 AND 120", "param.mb <= 90"] {
+            let filter = crowdtune_db::parse_query(text).unwrap();
+            let (hits, _) = svc.query("P", &filter, None, RequestCtx::new(OpKind::Query, 0));
+            let want: Vec<&(u64, FunctionEvaluation)> =
+                acked.iter().filter(|(_, d)| filter.matches(d)).collect();
+            assert_eq!(hits.len(), want.len(), "{text} (seed {seed})");
+            for (got, (id, doc)) in hits.iter().zip(want) {
+                assert_eq!(got.id, *id, "{text} (seed {seed})");
+                assert_eq!(got.task_parameters, doc.task_parameters);
+                assert_eq!(got.tuning_parameters, doc.tuning_parameters);
+            }
+        }
     }
 }
 
@@ -305,7 +295,6 @@ fn group_commit_reduces_fsyncs_at_equal_durability() {
             compact_every: 0, // keep every record in the log
             ..WalConfig::default()
         },
-        ..ServiceConfig::default()
     };
 
     let dir = temp_dir("fsync_grouped");
@@ -373,14 +362,12 @@ fn shards_hold_every_document_after_concurrent_writes() {
     let filter = crowdtune_db::parse_query("task.m >= 0").unwrap();
     let mut all = Vec::new();
     for p in 0..7 {
-        let (hits, _) = svc
-            .query(
-                &format!("P{p}"),
-                &filter,
-                None,
-                RequestCtx::new(OpKind::Query, 0),
-            )
-            .unwrap();
+        let (hits, _) = svc.query(
+            &format!("P{p}"),
+            &filter,
+            None,
+            RequestCtx::new(OpKind::Query, 0),
+        );
         all.extend(hits.iter().cloned());
     }
     for doc in &all {

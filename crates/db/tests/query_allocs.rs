@@ -1,7 +1,6 @@
 //! Heap allocations of a repository query.
 //!
-//! The store, the query cache and a query's result share the stored
-//! records by `Arc`. `HistoryDb::query` filters that shared snapshot by
+//! The store and a query's result share the stored records by `Arc`. `HistoryDb::query` filters that shared snapshot by
 //! reference and copies only the records it returns. These tests count
 //! allocations to pin that: what a query allocates grows with the records
 //! it returns, not with the candidates it scans.
@@ -76,7 +75,7 @@ fn record(problem: &str, m: i64) -> FunctionEvaluation {
         .with_software(parse_spack_spec("scalapack@2.1.0%gcc@8.3.0").unwrap())
 }
 
-/// A cached repository with two uploaders: the trusted `keeper` and
+/// A sharded repository with two uploaders: the trusted `keeper` and
 /// `other`, whose records a `keeper`-only query scans and drops.
 struct Repo {
     db: HistoryDb,
@@ -110,11 +109,10 @@ impl Repo {
         }
     }
 
-    /// Rows and allocations of a query that misses the cache. The query
-    /// runs once first, so one-time state (the shard's cache table) is
-    /// in place; an upload by `other` then invalidates the entry, and the
-    /// measured run scans again.
-    fn miss_allocs(&self, spec: &QuerySpec) -> (Vec<FunctionEvaluation>, u64) {
+    /// Rows and allocations of a query after an upload to its shard. The
+    /// query runs once first, so one-time state is in place; an upload by
+    /// `other` then changes the shard, and the measured run scans again.
+    fn query_allocs(&self, spec: &QuerySpec) -> (Vec<FunctionEvaluation>, u64) {
         self.db.query(&self.keeper, spec).unwrap();
         self.db
             .submit(&self.other, record(&spec.problem, -1))
@@ -161,9 +159,9 @@ fn rejected_candidates_cost_no_allocations() {
     ];
     for configuration in configurations {
         let (small_rows, small) =
-            repo.miss_allocs(&with_configuration("SMALL", configuration.clone()));
+            repo.query_allocs(&with_configuration("SMALL", configuration.clone()));
         let (large_rows, large) =
-            repo.miss_allocs(&with_configuration("LARGE", configuration.clone()));
+            repo.query_allocs(&with_configuration("LARGE", configuration.clone()));
         assert_eq!((small_rows.len(), large_rows.len()), (0, 0));
         assert_eq!(
             small, large,
@@ -188,9 +186,9 @@ fn allocations_follow_returned_records_not_scanned_ones() {
             },
         )
     };
-    let (a_rows, a) = repo.miss_allocs(&trusted("A"));
-    let (b_rows, b) = repo.miss_allocs(&trusted("B"));
-    let (c_rows, c) = repo.miss_allocs(&trusted("C"));
+    let (a_rows, a) = repo.query_allocs(&trusted("A"));
+    let (b_rows, b) = repo.query_allocs(&trusted("B"));
+    let (c_rows, c) = repo.query_allocs(&trusted("C"));
     assert_eq!((a_rows.len(), b_rows.len(), c_rows.len()), (8, 8, 64));
 
     // 16x the scanned records, the same returned ones: same allocations.

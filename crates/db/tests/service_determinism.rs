@@ -49,8 +49,7 @@ fn run_script(db: &HistoryDb) -> Vec<Vec<FunctionEvaluation>> {
         let spec = QuerySpec::all_of(problem)
             .with_filter(crowdtune_db::parse_query("task.m >= 5").unwrap());
         results.push(db.query(&key, &spec).unwrap());
-        // Repeat the exact query: on the cached service path this is the
-        // hit case, which must return identical rows.
+        // Repeat the exact query: it must return identical rows.
         results.push(db.query(&key, &spec).unwrap());
     }
     results
@@ -138,12 +137,11 @@ fn single_client_service_is_bitwise_identical_to_embedded() {
     assert_lines_eq(&events, &want_events, "HistoryDb::new journal");
 
     for shards in [1usize, 2, 8] {
-        // Cache OFF: the journal (counters included) must match the
-        // embedded store event for event.
+        // The journal (counters included) must match the embedded store
+        // event for event.
         let svc_path = dir.join(format!("service_{shards}.jsonl"));
         let db = HistoryDb::concurrent(ServiceConfig {
             shards,
-            cache_capacity: 0,
             ..ServiceConfig::default()
         });
         let (svc_rows, svc_events) = journal_of(&db, &svc_path);
@@ -155,23 +153,8 @@ fn single_client_service_is_bitwise_identical_to_embedded() {
         assert_lines_eq(
             &svc_events,
             &want_events,
-            &format!("event journal at {shards} shards (cache off)"),
+            &format!("event journal at {shards} shards"),
         );
-
-        // Cache ON: results must still be identical; only the cache
-        // counters in the journal may differ.
-        let cached = HistoryDb::concurrent(ServiceConfig {
-            shards,
-            cache_capacity: 64,
-            ..ServiceConfig::default()
-        });
-        assert_lines_eq(
-            &rows_lines(&run_script(&cached)),
-            &want_rows,
-            &format!("cached query results at {shards} shards"),
-        );
-        let (hits, _) = cached.service().unwrap().cache_counts();
-        assert!(hits > 0, "repeat queries should have hit the cache");
     }
 
     // ---- WAL and snapshot bytes against the golden. ----
@@ -186,7 +169,6 @@ fn single_client_service_is_bitwise_identical_to_embedded() {
                         compact_every: 0,
                         ..WalConfig::default()
                     },
-                    ..ServiceConfig::default()
                 },
             )
             .unwrap();

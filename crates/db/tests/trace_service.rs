@@ -58,7 +58,6 @@ fn upload_and_query_stages_cover_their_op() {
                 compact_every: 0,
                 ..WalConfig::default()
             },
-            ..ServiceConfig::default()
         },
     )
     .unwrap();
@@ -66,10 +65,10 @@ fn upload_and_query_stages_cover_their_op() {
     let upload = RequestCtx::new(OpKind::Upload, 7);
     svc.insert_ctx(eval("P", 1), upload).unwrap();
     let filter = parse_query("task.m >= 0").unwrap();
-    let miss = RequestCtx::new(OpKind::Query, 7);
-    svc.query("P", &filter, None, miss).unwrap();
-    let hit = RequestCtx::new(OpKind::Query, 7);
-    svc.query("P", &filter, None, hit).unwrap();
+    let first = RequestCtx::new(OpKind::Query, 7);
+    svc.query("P", &filter, None, first);
+    let repeat = RequestCtx::new(OpKind::Query, 7);
+    svc.query("P", &filter, None, repeat);
     obs::set_tracing_enabled(false);
 
     let journal = obs::drain_traces();
@@ -87,14 +86,16 @@ fn upload_and_query_stages_cover_their_op() {
         assert!(stages.contains(&want), "upload missing stage {want:?}");
     }
 
-    let miss_stages: Vec<TraceStage> = traces[&miss.trace_id].iter().map(|r| r.stage).collect();
-    assert!(miss_stages.contains(&TraceStage::Scan), "first query scans");
-    let hit_stages: Vec<TraceStage> = traces[&hit.trace_id].iter().map(|r| r.stage).collect();
-    assert!(
-        hit_stages.contains(&TraceStage::CacheCheck),
-        "second query hits the cache: {hit_stages:?}"
-    );
-    assert!(!hit_stages.contains(&TraceStage::Scan));
+    // Nothing is cached: a repeated query scans again.
+    for (ctx, which) in [(first, "first"), (repeat, "repeated")] {
+        let mut stages: Vec<TraceStage> = traces[&ctx.trace_id].iter().map(|r| r.stage).collect();
+        stages.sort();
+        assert_eq!(
+            stages,
+            vec![TraceStage::Op, TraceStage::Scan],
+            "{which} query stages"
+        );
+    }
 
     // Per-trace accounting: child stages sum to no more than the op's
     // end-to-end duration plus slack (stages never overlap here).
@@ -133,7 +134,6 @@ fn followers_link_to_their_leader_fsync() {
                 compact_every: 0,
                 ..WalConfig::default()
             },
-            ..ServiceConfig::default()
         },
     )
     .unwrap();
@@ -183,7 +183,7 @@ fn followers_link_to_their_leader_fsync() {
 }
 
 #[test]
-fn tracing_does_not_change_results_and_caches_stay_coherent() {
+fn tracing_does_not_change_results() {
     let _g = lock();
     let run = |traced: bool| -> (Vec<u64>, Vec<Arc<FunctionEvaluation>>) {
         obs::set_tracing_enabled(traced);
@@ -198,27 +198,22 @@ fn tracing_does_not_change_results_and_caches_stay_coherent() {
         let filter = parse_query("task.m >= 10").unwrap();
         let mut rows = Vec::new();
         for p in 0..5 {
-            // Twice: miss then hit, both must agree with each other.
-            let (a, _) = svc
-                .query(
-                    &format!("P{p}"),
-                    &filter,
-                    None,
-                    RequestCtx::new(OpKind::Query, 0),
-                )
-                .unwrap();
-            let (b, _) = svc
-                .query(
-                    &format!("P{p}"),
-                    &filter,
-                    None,
-                    RequestCtx::new(OpKind::Query, 0),
-                )
-                .unwrap();
+            // Twice: a repeated query agrees with the first.
+            let (a, _) = svc.query(
+                &format!("P{p}"),
+                &filter,
+                None,
+                RequestCtx::new(OpKind::Query, 0),
+            );
+            let (b, _) = svc.query(
+                &format!("P{p}"),
+                &filter,
+                None,
+                RequestCtx::new(OpKind::Query, 0),
+            );
             assert_eq!(a, b);
             rows.extend(a.iter().cloned());
         }
-        assert_eq!(svc.verify_cache_coherence(), 0, "no stale cache entries");
         obs::set_tracing_enabled(false);
         (ids, rows)
     };

@@ -8,7 +8,7 @@
 
 use crowdtune_db::{
     parse_query, CrowdService, DbError, EvalOutcome, FunctionEvaluation, HistoryDb, MachineConfig,
-    OverloadConfig, ServiceConfig, StoreError, WalConfig,
+    ServiceConfig, StoreError, WalConfig,
 };
 use crowdtune_obs::{OpKind, RequestCtx};
 use rand::rngs::StdRng;
@@ -145,85 +145,77 @@ fn kill_point_matrix_recovers_exactly_the_acked_prefix() {
     std::fs::remove_dir_all(&work).ok();
 }
 
-/// Kill-point matrix with overload shedding *and* group commit active:
-/// the service sheds part of an upload storm while committing the rest
-/// through grouped fsyncs. A crash at every byte of the resulting log
-/// must recover with every acked write present and every shed write
-/// absent — shedding happens before the WAL by construction, so no cut
-/// position can resurrect a shed document.
+/// Kill-point matrix under grouped fsyncs: concurrent uploads commit
+/// through a coalescing group-commit window, so most records ride on
+/// another writer's fsync. A crash at every byte of the resulting log
+/// must recover exactly the records completed before the cut: each
+/// record boundary adds one acked write to the previous boundary's set,
+/// a cut inside a record recovers the previous boundary's set, and the
+/// whole log recovers every acked write.
 #[test]
-fn kill_points_with_shedding_keep_acked_writes_and_drop_shed_ones() {
-    let src = temp_dir("kill_shed_src");
+fn kill_points_under_grouped_fsyncs_keep_every_acked_write() {
+    let src = temp_dir("kill_group_src");
     let config = ServiceConfig {
-        shards: 1,
+        shards: 2,
         wal: WalConfig {
             compact_every: 0,
+            group_window_us: 500,
             ..WalConfig::default()
         },
-        overload: Some(OverloadConfig {
-            queue_limit: 4,
-            base_service_us: 1_000,
-            retry_after_ms: 3,
-            ..OverloadConfig::default()
-        }),
-        ..ServiceConfig::default()
     };
-    let mut acked = Vec::new();
-    let mut shed = Vec::new();
-    {
+    let (threads, per_thread) = (4i64, 4i64);
+    let acked: std::collections::BTreeSet<u64> = {
         let (svc, _) = CrowdService::open_durable(&src, config.clone()).unwrap();
-        let ov = svc.overload().unwrap();
-        // Two bursts against a 4-deep virtual queue: the tail of each is
-        // shed; draining the queue between bursts re-admits.
-        for (burst, base_us) in [(0i64, 1_000u64), (100, 60_000)] {
-            ov.set_now_us(base_us);
-            for k in 0..7 {
-                let m = burst + k;
-                match svc.insert(eval(m)) {
-                    Ok(id) => acked.push((id, m)),
-                    Err(StoreError::Overloaded { .. }) => shed.push(m),
-                    Err(other) => panic!("unexpected error: {other}"),
-                }
-            }
-        }
-    }
-    assert_eq!(acked.len(), 8, "4 admitted per burst");
-    assert_eq!(shed.len(), 6, "3 shed per burst");
+        let acked = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..threads)
+                .map(|t| {
+                    let svc = &svc;
+                    scope.spawn(move || {
+                        (0..per_thread)
+                            .map(|k| svc.insert(eval(t * 100 + k)).unwrap())
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().unwrap())
+                .collect()
+        });
+        assert!(
+            svc.fsync_batched_count() > 0,
+            "4 writers with a 500 us window must share an fsync"
+        );
+        acked
+    };
     let wal = std::fs::read(src.join("wal.log")).unwrap();
     let bounds = record_boundaries(&wal);
     assert_eq!(bounds.len(), acked.len(), "one WAL record per acked write");
 
-    let work = temp_dir("kill_shed_work");
+    let all = parse_query("task.m >= 0").unwrap();
+    let recovered_ids = |svc: &CrowdService| -> std::collections::BTreeSet<u64> {
+        let (docs, _) = svc.query("P", &all, None, RequestCtx::new(OpKind::Query, 0));
+        docs.iter().map(|d| d.id).collect()
+    };
+    let work = temp_dir("kill_group_work");
+    let mut at_boundary: std::collections::BTreeSet<u64> = Default::default();
     for cut in 0..=wal.len() {
         let complete = bounds.iter().filter(|&&b| b <= cut).count();
         std::fs::write(work.join("wal.log"), &wal[..cut]).unwrap();
         let (svc, report) = CrowdService::open_durable(&work, config.clone()).unwrap();
         assert_eq!(report.wal_records, complete, "cut at byte {cut}");
-        assert_eq!(svc.len(), complete, "cut at byte {cut}: wrong doc count");
-        // Every acked write whose record completed before the cut is
-        // present, in ack order...
-        let recovered = svc
-            .query(
-                "P",
-                &parse_query("task.m >= 0").unwrap(),
-                None,
-                RequestCtx::new(OpKind::Query, 0),
-            )
-            .unwrap();
-        let ms: std::collections::HashSet<i64> = recovered
-            .0
-            .iter()
-            .map(|d| d.task_parameters.get("m").and_then(|s| s.as_f64()).unwrap() as i64)
-            .collect();
-        for &(_, m) in acked.iter().take(complete) {
-            assert!(ms.contains(&m), "cut at byte {cut}: acked m={m} lost");
-        }
-        // ...and no shed write exists at any cut position.
-        for &m in &shed {
-            assert!(!ms.contains(&m), "cut at byte {cut}: shed m={m} revived");
+        let ids = recovered_ids(&svc);
+        assert_eq!(ids.len(), complete, "cut at byte {cut}: wrong doc count");
+        if bounds.contains(&cut) {
+            // One more complete record: exactly one more acked write.
+            assert!(at_boundary.is_subset(&ids), "cut at byte {cut}: write lost");
+            at_boundary = ids;
+        } else {
+            assert_eq!(ids, at_boundary, "cut at byte {cut}: torn record applied");
         }
         drop(svc);
     }
+    assert_eq!(at_boundary, acked, "the whole log holds every acked write");
     std::fs::remove_dir_all(&src).ok();
     std::fs::remove_dir_all(&work).ok();
 }

@@ -1,6 +1,5 @@
-//! Scalar statistics used across the tuner: moments, quantiles, the
-//! standard normal pdf/cdf (needed by Expected Improvement), and a
-//! streaming mean/variance accumulator.
+//! Scalar statistics used across the tuner: moments, quantiles, and the
+//! standard normal pdf/cdf (needed by Expected Improvement).
 
 /// Arithmetic mean; 0.0 for an empty slice.
 pub fn mean(xs: &[f64]) -> f64 {
@@ -99,54 +98,6 @@ fn erf(x: f64) -> f64 {
     sign * y
 }
 
-/// Welford online mean/variance accumulator — handy for streaming
-/// benchmark statistics without storing every sample.
-#[derive(Debug, Clone, Default)]
-pub struct RunningStats {
-    n: u64,
-    mean: f64,
-    m2: f64,
-}
-
-impl RunningStats {
-    /// Fresh accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Fold in one observation.
-    pub fn push(&mut self, x: f64) {
-        self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Mean so far (0.0 when empty).
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// Sample variance so far (0.0 with fewer than 2 observations).
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / (self.n - 1) as f64
-        }
-    }
-
-    /// Sample standard deviation so far.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -199,17 +150,5 @@ mod tests {
         assert!((erf(1.0) - 0.8427007929).abs() < 2e-7);
         assert!((erf(-1.0) + 0.8427007929).abs() < 2e-7);
         assert!((erf(3.0) - 0.9999779095).abs() < 1e-6);
-    }
-
-    #[test]
-    fn running_stats_match_batch() {
-        let xs = [3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0];
-        let mut rs = RunningStats::new();
-        for &x in &xs {
-            rs.push(x);
-        }
-        assert_eq!(rs.count(), xs.len() as u64);
-        assert!((rs.mean() - mean(&xs)).abs() < 1e-12);
-        assert!((rs.variance() - sample_variance(&xs)).abs() < 1e-12);
     }
 }

@@ -156,17 +156,6 @@ pub enum Event {
         returned: u64,
         /// Records withheld by access control.
         denied: u64,
-        /// Results served from the shard query cache (0 on the embedded
-        /// store path or with caching disabled).
-        #[serde(default)]
-        cache_hits: u64,
-        /// Cacheable lookups that missed the query cache.
-        #[serde(default)]
-        cache_misses: u64,
-        /// Results served as epoch-stamped stale cache entries by a
-        /// degraded shard (0 on journals predating overload control).
-        #[serde(default)]
-        stale_served: u64,
         /// Wall-clock microseconds spent in the query.
         duration_us: u64,
     },
@@ -401,34 +390,6 @@ pub enum Event {
         /// Inducing points the sparse tier was built with.
         inducing: u64,
     },
-    /// Admission control shed a request with a typed `Overloaded` error
-    /// (never silently dropped, never acked-then-lost).
-    Shed {
-        /// Operation kind that was shed (`"upload"`, `"query"`, …).
-        op: String,
-        /// Shard the request targeted.
-        shard: u64,
-        /// Why the request was shed (`"queue_full"`, `"inflight_budget"`,
-        /// `"shedding"`, or `"deadline"`).
-        reason: String,
-        /// Suggested client backoff carried in the typed error, ms.
-        retry_after_ms: u64,
-        /// Virtual write-queue depth at the shed decision.
-        queue_depth: u64,
-    },
-    /// A shard's health state machine transitioned (hysteresis on queue
-    /// depth and fsync latency): Healthy → Degraded → Shedding and back.
-    Health {
-        /// Shard whose health changed.
-        shard: u64,
-        /// State before the transition (`"healthy"`, `"degraded"`,
-        /// `"shedding"`).
-        from: String,
-        /// State after the transition.
-        to: String,
-        /// Queue depth observed at the transition.
-        queue_depth: u64,
-    },
     /// One timed stage of one traced service request, drained from the
     /// per-thread capture rings.
     Trace {
@@ -484,8 +445,6 @@ impl Event {
             Event::Quarantine { .. } => "quarantine",
             Event::Calibration { .. } => "calibration",
             Event::TierSwitch { .. } => "tierswitch",
-            Event::Shed { .. } => "shed",
-            Event::Health { .. } => "health",
             Event::Trace { .. } => "trace",
             Event::TraceDropped { .. } => "tracedropped",
             Event::RunEnd { .. } => "runend",

@@ -41,8 +41,8 @@ pub use journal::{
     record_with, uninstall_journal, Event, Journal, JournalError,
 };
 pub use metrics::{
-    count, counter, metrics_enabled, observe, reset_metrics, set_metrics_enabled, snapshot,
-    Counter, Histogram, HistogramSummary, MetricsSnapshot,
+    count, counter, metrics_enabled, observe, set_metrics_enabled, snapshot, Counter, Histogram,
+    HistogramSummary, MetricsSnapshot,
 };
 pub use report::{
     render_profile, render_quality, render_report, summarize, ContributorQuality, FitEvalSummary,

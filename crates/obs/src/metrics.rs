@@ -86,6 +86,7 @@ impl Counter {
             .sum()
     }
 
+    #[cfg(test)]
     fn reset(&self) {
         for s in &self.shards {
             s.0.store(0, Ordering::Relaxed);
@@ -223,6 +224,7 @@ impl Histogram {
         }
     }
 
+    #[cfg(test)]
     fn reset(&self) {
         for s in &self.shards {
             s.count.store(0, Ordering::Relaxed);
@@ -361,17 +363,6 @@ pub fn snapshot() -> MetricsSnapshot {
     MetricsSnapshot {
         counters,
         histograms,
-    }
-}
-
-/// Zeroes every registered metric (intended for tests and run isolation).
-pub fn reset_metrics() {
-    let reg = registry();
-    for c in reg.counters.read().values() {
-        c.reset();
-    }
-    for h in reg.histograms.read().values() {
-        h.reset();
     }
 }
 

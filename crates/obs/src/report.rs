@@ -74,25 +74,6 @@ pub struct JournalReport {
     pub db_returned: u64,
     /// DB records withheld by access control.
     pub db_denied: u64,
-    /// Journaled queries answered from the shard query cache.
-    #[serde(default)]
-    pub db_cache_hits: u64,
-    /// Journaled cacheable queries that missed the query cache.
-    #[serde(default)]
-    pub db_cache_misses: u64,
-    /// Journaled reads answered from epoch-stamped stale cache entries
-    /// by degraded shards.
-    #[serde(default)]
-    pub db_stale_served: u64,
-    /// Requests shed by admission control with a typed `Overloaded`.
-    #[serde(default)]
-    pub db_shed: u64,
-    /// Requests shed specifically for an expired deadline.
-    #[serde(default)]
-    pub db_deadline_exceeded: u64,
-    /// Shard health transitions journaled (degradation-ladder moves).
-    #[serde(default)]
-    pub db_health_transitions: u64,
     /// Records accepted by journaled uploads.
     pub uploads_accepted: u64,
     /// Records rejected by journaled uploads.
@@ -334,17 +315,11 @@ pub fn summarize(journal: &str, events: &[Event]) -> JournalReport {
                 scanned,
                 returned,
                 denied,
-                cache_hits,
-                cache_misses,
-                stale_served,
                 ..
             } => {
                 r.db_scanned += scanned;
                 r.db_returned += returned;
                 r.db_denied += denied;
-                r.db_cache_hits += cache_hits;
-                r.db_cache_misses += cache_misses;
-                r.db_stale_served += stale_served;
             }
             Event::Upload {
                 accepted,
@@ -462,13 +437,6 @@ pub fn summarize(journal: &str, events: &[Event]) -> JournalReport {
                 r.tier_points = *points;
                 r.tier_inducing = *inducing;
             }
-            Event::Shed { reason, .. } => {
-                r.db_shed += 1;
-                if reason == "deadline" {
-                    r.db_deadline_exceeded += 1;
-                }
-            }
-            Event::Health { .. } => r.db_health_transitions += 1,
             Event::Profile { folded } => {
                 for (path, ns) in folded {
                     *r.profile.entry(path.clone()).or_insert(0) += ns;
@@ -607,20 +575,6 @@ pub fn render_report(r: &JournalReport) -> String {
     out.push_str(&format!("  records scanned     {:>8}\n", r.db_scanned));
     out.push_str(&format!("  records returned    {:>8}\n", r.db_returned));
     out.push_str(&format!("  records denied      {:>8}\n", r.db_denied));
-    out.push_str(&format!("  cache hits          {:>8}\n", r.db_cache_hits));
-    out.push_str(&format!("  cache misses        {:>8}\n", r.db_cache_misses));
-    if r.db_shed > 0 || r.db_stale_served > 0 || r.db_health_transitions > 0 {
-        out.push_str(&format!("  requests shed       {:>8}\n", r.db_shed));
-        out.push_str(&format!(
-            "  deadline exceeded   {:>8}\n",
-            r.db_deadline_exceeded
-        ));
-        out.push_str(&format!("  stale cache serves  {:>8}\n", r.db_stale_served));
-        out.push_str(&format!(
-            "  health transitions  {:>8}\n",
-            r.db_health_transitions
-        ));
-    }
     out.push_str(&format!(
         "  uploads accepted    {:>8}\n",
         r.uploads_accepted

@@ -3,7 +3,7 @@
 //! An [`SloFile`] (JSON on disk) declares objectives against the crowd
 //! service: latency quantile bounds per op kind (optionally per stage),
 //! error-rate ceilings over counter pairs, and must-stay-zero counters
-//! (e.g. `db.cache_stale_serves` for "query staleness = 0").
+//! (e.g. `obs.trace_dropped` for "no trace record lost").
 //!
 //! Latency objectives are evaluated over *sliding windows* of trace time
 //! with multi-window burn rates, following the standard SRE recipe: the
@@ -63,7 +63,7 @@ pub enum SloObjective {
         /// Maximum tolerated failure fraction in [0, 1].
         max: f64,
     },
-    /// Must-stay-zero counter (e.g. stale cache serves).
+    /// Must-stay-zero counter (e.g. dropped trace records).
     Zero {
         /// Objective name.
         name: String,
@@ -494,7 +494,7 @@ mod tests {
             counters: Default::default(),
             histograms: Default::default(),
         };
-        snap.counters.insert("db.cache_stale_serves".to_string(), 0);
+        snap.counters.insert("obs.trace_dropped".to_string(), 0);
         snap.counters
             .insert("db.wal_torn_recoveries".to_string(), 3);
         snap.counters.insert("db.wal_appends".to_string(), 10);
@@ -506,8 +506,8 @@ mod tests {
             burn_threshold: Some(1.0),
             objectives: vec![
                 SloObjective::Zero {
-                    name: "no-stale".to_string(),
-                    counter: "db.cache_stale_serves".to_string(),
+                    name: "no-drops".to_string(),
+                    counter: "obs.trace_dropped".to_string(),
                 },
                 SloObjective::Error {
                     name: "torn-rate".to_string(),

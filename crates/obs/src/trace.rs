@@ -2,7 +2,7 @@
 //!
 //! Every `CrowdService` operation carries a [`RequestCtx`] (trace id, client
 //! id, op kind) from the repository facade down through shard acquisition,
-//! the group-commit WAL, and the query cache. Each stage records one
+//! the shard scan and the group-commit WAL. Each stage records one
 //! [`TraceRecord`] with monotonic start/duration nanoseconds into an
 //! always-on, lock-free ring buffer: one fixed-capacity ring per thread,
 //! drop-oldest on overflow, with dropped records counted rather than
@@ -35,7 +35,7 @@ use crate::journal::Event;
 pub enum OpKind {
     /// An evaluation upload (`CrowdService::insert`).
     Upload,
-    /// A cached shard query.
+    /// A problem-scoped shard query.
     Query,
     /// An owner-scoped delete.
     Delete,
@@ -123,18 +123,14 @@ pub enum TraceStage {
     /// A follower waiting for a leader's fsync to cover its ticket.
     /// `link` names the leader trace that performed the covering fsync.
     WalFollowerWait,
-    /// Query-cache probe: epoch check plus, on a hit, the `Arc` clone.
+    /// A query-cache probe. Nothing records it any more (the service
+    /// caches no query results); the name stays so traces written by
+    /// earlier builds still read.
     CacheCheck,
-    /// A full shard scan on a cache miss (or with the cache disabled).
+    /// A query's scan of one shard's index.
     Scan,
     /// Snapshot + WAL truncation during compaction.
     Compact,
-    /// The overload-controller admission decision (queue-depth check,
-    /// deadline check, health gate) taken before any state is touched.
-    Admission,
-    /// A degraded shard answering a read from an epoch-stamped stale
-    /// cache entry instead of scanning.
-    StaleServe,
 }
 
 impl TraceStage {
@@ -150,8 +146,6 @@ impl TraceStage {
             TraceStage::CacheCheck => "cache_check",
             TraceStage::Scan => "scan",
             TraceStage::Compact => "compact",
-            TraceStage::Admission => "admission",
-            TraceStage::StaleServe => "stale_serve",
         }
     }
 
@@ -167,8 +161,6 @@ impl TraceStage {
             "cache_check" => TraceStage::CacheCheck,
             "scan" => TraceStage::Scan,
             "compact" => TraceStage::Compact,
-            "admission" => TraceStage::Admission,
-            "stale_serve" => TraceStage::StaleServe,
             _ => return None,
         })
     }
@@ -184,8 +176,6 @@ impl TraceStage {
             TraceStage::CacheCheck => 6,
             TraceStage::Scan => 7,
             TraceStage::Compact => 8,
-            TraceStage::Admission => 9,
-            TraceStage::StaleServe => 10,
         }
     }
 
@@ -199,9 +189,7 @@ impl TraceStage {
             5 => TraceStage::WalFollowerWait,
             6 => TraceStage::CacheCheck,
             7 => TraceStage::Scan,
-            8 => TraceStage::Compact,
-            9 => TraceStage::Admission,
-            _ => TraceStage::StaleServe,
+            _ => TraceStage::Compact,
         }
     }
 }
@@ -514,8 +502,7 @@ pub fn reset_traces() {
 /// Identity of one in-flight service request: trace id, client hash, op.
 ///
 /// Created at the service boundary (`repo.rs` / `CrowdService` public
-/// methods) and threaded by value through the shard, WAL, and cache
-/// layers. When tracing is disabled the context is inactive (trace id 0)
+/// methods) and threaded by value through the shard and WAL layers. When tracing is disabled the context is inactive (trace id 0)
 /// and every recording method returns immediately.
 #[derive(Debug, Clone, Copy)]
 pub struct RequestCtx {
@@ -525,12 +512,6 @@ pub struct RequestCtx {
     pub client: u32,
     /// Operation kind.
     pub op: OpKind,
-    /// Absolute deadline on the service clock, in microseconds
-    /// (simulated microseconds under the overload simulator). 0 means
-    /// "no deadline". Propagated through shard acquisition, the
-    /// group-commit wait, and query scans; an expired request returns a
-    /// typed `DeadlineExceeded` instead of holding locks.
-    pub deadline_us: u64,
 }
 
 impl RequestCtx {
@@ -547,33 +528,7 @@ impl RequestCtx {
             trace_id,
             client,
             op,
-            deadline_us: 0,
         }
-    }
-
-    /// An inert context (no tracing), for internal callers.
-    #[inline]
-    pub fn disabled(op: OpKind) -> Self {
-        RequestCtx {
-            trace_id: 0,
-            client: 0,
-            op,
-            deadline_us: 0,
-        }
-    }
-
-    /// Attach an absolute deadline (service-clock microseconds; 0 = none).
-    #[inline]
-    pub fn with_deadline_us(mut self, deadline_us: u64) -> Self {
-        self.deadline_us = deadline_us;
-        self
-    }
-
-    /// Whether this request's deadline has passed at service time
-    /// `now_us`. A context without a deadline never expires.
-    #[inline]
-    pub fn expired_at(&self, now_us: u64) -> bool {
-        self.deadline_us != 0 && now_us >= self.deadline_us
     }
 
     /// Whether this request is being traced.
@@ -792,22 +747,9 @@ mod tests {
             TraceStage::CacheCheck,
             TraceStage::Scan,
             TraceStage::Compact,
-            TraceStage::Admission,
-            TraceStage::StaleServe,
         ] {
             assert_eq!(TraceStage::parse(stage.as_str()), Some(stage));
             assert_eq!(TraceStage::from_u8(stage.as_u8()), stage);
         }
-    }
-
-    #[test]
-    fn deadlines_propagate_and_expire_on_the_service_clock() {
-        let ctx = RequestCtx::disabled(OpKind::Upload);
-        assert_eq!(ctx.deadline_us, 0);
-        assert!(!ctx.expired_at(u64::MAX), "no deadline never expires");
-        let ctx = ctx.with_deadline_us(500);
-        assert!(!ctx.expired_at(499));
-        assert!(ctx.expired_at(500));
-        assert!(ctx.expired_at(501));
     }
 }

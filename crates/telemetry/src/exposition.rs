@@ -46,7 +46,7 @@ fn sanitize(name: &str) -> String {
 /// The summary family of a histogram: span histograms hold nanoseconds
 /// and get `_ns`, unless their name already ends in a unit; any other
 /// histogram's name carries its unit (`db.shard_lock_wait_us`) or it has
-/// none (`db.queue_depth`).
+/// none.
 fn histogram_family(name: &str, span: bool) -> String {
     let base = sanitize(name);
     if span && !(base.ends_with("_us") || base.ends_with("_ns")) {

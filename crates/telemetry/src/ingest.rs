@@ -213,9 +213,6 @@ mod tests {
             scanned: 40,
             returned: 38,
             denied: 1,
-            cache_hits: 0,
-            cache_misses: 1,
-            stale_served: 0,
             duration_us: 55,
         }];
         events.extend(run_events("NoTLA", 1, &[100]));
