@@ -3,6 +3,7 @@
 
 use crowdtune_db::{FunctionEvaluation, Scalar};
 use crowdtune_space::{Domain, Point, Space, Value};
+use std::borrow::Borrow;
 
 /// A task's training data in unit-cube coordinates.
 #[derive(Debug, Clone, Default)]
@@ -137,15 +138,17 @@ fn record_to_point(rec: &FunctionEvaluation, space: &Space) -> Result<Point, Dat
 /// conversion (missing parameters, out-of-domain values — e.g. data
 /// uploaded against a different space revision) are skipped, matching the
 /// tolerant ingestion the crowd setting needs; the skip count is
-/// returned.
-pub fn records_to_dataset(
-    records: &[FunctionEvaluation],
+/// returned. The records may be owned or shared (`Arc`), as a query
+/// returns them.
+pub fn records_to_dataset<R: Borrow<FunctionEvaluation>>(
+    records: &[R],
     space: &Space,
     output: &str,
 ) -> (Dataset, usize) {
     let mut ds = Dataset::default();
     let mut skipped = 0;
     for rec in records {
+        let rec = rec.borrow();
         let Some(y) = rec.result.output(output) else {
             skipped += 1;
             continue;

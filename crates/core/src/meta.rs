@@ -23,6 +23,7 @@ use crowdtune_space::{Param, Space};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// One parameter declaration in the meta description.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -309,8 +310,9 @@ impl<'a> CrowdSession<'a> {
         })
     }
 
-    /// `QueryFunctionEvaluations`: download the relevant crowd data.
-    pub fn query_function_evaluations(&self) -> Result<Vec<FunctionEvaluation>, MetaError> {
+    /// `QueryFunctionEvaluations`: download the relevant crowd data. The
+    /// records are the repository's own, shared by `Arc`.
+    pub fn query_function_evaluations(&self) -> Result<Vec<Arc<FunctionEvaluation>>, MetaError> {
         Ok(self
             .db
             .query(&self.meta.api_key, &self.meta.to_query_spec())?)
@@ -322,7 +324,7 @@ impl<'a> CrowdSession<'a> {
     /// dropped.
     pub fn source_tasks(&self, min_samples: usize) -> Result<Vec<SourceTask>, MetaError> {
         let records = self.query_function_evaluations()?;
-        let mut groups: Vec<(String, Vec<FunctionEvaluation>)> = Vec::new();
+        let mut groups: Vec<(String, Vec<Arc<FunctionEvaluation>>)> = Vec::new();
         for rec in records {
             let key = serde_json::to_string(&rec.task_parameters).unwrap_or_default();
             match groups.iter_mut().find(|(k, _)| *k == key) {

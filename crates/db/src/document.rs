@@ -7,8 +7,8 @@
 //! information. This module defines those documents as typed Rust structs
 //! that serialize to exactly that JSON shape.
 
+use crate::sorted_map::SortedMap;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// A scalar parameter value inside a stored document.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -96,7 +96,7 @@ impl<'a> From<&'a Scalar> for ScalarRef<'a> {
 }
 
 /// Ordered name → value map used for task and tuning parameters.
-pub type ParamMap = BTreeMap<String, Scalar>;
+pub type ParamMap = SortedMap<Scalar>;
 
 /// The outcome of one function evaluation.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -105,7 +105,7 @@ pub enum EvalOutcome {
     /// Successful run: named outputs (e.g. `{"runtime": 3.65}`).
     Ok {
         /// Output name → measured value.
-        outputs: BTreeMap<String, f64>,
+        outputs: SortedMap<f64>,
     },
     /// Failed run (e.g. out-of-memory from a bad configuration). The
     /// paper's tuner drops these from surrogate fitting but the database
@@ -119,7 +119,7 @@ pub enum EvalOutcome {
 impl EvalOutcome {
     /// Convenience constructor for a single-output success.
     pub fn single(name: &str, value: f64) -> Self {
-        let mut outputs = BTreeMap::new();
+        let mut outputs = SortedMap::new();
         outputs.insert(name.to_string(), value);
         EvalOutcome::Ok { outputs }
     }

@@ -6,6 +6,8 @@
 //! - [`document`] — JSON performance-sample documents (task parameters,
 //!   tuning parameters, evaluation result) plus reproducibility metadata
 //!   (machine and software configuration) and per-record access control.
+//!   Parameter and output maps are [`SortedMap`]s: key-sorted vectors
+//!   that serialize like a `BTreeMap`.
 //! - [`store`] — one service shard's index: its records indexed by
 //!   problem, field value and contributor, behind a `RwLock`; plus the
 //!   crate's error type and the scan statistics queries report.
@@ -36,6 +38,7 @@ pub mod env;
 pub mod query;
 pub mod repo;
 pub mod service;
+mod sorted_map;
 pub mod store;
 pub mod telemetry;
 pub mod wal;
@@ -49,6 +52,7 @@ pub use env::{parse_slurm_env, parse_spack_spec, EnvError, TagRegistry};
 pub use query::{parse_query, FieldIndexes, Filter, ParseError};
 pub use repo::{ConfigurationQuery, DbError, HistoryDb, MachineFilter, QuerySpec, SoftwareFilter};
 pub use service::{CrowdService, ServiceConfig};
+pub use sorted_map::SortedMap;
 pub use store::{ScanStats, StoreError};
 pub use telemetry::{FleetQuery, RunRecord, TelemetryCollection};
 pub use wal::{crc32, RecoveryReport, WalConfig, WalRecord};

@@ -18,6 +18,7 @@ use crowdtune_obs as obs;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Errors from repository operations.
 #[derive(Debug)]
@@ -365,45 +366,41 @@ impl HistoryDb {
     }
 
     /// Query with an API key (sees public + own + shared-with-user data).
+    /// The rows are the stored records themselves, shared by `Arc`.
     pub fn query(
         &self,
         api_key: &str,
         spec: &QuerySpec,
-    ) -> Result<Vec<FunctionEvaluation>, DbError> {
+    ) -> Result<Vec<Arc<FunctionEvaluation>>, DbError> {
         let user = self.users.authenticate(api_key)?;
         Ok(self.query_as(Some(&user), spec))
     }
 
     /// Query anonymously (public data only).
-    pub fn query_public(&self, spec: &QuerySpec) -> Vec<FunctionEvaluation> {
+    pub fn query_public(&self, spec: &QuerySpec) -> Vec<Arc<FunctionEvaluation>> {
         self.query_as(None, spec)
     }
 
-    /// Filter the service's shared snapshot by reference and copy out only
-    /// the records the caller gets back: one clone per returned record.
-    fn query_as(&self, user: Option<&str>, spec: &QuerySpec) -> Vec<FunctionEvaluation> {
+    /// Filter the service scan's own hit list in place: no record is
+    /// copied, and a returned row is the stored record.
+    fn query_as(&self, user: Option<&str>, spec: &QuerySpec) -> Vec<Arc<FunctionEvaluation>> {
         let span = obs::span(obs::names::SPAN_DB_QUERY);
         let ctx = obs::RequestCtx::new(obs::OpKind::Query, client_hash(user));
-        let (hits, stats) = self.service.query(&spec.problem, &spec.filter, user, ctx);
+        let (mut hits, stats) = self.service.query(&spec.problem, &spec.filter, user, ctx);
         let configuration = spec.configuration.matcher(&self.tags);
-        let kept: Vec<FunctionEvaluation> = hits
-            .iter()
-            .filter(|e| spec.include_failures || e.result.is_ok())
-            .filter(|e| configuration(e))
-            .map(|e| FunctionEvaluation::clone(e))
-            .collect();
+        hits.retain(|e| (spec.include_failures || e.result.is_ok()) && configuration(e));
         obs::count(obs::names::CTR_DB_SCANNED, stats.scanned as u64);
         obs::count(obs::names::CTR_DB_PRUNED, stats.pruned as u64);
-        obs::count(obs::names::CTR_DB_RETURNED, kept.len() as u64);
+        obs::count(obs::names::CTR_DB_RETURNED, hits.len() as u64);
         obs::count(obs::names::CTR_DB_DENIED, stats.denied as u64);
         obs::record_with(|| obs::Event::DbQuery {
             query: spec.problem.clone(),
             scanned: stats.scanned as u64,
-            returned: kept.len() as u64,
+            returned: hits.len() as u64,
             denied: stats.denied as u64,
             duration_us: span.elapsed_ns() / 1_000,
         });
-        kept
+        hits
     }
 
     /// Number of stored documents.

@@ -35,7 +35,7 @@ fn eval(problem: &str, m: i64) -> FunctionEvaluation {
 /// The scripted single-client session: register, upload across three
 /// problems, and run a fixed set of queries. Returns every query's
 /// result rows for cross-backend comparison.
-fn run_script(db: &HistoryDb) -> Vec<Vec<FunctionEvaluation>> {
+fn run_script(db: &HistoryDb) -> Vec<Vec<Arc<FunctionEvaluation>>> {
     let mut rng = StdRng::seed_from_u64(42);
     let key = db
         .register_user("alice", "a@x.org", true, &mut rng)
@@ -77,7 +77,7 @@ fn journal_of(db: &HistoryDb, path: &PathBuf) -> (Vec<String>, Vec<String>) {
     (rows_lines(&results), events)
 }
 
-fn rows_lines(results: &[Vec<FunctionEvaluation>]) -> Vec<String> {
+fn rows_lines(results: &[Vec<Arc<FunctionEvaluation>>]) -> Vec<String> {
     results
         .iter()
         .map(|rows| format!("rows {}", serde_json::to_string(rows).unwrap()))
