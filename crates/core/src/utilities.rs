@@ -80,6 +80,17 @@ impl SurrogateModelHandle {
             }
         }
     }
+
+    /// The mean of [`SurrogateModelHandle::predict_unit`], bitwise,
+    /// without computing a GP's posterior variance.
+    fn mean_unit(&self, unit: &[f64]) -> f64 {
+        match &self.model {
+            Model::Gp(gp) => gp.predict_mean(unit),
+            Model::Linear {
+                weights, intercept, ..
+            } => intercept + crowdtune_linalg::dot(weights, unit),
+        }
+    }
 }
 
 /// `QuerySurrogateModel`: fit a surrogate to the session's crowd data
@@ -183,7 +194,7 @@ pub fn query_sensitivity_analysis(
     Ok(analyze_space(&session.tuning_space, config, move |x| {
         let mut u = x.to_vec();
         space.snap_unit(&mut u);
-        model.predict_unit(&u).0
+        model.mean_unit(&u)
     }))
 }
 

@@ -434,9 +434,13 @@ impl FunctionEvaluation {
     /// the inverse of [`FunctionEvaluation::field`], used to build the
     /// store's field indexes. Paths absent here resolve to `None` in
     /// `field`, so indexing exactly this set is complete. Composite paths
-    /// are built in one reused buffer and values are borrowed, so a visit
-    /// allocates at most that buffer.
-    pub(crate) fn visit_indexed_fields(&self, mut visit: impl FnMut(&str, ScalarRef<'_>)) {
+    /// are built in the caller's `path` buffer and values are borrowed,
+    /// so a visit allocates at most to grow that buffer.
+    pub(crate) fn visit_indexed_fields(
+        &self,
+        path: &mut String,
+        mut visit: impl FnMut(&str, ScalarRef<'_>),
+    ) {
         visit("problem", ScalarRef::Str(&self.problem));
         visit("owner", ScalarRef::Str(&self.owner));
         visit("status", ScalarRef::Str(self.status()));
@@ -451,11 +455,10 @@ impl FunctionEvaluation {
             visit("provenance.contributor", ScalarRef::Str(&p.contributor));
             visit("provenance.batch", ScalarRef::Int(p.batch as i64));
         }
-        let mut path = String::new();
         let mut visit_path = |parts: [&str; 3], value: ScalarRef<'_>| {
             path.clear();
             parts.iter().for_each(|part| path.push_str(part));
-            visit(&path, value);
+            visit(path, value);
         };
         for (k, v) in &self.task_parameters {
             visit_path(["task.", k, ""], v.into());
@@ -483,7 +486,9 @@ impl FunctionEvaluation {
     #[cfg(test)]
     pub(crate) fn indexed_fields(&self) -> Vec<(String, Scalar)> {
         let mut out = Vec::new();
-        self.visit_indexed_fields(|path, value| out.push((path.to_string(), value.to_scalar())));
+        self.visit_indexed_fields(&mut String::new(), |path, value| {
+            out.push((path.to_string(), value.to_scalar()))
+        });
         out
     }
 

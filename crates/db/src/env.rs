@@ -136,6 +136,20 @@ pub fn parse_slurm_env(vars: &HashMap<String, String>) -> Result<MachineConfig, 
     })
 }
 
+/// Rewrite `name` in place as its canonical form under `aliases`: trimmed,
+/// lowercased, then replaced by the alias target when it is a known
+/// alias. Only trimming allocates; the rest reuses `name`'s buffer.
+fn canonicalize(aliases: &HashMap<String, String>, name: &mut String) {
+    let trimmed = name.trim();
+    if trimmed.len() != name.len() {
+        *name = trimmed.to_string();
+    }
+    name.make_ascii_lowercase();
+    if let Some(canon) = aliases.get(name.as_str()) {
+        name.clone_from(canon);
+    }
+}
+
 /// A registry of canonical machine/software names with known aliases —
 /// the paper's "separate databases for the detailed information of
 /// popular software frameworks and user systems with possible tag names".
@@ -210,36 +224,39 @@ impl TagRegistry {
     /// Canonicalize a machine name; unknown names are lowercased verbatim
     /// (the registry learns nothing silently, but queries stay usable).
     pub fn canonical_machine(&self, name: &str) -> String {
-        let key = name.trim().to_ascii_lowercase();
-        self.machine_aliases.get(&key).cloned().unwrap_or(key)
+        let mut name = name.trim().to_string();
+        canonicalize(&self.machine_aliases, &mut name);
+        name
     }
 
     /// Canonicalize a software name.
     pub fn canonical_software(&self, name: &str) -> String {
-        let key = name.trim().to_ascii_lowercase();
-        self.software_aliases.get(&key).cloned().unwrap_or(key)
+        let mut name = name.trim().to_string();
+        canonicalize(&self.software_aliases, &mut name);
+        name
     }
 
     /// Normalize a whole machine configuration in place: canonical machine
     /// name, and a node type validated against the machine's known list
-    /// (unknown node types are kept as provided).
+    /// (unknown node types are kept as provided). Names are rewritten in
+    /// their own buffers, so a configuration that is already canonical
+    /// costs no allocation.
     pub fn normalize_machine(&self, cfg: &mut MachineConfig) {
-        cfg.machine_name = self.canonical_machine(&cfg.machine_name);
-        cfg.node_type = cfg.node_type.to_ascii_lowercase();
+        canonicalize(&self.machine_aliases, &mut cfg.machine_name);
+        cfg.node_type.make_ascii_lowercase();
         if let Some(known) = self.machine_nodes.get(&cfg.machine_name) {
             if let Some(exact) = known.iter().find(|k| cfg.node_type.contains(*k)) {
-                cfg.node_type = exact.clone();
+                cfg.node_type.clone_from(exact);
             }
         }
     }
 
-    /// Normalize a software configuration in place.
+    /// Normalize a software configuration in place, allocating nothing
+    /// when its package and compiler names are already canonical.
     pub fn normalize_software(&self, cfg: &mut SoftwareConfig) {
-        cfg.name = self.canonical_software(&cfg.name);
-        if let Some((cname, _)) = &cfg.compiler {
-            let canon = self.canonical_software(cname);
-            let ver = cfg.compiler.as_ref().unwrap().1;
-            cfg.compiler = Some((canon, ver));
+        canonicalize(&self.software_aliases, &mut cfg.name);
+        if let Some((cname, _)) = &mut cfg.compiler {
+            canonicalize(&self.software_aliases, cname);
         }
     }
 

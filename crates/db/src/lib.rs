@@ -8,8 +8,8 @@
 //!   (machine and software configuration) and per-record access control.
 //!   Parameter and output maps are [`SortedMap`]s: key-sorted vectors
 //!   that serialize like a `BTreeMap`.
-//! - [`store`] — one service shard's index: its records indexed by
-//!   problem, field value and contributor, behind a `RwLock`; plus the
+//! - [`store`] — one service shard's index: its records indexed per
+//!   problem by field value, and by contributor, behind a `RwLock`; plus the
 //!   crate's error type and the scan statistics queries report.
 //! - [`query`] — a typed filter AST and the SQL-like text query language
 //!   (`task.m BETWEEN 1000 AND 20000 AND machine.name = 'cori'`).

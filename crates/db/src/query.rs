@@ -14,6 +14,7 @@
 //! [`FunctionEvaluation::field`](crate::document::FunctionEvaluation::field).
 
 use crate::document::{FunctionEvaluation, Scalar, ScalarRef};
+use std::collections::{BTreeMap, HashMap};
 
 /// A query filter over stored documents.
 #[derive(Debug, Clone, PartialEq)]
@@ -129,28 +130,32 @@ impl Ord for NumKey {
     }
 }
 
-/// Normalized index key. Numeric scalars (Int and Real alike) share the
-/// f64 key space, mirroring [`scalar_eq`]'s coercion; strings are
-/// lowercased, mirroring its case-insensitive comparison.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-enum IndexKey {
-    /// Numbers sort before strings; only this variant participates in
-    /// range plans.
-    Num(NumKey),
-    /// Case-normalized string.
-    Str(String),
+/// `s` case-folded as an index key: `s` itself when it holds no ASCII
+/// upper-case letter, else its lowercase copy written into `buf`, so
+/// folding never allocates once `buf` has grown to the longest value.
+fn fold<'a>(s: &'a str, buf: &'a mut String) -> &'a str {
+    if !s.bytes().any(|b| b.is_ascii_uppercase()) {
+        return s;
+    }
+    buf.clear();
+    buf.push_str(s);
+    buf.make_ascii_lowercase();
+    buf
 }
 
-fn key_of(s: ScalarRef<'_>) -> IndexKey {
-    match s {
-        ScalarRef::Int(v) => IndexKey::Num(NumKey::new(v as f64)),
-        ScalarRef::Real(v) => IndexKey::Num(NumKey::new(v)),
-        ScalarRef::Str(s) => IndexKey::Str(s.to_ascii_lowercase()),
-    }
+/// One field path's postings: numeric values (Int and Real alike share
+/// the f64 key space, mirroring [`scalar_eq`]'s coercion) and
+/// case-folded strings (mirroring its case-insensitive comparison) in
+/// two typed maps. Only the numeric map takes part in range plans.
+#[derive(Debug, Default)]
+struct FieldIndex {
+    nums: BTreeMap<NumKey, Vec<usize>>,
+    strs: BTreeMap<String, Vec<usize>>,
 }
 
 /// Secondary indexes over every queryable field path, mapping normalized
-/// values to the (ascending) positions of the documents holding them.
+/// values to the (ascending, distinct) positions of the documents
+/// holding them.
 ///
 /// [`FieldIndexes::plan`] turns a [`Filter`] into a candidate-position
 /// list that is guaranteed to be a superset of the filter's matches, so
@@ -158,22 +163,45 @@ fn key_of(s: ScalarRef<'_>) -> IndexKey {
 /// [`Filter::matches`]) instead of scanning the whole collection.
 #[derive(Debug, Default)]
 pub struct FieldIndexes {
-    fields: std::collections::HashMap<String, std::collections::BTreeMap<IndexKey, Vec<usize>>>,
+    fields: HashMap<String, FieldIndex>,
+    /// Scratch for building composite field paths.
+    path: String,
+    /// Scratch for case-folding a mixed-case string value.
+    folded: String,
 }
 
 impl FieldIndexes {
     /// Index one document at collection position `pos`. Positions must be
-    /// fed in ascending order (the store appends). Paths are looked up by
-    /// reference first, so only a path seen for the first time allocates
-    /// a key.
+    /// fed in ascending order (the store appends). Paths are built and
+    /// string values folded in reused buffers, and both are looked up by
+    /// reference first, so only a path or a key seen for the first time
+    /// allocates.
     pub fn insert_doc(&mut self, pos: usize, doc: &FunctionEvaluation) {
-        let fields = &mut self.fields;
-        doc.visit_indexed_fields(|path, value| {
+        let FieldIndexes {
+            fields,
+            path,
+            folded,
+        } = self;
+        doc.visit_indexed_fields(path, |path, value| {
             let index = match fields.get_mut(path) {
                 Some(index) => index,
                 None => fields.entry(path.to_string()).or_default(),
             };
-            index.entry(key_of(value)).or_default().push(pos);
+            let postings = match value {
+                ScalarRef::Int(v) => index.nums.entry(NumKey::new(v as f64)).or_default(),
+                ScalarRef::Real(v) => index.nums.entry(NumKey::new(v)).or_default(),
+                ScalarRef::Str(s) => {
+                    let key = fold(s, folded);
+                    match index.strs.get_mut(key) {
+                        Some(postings) => postings,
+                        None => index.strs.entry(key.to_string()).or_default(),
+                    }
+                }
+            };
+            // A document listing one package twice visits its paths twice.
+            if postings.last() != Some(&pos) {
+                postings.push(pos);
+            }
         });
     }
 
@@ -216,14 +244,21 @@ impl FieldIndexes {
         // paths enumerated by `indexed_fields` are indexed — stay sound
         // for any future alias by falling back to a scan.
         let index = self.fields.get(path)?;
+        let mut folded = String::new();
         let mut out: Vec<usize> = Vec::new();
         for v in values {
-            if let Some(postings) = index.get(&key_of(v.into())) {
-                out.extend(postings);
-            }
+            let postings = match v {
+                Scalar::Str(s) => index.strs.get(fold(s, &mut folded)),
+                Scalar::Int(n) => index.nums.get(&NumKey::new(*n as f64)),
+                Scalar::Real(x) => index.nums.get(&NumKey::new(*x)),
+            };
+            out.extend(postings.into_iter().flatten());
         }
-        out.sort_unstable();
-        out.dedup();
+        // One posting list is ascending and distinct already.
+        if values.len() > 1 {
+            out.sort_unstable();
+            out.dedup();
+        }
         Some(out)
     }
 
@@ -237,8 +272,8 @@ impl FieldIndexes {
     ) -> Option<Vec<usize>> {
         use std::ops::Bound;
         let index = self.fields.get(path)?;
-        let lo_key = IndexKey::Num(NumKey::new(lo));
-        let hi_key = IndexKey::Num(NumKey::new(hi));
+        let lo_key = NumKey::new(lo);
+        let hi_key = NumKey::new(hi);
         // An inverted or degenerate-exclusive interval matches nothing —
         // and would panic inside BTreeMap::range.
         if lo_key > hi_key || (lo_key == hi_key && !(lo_inclusive && hi_inclusive)) {
@@ -255,6 +290,7 @@ impl FieldIndexes {
             Bound::Excluded(hi_key)
         };
         let mut out: Vec<usize> = index
+            .nums
             .range((lo, hi))
             .flat_map(|(_, postings)| postings.iter().copied())
             .collect();

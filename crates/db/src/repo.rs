@@ -326,15 +326,15 @@ impl HistoryDb {
         let result = self.submit_inner(api_key, eval, batch);
         let (accepted, rejected) = if result.is_ok() { (1, 0) } else { (0, 1) };
         let contributor = match &result {
-            Ok((_, owner)) => owner.clone(),
-            Err(_) => String::new(),
+            Ok((_, owner)) => owner.as_str(),
+            Err(_) => "",
         };
         obs::count(obs::names::CTR_DB_UPLOADED, accepted);
         obs::count(obs::names::CTR_DB_REJECTED, rejected);
         obs::record_with(|| obs::Event::Upload {
             accepted,
             rejected,
-            contributor: contributor.clone(),
+            contributor: contributor.to_string(),
             batch,
             duration_us: span.elapsed_ns() / 1_000,
         });
@@ -348,7 +348,8 @@ impl HistoryDb {
         batch: u64,
     ) -> Result<(u64, String), DbError> {
         let owner = self.users.authenticate(api_key)?;
-        eval.owner = owner.clone();
+        // `clone_from` reuses the caller's string buffers where they fit.
+        eval.owner.clone_from(&owner);
         self.tags.normalize_machine(&mut eval.machine);
         for sw in &mut eval.software {
             self.tags.normalize_software(sw);
@@ -356,10 +357,9 @@ impl HistoryDb {
         // Stamp provenance: the authenticated owner always wins over any
         // caller-supplied contributor, but simulation markers
         // (fault_seed/fault_index) set by the caller are preserved.
-        let machine = eval.machine.machine_name.clone();
         let prov = eval.provenance.get_or_insert_with(Provenance::default);
-        prov.contributor = owner.clone();
-        prov.machine = machine;
+        prov.contributor.clone_from(&owner);
+        prov.machine.clone_from(&eval.machine.machine_name);
         prov.batch = batch;
         let ctx = obs::RequestCtx::new(obs::OpKind::Upload, client_hash(Some(&eval.owner)));
         Ok((self.service.insert_ctx(eval, ctx)?, owner))
@@ -381,14 +381,20 @@ impl HistoryDb {
         self.query_as(None, spec)
     }
 
-    /// Filter the service scan's own hit list in place: no record is
-    /// copied, and a returned row is the stored record.
+    /// One service scan that applies the failure and configuration
+    /// predicates to each match as it goes: no record is copied, a
+    /// returned row is the stored record, and a rejected one is never
+    /// shared.
     fn query_as(&self, user: Option<&str>, spec: &QuerySpec) -> Vec<Arc<FunctionEvaluation>> {
         let span = obs::span(obs::names::SPAN_DB_QUERY);
         let ctx = obs::RequestCtx::new(obs::OpKind::Query, client_hash(user));
-        let (mut hits, stats) = self.service.query(&spec.problem, &spec.filter, user, ctx);
         let configuration = spec.configuration.matcher(&self.tags);
-        hits.retain(|e| (spec.include_failures || e.result.is_ok()) && configuration(e));
+        let keep = |e: &FunctionEvaluation| {
+            (spec.include_failures || e.result.is_ok()) && configuration(e)
+        };
+        let (hits, stats) = self
+            .service
+            .query_where(&spec.problem, &spec.filter, user, keep, ctx);
         obs::count(obs::names::CTR_DB_SCANNED, stats.scanned as u64);
         obs::count(obs::names::CTR_DB_PRUNED, stats.pruned as u64);
         obs::count(obs::names::CTR_DB_RETURNED, hits.len() as u64);

@@ -390,10 +390,24 @@ impl CrowdService {
         user: Option<&str>,
         ctx: RequestCtx,
     ) -> (Vec<Arc<FunctionEvaluation>>, ScanStats) {
+        self.query_where(problem, filter, user, |_| true, ctx)
+    }
+
+    /// [`CrowdService::query`] returning only the matches `keep` accepts.
+    /// `keep` runs inside the scan, so a record it rejects is never
+    /// shared into a result.
+    pub(crate) fn query_where(
+        &self,
+        problem: &str,
+        filter: &Filter,
+        user: Option<&str>,
+        keep: impl Fn(&FunctionEvaluation) -> bool,
+        ctx: RequestCtx,
+    ) -> (Vec<Arc<FunctionEvaluation>>, ScanStats) {
         let op_start = ctx.begin();
         let sidx = self.shard_index(problem);
         let scan_start = ctx.begin();
-        let out = self.shards[sidx].store.scan(problem, filter, user);
+        let out = self.shards[sidx].store.scan(problem, filter, user, keep);
         ctx.record(TraceStage::Scan, sidx as u16, scan_start);
         ctx.record(TraceStage::Op, sidx as u16, op_start);
         out

@@ -1,6 +1,6 @@
 //! One shard's index: the records of the problems hashed to the shard,
-//! a secondary index on the problem name, field-value indexes over every
-//! queryable path, and per-contributor counts. Thread-safe behind a
+//! and for each problem its postings and field-value indexes over every
+//! queryable path; plus per-contributor counts. Thread-safe behind a
 //! `parking_lot::RwLock`, so any number of readers scan a shard in
 //! parallel.
 //!
@@ -71,16 +71,25 @@ impl From<serde_json::Error> for StoreError {
     }
 }
 
+/// One problem's slice of a shard index: where its records sit in the
+/// shard's document list, and field-value indexes over those records
+/// alone, so a query plans inside its problem.
+#[derive(Default)]
+struct ProblemIndex {
+    /// Positions in `Inner::docs` of the problem's records, ascending.
+    postings: Vec<usize>,
+    /// Field-value indexes over the problem's records.
+    fields: FieldIndexes,
+}
+
 /// The documents are `Arc`-shared: a query result holds pointers to the stored records, never copies of them. A stored record
 /// is never mutated, so a snapshot taken before a write stays valid.
 #[derive(Default)]
 struct Inner {
     docs: Vec<Arc<FunctionEvaluation>>,
-    /// problem name -> doc indexes (not ids), rebuilt after deletes.
-    by_problem: HashMap<String, Vec<usize>>,
-    /// Field-value indexes over every queryable path, rebuilt after
-    /// deletes.
-    indexes: FieldIndexes,
+    /// problem name -> the problem's postings and field indexes, rebuilt
+    /// after deletes.
+    by_problem: HashMap<String, ProblemIndex>,
     /// provenance contributor -> live document count, rebuilt after
     /// deletes.
     by_contributor: BTreeMap<String, u64>,
@@ -107,13 +116,12 @@ impl Inner {
     /// seen for the first time allocates a key.
     fn push(&mut self, doc: Arc<FunctionEvaluation>) {
         let idx = self.docs.len();
-        match self.by_problem.get_mut(&doc.problem) {
-            Some(postings) => postings.push(idx),
-            None => {
-                self.by_problem.insert(doc.problem.clone(), vec![idx]);
-            }
-        }
-        self.indexes.insert_doc(idx, &doc);
+        let index = match self.by_problem.get_mut(&doc.problem) {
+            Some(index) => index,
+            None => self.by_problem.entry(doc.problem.clone()).or_default(),
+        };
+        index.postings.push(idx);
+        index.fields.insert_doc(idx, &doc);
         bump_contributor(&mut self.by_contributor, &doc);
         self.docs.push(doc);
     }
@@ -136,29 +144,6 @@ impl Inner {
         }
         removed
     }
-
-    /// The readable documents among `candidates` that match `filter`,
-    /// shared with the store (no record is copied). Counts the scanned
-    /// and access-denied candidates into `stats`.
-    fn collect_matches(
-        &self,
-        candidates: &[usize],
-        filter: &Filter,
-        user: Option<&str>,
-        stats: &mut ScanStats,
-    ) -> Vec<Arc<FunctionEvaluation>> {
-        stats.scanned = candidates.len();
-        let mut hits = Vec::with_capacity(candidates.len());
-        for &i in candidates {
-            let doc = &self.docs[i];
-            if !doc.readable_by(user) {
-                stats.denied += 1;
-            } else if filter.matches(doc) {
-                hits.push(Arc::clone(doc));
-            }
-        }
-        hits
-    }
 }
 
 /// Scan statistics from a counted query: how many index entries were
@@ -173,24 +158,6 @@ pub struct ScanStats {
     pub pruned: usize,
     /// Documents withheld because the querying user may not read them.
     pub denied: usize,
-}
-
-/// Intersection of two ascending position lists (two-pointer merge).
-fn intersect_sorted(a: &[usize], b: &[usize]) -> Vec<usize> {
-    let mut out = Vec::with_capacity(a.len().min(b.len()));
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                out.push(a[i]);
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    out
 }
 
 /// One shard's records and their indexes. Documents arrive with their id
@@ -227,32 +194,39 @@ impl DocumentStore {
         self.inner.read().docs.len()
     }
 
-    /// The documents of `problem` that match `filter` and that `user`
-    /// may read, shared with the store (no record is copied), plus scan
-    /// statistics: index entries examined, entries the field indexes let
-    /// the scan skip, and documents withheld by access control.
+    /// The documents of `problem` that match `filter`, that `user` may
+    /// read and that `keep` accepts, shared with the store (no record is
+    /// copied), in ascending id order, plus scan statistics: candidates
+    /// examined, the problem's records the field indexes let the scan
+    /// skip, and candidates withheld by access control.
     pub(crate) fn scan(
         &self,
         problem: &str,
         filter: &Filter,
         user: Option<&str>,
+        keep: impl Fn(&FunctionEvaluation) -> bool,
     ) -> (Vec<Arc<FunctionEvaluation>>, ScanStats) {
         let inner = self.inner.read();
         let mut stats = ScanStats::default();
-        let Some(idxs) = inner.by_problem.get(problem) else {
+        let Some(index) = inner.by_problem.get(problem) else {
             return (Vec::new(), stats);
         };
-        // Narrow the problem's postings through the field indexes before
-        // touching any document; candidates are still verified by
+        // The problem's own field indexes narrow its postings before any
+        // document is touched; candidates are still verified by
         // `matches`.
-        let hits = match inner.indexes.plan(filter) {
-            Some(plan) => {
-                let candidates = intersect_sorted(idxs, &plan);
-                stats.pruned = idxs.len() - candidates.len();
-                inner.collect_matches(&candidates, filter, user, &mut stats)
+        let plan = index.fields.plan(filter);
+        let candidates = plan.as_deref().unwrap_or(&index.postings);
+        stats.scanned = candidates.len();
+        stats.pruned = index.postings.len() - candidates.len();
+        let mut hits = Vec::new();
+        for &i in candidates {
+            let doc = &inner.docs[i];
+            if !doc.readable_by(user) {
+                stats.denied += 1;
+            } else if filter.matches(doc) && keep(doc) {
+                hits.push(Arc::clone(doc));
             }
-            None => inner.collect_matches(idxs, filter, user, &mut stats),
-        };
+        }
         (hits, stats)
     }
 
@@ -441,6 +415,76 @@ mod tests {
             let (_, stats) = scan(&svc, "P", &f, None);
             assert_eq!(stats.scanned, svc.len(), "query {q:?}");
             assert_eq!(stats.pruned, 0);
+        }
+    }
+
+    /// One shard holding two problems, their records interleaved: P (40
+    /// records, `m` = 0..40, on cori) and Q (400 records, `m` = 0..5, on
+    /// perlmutter). String values are stored in mixed case.
+    fn two_problem_shard() -> CrowdService {
+        let svc = service();
+        let record = |problem: &str, owner: &str, m: i64, machine: &str, node_type: &str| {
+            eval(problem, owner, m, m as f64)
+                .on_machine(MachineConfig::new(machine, node_type, 8, 32))
+        };
+        for i in 0..400i64 {
+            if i % 10 == 0 {
+                insert(&svc, record("P", "Alice", i / 10, "cori", "Haswell"));
+            }
+            insert(&svc, record("Q", "Bob", i % 5, "perlmutter", "CPU"));
+        }
+        svc
+    }
+
+    #[test]
+    fn plans_stay_inside_the_queried_problem() {
+        let svc = two_problem_shard();
+        for (problem, query, rows, scanned) in [
+            // `machine.name` is tight over the shard (40 of 440) but
+            // loose within P (40 of 40); `task.m < 5` is the reverse (405
+            // of 440, 5 of 40). Planning inside P scans 5.
+            ("P", "machine.name = 'cori' AND task.m < 5", 5, 5),
+            ("P", "task.m >= 35 AND machine.name = 'cori'", 5, 5),
+            ("Q", "machine.name = 'cori' AND task.m < 5", 0, 0),
+            ("Q", "task.m >= 30", 0, 0),
+            ("Q", "machine.name = 'perlmutter' AND task.m = 3", 80, 80),
+            // Mixed-case values under Eq and In, on either side.
+            ("P", "owner = 'ALICE' AND task.m BETWEEN 10 AND 20", 10, 10),
+            ("P", "machine.node_type IN ('HASWELL', 'knl')", 40, 40),
+            (
+                "P",
+                "machine.node_type IN ('cpu', 'Haswell') AND task.m >= 35",
+                5,
+                5,
+            ),
+            ("P", "owner = 'bob'", 0, 0),
+            ("Q", "owner = 'bOb' AND task.m < 1", 80, 80),
+            (
+                "Q",
+                "machine.node_type IN ('Cpu', 'HASWELL') AND task.m = 0",
+                80,
+                80,
+            ),
+            ("Q", "owner IN ('alice', 'ALICE')", 0, 0),
+        ] {
+            let f = parse_query(query).unwrap();
+            let (all, _) = scan(&svc, problem, &Filter::True, None);
+            let (hits, stats) = scan(&svc, problem, &f, None);
+            let brute: Vec<u64> = all.iter().filter(|d| f.matches(d)).map(|d| d.id).collect();
+            let ids: Vec<u64> = hits.iter().map(|d| d.id).collect();
+            assert!(ids.windows(2).all(|w| w[0] < w[1]), "{problem}: {query}");
+            assert_eq!(ids, brute, "{problem}: {query}");
+            assert_eq!(ids.len(), rows, "{problem}: {query}");
+            assert!(hits.iter().all(|d| d.problem == problem));
+            // Every candidate is one of the problem's own records that
+            // its tightest conjunct admits: none comes from the other
+            // problem.
+            assert_eq!(stats.scanned, scanned, "{problem}: {query}");
+            assert_eq!(
+                stats.scanned + stats.pruned,
+                all.len(),
+                "{problem}: {query}"
+            );
         }
     }
 

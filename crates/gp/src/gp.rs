@@ -378,6 +378,16 @@ impl Gp {
         self.prediction(mean_s, qf)
     }
 
+    /// The posterior mean at a unit-cube point, bitwise the `mean` of
+    /// [`Gp::predict`] (same `k*` and dot product) without the O(n²)
+    /// variance sweep.
+    pub fn predict_mean(&self, xstar: &[f64]) -> f64 {
+        let mut kstar = vec![0.0; self.x.len()];
+        self.fill_kstar(xstar, &mut kstar);
+        let mean_s = crowdtune_linalg::dot(&kstar, &self.alpha);
+        self.y_mean + self.y_std * mean_s
+    }
+
     /// Batch prediction. Candidates go through the variance sweep two at
     /// a time, so each `L⁻¹` panel is read once per pair. Entry `j` is
     /// bitwise identical to `self.predict(&xs[j])`: every scalar result
@@ -995,6 +1005,24 @@ mod tests {
             let batch = gp.predict_batch(&qs);
             for (q, b) in qs.iter().zip(&batch) {
                 assert_eq!(*b, gp.predict(q), "n = {n}");
+            }
+        }
+    }
+
+    #[test]
+    fn predict_mean_is_the_predicted_mean_bitwise() {
+        // The Sobol analysis's shape: a 12-D Hypre-kind GP at n = 200,
+        // plus sizes on both sides of the posterior's eight-row panels.
+        for kind in [KernelKind::Matern52, KernelKind::SquaredExponential] {
+            for n in [1, 5, 131, 200] {
+                let gp = hypre_like_gp_with(kind, n, 60 + n as u64);
+                for q in hypre_like_points(97, 11 * n as u64) {
+                    assert_eq!(
+                        gp.predict_mean(&q).to_bits(),
+                        gp.predict(&q).mean.to_bits(),
+                        "{kind:?}, n = {n}"
+                    );
+                }
             }
         }
     }
